@@ -59,14 +59,15 @@ profile-smoke:
 
 # bench-quick regenerates two representative artifacts on the parallel
 # runner — a fast smoke test of the whole stack — and runs the hot-path
-# micro-benchmarks (cache walk, core load, kernel dispatch, emulated epoch
-# close, ledger append), which must report 0 allocs/op on steady-state
-# paths; see doc/performance.md.
+# micro-benchmarks (cache walk, core load, kernel dispatch and the simos
+# thread handoff, emulated epoch close, ledger append), which must report 0
+# allocs/op on steady-state paths; see doc/performance.md.
 bench-quick:
 	$(GO) run ./cmd/quartzbench -exp table2,fig8 -scale quick -parallel 4
 	$(GO) test -bench='BenchmarkCache|BenchmarkPrefetcher' -benchtime=100000x -run=^$$ ./internal/cache
 	$(GO) test -bench='BenchmarkCore' -benchtime=100000x -run=^$$ ./internal/cpu
 	$(GO) test -bench='BenchmarkKernel' -benchtime=100000x -run=^$$ ./internal/sim
+	$(GO) test -bench='BenchmarkSimContextSwitch' -benchtime=100000x -run=^$$ .
 	$(GO) test -bench='BenchmarkEmulated' -benchtime=10000x -run=^$$ ./internal/bench
 	$(GO) test -bench='BenchmarkEpochClosedStreaming' -benchtime=100000x -run=^$$ ./internal/obs
 	$(GO) test -bench='BenchmarkWorkload' -benchtime=100000x -run=^$$ ./internal/workload

@@ -27,16 +27,19 @@ func (s coroState) String() string {
 	}
 }
 
-// grant is the execution permission handed to a coro when it is resumed.
+// grant is the execution permission the kernel writes into a coro's grant
+// field before resuming it.
 type grant struct {
 	strict  Time // clock bound for strictly ordered operations
 	horizon Time // clock bound for lookahead-tolerant operations
-	abort   bool // kernel is shutting down; unwind immediately
 }
 
-// Coro is a simulated thread of execution: a goroutine coupled to a virtual
-// clock and scheduled cooperatively by the Kernel. At most one Coro (or the
+// Coro is a simulated thread of execution: an iter.Pull coroutine coupled to
+// a virtual clock and scheduled cooperatively by the Kernel, which sets its
+// grant field and switches to it directly. At most one Coro (or the
 // scheduler) runs at any host instant, so simulation state needs no locking.
+// A body ends by returning, by Failf or by panicking; see Kernel.Spawn for
+// runtime.Goexit.
 type Coro struct {
 	kernel *Kernel
 	id     int
@@ -48,9 +51,9 @@ type Coro struct {
 	grant grant
 
 	body    func(*Coro)
-	started bool
-	resume  chan grant
-	yield   chan struct{}
+	next    func() (struct{}, bool) // resumes the body; nil until first dispatch
+	stop    func()                  // unwinds a suspended body
+	yield   func(struct{}) bool     // suspends the body; false once stopped
 	heapIdx int
 }
 
@@ -73,8 +76,9 @@ func (c *Coro) Clock() Time { return c.clock }
 // Kernel reports the owning kernel.
 func (c *Coro) Kernel() *Kernel { return c.kernel }
 
-// run is the goroutine body backing the coro.
-func (c *Coro) run() {
+// run is the coroutine body backing the coro.
+func (c *Coro) run(yield func(struct{}) bool) {
+	c.yield = yield
 	defer func() {
 		switch r := recover().(type) {
 		case nil:
@@ -86,24 +90,16 @@ func (c *Coro) run() {
 		}
 		c.state = stateDone
 		c.kernel.finished++
-		c.yield <- struct{}{}
 	}()
-	g := <-c.resume
-	if g.abort {
-		panic(abortSentinel{})
-	}
-	c.grant = g
 	c.body(c)
 }
 
-// yieldBack returns control to the scheduler and blocks until resumed.
+// yieldBack returns control to the scheduler until resumed with a fresh
+// grant, or unwinds the body if the kernel stopped it.
 func (c *Coro) yieldBack() {
-	c.yield <- struct{}{}
-	g := <-c.resume
-	if g.abort {
+	if !c.yield(struct{}{}) {
 		panic(abortSentinel{})
 	}
-	c.grant = g
 }
 
 // Advance moves the coro's clock forward by dt. It does not yield; callers

@@ -112,6 +112,13 @@ func BenchmarkKernelDispatch(b *testing.B) {
 	if err := k.Run(); err != nil {
 		b.Fatal(err)
 	}
+	reportDispatchCost(b, k)
+}
+
+// reportDispatchCost adds the host price of one scheduler dispatch to the
+// benchmark output.
+func reportDispatchCost(b *testing.B, k *Kernel) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(k.Stats().Dispatches), "ns/dispatch")
 }
 
 // BenchmarkKernelRunToBlock measures the solo-coro regime where the re-grant
@@ -128,4 +135,5 @@ func BenchmarkKernelRunToBlock(b *testing.B) {
 	if err := k.Run(); err != nil {
 		b.Fatal(err)
 	}
+	reportDispatchCost(b, k)
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"sort"
 )
 
@@ -71,8 +72,10 @@ func (k *Kernel) Lookahead() Time { return k.lookahead }
 // time start. It may be called before Run, or from inside a running coro (in
 // which case start is typically the parent's clock plus a creation cost).
 //
-// The coro's goroutine is created lazily on first resume, so spawning is
-// cheap and no goroutine outlives Run.
+// The coro's coroutine is created lazily on first dispatch, so spawning is
+// cheap and no coroutine outlives Run. A body that calls runtime.Goexit (for
+// example via testing.T.FailNow) does not end just its thread: once Run has
+// unwound every other coro, the Goexit continues in Run's caller.
 func (k *Kernel) Spawn(name string, start Time, fn func(*Coro)) *Coro {
 	c := &Coro{
 		kernel: k,
@@ -81,8 +84,6 @@ func (k *Kernel) Spawn(name string, start Time, fn func(*Coro)) *Coro {
 		clock:  start,
 		state:  stateRunnable,
 		body:   fn,
-		resume: make(chan grant),
-		yield:  make(chan struct{}),
 	}
 	k.spawned++
 	k.coros = append(k.coros, c)
@@ -95,6 +96,7 @@ func (k *Kernel) Spawn(name string, start Time, fn func(*Coro)) *Coro {
 // error if a thread failed (via Coro.Failf or a panic in its body) or if the
 // system deadlocked (blocked threads remain but nothing is runnable).
 func (k *Kernel) Run() error {
+	defer k.drain()
 	for k.queue.len() > 0 && !k.aborted {
 		if n := k.queue.len(); n > k.maxQueue {
 			k.maxQueue = n
@@ -128,7 +130,6 @@ func (k *Kernel) Run() error {
 		}
 	}
 	blocked := k.blockedNames()
-	k.drain()
 	if k.failure != nil {
 		return k.failure
 	}
@@ -138,13 +139,12 @@ func (k *Kernel) Run() error {
 	return nil
 }
 
-// drain unwinds every started-but-unfinished coro goroutine so that Run
-// never leaks goroutines, even after an abort or deadlock.
+// drain unwinds every started-but-unfinished coro so that Run never leaks
+// a coroutine, whether it returns, panics or Goexits.
 func (k *Kernel) drain() {
 	for _, c := range k.coros {
-		if c.started && c.state != stateDone {
-			c.resume <- grant{abort: true}
-			<-c.yield
+		if c.stop != nil && c.state != stateDone {
+			c.stop()
 		}
 	}
 }
@@ -170,16 +170,14 @@ func (k *Kernel) Now() Time {
 	return end
 }
 
-// dispatch hands control to c and waits for it to yield back.
+// dispatch switches to c, which runs on c.grant until it yields back.
 func (k *Kernel) dispatch(c *Coro) {
 	k.dispatches++
 	k.running = c
-	if !c.started {
-		c.started = true
-		go c.run()
+	if c.next == nil {
+		c.next, c.stop = iter.Pull(c.run)
 	}
-	c.resume <- c.grant
-	<-c.yield
+	c.next()
 	k.running = nil
 }
 

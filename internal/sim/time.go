@@ -2,7 +2,9 @@
 // that the rest of the emulator substrate is built on.
 //
 // Simulated ("virtual") time is tracked per thread: every simulated thread
-// owns a local clock that its operations advance. A conservative sequential
+// owns a local clock that its operations advance. Each thread is an
+// iter.Pull coroutine: the scheduler writes the thread's execution grant into
+// it and resumes it with a direct coroutine switch. A conservative sequential
 // scheduler always resumes the runnable thread with the smallest clock, so
 // events on shared resources (caches, memory controllers, locks) are
 // processed in global virtual-time order. An optional lookahead quantum lets
