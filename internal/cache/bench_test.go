@@ -61,6 +61,44 @@ func BenchmarkCacheInsertEvict(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheFill measures the demand walk on caches too large to stay
+// in host L1: after one pass fills every way, each op looks up a random line
+// of a footprint twice the capacity and fills it on a miss, the way the CPU
+// layer does (a known-absent insert after the level missed). Roughly half
+// the ops miss and evict, and the metadata touched per op is spread over
+// host memory the way a modeled L2 or L3 spreads it.
+func BenchmarkCacheFill(b *testing.B) {
+	for _, sz := range []struct {
+		name        string
+		bytes, ways int
+	}{
+		{"256K-8w", 256 << 10, 8},
+		{"2M-16w", 2 << 20, 16},
+		{"20M-20w", 20 << 20, 20},
+	} {
+		b.Run(sz.name, func(b *testing.B) {
+			c, err := New(Config{Name: sz.name, SizeBytes: sz.bytes, Ways: sz.ways, LineSize: 64, LookupLat: sim.Nanosecond})
+			if err != nil {
+				b.Fatal(err)
+			}
+			lines := uint64(sz.bytes / 64)
+			for a := uint64(0); a < lines; a++ {
+				c.Insert(uintptr(a)*64, false, 0)
+			}
+			x := uint64(0x9e3779b97f4a7c15)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				x = x*6364136223846793005 + 1442695040888963407
+				addr := uintptr((x>>33)%(2*lines)) * 64
+				if hit, _ := c.Lookup(addr, 0, false); !hit {
+					c.InsertAbsent(addr, false, 0)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkPrefetcherObserveRandom measures the stream-table scan under a
 // pattern with no streams — the allocation path a pointer chase takes on
 // every load.

@@ -14,27 +14,42 @@
 // matches (~ways/255 per probe) are filtered by the exact tag compare, so
 // outcomes never depend on the hash. The full tag and the in-flight arrival
 // time live in one 16-byte record so a hit verifies and reads one metadata
-// line, while the LRU clocks stay in their own packed vector so the
-// eviction min-scan streams 8-byte values.
-// A per-set MRU way hint resolves the common repeat-hit in one probe,
-// and a cache-global last-hit fast path (TouchLast) lets the CPU layer skip
-// the walk entirely for consecutive accesses to the same line. Every fast
-// path performs bit-identical bookkeeping to the plain walk: hit/miss
-// outcomes, LRU clocks, statistics and in-flight arrival accounting are
-// unchanged, so simulated virtual time is unaffected (the determinism gate
-// the equivalence tests pin down).
+// line.
+//
+// Recency is an intrusive doubly-linked list per set (one-byte prev/next
+// links per way, plus a per-set head/tail/count record), the scheme the
+// Prefetcher uses for its stream table: every touch moves the way to the
+// tail, so the LRU victim of a full set is the list head, found without a
+// scan. Touch order is exactly the order of the reference model's
+// increasing LRU clock, so the head is always the way its min-scan picks.
+// The tail doubles as the per-set MRU hint that resolves the common
+// repeat-hit in one probe, and a cache-global last-hit fast path
+// (TouchLast) lets the CPU layer skip the walk entirely for consecutive
+// accesses to the same line; that line is always its set's tail, so the
+// fast path needs no list operation. InsertAbsent serves fills the caller
+// already knows miss (the level was just probed), skipping the presence
+// walk. Every fast path performs bit-identical bookkeeping to the plain
+// walk: hit/miss outcomes, victims, statistics and in-flight arrival
+// accounting are unchanged, so simulated virtual time is unaffected (the
+// determinism gate the equivalence tests pin down).
 //
 // No-allocation contract: after New, the steady-state operations — Lookup,
-// TouchLast, Insert, Flush, Contains and the prefetcher's Observe — never
-// allocate. `make bench-alloc` gates this with testing.AllocsPerRun.
+// TouchLast, Insert, InsertAbsent, Flush, Contains and the prefetcher's
+// Observe — never allocate. `make bench-alloc` gates this with
+// testing.AllocsPerRun.
 package cache
 
 import (
+	"bytes"
 	"fmt"
 	"math/bits"
 
 	"github.com/quartz-emu/quartz/internal/sim"
 )
+
+// maxWays is the widest associativity a set's one-byte recency links can
+// address.
+const maxWays = 256
 
 // Config describes one cache level.
 type Config struct {
@@ -42,7 +57,7 @@ type Config struct {
 	Name string
 	// SizeBytes is the total capacity.
 	SizeBytes int
-	// Ways is the associativity.
+	// Ways is the associativity (at most maxWays).
 	Ways int
 	// LineSize is the line size in bytes.
 	LineSize int
@@ -55,6 +70,9 @@ func (c Config) Validate() error {
 	if c.SizeBytes <= 0 || c.Ways <= 0 || c.LineSize <= 0 {
 		return fmt.Errorf("cache %q: size/ways/linesize must be positive (got %d/%d/%d)",
 			c.Name, c.SizeBytes, c.Ways, c.LineSize)
+	}
+	if c.Ways > maxWays {
+		return fmt.Errorf("cache %q: %d ways exceeds the maximum of %d", c.Name, c.Ways, maxWays)
 	}
 	lines := c.SizeBytes / c.LineSize
 	if lines%c.Ways != 0 {
@@ -82,11 +100,26 @@ type Eviction struct {
 // meaningful only while the way's signature is nonzero). A hit verifies the
 // tag and reads the arrival from one 16-byte record — a single metadata
 // line — and an eviction reconstructs the victim's address from the same
-// line the insert is about to overwrite. The LRU clock stays in its own
-// packed vector so the eviction min-scan streams 8-byte values.
+// line the insert is about to overwrite.
 type wayMeta struct {
 	arrival sim.Time
 	tag     uintptr
+}
+
+// wayLink is a way's place in its set's recency list, as way indices within
+// the set. The tail's next and the head's prev are stale and never read.
+type wayLink struct {
+	prev, next uint8
+}
+
+// setList is a set's recency list over its valid ways: head is the LRU way,
+// tail the MRU way, n the number of valid ways. head and tail are
+// meaningful only while n > 0, but like every link they always hold an
+// in-range way index, so probing the tail is safe on an empty set (an
+// invalid way's zero signature matches nothing).
+type setList struct {
+	head, tail uint8
+	n          uint16
 }
 
 // Cache is one set-associative write-back cache level.
@@ -94,14 +127,15 @@ type wayMeta struct {
 // Line state is held in parallel arrays indexed by set*ways+way. meta holds
 // each way's tag as tag+1 so that zero means "invalid way"; sigs holds a
 // one-byte hash of that value (0 = invalid way), the vector the set walk
-// actually scans. A way is valid iff its signature is nonzero.
+// actually scans. A way is valid iff its signature is nonzero, and the
+// valid ways of a set are exactly the members of its recency list.
 type Cache struct {
-	cfg     Config
-	sigs    []uint8   // signature of meta[i].tag per way; 0 = invalid
-	meta    []wayMeta // per way; fill arrival + tag
-	lastUse []uint64  // per way; LRU clock value of the last touch
-	dirty   []bool    // per way
-	mru     []int32   // per set; way of the most recent hit/insert
+	cfg   Config
+	sigs  []uint8   // signature of meta[i].tag per way; 0 = invalid
+	meta  []wayMeta // per way; fill arrival + tag
+	links []wayLink // per way; recency-list links
+	dirty []bool    // per way
+	lists []setList // per set
 
 	numSets   int
 	ways      int
@@ -109,13 +143,12 @@ type Cache struct {
 	lineShift uint // log2(LineSize) when it is a power of two
 	linePow2  bool
 
-	// lastIdx/lastTag remember the most recently hit (or inserted) line for
-	// the TouchLast fast path; lastIdx is -1 when no such line is valid.
+	// lastIdx remembers the most recently hit (or inserted) line for the
+	// TouchLast fast path; it is -1 when no such line is valid. That line
+	// is always the tail of its set's recency list.
 	lastIdx int
-	lastTag uintptr
 
-	useClk uint64
-	stats  Stats
+	stats Stats
 }
 
 // sigOf hashes a stored tag value (tag+1, never zero) to its one-byte walk
@@ -145,9 +178,9 @@ func New(cfg Config) (*Cache, error) {
 		cfg:     cfg,
 		sigs:    make([]uint8, lines),
 		meta:    make([]wayMeta, lines),
-		lastUse: make([]uint64, lines),
+		links:   make([]wayLink, lines),
 		dirty:   make([]bool, lines),
-		mru:     make([]int32, numSets),
+		lists:   make([]setList, numSets),
 		numSets: numSets,
 		ways:    cfg.Ways,
 		setMask: mask,
@@ -173,10 +206,6 @@ func (c *Cache) Stats() Stats { return c.stats }
 // ResetStats zeroes the statistics.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-func (c *Cache) lineAddr(addr uintptr) uintptr {
-	return addr &^ uintptr(c.cfg.LineSize-1)
-}
-
 // tagOf maps an address to its line tag (addr / LineSize; a shift when the
 // line size is a power of two — unsigned division and shift agree exactly).
 func (c *Cache) tagOf(addr uintptr) uintptr {
@@ -194,18 +223,44 @@ func (c *Cache) setOf(tag uintptr) int {
 	return int(tag % uintptr(c.numSets))
 }
 
-// hitAt performs the bookkeeping of a hit on the way at index idx and
-// returns the residual in-flight wait. It is the single shared hit path, so
-// the MRU probe, the walk and TouchLast are bit-identical by construction.
-func (c *Cache) hitAt(idx int, tag uintptr, now sim.Time, markDirty bool) (wait sim.Time) {
-	c.useClk++
-	c.lastUse[idx] = c.useClk
+// find returns the way within the set at base holding the stored tag want
+// (with signature sig), or -1 when the line is absent.
+func (c *Cache) find(base int, want uintptr, sig uint8) int {
+	for i, s := range c.sigs[base : base+c.ways] {
+		if s == sig && c.meta[base+i].tag == want {
+			return i
+		}
+	}
+	return -1
+}
+
+// touch moves valid way w of the set at base to the MRU end of its list.
+func (c *Cache) touch(l *setList, base, w int) {
+	if int(l.tail) == w {
+		return
+	}
+	lk := &c.links[base+w]
+	if int(l.head) == w {
+		l.head = lk.next
+	} else {
+		c.links[base+int(lk.prev)].next = lk.next
+	}
+	c.links[base+int(lk.next)].prev = lk.prev // w is not the tail
+	lk.prev = l.tail
+	c.links[base+int(l.tail)].next = uint8(w)
+	l.tail = uint8(w)
+}
+
+// hitAt performs the bookkeeping of a hit on the way at index idx, which
+// must already be its set's MRU way, and returns the residual in-flight
+// wait. It is the single shared hit path, so the MRU probe, the walk and
+// TouchLast are bit-identical by construction.
+func (c *Cache) hitAt(idx int, now sim.Time, markDirty bool) (wait sim.Time) {
 	if markDirty {
 		c.dirty[idx] = true
 	}
 	c.stats.Hits++
 	c.lastIdx = idx
-	c.lastTag = tag
 	if a := c.meta[idx].arrival; a > now {
 		return a - now
 	}
@@ -221,18 +276,14 @@ func (c *Cache) Lookup(addr uintptr, now sim.Time, markDirty bool) (hit bool, wa
 	base := set * c.ways
 	want := tag + 1
 	sig := sigOf(want)
-	// MRU probe: the way that hit last time in this set.
-	if m := base + int(c.mru[set]); c.sigs[m] == sig && c.meta[m].tag == want {
-		wait = c.hitAt(m, tag, now, markDirty)
-		return true, wait
+	l := &c.lists[set]
+	// MRU probe: the set's most recently touched way.
+	if m := base + int(l.tail); c.sigs[m] == sig && c.meta[m].tag == want {
+		return true, c.hitAt(m, now, markDirty)
 	}
-	for i, s := range c.sigs[base : base+c.ways] {
-		if s == sig && c.meta[base+i].tag == want {
-			idx := base + i
-			c.mru[set] = int32(i)
-			wait = c.hitAt(idx, tag, now, markDirty)
-			return true, wait
-		}
+	if w := c.find(base, want, sig); w >= 0 {
+		c.touch(l, base, w)
+		return true, c.hitAt(base+w, now, markDirty)
 	}
 	c.stats.Misses++
 	return false, 0
@@ -243,12 +294,11 @@ func (c *Cache) Lookup(addr uintptr, now sim.Time, markDirty bool) (hit bool, wa
 // ok=false (with no side effects) otherwise. It lets the CPU's per-core
 // last-line filter skip the set walk for consecutive same-line accesses.
 func (c *Cache) TouchLast(addr uintptr, now sim.Time, markDirty bool) (wait sim.Time, ok bool) {
-	tag := c.tagOf(addr)
 	idx := c.lastIdx
-	if idx < 0 || c.meta[idx].tag != tag+1 {
+	if idx < 0 || c.meta[idx].tag != c.tagOf(addr)+1 {
 		return 0, false
 	}
-	return c.hitAt(idx, tag, now, markDirty), true
+	return c.hitAt(idx, now, markDirty), true
 }
 
 // Contains reports whether the line holding addr is present, without
@@ -259,85 +309,80 @@ func (c *Cache) Contains(addr uintptr) bool {
 	base := set * c.ways
 	want := tag + 1
 	sig := sigOf(want)
-	if m := base + int(c.mru[set]); c.sigs[m] == sig && c.meta[m].tag == want {
+	if m := base + int(c.lists[set].tail); c.sigs[m] == sig && c.meta[m].tag == want {
 		return true
 	}
-	for i, s := range c.sigs[base : base+c.ways] {
-		if s == sig && c.meta[base+i].tag == want {
-			return true
-		}
-	}
-	return false
+	return c.find(base, want, sig) >= 0
 }
 
 // Insert fills the line holding addr, evicting the LRU victim if the set is
 // full. arrival is when the fill data lands (demand fills arrive "now";
 // prefetches arrive later). The displaced line, if any, is returned so the
-// caller can issue a writeback.
+// caller can issue a writeback. A line already present (e.g. a racing
+// prefetch) is refreshed instead: it becomes MRU, keeps its dirty bit, and
+// takes the earlier of the two arrivals.
 func (c *Cache) Insert(addr uintptr, dirty bool, arrival sim.Time) (ev Eviction, evicted bool) {
 	tag := c.tagOf(addr)
 	set := c.setOf(tag)
 	base := set * c.ways
 	want := tag + 1
 	sig := sigOf(want)
-	// First pass touches only the signature vector: it finds a matching way
-	// (already present) or the first invalid way. The LRU min-scan over the
-	// metadata records runs separately and only when the set is full — the
-	// same victim the reference single-pass walk selected (first invalid
-	// way, else strict minimum lastUse with earliest-index tiebreak), but
-	// the common steady-state insert streams through two compact vectors
-	// instead of interleaving loads and data-dependent branches.
-	firstInvalid := -1
-	for i, s := range c.sigs[base : base+c.ways] {
-		if s == sig && c.meta[base+i].tag == want {
-			// Already present (e.g. racing prefetch): refresh.
-			idx := base + i
-			c.useClk++
-			c.lastUse[idx] = c.useClk
-			c.dirty[idx] = c.dirty[idx] || dirty
-			if arrival < c.meta[idx].arrival {
-				c.meta[idx].arrival = arrival
-			}
-			c.mru[set] = int32(i)
-			c.lastIdx = idx
-			c.lastTag = tag
-			return Eviction{}, false
+	if w := c.find(base, want, sig); w >= 0 {
+		idx := base + w
+		c.touch(&c.lists[set], base, w)
+		c.dirty[idx] = c.dirty[idx] || dirty
+		if arrival < c.meta[idx].arrival {
+			c.meta[idx].arrival = arrival
 		}
-		if s == 0 && firstInvalid == -1 {
-			firstInvalid = base + i
-		}
+		c.lastIdx = idx
+		return Eviction{}, false
 	}
-	victim := firstInvalid
-	if victim == -1 {
-		lu := c.lastUse[base : base+c.ways]
-		victim = base
-		min := lu[0]
-		for i := 1; i < len(lu); i++ {
-			if lu[i] < min {
-				min = lu[i]
-				victim = base + i
-			}
-		}
-	}
-	if c.sigs[victim] != 0 {
+	return c.place(set, base, want, sig, dirty, arrival)
+}
+
+// InsertAbsent is Insert for a line the caller knows is absent: a fill that
+// follows a miss on this cache with no operation on it in between. It skips
+// the presence walk, and on a full set it does no scan at all.
+func (c *Cache) InsertAbsent(addr uintptr, dirty bool, arrival sim.Time) (ev Eviction, evicted bool) {
+	tag := c.tagOf(addr)
+	set := c.setOf(tag)
+	want := tag + 1
+	return c.place(set, set*c.ways, want, sigOf(want), dirty, arrival)
+}
+
+// place installs an absent line into the set at base. The victim is the
+// first invalid way when there is one, else the LRU way (the list head) —
+// the way the reference walk picks — and a displaced line is counted and
+// returned. The installed way becomes the set's MRU way.
+func (c *Cache) place(set, base int, want uintptr, sig uint8, dirty bool, arrival sim.Time) (ev Eviction, evicted bool) {
+	l := &c.lists[set]
+	var w int
+	if int(l.n) == c.ways {
+		w = int(l.head)
+		idx := base + w
 		c.stats.Evictions++
-		if c.dirty[victim] {
+		if c.dirty[idx] {
 			c.stats.DirtyEvictions++
 		}
-		ev = Eviction{Addr: (c.meta[victim].tag - 1) * uintptr(c.cfg.LineSize), Dirty: c.dirty[victim]}
+		ev = Eviction{Addr: (c.meta[idx].tag - 1) * uintptr(c.cfg.LineSize), Dirty: c.dirty[idx]}
 		evicted = true
-		if c.lastIdx == victim {
-			c.lastIdx = -1
+		c.touch(l, base, w)
+	} else {
+		w = bytes.IndexByte(c.sigs[base:base+c.ways], 0)
+		if l.n == 0 {
+			l.head = uint8(w)
+		} else {
+			c.links[base+int(l.tail)].next = uint8(w)
 		}
+		c.links[base+w].prev = l.tail
+		l.tail = uint8(w)
+		l.n++
 	}
-	c.useClk++
-	c.sigs[victim] = sig
-	c.dirty[victim] = dirty
-	c.lastUse[victim] = c.useClk
-	c.meta[victim] = wayMeta{arrival: arrival, tag: want}
-	c.mru[set] = int32(victim - base)
-	c.lastIdx = victim
-	c.lastTag = tag
+	idx := base + w
+	c.sigs[idx] = sig
+	c.dirty[idx] = dirty
+	c.meta[idx] = wayMeta{arrival: arrival, tag: want}
+	c.lastIdx = idx
 	return ev, evicted
 }
 
@@ -346,25 +391,35 @@ func (c *Cache) Insert(addr uintptr, dirty bool, arrival sim.Time) (ev Eviction,
 // clflush/clflushopt.
 func (c *Cache) Flush(addr uintptr) (present, dirty bool) {
 	tag := c.tagOf(addr)
-	base := c.setOf(tag) * c.ways
+	set := c.setOf(tag)
+	base := set * c.ways
 	want := tag + 1
-	sig := sigOf(want)
-	for i, s := range c.sigs[base : base+c.ways] {
-		if s == sig && c.meta[base+i].tag == want {
-			idx := base + i
-			c.stats.Flushes++
-			present, dirty = true, c.dirty[idx]
-			c.sigs[idx] = 0
-			c.dirty[idx] = false
-			c.lastUse[idx] = 0
-			c.meta[idx] = wayMeta{}
-			if c.lastIdx == idx {
-				c.lastIdx = -1
-			}
-			return present, dirty
-		}
+	w := c.find(base, want, sigOf(want))
+	if w < 0 {
+		return false, false
 	}
-	return false, false
+	idx := base + w
+	c.stats.Flushes++
+	present, dirty = true, c.dirty[idx]
+	c.sigs[idx] = 0
+	c.dirty[idx] = false
+	c.meta[idx] = wayMeta{}
+	l, lk := &c.lists[set], c.links[idx]
+	if int(l.head) == w {
+		l.head = lk.next
+	} else {
+		c.links[base+int(lk.prev)].next = lk.next
+	}
+	if int(l.tail) == w {
+		l.tail = lk.prev
+	} else {
+		c.links[base+int(lk.next)].prev = lk.prev
+	}
+	l.n--
+	if c.lastIdx == idx {
+		c.lastIdx = -1
+	}
+	return present, dirty
 }
 
 // InvalidateAll drops every line, returning the dirty line addresses so the
@@ -376,14 +431,11 @@ func (c *Cache) InvalidateAll() []uintptr {
 		if s != 0 && c.dirty[i] {
 			dirtyAddrs = append(dirtyAddrs, (c.meta[i].tag-1)*uintptr(c.cfg.LineSize))
 		}
-		c.sigs[i] = 0
-		c.dirty[i] = false
-		c.lastUse[i] = 0
-		c.meta[i] = wayMeta{}
 	}
-	for i := range c.mru {
-		c.mru[i] = 0
-	}
+	clear(c.sigs)
+	clear(c.dirty)
+	clear(c.meta)
+	clear(c.lists)
 	c.lastIdx = -1
 	return dirtyAddrs
 }

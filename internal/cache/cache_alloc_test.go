@@ -1,0 +1,39 @@
+package cache
+
+import (
+	"testing"
+
+	"github.com/quartz-emu/quartz/internal/sim"
+)
+
+// TestCacheOpsNoAllocs gates the package's no-allocation contract for every
+// steady-state cache entry point. Each op runs against full sets, so inserts
+// evict and flushes leave holes that the next insert refills.
+func TestCacheOpsNoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	cfg := Config{Name: "alloc", SizeBytes: 32 << 10, Ways: 8, LineSize: 64, LookupLat: sim.Nanosecond}
+	lines := uintptr(cfg.SizeBytes / cfg.LineSize)
+	c := mustCache(t, cfg)
+	for a := uintptr(0); a < lines; a++ { // fill every way of every set
+		c.Insert(a*64, false, 0)
+	}
+	next := lines // first line address not yet resident
+	var i uintptr
+	for _, op := range []struct {
+		name string
+		f    func()
+	}{
+		{"Lookup", func() { i++; c.Lookup((next-1-i%lines)*64, 0, i%2 == 0) }},
+		{"TouchLast", func() { c.TouchLast((next-1)*64, 0, true) }},
+		{"Contains", func() { i++; c.Contains(i * 64) }},
+		{"Insert", func() { c.Insert(next*64, true, 0); next++ }},
+		{"InsertAbsent", func() { c.InsertAbsent(next*64, true, 0); next++ }},
+		{"Flush", func() { c.Flush((next - 1) * 64); c.InsertAbsent((next-1)*64, false, 0) }},
+	} {
+		if allocs := testing.AllocsPerRun(500, op.f); allocs != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", op.name, allocs)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -30,14 +31,20 @@ func TestConfigValidate(t *testing.T) {
 		{"zero-size", func(c *Config) { c.SizeBytes = 0 }, true},
 		{"zero-ways", func(c *Config) { c.Ways = 0 }, true},
 		{"indivisible-ways", func(c *Config) { c.Ways = 3 }, true},
+		{"widest-ways-ok", func(c *Config) { c.SizeBytes = 64 * 256; c.Ways = 256 }, false},
+		{"too-many-ways", func(c *Config) { c.SizeBytes = 64 * 512; c.Ways = 512 }, true},
 		{"non-pow2-sets-ok", func(c *Config) { c.SizeBytes = 4096 * 3 / 2; c.Ways = 4 }, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			cfg := smallConfig()
 			tt.mutate(&cfg)
-			if err := cfg.Validate(); (err != nil) != tt.wantErr {
+			err := cfg.Validate()
+			if (err != nil) != tt.wantErr {
 				t.Errorf("Validate() error = %v, wantErr %v", err, tt.wantErr)
+			}
+			if err != nil && !strings.Contains(err.Error(), `"test"`) {
+				t.Errorf("Validate() error = %v, want it to name cache \"test\"", err)
 			}
 		})
 	}

@@ -102,6 +102,16 @@ func (c *refCache) Insert(addr uintptr, dirty bool, arrival sim.Time) (Eviction,
 	return ev, evicted
 }
 
+func (c *refCache) Contains(addr uintptr) bool {
+	tag := addr / uintptr(c.cfg.LineSize)
+	for _, ln := range c.set(addr) {
+		if ln.valid && ln.tag == tag {
+			return true
+		}
+	}
+	return false
+}
+
 func (c *refCache) Flush(addr uintptr) (present, dirty bool) {
 	tag := addr / uintptr(c.cfg.LineSize)
 	for i := range c.set(addr) {
@@ -118,15 +128,29 @@ func (c *refCache) Flush(addr uintptr) (present, dirty bool) {
 
 // TestOptimizedMatchesReferenceTrace drives the optimized cache and the
 // reference model with identical pseudo-random operation traces (the mix a
-// core generates: mostly lookups with insert-on-miss, occasional store hits,
-// prefetch-style future arrivals and flushes) and requires every per-op
-// result and the final statistics to agree exactly.
+// core generates: mostly lookups with a known-absent insert on each miss,
+// occasional store hits, prefetch-style inserts with future arrivals,
+// presence checks and flushes) and requires every per-op result and the
+// final statistics to agree exactly. The configs span the presets'
+// associativities and the widest one the recency lists address; the
+// flush-heavy trace runs long over a few sets, so lists with holes, flushes
+// of the head and the tail, and refills after a flush all occur many times.
 func TestOptimizedMatchesReferenceTrace(t *testing.T) {
-	for _, cfg := range []Config{
-		smallConfig(),
-		{Name: "np2-sets", SizeBytes: 4096 * 3 / 2, Ways: 4, LineSize: 64, LookupLat: sim.Nanosecond},
-		{Name: "np2-line", SizeBytes: 48 * 96, Ways: 4, LineSize: 48, LookupLat: sim.Nanosecond},
+	for _, tc := range []struct {
+		cfg      Config
+		ops      int
+		flushPct uint64
+	}{
+		{smallConfig(), 50_000, 10},
+		{Config{Name: "np2-sets", SizeBytes: 4096 * 3 / 2, Ways: 4, LineSize: 64, LookupLat: sim.Nanosecond}, 50_000, 10},
+		{Config{Name: "np2-line", SizeBytes: 48 * 96, Ways: 4, LineSize: 48, LookupLat: sim.Nanosecond}, 50_000, 10},
+		{Config{Name: "8-way", SizeBytes: 64 * 8 * 16, Ways: 8, LineSize: 64, LookupLat: sim.Nanosecond}, 50_000, 10},
+		{Config{Name: "16-way", SizeBytes: 64 * 16 * 8, Ways: 16, LineSize: 64, LookupLat: sim.Nanosecond}, 50_000, 10},
+		{Config{Name: "20-way", SizeBytes: 64 * 20 * 12, Ways: 20, LineSize: 64, LookupLat: sim.Nanosecond}, 50_000, 10},
+		{Config{Name: "256-way", SizeBytes: 64 * 256 * 2, Ways: 256, LineSize: 64, LookupLat: sim.Nanosecond}, 50_000, 10},
+		{Config{Name: "flush-heavy-16-way", SizeBytes: 64 * 16 * 4, Ways: 16, LineSize: 64, LookupLat: sim.Nanosecond}, 400_000, 35},
 	} {
+		cfg := tc.cfg
 		t.Run(cfg.Name, func(t *testing.T) {
 			opt := mustCache(t, cfg)
 			ref := newRefCache(cfg)
@@ -135,24 +159,30 @@ func TestOptimizedMatchesReferenceTrace(t *testing.T) {
 				x = x*6364136223846793005 + 1442695040888963407
 				return (x >> 33) % n
 			}
-			for op := 0; op < 50_000; op++ {
-				// Small address pool so sets conflict and evict heavily.
-				addr := uintptr(rnd(256)) * uintptr(cfg.LineSize) / 2
+			// Half-line addresses over twice the capacity, so sets conflict
+			// and evict heavily and offsets within a line vary.
+			pool := 4 * uint64(cfg.SizeBytes/cfg.LineSize)
+			for op := 0; op < tc.ops; op++ {
+				addr := uintptr(rnd(pool)) * uintptr(cfg.LineSize) / 2
 				now := sim.Time(rnd(1000)) * sim.Nanosecond
-				switch rnd(10) {
-				case 0: // flush
+				switch r := rnd(100); {
+				case r < tc.flushPct:
 					p1, d1 := opt.Flush(addr)
 					p2, d2 := ref.Flush(addr)
 					if p1 != p2 || d1 != d2 {
 						t.Fatalf("op %d: Flush(%#x) = (%v,%v), ref (%v,%v)", op, addr, p1, d1, p2, d2)
 					}
-				case 1: // prefetch-style insert with future arrival
+				case r < tc.flushPct+10: // prefetch-style insert with future arrival
 					e1, v1 := opt.Insert(addr, false, now+100*sim.Nanosecond)
 					e2, v2 := ref.Insert(addr, false, now+100*sim.Nanosecond)
 					if e1 != e2 || v1 != v2 {
 						t.Fatalf("op %d: Insert(%#x) = (%+v,%v), ref (%+v,%v)", op, addr, e1, v1, e2, v2)
 					}
-				default: // demand access, insert on miss
+				case r < tc.flushPct+15:
+					if got, want := opt.Contains(addr), ref.Contains(addr); got != want {
+						t.Fatalf("op %d: Contains(%#x) = %v, ref %v", op, addr, got, want)
+					}
+				default: // demand access, known-absent insert on miss
 					markDirty := rnd(4) == 0
 					h1, w1 := opt.Lookup(addr, now, markDirty)
 					h2, w2 := ref.Lookup(addr, now, markDirty)
@@ -160,10 +190,10 @@ func TestOptimizedMatchesReferenceTrace(t *testing.T) {
 						t.Fatalf("op %d: Lookup(%#x) = (%v,%v), ref (%v,%v)", op, addr, h1, w1, h2, w2)
 					}
 					if !h1 {
-						e1, v1 := opt.Insert(addr, markDirty, now)
+						e1, v1 := opt.InsertAbsent(addr, markDirty, now)
 						e2, v2 := ref.Insert(addr, markDirty, now)
 						if e1 != e2 || v1 != v2 {
-							t.Fatalf("op %d: fill Insert(%#x) = (%+v,%v), ref (%+v,%v)", op, addr, e1, v1, e2, v2)
+							t.Fatalf("op %d: fill InsertAbsent(%#x) = (%+v,%v), ref Insert (%+v,%v)", op, addr, e1, v1, e2, v2)
 						}
 					}
 				}

@@ -328,18 +328,23 @@ func (c *Core) Store(now sim.Time, addr uintptr) sim.Time {
 	if hit, _ := c.l1.Lookup(addr, now, true); hit {
 		return c.l1Lat
 	}
-	// Write-allocate: fetch the line in the background.
+	// Write-allocate: fetch the line in the background. The levels probed
+	// above missed, so their fills skip the presence walk.
 	if hit, _ := c.l2.Lookup(addr, now, false); hit {
-		c.fill(now, addr, true, now, false)
+		// Re-inserting the hit line (no eviction possible) takes an
+		// in-flight fill's arrival forward to now.
+		c.l2.Insert(addr, false, now)
+		c.insertAbsent(now, c.l1, addr, true, now)
 		return c.l1Lat
 	}
 	if hit, _ := c.l3.Lookup(addr, now, false); hit {
-		c.fill(now, addr, true, now, false)
+		c.insertAbsent(now, c.l2, addr, false, now)
+		c.insertAbsent(now, c.l1, addr, true, now)
 		return c.l1Lat
 	}
 	done := c.memsys.Access(now, addr, mem.Write, c.socket)
 	c.ctr.CountStoreMiss(c.memsys.HomeNode(addr) != c.socket)
-	c.fill(now, addr, true, done, true)
+	c.fill(now, addr, true, done)
 	return c.l1Lat
 }
 
@@ -378,7 +383,7 @@ func (c *Core) loadOne(now sim.Time, addr uintptr) (sim.Time, Source) {
 	t += c.l2Lat
 	if hit, wait := c.l2.Lookup(addr, t, false); hit {
 		t += wait
-		c.promote(now, addr, t)
+		c.promote(now, addr, t, false)
 		// The L2 streamer observes requests arriving at L2 (hits and
 		// misses alike), keeping the prefetch frontier moving even when
 		// the demand stream runs entirely out of prefetched lines.
@@ -397,7 +402,7 @@ func (c *Core) loadOne(now sim.Time, addr uintptr) (sim.Time, Source) {
 		if wait <= c.l3Lat {
 			c.ctr.CountL3Hit()
 		}
-		c.promote(now, addr, t)
+		c.promote(now, addr, t, true)
 		c.prefetch(now, addr)
 		return t - now, SrcL3
 	}
@@ -406,7 +411,7 @@ func (c *Core) loadOne(now sim.Time, addr uintptr) (sim.Time, Source) {
 	done := c.memsys.Access(t, addr, mem.Read, c.socket)
 	remote := c.memsys.HomeNode(addr) != c.socket
 	c.ctr.CountL3Miss(remote)
-	c.fill(t, addr, false, done, true)
+	c.fill(t, addr, false, done)
 	c.prefetch(now, addr)
 	src := SrcMemLocal
 	if remote {
@@ -422,29 +427,33 @@ func (c *Core) recordStall(now sim.Time, lat sim.Time, src Source) {
 	}
 }
 
-// promote installs a line into the levels above its serving level.
-func (c *Core) promote(now sim.Time, addr uintptr, arrival sim.Time) {
-	c.insertWithWriteback(now, c.l1, addr, false, arrival)
-	c.insertWithWriteback(now, c.l2, addr, false, arrival)
-}
-
-// fill installs a line into the whole hierarchy after a memory access.
-// intoL3 is false when the line came from L3 itself.
-func (c *Core) fill(now sim.Time, addr uintptr, dirty bool, arrival sim.Time, intoL3 bool) {
-	if intoL3 {
-		c.insertWithWriteback(now, c.l3, addr, false, arrival)
+// promote installs a load's line into the levels above its serving level,
+// which the walk just missed: L1, and L2 as well when fromL3. The serving
+// level is left alone: its hit already made the line MRU, and arrival (the
+// load's completion) is never before the line's own arrival, so a
+// re-insert there would change nothing.
+func (c *Core) promote(now sim.Time, addr uintptr, arrival sim.Time, fromL3 bool) {
+	c.insertAbsent(now, c.l1, addr, false, arrival)
+	if fromL3 {
+		c.insertAbsent(now, c.l2, addr, false, arrival)
 	}
-	c.insertWithWriteback(now, c.l2, addr, false, arrival)
-	c.insertWithWriteback(now, c.l1, addr, dirty, arrival)
 }
 
-// insertWithWriteback inserts a line and posts a writeback for any dirty
-// victim. The writeback occupies a channel slot at the current walk time —
-// not at the incoming line's (possibly future) arrival — so that a posted
-// future request cannot block earlier traffic on the single-slot channel
-// reservation model.
-func (c *Core) insertWithWriteback(now sim.Time, level *cache.Cache, addr uintptr, dirty bool, arrival sim.Time) {
-	if ev, evicted := level.Insert(addr, dirty, arrival); evicted && ev.Dirty {
+// fill installs a line that missed every level into the whole hierarchy
+// after a memory access.
+func (c *Core) fill(now sim.Time, addr uintptr, dirty bool, arrival sim.Time) {
+	c.insertAbsent(now, c.l3, addr, false, arrival)
+	c.insertAbsent(now, c.l2, addr, false, arrival)
+	c.insertAbsent(now, c.l1, addr, dirty, arrival)
+}
+
+// insertAbsent fills a line level is known not to hold (it just missed
+// there) and posts a writeback for any dirty victim. The writeback occupies
+// a channel slot at the current walk time — not at the incoming line's
+// (possibly future) arrival — so that a posted future request cannot block
+// earlier traffic on the single-slot channel reservation model.
+func (c *Core) insertAbsent(now sim.Time, level *cache.Cache, addr uintptr, dirty bool, arrival sim.Time) {
+	if ev, evicted := level.InsertAbsent(addr, dirty, arrival); evicted && ev.Dirty {
 		c.memsys.Access(now, ev.Addr, mem.Writeback, c.socket)
 	}
 }
@@ -468,7 +477,7 @@ func (c *Core) prefetch(now sim.Time, addr uintptr) {
 			continue
 		}
 		arrival := c.memsys.Access(now, pAddr, mem.Prefetch, c.socket)
-		c.insertWithWriteback(now, c.l3, pAddr, false, arrival)
-		c.insertWithWriteback(now, c.l2, pAddr, false, arrival)
+		c.insertAbsent(now, c.l3, pAddr, false, arrival)
+		c.insertAbsent(now, c.l2, pAddr, false, arrival)
 	}
 }
