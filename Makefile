@@ -44,7 +44,7 @@ traffic-smoke:
 # asym-smoke end-to-end checks the asymmetric read/write model: both
 # calibrated-profile sweeps must diverge in the documented directions
 # (Optane W/R < 1 with a bandwidth collapse past 4 writers, PCM W/R > 1),
-# the -write-latency/-nvm-profile overrides must land, and bad values must
+# the -nvm-write/-nvm-profile overrides must land, and bad values must
 # exit 2 upfront. The store-stall 0-alloc gate runs under bench-alloc.
 asym-smoke:
 	sh scripts/asym-smoke.sh
@@ -74,11 +74,12 @@ bench-quick:
 
 # bench-alloc runs the allocation-regression gates: testing.AllocsPerRun
 # asserting zero allocations on the steady-state epoch-close, batched
-# load/store, prefetcher, ledger-append, and traffic measured-op paths. Runs
+# load/store, simos lock and memory-op, prefetcher, ledger-append, and
+# traffic measured-op paths. Runs
 # without -race (the race runtime allocates); `make test` still covers these
 # files race-enabled with the gates skipped.
 bench-alloc:
-	$(GO) test -run 'NoAllocs' -count=1 ./internal/bench ./internal/cache ./internal/obs ./internal/obs/vtprof ./internal/workload
+	$(GO) test -run 'NoAllocs' -count=1 ./internal/bench ./internal/cache ./internal/obs ./internal/obs/vtprof ./internal/simos ./internal/workload
 
 # bench-compare times the quick suite experiment by experiment (min of
 # three passes each) with intra-experiment trial parallelism on, diffs

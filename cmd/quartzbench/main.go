@@ -19,17 +19,10 @@
 //	quartzbench -exp fig12 -trace trace.json -metrics-out metrics.json
 //	quartzbench -exp all -scale full -serve :8077 -ledger-out run.jsonl
 //
-// -trace writes a Chrome trace-event file (chrome://tracing / Perfetto) with
-// every closed epoch as a slice and every delay injection as a flow-linked
-// slice; -metrics / -metrics-out export the aggregated metrics registry as
-// JSON. See doc/observability.md for the schema.
-//
-// -serve starts the live introspection HTTP server (/metrics, /ledger,
-// /runs, /events) for the duration of the suite (plus -serve-linger);
-// -ledger-out streams every epoch record to disk as it closes (JSONL or the
-// compact binary framing via -ledger-format, size-rotated via
-// -ledger-rotate-mb), removing the in-memory ledger bound. See
-// doc/live-monitoring.md.
+// The observability flags (-trace, -metrics, -serve, -ledger-out, -vtprof,
+// ...) are shared with quartzrun and documented in internal/cli. With
+// -serve, /runs reports live suite progress; -vtprof writes one profile per
+// job plus the merged suite.pb.gz / suite.folded.
 package main
 
 import (
@@ -37,16 +30,15 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"iter"
 	"os"
 	"os/signal"
 	"strconv"
 	"strings"
 	"time"
 
+	"github.com/quartz-emu/quartz/internal/cli"
 	"github.com/quartz-emu/quartz/internal/experiments"
-	"github.com/quartz-emu/quartz/internal/machine"
-	"github.com/quartz-emu/quartz/internal/obs"
-	"github.com/quartz-emu/quartz/internal/obs/obshttp"
 	"github.com/quartz-emu/quartz/internal/obs/vtprof"
 	"github.com/quartz-emu/quartz/internal/runner"
 	"github.com/quartz-emu/quartz/internal/workload"
@@ -70,23 +62,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		timeoutFlag  = fs.Duration("timeout", 0, "per-job timeout (0 = none)")
 		retriesFlag  = fs.Int("retries", 0, "retries per failed job")
 		progressFlag = fs.Bool("progress", false, "report job completion progress on stderr")
-		traceFlag    = fs.String("trace", "", "write a Chrome trace-event file of every emulated run (open in chrome://tracing or Perfetto)")
-		metricsFlag  = fs.Bool("metrics", false, "print a JSON metrics snapshot to stdout after the suite")
-		metricsOut   = fs.String("metrics-out", "", "write the JSON metrics snapshot to this file")
-		serveFlag    = fs.String("serve", "", "serve live introspection HTTP (/metrics /ledger /runs /events) on this address during the suite (e.g. :8077)")
-		lingerFlag   = fs.Duration("serve-linger", 0, "keep the introspection server up this long after the suite finishes")
-		ledgerOut    = fs.String("ledger-out", "", "stream every epoch record to this file as it closes (removes the in-memory ledger bound)")
-		ledgerFormat = fs.String("ledger-format", "jsonl", "ledger sink encoding: jsonl or binary")
-		ledgerRotMB  = fs.Int64("ledger-rotate-mb", 0, "rotate the ledger sink file after this many MiB (0 = never)")
 		trafClients  = fs.String("traffic-clients", "", "comma-separated client counts overriding the scale's traffic-* sweep (e.g. 64,256,1024)")
 		trafMixes    = fs.String("traffic-mixes", "", "comma-separated mix presets overriding the scale's traffic-* sweep (read-mostly, write-heavy, scan-blend)")
 		trafPool     = fs.Int("traffic-pool", 0, "serving pool threads per traffic scenario, overriding the scale (0 = scale default)")
 		trafLats     = fs.String("traffic-lats", "", "comma-separated emulated NVM latencies in ns overriding the scale's traffic-* sweep (e.g. 200,600,2000)")
-		vtprofDir    = fs.String("vtprof", "", "write virtual-time profiles (per-job and merged, pprof .pb.gz + .folded) into this directory")
-		servePprof   = fs.Bool("serve-pprof", false, "mount host-side net/http/pprof under /debug/pprof/ on the -serve server")
-		writeLat     = fs.Float64("write-latency", 0, "NVM write-latency override in ns for the asymmetric experiments (0 = profile default)")
+		nvmWrite     = fs.Float64("nvm-write", 0, "target NVM store latency in ns for the asymmetric experiments, overriding every swept profile (0 = profile default)")
 		nvmProf      = fs.String("nvm-profile", "", "comma-separated NVM profile names narrowing the asymmetric sweeps (e.g. optane-dcpmm,pcm)")
+		o            cli.Obs
 	)
+	o.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -94,9 +78,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Validate flag combinations before any experiment runs, mirroring the
 	// upfront -exp id validation: a misconfiguration must fail in
 	// milliseconds, not after the suite.
-	sinkFormat, err := validateFlags(*listFlag, *parallelFlag, *trialPar, *retriesFlag,
-		*serveFlag, *lingerFlag, *ledgerOut, *ledgerFormat, *ledgerRotMB, *servePprof)
-	if err != nil {
+	if err := validateFlags(*listFlag, *parallelFlag, *trialPar, *retriesFlag, &o); err != nil {
 		fmt.Fprintf(stderr, "quartzbench: %v\n", err)
 		return 2
 	}
@@ -120,18 +102,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	scale.TrialParallel = *trialPar
-	// The virtual-time profiler attaches per job through the scale; nil (the
-	// default) keeps every simulation byte-identical to an unprofiled run.
-	var profSuite *vtprof.Suite
-	if *vtprofDir != "" {
-		profSuite = vtprof.NewSuite()
-		scale.Profiles = profSuite
-	}
 	if err := applyTrafficOverrides(&scale, *trafClients, *trafMixes, *trafPool, *trafLats); err != nil {
 		fmt.Fprintf(stderr, "quartzbench: %v\n", err)
 		return 2
 	}
-	if err := applyAsymOverrides(&scale, *writeLat, *nvmProf); err != nil {
+	if err := applyAsymOverrides(&scale, *nvmWrite, *nvmProf); err != nil {
 		fmt.Fprintf(stderr, "quartzbench: %v\n", err)
 		return 2
 	}
@@ -185,52 +160,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// job outcomes directly, and per-epoch ledger records from every
 	// emulator the experiment jobs attach (via the process-global default,
 	// since jobs construct their environments internally). -progress also
-	// attaches one so its lines can report live emulation rates. See
-	// doc/observability.md.
-	var rec *obs.Recorder
-	if *traceFlag != "" || *metricsFlag || *metricsOut != "" || *progressFlag ||
-		*serveFlag != "" || *ledgerOut != "" {
-		rec = obs.New(0)
-		obs.SetDefault(rec)
-		defer obs.SetDefault(nil)
-		cfg.Recorder = rec
+	// attaches one so its lines can report live emulation rates. The
+	// virtual-time profiler attaches per job through the scale; nil (the
+	// default) keeps every simulation byte-identical to an unprofiled run.
+	src := cli.Sources{Recorder: *progressFlag}
+	if o.Serve != "" {
+		cfg.Status = runner.NewStatusBoard()
+		src.Status = cfg.Status
 	}
-	if *ledgerOut != "" {
-		sink, err := obs.NewFileSink(*ledgerOut, obs.SinkOptions{
-			Format:      sinkFormat,
-			RotateBytes: *ledgerRotMB << 20,
-		})
-		if err != nil {
-			fmt.Fprintf(stderr, "quartzbench: -ledger-out: %v\n", err)
-			return 2
-		}
-		if err := rec.AttachSink(sink, 0); err != nil {
-			fmt.Fprintf(stderr, "quartzbench: -ledger-out: %v\n", err)
-			return 2
-		}
-		defer func() {
-			if err := rec.CloseSink(); err != nil {
-				fmt.Fprintf(stderr, "quartzbench: closing ledger sink: %v\n", err)
-			}
-		}()
+	if o.VTProf != "" {
+		suite := vtprof.NewSuite()
+		scale.Profiles = suite
+		src.VTProf = suite.PprofBytes
+		src.Profiles = suiteProfiles(suite)
 	}
-	var srv *obshttp.Server
-	if *serveFlag != "" {
-		board := runner.NewStatusBoard()
-		cfg.Status = board
-		var err error
-		opts := obshttp.Options{Recorder: rec, Status: board, DebugPprof: *servePprof}
-		if profSuite != nil {
-			opts.VTProf = profSuite.PprofBytes
-		}
-		srv, err = obshttp.Start(*serveFlag, opts)
-		if err != nil {
-			fmt.Fprintf(stderr, "quartzbench: %v\n", err)
-			return 2
-		}
-		defer srv.Close()
-		fmt.Fprintf(stderr, "quartzbench: serving introspection on %s\n", srv.URL())
+	defer o.Close()
+	if err := o.Start(stderr, src); err != nil {
+		fmt.Fprintf(stderr, "quartzbench: %v\n", err)
+		return 2
 	}
+	cfg.Recorder = o.Recorder()
 	if *jsonFlag != "" {
 		jf, err := os.Create(*jsonFlag)
 		if err != nil {
@@ -250,7 +199,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// delay the emulators have injected (with its share of the computed
 		// delay — below 100% means overhead amortization withheld some).
 		progressStart := time.Now()
-		reg := rec.Registry()
+		reg := cfg.Recorder.Registry()
 		epochs := reg.Counter("quartz.epochs.closed")
 		computed := reg.Counter("quartz.delay.computed_ns")
 		injected := reg.Counter("quartz.delay.injected_ns")
@@ -297,63 +246,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "suite finished in %.1fs\n", time.Since(start).Seconds())
 	}
 
-	if rec != nil {
-		if err := writeObservability(rec, *traceFlag, *metricsFlag, *metricsOut, stdout); err != nil {
-			fmt.Fprintf(stderr, "quartzbench: %v\n", err)
-			return 1
-		}
-	}
-	if profSuite != nil {
-		if err := writeVTProf(profSuite, *vtprofDir); err != nil {
-			fmt.Fprintf(stderr, "quartzbench: -vtprof: %v\n", err)
-			return 1
-		}
-	}
-	if srv != nil && *lingerFlag > 0 {
-		// Keep the introspection plane queryable after the suite so smoke
-		// tests and dashboards can take a final reading; Ctrl-C cuts it.
-		fmt.Fprintf(stderr, "quartzbench: introspection server lingering %s (Ctrl-C to stop)\n", *lingerFlag)
-		select {
-		case <-ctx.Done():
-		case <-time.After(*lingerFlag):
-		}
-	}
-	if err := rec.CloseSink(); err != nil {
-		fmt.Fprintf(stderr, "quartzbench: ledger sink: %v\n", err)
+	if err := o.Finish(ctx, stdout); err != nil {
+		fmt.Fprintf(stderr, "quartzbench: %v\n", err)
 		return 1
 	}
 	return exit
 }
 
-// validateFlags rejects invalid flag combinations upfront with clear
-// errors. It returns the parsed -ledger-format.
-func validateFlags(list bool, parallel, trialParallel, retries int, serve string, linger time.Duration,
-	ledgerOut, ledgerFormat string, ledgerRotMB int64, servePprof bool) (obs.SinkFormat, error) {
-	sinkFormat, err := obs.ParseSinkFormat(ledgerFormat)
-	if err != nil {
-		return 0, fmt.Errorf("-ledger-format: %v", err)
-	}
+// validateFlags rejects invalid flag values and combinations upfront with
+// clear errors.
+func validateFlags(list bool, parallel, trialParallel, retries int, o *cli.Obs) error {
 	switch {
 	case parallel < 0:
-		return 0, fmt.Errorf("-parallel %d: must be >= 0 (0 = GOMAXPROCS, 1 = serial)", parallel)
+		return fmt.Errorf("-parallel %d: must be >= 0 (0 = GOMAXPROCS, 1 = serial)", parallel)
 	case trialParallel < 0:
-		return 0, fmt.Errorf("-trial-parallel %d: must be >= 0 (0 or 1 = serial)", trialParallel)
+		return fmt.Errorf("-trial-parallel %d: must be >= 0 (0 or 1 = serial)", trialParallel)
 	case retries < 0:
-		return 0, fmt.Errorf("-retries %d: must be >= 0", retries)
-	case ledgerRotMB < 0:
-		return 0, fmt.Errorf("-ledger-rotate-mb %d: must be >= 0 (0 = never rotate)", ledgerRotMB)
-	case linger < 0:
-		return 0, fmt.Errorf("-serve-linger %s: must be >= 0", linger)
-	case linger > 0 && serve == "":
-		return 0, fmt.Errorf("-serve-linger needs -serve")
-	case ledgerRotMB > 0 && ledgerOut == "":
-		return 0, fmt.Errorf("-ledger-rotate-mb needs -ledger-out")
-	case servePprof && serve == "":
-		return 0, fmt.Errorf("-serve-pprof needs -serve")
-	case list && serve != "":
-		return 0, fmt.Errorf("-serve makes no sense with -list (nothing runs)")
+		return fmt.Errorf("-retries %d: must be >= 0", retries)
+	case list && o.Serve != "":
+		return fmt.Errorf("-serve makes no sense with -list (nothing runs)")
 	}
-	return sinkFormat, nil
+	return o.Validate()
 }
 
 // applyTrafficOverrides narrows the scale's traffic sweep from the
@@ -421,97 +334,36 @@ func profFileName(job string) string {
 	return b.String()
 }
 
-// writeVTProf writes the suite's virtual-time profiles into dir: one
-// <job>.pb.gz / <job>.folded pair per profiled job, plus suite.pb.gz /
-// suite.folded merging every job (the file `go tool pprof` and flame-graph
-// tooling consume directly).
-func writeVTProf(suite *vtprof.Suite, dir string) error {
-	if err := os.MkdirAll(dir, 0o777); err != nil {
-		return err
+// suiteProfiles yields what -vtprof writes for a suite: one profile per
+// job, then suite, merging every job (the file `go tool pprof` and
+// flame-graph tooling consume directly).
+func suiteProfiles(suite *vtprof.Suite) iter.Seq2[string, *vtprof.Profile] {
+	return func(yield func(string, *vtprof.Profile) bool) {
+		for _, job := range suite.Jobs() {
+			if !yield(profFileName(job), suite.JobProfile(job)) {
+				return
+			}
+		}
+		yield("suite", suite.Merged())
 	}
-	write := func(stem string, p *vtprof.Profile) error {
-		pb, err := p.PprofBytes()
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(fmt.Sprintf("%s/%s.pb.gz", dir, stem), pb, 0o666); err != nil {
-			return err
-		}
-		f, err := os.Create(fmt.Sprintf("%s/%s.folded", dir, stem))
-		if err != nil {
-			return err
-		}
-		werr := p.WriteFolded(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		return werr
-	}
-	for _, job := range suite.Jobs() {
-		if err := write(profFileName(job), suite.JobProfile(job)); err != nil {
-			return err
-		}
-	}
-	return write("suite", suite.Merged())
 }
 
 // applyAsymOverrides narrows the asymmetric-model sweep from the
-// -write-latency / -nvm-profile flags, resolving every profile name against
-// the machine registry upfront so a typo fails before any experiment runs.
-func applyAsymOverrides(scale *experiments.Scale, writeLatNS float64, profilesCSV string) error {
-	if writeLatNS < 0 {
-		return fmt.Errorf("-write-latency %g: must be >= 0 ns (0 = profile default)", writeLatNS)
+// -nvm-write / -nvm-profile flags, resolving every profile name against the
+// machine registry upfront so a typo fails before any experiment runs.
+func applyAsymOverrides(scale *experiments.Scale, nvmWriteNS float64, profilesCSV string) error {
+	if nvmWriteNS < 0 {
+		return fmt.Errorf("-nvm-write %g: must be >= 0 ns (0 = profile default)", nvmWriteNS)
 	}
-	if writeLatNS > 0 {
-		scale.AsymWriteLatNS = writeLatNS
+	if nvmWriteNS > 0 {
+		scale.AsymWriteLatNS = nvmWriteNS
 	}
 	if profilesCSV != "" {
-		var profs []string
-		for _, s := range strings.Split(profilesCSV, ",") {
-			name := strings.TrimSpace(s)
-			if _, err := machine.NVMProfileByName(name); err != nil {
-				return fmt.Errorf("-nvm-profile: %v", err)
-			}
-			profs = append(profs, name)
+		profs, err := cli.NVMProfiles(profilesCSV)
+		if err != nil {
+			return err
 		}
 		scale.AsymProfiles = profs
-	}
-	return nil
-}
-
-// writeObservability exports the recorder's trace file and/or metrics
-// snapshot after the suite finishes.
-func writeObservability(rec *obs.Recorder, tracePath string, metricsStdout bool, metricsPath string, stdout io.Writer) error {
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		werr := rec.WriteChromeTrace(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return fmt.Errorf("writing trace: %w", werr)
-		}
-	}
-	if metricsStdout {
-		if err := rec.WriteMetricsJSON(stdout); err != nil {
-			return fmt.Errorf("writing metrics: %w", err)
-		}
-	}
-	if metricsPath != "" {
-		f, err := os.Create(metricsPath)
-		if err != nil {
-			return err
-		}
-		werr := rec.WriteMetricsJSON(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return fmt.Errorf("writing metrics: %w", werr)
-		}
 	}
 	return nil
 }

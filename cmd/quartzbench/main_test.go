@@ -125,18 +125,6 @@ func TestTrafficOverrides(t *testing.T) {
 	}
 }
 
-// TestServePprofNeedsServe: -serve-pprof only makes sense with a live
-// introspection server; asking for it without -serve must fail upfront.
-func TestServePprofNeedsServe(t *testing.T) {
-	code, _, stderr := runCLI(t, "-exp", "table1", "-serve-pprof")
-	if code != 2 {
-		t.Fatalf("exit = %d, want 2", code)
-	}
-	if !strings.Contains(stderr, "-serve-pprof") || !strings.Contains(stderr, "-serve") {
-		t.Errorf("stderr does not explain the -serve-pprof/-serve dependency: %q", stderr)
-	}
-}
-
 // TestVTProfWritesProfiles: -vtprof on a real (tiny) traffic job must write a
 // per-job profile and the merged suite profile, both non-empty gzipped pprof
 // files, plus the folded-stacks sidecars.
@@ -272,12 +260,12 @@ func TestNoObservabilityFlagsWritesNothing(t *testing.T) {
 	}
 }
 
-// TestAsymFlagValidation: bad -write-latency / -nvm-profile values must fail
+// TestAsymFlagValidation: bad -nvm-write / -nvm-profile values must fail
 // upfront (exit 2) before any experiment runs, and the profile error must
 // name the known profiles.
 func TestAsymFlagValidation(t *testing.T) {
 	cases := [][]string{
-		{"-exp", "fig12-asym", "-write-latency", "-5"},
+		{"-exp", "fig12-asym", "-nvm-write", "-5"},
 		{"-exp", "fig12-asym", "-nvm-profile", "xpoint"},
 		{"-exp", "fig11-asym", "-nvm-profile", "optane-dcpmm,bogus"},
 	}
@@ -313,7 +301,7 @@ func TestAsymOverrides(t *testing.T) {
 		t.Errorf("empty override changed the scale: lat=%g profiles=%v", s2.AsymWriteLatNS, s2.AsymProfiles)
 	}
 	if err := applyAsymOverrides(&s2, -1, ""); err == nil {
-		t.Error("negative -write-latency accepted")
+		t.Error("negative -nvm-write accepted")
 	}
 	if err := applyAsymOverrides(&s2, 0, "optane-dcpmm,"); err == nil {
 		t.Error("empty profile name accepted")

@@ -12,137 +12,162 @@
 //	quartzrun -workload multithreaded -threads 4 -trace trace.json -metrics
 //	quartzrun -workload kvstore -iters 2000000 -serve :8077 -ledger-out run.jsonl
 //
-// -trace writes a Chrome trace-event file of the run (epochs as slices,
-// delay injections as flow-linked slices; open in chrome://tracing or
-// Perfetto); -metrics / -metrics-out export the aggregated metrics registry
-// as JSON. See doc/observability.md.
-//
-// -serve starts the live introspection HTTP server (/metrics, /ledger,
-// /events) for the duration of the run (plus -serve-linger); -ledger-out
-// streams every epoch record to disk as it closes (-ledger-format jsonl or
-// binary). See doc/live-monitoring.md.
-//
-// -vtprof DIR writes the run's virtual-time profile — every simulated
-// nanosecond attributed to (thread, phase, category) — as pprof protobuf
-// (run.pb.gz) plus folded stacks (run.folded); with -serve it is also live
-// at GET /vtprof. -serve-pprof additionally mounts host-side net/http/pprof
-// under /debug/pprof/. See doc/profiling.md.
+// The observability flags (-trace, -metrics, -serve, -ledger-out, -vtprof,
+// ...) are shared with quartzbench and documented in internal/cli; -vtprof
+// writes the run's profile as run.pb.gz plus run.folded. Every flag is
+// validated before the environment is built: a bad value exits 2, a failed
+// run exits 1.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
-	"time"
+	"slices"
+	"strings"
 
 	"github.com/quartz-emu/quartz/internal/apps/graph500"
 	"github.com/quartz-emu/quartz/internal/apps/kvstore"
 	"github.com/quartz-emu/quartz/internal/apps/pagerank"
 	"github.com/quartz-emu/quartz/internal/bench"
+	"github.com/quartz-emu/quartz/internal/cli"
 	"github.com/quartz-emu/quartz/internal/core"
 	"github.com/quartz-emu/quartz/internal/machine"
-	"github.com/quartz-emu/quartz/internal/obs"
-	"github.com/quartz-emu/quartz/internal/obs/obshttp"
 	"github.com/quartz-emu/quartz/internal/obs/vtprof"
 	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/simos"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
+
+// workloads lists the -workload names dispatch runs.
+var workloads = []string{"memlat", "stream", "multithreaded", "multilat", "kvstore", "pagerank", "bfs"}
 
 type flags struct {
-	workload    string
-	preset      string
-	mode        string
-	nvmLatNS    float64
-	nvmBW       float64
-	writeNS     float64
-	nvmWriteNS  float64
-	nvmProfile  string
-	threads     int
-	iters       int
-	lines       int
-	minEpoch    float64 // ms
-	maxEpoch    float64 // ms
-	twoMemory   bool
-	injectOff   bool
-	modelStr    string
-	seed        int64
-	configPath  string
-	tracePath   string
-	metrics     bool
-	metricsOut  string
-	serve       string
-	serveLinger time.Duration
-	ledgerOut   string
-	ledgerFmt   string
-	ledgerRotMB int64
-	vtprofDir   string
-	servePprof  bool
+	workload   string
+	presetName string
+	modeName   string
+	nvmLatNS   float64
+	nvmBW      float64
+	pflushNS   float64
+	nvmWriteNS float64
+	nvmProfile string
+	threads    int
+	iters      int
+	lines      int
+	minEpoch   float64 // ms
+	maxEpoch   float64 // ms
+	twoMemory  bool
+	injectOff  bool
+	modelName  string
+	seed       int64
+	configPath string
+	obs        cli.Obs
+
+	// Resolved by validate.
+	preset machine.Preset
+	mode   bench.Mode
+	model  core.Model
+	prof   *vtprof.Profiler
 }
 
-func run() int {
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("quartzrun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var f flags
-	flag.StringVar(&f.workload, "workload", "memlat", "memlat|stream|multithreaded|multilat|kvstore|pagerank|bfs")
-	flag.StringVar(&f.preset, "preset", "ivybridge", "sandybridge|ivybridge|haswell")
-	flag.StringVar(&f.mode, "mode", "emulated", "native|physical-remote|emulated")
-	flag.Float64Var(&f.nvmLatNS, "nvm-lat", 500, "target NVM latency (ns)")
-	flag.Float64Var(&f.nvmBW, "nvm-bw", 0, "NVM bandwidth cap (bytes/s, 0 = unthrottled)")
-	flag.Float64Var(&f.writeNS, "write-lat", 0, "pflush write delay (ns, 0 = NVM-DRAM gap)")
-	flag.Float64Var(&f.nvmWriteNS, "nvm-write", 0, "target NVM store latency (ns) for the asymmetric store model (0 = symmetric)")
-	flag.StringVar(&f.nvmProfile, "nvm-profile", "", "calibrated NVM profile (e.g. optane-dcpmm, pcm): sets read/write latency, bandwidth and access granularity")
-	flag.IntVar(&f.threads, "threads", 1, "worker threads")
-	flag.IntVar(&f.iters, "iters", 100_000, "iterations / operations")
-	flag.IntVar(&f.lines, "lines", 1<<20, "working-set cache lines")
-	flag.Float64Var(&f.minEpoch, "min-epoch", 0.1, "minimum epoch (ms)")
-	flag.Float64Var(&f.maxEpoch, "max-epoch", 10, "maximum epoch (ms)")
-	flag.BoolVar(&f.twoMemory, "two-memory", false, "DRAM+NVM virtual topology (§3.3)")
-	flag.BoolVar(&f.injectOff, "switch-off-injection", false, "compute but do not inject delays (§3.2)")
-	flag.StringVar(&f.modelStr, "model", "stall", "latency model: stall (Eq.2) | simple (Eq.1)")
-	flag.Int64Var(&f.seed, "seed", 42, "workload seed")
-	flag.StringVar(&f.configPath, "config", "", "nvmemul.ini-style config file (overrides latency/bandwidth/epoch/model flags)")
-	flag.StringVar(&f.tracePath, "trace", "", "write a Chrome trace-event file of the run (open in chrome://tracing or Perfetto)")
-	flag.BoolVar(&f.metrics, "metrics", false, "print a JSON metrics snapshot after the run")
-	flag.StringVar(&f.metricsOut, "metrics-out", "", "write the JSON metrics snapshot to this file")
-	flag.StringVar(&f.serve, "serve", "", "serve live introspection HTTP (/metrics /ledger /events) on this address during the run (e.g. :8077)")
-	flag.DurationVar(&f.serveLinger, "serve-linger", 0, "keep the introspection server up this long after the run finishes")
-	flag.StringVar(&f.ledgerOut, "ledger-out", "", "stream every epoch record to this file as it closes")
-	flag.StringVar(&f.ledgerFmt, "ledger-format", "jsonl", "ledger sink encoding: jsonl or binary")
-	flag.Int64Var(&f.ledgerRotMB, "ledger-rotate-mb", 0, "rotate the ledger sink file after this many MiB (0 = never)")
-	flag.StringVar(&f.vtprofDir, "vtprof", "", "write the run's virtual-time profile (pprof .pb.gz + .folded) into this directory")
-	flag.BoolVar(&f.servePprof, "serve-pprof", false, "mount host-side net/http/pprof under /debug/pprof/ on the -serve server")
-	flag.Parse()
-
-	// Asymmetric-model flags are validated upfront like flag-parse errors
-	// (exit 2): a typo'd profile name or negative latency must fail in
-	// milliseconds, before any environment is built.
-	if err := validateAsymFlags(f); err != nil {
-		fmt.Fprintf(os.Stderr, "quartzrun: %v\n", err)
+	fs.StringVar(&f.workload, "workload", "memlat", strings.Join(workloads, "|"))
+	fs.StringVar(&f.presetName, "preset", "ivybridge", "sandybridge|ivybridge|haswell")
+	fs.StringVar(&f.modeName, "mode", "emulated", "native|physical-remote|emulated")
+	fs.Float64Var(&f.nvmLatNS, "nvm-lat", 500, "target NVM latency (ns)")
+	fs.Float64Var(&f.nvmBW, "nvm-bw", 0, "NVM bandwidth cap (bytes/s, 0 = unthrottled)")
+	fs.Float64Var(&f.pflushNS, "pflush-lat", 0, "pflush write delay (ns, 0 = NVM-DRAM gap)")
+	fs.Float64Var(&f.nvmWriteNS, "nvm-write", 0, "target NVM store latency (ns) for the asymmetric store model (0 = symmetric)")
+	fs.StringVar(&f.nvmProfile, "nvm-profile", "", "calibrated NVM profile (e.g. optane-dcpmm, pcm): sets read/write latency, bandwidth and access granularity")
+	fs.IntVar(&f.threads, "threads", 1, "worker threads")
+	fs.IntVar(&f.iters, "iters", 100_000, "iterations / operations")
+	fs.IntVar(&f.lines, "lines", 1<<20, "working-set cache lines")
+	fs.Float64Var(&f.minEpoch, "min-epoch", 0.1, "minimum epoch (ms)")
+	fs.Float64Var(&f.maxEpoch, "max-epoch", 10, "maximum epoch (ms)")
+	fs.BoolVar(&f.twoMemory, "two-memory", false, "DRAM+NVM virtual topology (§3.3)")
+	fs.BoolVar(&f.injectOff, "switch-off-injection", false, "compute but do not inject delays (§3.2)")
+	fs.StringVar(&f.modelName, "model", "stall", "latency model: stall (Eq.2) | simple (Eq.1)")
+	fs.Int64Var(&f.seed, "seed", 42, "workload seed")
+	fs.StringVar(&f.configPath, "config", "", "nvmemul.ini-style config file (overrides latency/bandwidth/epoch/model flags)")
+	f.obs.Register(fs)
+	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	if err := execute(f); err != nil {
-		fmt.Fprintf(os.Stderr, "quartzrun: %v\n", err)
+	// Every flag is validated upfront like a flag-parse error (exit 2): a
+	// typo must fail in milliseconds, before any environment is built.
+	if err := f.validate(); err != nil {
+		fmt.Fprintf(stderr, "quartzrun: %v\n", err)
+		return 2
+	}
+	// Virtual-time profiler: one profiler for the whole run; every simulated
+	// nanosecond the workload spends is attributed to (thread, phase,
+	// category).
+	var src cli.Sources
+	if f.obs.VTProf != "" {
+		f.prof = vtprof.New()
+		src.VTProf = func() ([]byte, error) { return f.prof.Snapshot().PprofBytes() }
+		src.Profiles = func(yield func(string, *vtprof.Profile) bool) { yield("run", f.prof.Snapshot()) }
+	}
+	defer f.obs.Close()
+	if err := f.obs.Start(stderr, src); err != nil {
+		fmt.Fprintf(stderr, "quartzrun: %v\n", err)
+		return 2
+	}
+	if err := execute(&f, stdout); err != nil {
+		fmt.Fprintf(stderr, "quartzrun: %v\n", err)
+		return 1
+	}
+	if err := f.obs.Finish(context.Background(), stdout); err != nil {
+		fmt.Fprintf(stderr, "quartzrun: %v\n", err)
 		return 1
 	}
 	return 0
 }
 
-// validateAsymFlags rejects invalid -nvm-write / -nvm-profile values before
-// anything runs; the profile error names the known profiles.
-func validateAsymFlags(f flags) error {
+// validate rejects bad flag values and resolves the named ones. The profile
+// error names the known profiles.
+func (f *flags) validate() error {
+	var err error
+	if f.preset, err = parsePreset(f.presetName); err != nil {
+		return fmt.Errorf("-preset: %w", err)
+	}
+	if f.mode, err = parseMode(f.modeName); err != nil {
+		return fmt.Errorf("-mode: %w", err)
+	}
+	switch f.modelName {
+	case "stall":
+		f.model = core.ModelStall
+	case "simple":
+		f.model = core.ModelSimple
+	default:
+		return fmt.Errorf("-model: unknown model %q (stall|simple)", f.modelName)
+	}
+	if !slices.Contains(workloads, f.workload) {
+		return fmt.Errorf("-workload: unknown workload %q (%s)", f.workload, strings.Join(workloads, "|"))
+	}
 	if f.nvmWriteNS < 0 {
 		return fmt.Errorf("-nvm-write %g: must be >= 0 ns (0 = symmetric model)", f.nvmWriteNS)
 	}
 	if f.nvmProfile != "" {
-		if _, err := machine.NVMProfileByName(f.nvmProfile); err != nil {
-			return fmt.Errorf("-nvm-profile: %w", err)
+		names, err := cli.NVMProfiles(f.nvmProfile)
+		if err != nil {
+			return err
 		}
+		if len(names) > 1 {
+			return fmt.Errorf("-nvm-profile %q: quartzrun runs a single profile, not a list", f.nvmProfile)
+		}
+		f.nvmProfile = names[0]
 	}
-	return nil
+	return f.obs.Validate()
 }
 
 func parsePreset(s string) (machine.Preset, error) {
@@ -171,64 +196,22 @@ func parseMode(s string) (bench.Mode, error) {
 	}
 }
 
-// validateObsFlags rejects invalid introspection flag combinations upfront,
-// before the environment is built, and returns the parsed -ledger-format.
-func validateObsFlags(f flags) (obs.SinkFormat, error) {
-	sinkFormat := obs.FormatJSONL
-	if f.ledgerFmt != "" {
-		var err error
-		if sinkFormat, err = obs.ParseSinkFormat(f.ledgerFmt); err != nil {
-			return 0, fmt.Errorf("-ledger-format: %v", err)
-		}
-	}
-	switch {
-	case f.ledgerRotMB < 0:
-		return 0, fmt.Errorf("-ledger-rotate-mb %d: must be >= 0 (0 = never rotate)", f.ledgerRotMB)
-	case f.ledgerRotMB > 0 && f.ledgerOut == "":
-		return 0, fmt.Errorf("-ledger-rotate-mb needs -ledger-out")
-	case f.serveLinger < 0:
-		return 0, fmt.Errorf("-serve-linger %s: must be >= 0", f.serveLinger)
-	case f.serveLinger > 0 && f.serve == "":
-		return 0, fmt.Errorf("-serve-linger needs -serve")
-	case f.servePprof && f.serve == "":
-		return 0, fmt.Errorf("-serve-pprof needs -serve")
-	}
-	return sinkFormat, nil
-}
-
-func execute(f flags) error {
-	preset, err := parsePreset(f.preset)
-	if err != nil {
-		return err
-	}
-	mode, err := parseMode(f.mode)
-	if err != nil {
-		return err
-	}
-	sinkFormat, err := validateObsFlags(f)
-	if err != nil {
-		return err
-	}
-	model := core.ModelStall
-	if f.modelStr == "simple" {
-		model = core.ModelSimple
-	} else if f.modelStr != "stall" {
-		return fmt.Errorf("unknown model %q", f.modelStr)
-	}
-
+// execute builds the environment the validated flags describe and runs the
+// workload on it.
+func execute(f *flags, stdout io.Writer) error {
 	q := core.Config{
 		NVMLatency:   sim.FromNanos(f.nvmLatNS),
 		NVMBandwidth: f.nvmBW,
-		WriteLatency: sim.FromNanos(f.writeNS),
+		WriteLatency: sim.FromNanos(f.pflushNS),
 		MinEpoch:     sim.Time(f.minEpoch * float64(sim.Millisecond)),
 		MaxEpoch:     sim.Time(f.maxEpoch * float64(sim.Millisecond)),
-		Model:        model,
+		Model:        f.model,
 		TwoMemory:    f.twoMemory,
 		InjectionOff: f.injectOff,
 	}
 	if f.configPath != "" {
-		q, err = core.LoadINIFile(f.configPath)
-		if err != nil {
+		var err error
+		if q, err = core.LoadINIFile(f.configPath); err != nil {
 			return err
 		}
 	}
@@ -245,7 +228,7 @@ func execute(f flags) error {
 		q.NVMBandwidth = prof.ReadBandwidth
 		q.NVMWriteBandwidth = prof.WriteBandwidth
 		q.WriteBandwidthByThreads = prof.WriteBandwidthByThreads
-		c := machine.PresetConfig(preset)
+		c := machine.PresetConfig(f.preset)
 		prof.ApplyToMem(&c)
 		mc = &c
 	}
@@ -253,158 +236,36 @@ func execute(f flags) error {
 		q.NVMWriteLatency = sim.FromNanos(f.nvmWriteNS)
 	}
 
-	// Observability: the recorder is installed as the process-global
-	// default so the emulator bench.NewEnv attaches picks it up.
-	var rec *obs.Recorder
-	if f.tracePath != "" || f.metrics || f.metricsOut != "" || f.serve != "" || f.ledgerOut != "" {
-		rec = obs.New(0)
-		obs.SetDefault(rec)
-		defer obs.SetDefault(nil)
-	}
-	if f.ledgerOut != "" {
-		sink, err := obs.NewFileSink(f.ledgerOut, obs.SinkOptions{
-			Format:      sinkFormat,
-			RotateBytes: f.ledgerRotMB << 20,
-		})
-		if err != nil {
-			return fmt.Errorf("-ledger-out: %w", err)
-		}
-		if err := rec.AttachSink(sink, 0); err != nil {
-			return fmt.Errorf("-ledger-out: %w", err)
-		}
-	}
-	// Virtual-time profiler: one profiler for the whole run; every simulated
-	// nanosecond the workload spends is attributed to (thread, phase,
-	// category) and written out as pprof protobuf after the run.
-	var prof *vtprof.Profiler
-	if f.vtprofDir != "" {
-		prof = vtprof.New()
-	}
-
-	var srv *obshttp.Server
-	if f.serve != "" {
-		opts := obshttp.Options{Recorder: rec, DebugPprof: f.servePprof}
-		if prof != nil {
-			opts.VTProf = func() ([]byte, error) { return prof.Snapshot().PprofBytes() }
-		}
-		srv, err = obshttp.Start(f.serve, opts)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "quartzrun: serving introspection on %s\n", srv.URL())
-	}
-
 	env, err := bench.NewEnv(bench.EnvConfig{
-		Preset: preset, Machine: mc, Mode: mode, Quartz: q,
-		Lookahead: 2 * sim.Microsecond, Profiler: prof,
+		Preset: f.preset, Machine: mc, Mode: f.mode, Quartz: q,
+		Lookahead: 2 * sim.Microsecond, Profiler: f.prof,
 	})
 	if err != nil {
 		return err
 	}
 
-	fmt.Printf("machine: %s  mode: %s  workload: %s\n", env.Mach.Config().Name, mode, f.workload)
-	if mode == bench.Emulated {
-		fmt.Printf("emulator: %s\n", env.Emu)
+	fmt.Fprintf(stdout, "machine: %s  mode: %s  workload: %s\n", env.Mach.Config().Name, f.mode, f.workload)
+	if f.mode == bench.Emulated {
+		fmt.Fprintf(stdout, "emulator: %s\n", env.Emu)
 	}
 
-	if err := dispatch(env, f); err != nil {
+	if err := dispatch(env, f, stdout); err != nil {
 		return err
 	}
 
 	if env.Emu != nil {
 		st := env.Emu.Stats()
-		fmt.Printf("\nemulator stats: epochs=%d (max=%d sync=%d) injected=%v overhead=%v\n",
+		fmt.Fprintf(stdout, "\nemulator stats: epochs=%d (max=%d sync=%d) injected=%v overhead=%v\n",
 			st.Epochs, st.MaxEpochs, st.SyncEpochs, st.Injected, st.Overhead)
 		if env.Emu.Config().NVMWriteLatency > 0 {
-			fmt.Printf("store model: store-misses=%d write-delay=%v\n", st.StoreMisses, st.WriteDelay)
+			fmt.Fprintf(stdout, "store model: store-misses=%d write-delay=%v\n", st.StoreMisses, st.WriteDelay)
 		}
-		fmt.Printf("feedback: %s\n", st.Suggestion())
-	}
-
-	if rec != nil {
-		if err := exportObservability(rec, f); err != nil {
-			return err
-		}
-	}
-	if prof != nil {
-		if err := writeVTProf(prof, f.vtprofDir); err != nil {
-			return fmt.Errorf("-vtprof: %w", err)
-		}
-	}
-	if srv != nil && f.serveLinger > 0 {
-		fmt.Fprintf(os.Stderr, "quartzrun: introspection server lingering %s\n", f.serveLinger)
-		time.Sleep(f.serveLinger)
-	}
-	if err := rec.CloseSink(); err != nil {
-		return fmt.Errorf("ledger sink: %w", err)
+		fmt.Fprintf(stdout, "feedback: %s\n", st.Suggestion())
 	}
 	return nil
 }
 
-// writeVTProf writes the run's virtual-time profile into dir as
-// run.pb.gz (pprof protobuf, `go tool pprof` loadable) and run.folded
-// (Brendan Gregg folded stacks, flamegraph.pl input).
-func writeVTProf(prof *vtprof.Profiler, dir string) error {
-	if err := os.MkdirAll(dir, 0o777); err != nil {
-		return err
-	}
-	p := prof.Snapshot()
-	b, err := p.PprofBytes()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(dir, "run.pb.gz"), b, 0o666); err != nil {
-		return err
-	}
-	ff, err := os.Create(filepath.Join(dir, "run.folded"))
-	if err != nil {
-		return err
-	}
-	werr := p.WriteFolded(ff)
-	if cerr := ff.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
-}
-
-// exportObservability writes the trace file and/or metrics snapshot.
-func exportObservability(rec *obs.Recorder, f flags) error {
-	if f.tracePath != "" {
-		tf, err := os.Create(f.tracePath)
-		if err != nil {
-			return err
-		}
-		werr := rec.WriteChromeTrace(tf)
-		if cerr := tf.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return fmt.Errorf("writing trace: %w", werr)
-		}
-	}
-	if f.metrics {
-		if err := rec.WriteMetricsJSON(os.Stdout); err != nil {
-			return fmt.Errorf("writing metrics: %w", err)
-		}
-	}
-	if f.metricsOut != "" {
-		mf, err := os.Create(f.metricsOut)
-		if err != nil {
-			return err
-		}
-		werr := rec.WriteMetricsJSON(mf)
-		if cerr := mf.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return fmt.Errorf("writing metrics: %w", werr)
-		}
-	}
-	return nil
-}
-
-func dispatch(env *bench.Env, f flags) error {
+func dispatch(env *bench.Env, f *flags, stdout io.Writer) error {
 	switch f.workload {
 	case "memlat":
 		ml, err := bench.BuildMemLat(env.Proc, bench.MemLatConfig{
@@ -419,7 +280,7 @@ func dispatch(env *bench.Env, f flags) error {
 			res := ml.Run(th)
 			e.CloseEpoch(th)
 			ct := th.Now() - start
-			fmt.Printf("memlat: CT=%v  per-iteration=%.1fns  accesses=%d\n",
+			fmt.Fprintf(stdout, "memlat: CT=%v  per-iteration=%.1fns  accesses=%d\n",
 				ct, (ct / sim.Time(f.iters)).Nanoseconds(), res.Accesses)
 		})
 	case "stream":
@@ -430,7 +291,7 @@ func dispatch(env *bench.Env, f flags) error {
 			if err != nil {
 				th.Failf("%v", err)
 			}
-			fmt.Printf("stream: CT=%v  copy=%.2f GB/s\n", res.CT, res.BytesPerSec/1e9)
+			fmt.Fprintf(stdout, "stream: CT=%v  copy=%.2f GB/s\n", res.CT, res.BytesPerSec/1e9)
 		})
 	case "multithreaded":
 		return env.Run(func(e *bench.Env, th *simos.Thread) {
@@ -442,7 +303,7 @@ func dispatch(env *bench.Env, f flags) error {
 			if err != nil {
 				th.Failf("%v", err)
 			}
-			fmt.Printf("multithreaded: CT=%v\n", res.CT)
+			fmt.Fprintf(stdout, "multithreaded: CT=%v\n", res.CT)
 		})
 	case "multilat":
 		if env.Emu == nil || !env.Emu.Config().TwoMemory {
@@ -460,7 +321,7 @@ func dispatch(env *bench.Env, f flags) error {
 			res := ml.Run(th, env.Mach.Config().LocalLat, env.Emu.Config().NVMLatency)
 			e.CloseEpoch(th)
 			res.CT = th.Now() - start
-			fmt.Printf("multilat: CT=%v  expected=%v  error=%.2f%%\n",
+			fmt.Fprintf(stdout, "multilat: CT=%v  expected=%v  error=%.2f%%\n",
 				res.CT, res.ExpectedCT,
 				100*float64(res.CT-res.ExpectedCT)/float64(res.ExpectedCT))
 		})
@@ -481,7 +342,7 @@ func dispatch(env *bench.Env, f flags) error {
 			if err != nil {
 				th.Failf("%v", err)
 			}
-			fmt.Printf("kvstore: CT=%v  put/s=%.0f  get/s=%.0f\n", res.CT, res.PutsPerS, res.GetsPerS)
+			fmt.Fprintf(stdout, "kvstore: CT=%v  put/s=%.0f  get/s=%.0f\n", res.CT, res.PutsPerS, res.GetsPerS)
 		})
 	case "pagerank", "bfs":
 		alloc := func(size uintptr) (uintptr, error) {
@@ -502,7 +363,7 @@ func dispatch(env *bench.Env, f flags) error {
 				if err != nil {
 					th.Failf("%v", err)
 				}
-				fmt.Printf("bfs: CT=%v  visited=%d  edges=%d  TEPS=%.3g\n",
+				fmt.Fprintf(stdout, "bfs: CT=%v  visited=%d  edges=%d  TEPS=%.3g\n",
 					res.CT, res.Visited, res.EdgesTraversed, res.TEPS)
 				return
 			}
@@ -511,7 +372,7 @@ func dispatch(env *bench.Env, f flags) error {
 				th.Failf("%v", err)
 			}
 			e.CloseEpoch(th)
-			fmt.Printf("pagerank: CT=%v  iterations=%d  residual=%.3g\n",
+			fmt.Fprintf(stdout, "pagerank: CT=%v  iterations=%d  residual=%.3g\n",
 				res.CT, res.Iterations, res.Error)
 		})
 	default:

@@ -13,8 +13,8 @@
 // counters, evaluates Eq. 3 then Eq. 2, amortizes accumulated overhead and
 // spins the thread forward. This close path is steady-state: it performs no
 // heap allocations (fixed-cost terms are precomputed at attach time, and
-// diagnostic formatting is gated behind Tracing()), a contract pinned by
-// the allocation gates run via `make bench-alloc` — see doc/performance.md.
+// nothing on it formats strings), a contract pinned by the allocation gates
+// run via `make bench-alloc` — see doc/performance.md.
 package core
 
 import (

@@ -11,7 +11,6 @@ import (
 	"github.com/quartz-emu/quartz/internal/perf"
 	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/simos"
-	"github.com/quartz-emu/quartz/internal/trace"
 )
 
 // epochReason classifies why an epoch was closed.
@@ -531,10 +530,6 @@ func (e *Emulator) endEpoch(ts *threadState, reason epochReason) {
 		}
 	}
 
-	if t.Tracing() {
-		t.Trace(trace.KindEpoch, fmt.Sprintf("len=%v delay=%v reason=%d", epochLen, delay, int(reason)))
-	}
-
 	if e.rec != nil {
 		epochEnd := ts.epochStart + epochLen
 		e.rec.EpochClosed(obs.EpochRecord{
@@ -570,9 +565,6 @@ func (e *Emulator) endEpoch(ts *threadState, reason epochReason) {
 // inject spins for d of virtual time using the rdtscp spin loop.
 func (e *Emulator) inject(ts *threadState, d sim.Time) {
 	t := ts.t
-	if t.Tracing() {
-		t.Trace(trace.KindInject, d.String())
-	}
 	target := t.Core().TSC(t.Now()) + uint64(sim.TimeToCycles(d, t.Core().FreqHz()))
 	t.SpinUntilTSC(target, e.cfg.SpinPollCycles)
 	ts.injected += d

@@ -13,7 +13,7 @@ import (
 )
 
 // asymProfileList resolves the scale's profile selection against the
-// machine.NVMProfile registry, applying the -write-latency override.
+// machine.NVMProfile registry, applying the -nvm-write override.
 func asymProfileList(s Scale) ([]machine.NVMProfile, error) {
 	names := s.AsymProfiles
 	if len(names) == 0 {
@@ -204,7 +204,7 @@ func fig12AsymJobs(s Scale) JobSet {
 			"W/R < 1: writes faster than reads (Optane); W/R > 1: classic write-penalty asymmetry (PCM)")
 		if s.AsymWriteLatNS > 0 {
 			t.Notes = append(t.Notes,
-				fmt.Sprintf("profile write latencies overridden to %.0f ns (-write-latency)", s.AsymWriteLatNS))
+				fmt.Sprintf("profile write latencies overridden to %.0f ns (-nvm-write)", s.AsymWriteLatNS))
 		}
 		return t, nil
 	}

@@ -67,7 +67,7 @@ type Scale struct {
 	// narrows it via -nvm-profile.
 	AsymProfiles []string
 	// AsymWriteLatNS, when positive, overrides every swept profile's NVM
-	// write latency (quartzbench -write-latency).
+	// write latency (quartzbench -nvm-write).
 	AsymWriteLatNS float64
 	// AsymLines sizes the fig12-asym streaming-store buffer (cache lines;
 	// the buffer is cold, so each line is store-missed exactly once).

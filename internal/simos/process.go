@@ -14,7 +14,6 @@ import (
 	"github.com/quartz-emu/quartz/internal/obs"
 	"github.com/quartz-emu/quartz/internal/obs/vtprof"
 	"github.com/quartz-emu/quartz/internal/sim"
-	"github.com/quartz-emu/quartz/internal/trace"
 )
 
 // ErrInterrupted is returned by interruptible blocking calls (Nanosleep)
@@ -67,8 +66,7 @@ type Process struct {
 	nextCore int
 
 	handlers map[Signal]Handler
-	heap     []uintptr // per-node bump pointers
-	tracer   *trace.Buffer
+	heap     []uintptr        // per-node bump pointers
 	rec      *obs.Recorder    // nil-safe observability sink
 	prof     *vtprof.Profiler // nil-safe virtual-time profiler
 
@@ -188,25 +186,6 @@ func (p *Process) EndTime() sim.Time { return p.kern.Now() }
 func (p *Process) RegisterHandler(s Signal, h Handler) {
 	p.handlers[s] = h
 }
-
-// StartTrace begins recording thread activity into a bounded ring buffer of
-// the given capacity; it returns the buffer for later inspection. Tracing
-// is off by default (it costs a branch per operation and detail formatting
-// per event).
-func (p *Process) StartTrace(capacity int) *trace.Buffer {
-	p.tracer = trace.NewBuffer(capacity)
-	return p.tracer
-}
-
-// StopTrace detaches the tracer, returning it.
-func (p *Process) StopTrace() *trace.Buffer {
-	t := p.tracer
-	p.tracer = nil
-	return t
-}
-
-// Tracer reports the active trace buffer (nil when tracing is off).
-func (p *Process) Tracer() *trace.Buffer { return p.tracer }
 
 // pickCore assigns the next core, round-robin over the allowed sockets'
 // cores. Oversubscription is allowed: a blocked thread sharing a core with

@@ -2,7 +2,6 @@ package simos
 
 import (
 	"github.com/quartz-emu/quartz/internal/obs/vtprof"
-	"github.com/quartz-emu/quartz/internal/trace"
 )
 
 // RWMutex is a POSIX-style reader-writer lock (pthread_rwlock) with writer
@@ -50,7 +49,6 @@ func doRWLockShared(t *Thread, m *RWMutex) {
 		t.coro.Strict()
 	}
 	m.readers++
-	t.Trace(trace.KindLock, m.name+"(R)")
 }
 
 // doRWLockExclusive is the uninterposed exclusive acquisition.
@@ -66,7 +64,6 @@ func doRWLockExclusive(t *Thread, m *RWMutex) {
 		t.coro.Strict()
 	}
 	m.writer = t
-	t.Trace(trace.KindLock, m.name+"(W)")
 }
 
 // doRWUnlock is the uninterposed release.
@@ -82,7 +79,6 @@ func doRWUnlock(t *Thread, m *RWMutex) {
 		t.Failf("rwmutex %q: unlock by non-holder %q", m.name, t.name)
 	}
 	t.coro.Advance(t.proc.cyc(t.proc.opts.MutexOpCycles, t))
-	t.Trace(trace.KindUnlock, m.name)
 	if m.writer != nil || m.readers > 0 {
 		return // still held; nothing to wake yet
 	}

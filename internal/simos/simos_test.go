@@ -522,34 +522,3 @@ func TestNewProcessValidation(t *testing.T) {
 		t.Error("invalid default node accepted")
 	}
 }
-
-func TestTraceRecordsOperations(t *testing.T) {
-	p := newProc(t, DefaultOptions())
-	buf := p.StartTrace(256)
-	m := p.NewMutex("traced")
-	err := p.Run(func(th *Thread) {
-		a, _ := p.Malloc(4096)
-		th.Load(a)
-		th.Store(a)
-		m.Lock(th)
-		m.Unlock(th)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	kinds := map[string]bool{}
-	for _, e := range buf.Events() {
-		kinds[e.Kind.String()] = true
-	}
-	for _, want := range []string{"load", "store", "lock", "unlock"} {
-		if !kinds[want] {
-			t.Errorf("trace missing %q events (have %v)", want, kinds)
-		}
-	}
-	if got := p.StopTrace(); got != buf {
-		t.Error("StopTrace returned a different buffer")
-	}
-	if p.Tracer() != nil {
-		t.Error("tracer still active after StopTrace")
-	}
-}

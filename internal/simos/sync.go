@@ -2,7 +2,6 @@ package simos
 
 import (
 	"github.com/quartz-emu/quartz/internal/obs/vtprof"
-	"github.com/quartz-emu/quartz/internal/trace"
 )
 
 // Mutex is a POSIX-style mutex with FIFO handoff. Lock and Unlock route
@@ -55,7 +54,6 @@ func doLock(t *Thread, m *Mutex) {
 		t.coro.Strict()
 	}
 	m.owner = t
-	t.Trace(trace.KindLock, m.name)
 }
 
 // doUnlock is the uninterposed unlock implementation.
@@ -66,7 +64,6 @@ func doUnlock(t *Thread, m *Mutex) {
 		t.Failf("mutex %q: unlock by non-owner %q", m.name, t.name)
 	}
 	t.coro.Advance(t.proc.cyc(t.proc.opts.MutexOpCycles, t))
-	t.Trace(trace.KindUnlock, m.name)
 	m.owner = nil
 	if len(m.waiters) == 0 {
 		return

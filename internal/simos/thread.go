@@ -6,7 +6,6 @@ import (
 	"github.com/quartz-emu/quartz/internal/cpu"
 	"github.com/quartz-emu/quartz/internal/obs/vtprof"
 	"github.com/quartz-emu/quartz/internal/sim"
-	"github.com/quartz-emu/quartz/internal/trace"
 )
 
 // ThreadFunc is a simulated thread body.
@@ -52,32 +51,6 @@ func (t *Thread) Done() bool { return t.done }
 // Failf aborts the simulation with an error attributed to this thread.
 func (t *Thread) Failf(format string, args ...any) {
 	t.coro.Failf(format, args...)
-}
-
-// Trace records an event against this thread when tracing is active. The
-// emulator uses it for epoch and injection events; applications may record
-// their own (trace.KindUser).
-//
-// The detail string is evaluated by the caller even when tracing is off, so
-// hot paths must gate any formatting behind Tracing() to stay
-// allocation-free (see traceAddr for the pattern).
-func (t *Thread) Trace(kind trace.Kind, detail string) {
-	if tr := t.proc.tracer; tr != nil {
-		tr.Record(t.coro.Clock(), t.name, kind, detail)
-	}
-}
-
-// Tracing reports whether an execution tracer is attached to the process.
-// Hot paths check it before building Trace detail strings so that the
-// disabled path pays one branch and zero allocations.
-func (t *Thread) Tracing() bool { return t.proc.tracer != nil }
-
-// traceAddr records a memory-op event without formatting cost when tracing
-// is off.
-func (t *Thread) traceAddr(kind trace.Kind, addr uintptr) {
-	if tr := t.proc.tracer; tr != nil {
-		tr.Record(t.coro.Clock(), t.name, kind, fmt.Sprintf("0x%x", addr))
-	}
 }
 
 // PushPhase enters an interned profiling phase (vtprof.Intern) on this
@@ -160,7 +133,6 @@ func (t *Thread) ComputeFor(d sim.Time) {
 func (t *Thread) Load(addr uintptr) {
 	t.checkSignals()
 	t.coro.Sync()
-	t.traceAddr(trace.KindLoad, addr)
 	lat, _ := t.core.Load(t.coro.Clock(), addr)
 	t.coro.Advance(lat)
 	t.vtCharge(vtprof.MemStall)
@@ -180,14 +152,13 @@ func (t *Thread) LoadGroup(addrs []uintptr) {
 
 // LoadRun performs n dependent demand loads at addr, addr+stride, … — the
 // common strided-scan loop, batched into one call. Each access performs the
-// same signal check, synchronization yield and trace hook an individual
-// Load would, so thread interleaving (and the simulated timeline) is
-// identical to the unrolled loop.
+// same signal check and synchronization yield an individual Load would, so
+// thread interleaving (and the simulated timeline) is identical to the
+// unrolled loop.
 func (t *Thread) LoadRun(addr, stride uintptr, n int) {
 	for ; n > 0; n-- {
 		t.checkSignals()
 		t.coro.Sync()
-		t.traceAddr(trace.KindLoad, addr)
 		lat, _ := t.core.Load(t.coro.Clock(), addr)
 		t.coro.Advance(lat)
 		addr += stride
@@ -203,7 +174,6 @@ func (t *Thread) StoreRun(addr, stride uintptr, n int) {
 	for ; n > 0; n-- {
 		t.checkSignals()
 		t.coro.Sync()
-		t.traceAddr(trace.KindStore, addr)
 		t.coro.Advance(t.core.Store(t.coro.Clock(), addr))
 		addr += stride
 	}
@@ -227,7 +197,6 @@ func (t *Thread) LoadGroupRun(addr, stride uintptr, n int) {
 func (t *Thread) Store(addr uintptr) {
 	t.checkSignals()
 	t.coro.Sync()
-	t.traceAddr(trace.KindStore, addr)
 	t.coro.Advance(t.core.Store(t.coro.Clock(), addr))
 	t.vtCharge(vtprof.MemStall)
 }
@@ -238,7 +207,6 @@ func (t *Thread) Store(addr uintptr) {
 func (t *Thread) Flush(addr uintptr) {
 	t.checkSignals()
 	t.coro.Sync()
-	t.traceAddr(trace.KindFlush, addr)
 	lat, wbDone := t.core.Flush(t.coro.Clock(), addr)
 	t.coro.Advance(lat)
 	if wbDone > t.coro.Clock() {
@@ -394,7 +362,6 @@ func (t *Thread) checkSignals() {
 			continue // default disposition: ignore
 		}
 		t.inHandler = true
-		t.Trace(trace.KindSignal, s.String())
 		t.coro.Advance(t.proc.cyc(t.proc.opts.SignalDeliveryCycles, t))
 		t.vtCharge(vtprof.SchedWait)
 		h(t, s)

@@ -4,7 +4,7 @@
 # Runs the two asymmetric-model sweeps through quartzbench at quick scale and
 # asserts the calibrated profiles actually diverge: Optane's W/R ratio below
 # 1 (ADR-buffered stores beat its reads), PCM's above 1 (the classic write
-# penalty), and the -write-latency override reflected in the rendered table.
+# penalty), and the -nvm-write override reflected in the rendered table.
 # Also exercises the CLI validation contract (bad values exit 2 before any
 # experiment runs) and a quartzrun workload under an NVM profile. No fixed
 # ports, no tools beyond the repo's own binaries.
@@ -63,15 +63,15 @@ awk '
 }
 echo "asym-smoke: profiles diverge (W/R both directions, Optane collapse)"
 
-echo "asym-smoke: -write-latency override"
+echo "asym-smoke: -nvm-write override"
 "$workdir/quartzbench" -exp fig12-asym -scale quick \
-    -nvm-profile pcm -write-latency 900 >"$workdir/override.log" 2>&1 || {
+    -nvm-profile pcm -nvm-write 900 >"$workdir/override.log" 2>&1 || {
     echo "asym-smoke: override run failed" >&2
     cat "$workdir/override.log" >&2
     exit 1
 }
 if ! grep -q "900.0" "$workdir/override.log"; then
-    echo "asym-smoke: -write-latency 900 not reflected in the table" >&2
+    echo "asym-smoke: -nvm-write 900 not reflected in the table" >&2
     cat "$workdir/override.log" >&2
     exit 1
 fi
@@ -81,7 +81,7 @@ if grep -q "optane-dcpmm" "$workdir/override.log"; then
 fi
 
 echo "asym-smoke: CLI validation (bad values exit 2)"
-for args in "-write-latency -5" "-nvm-profile xpoint"; do
+for args in "-nvm-write -5" "-nvm-profile xpoint"; do
     set +e
     # shellcheck disable=SC2086
     "$workdir/quartzbench" -exp fig12-asym $args >/dev/null 2>&1
