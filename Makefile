@@ -61,11 +61,14 @@ profile-smoke:
 # runner — a fast smoke test of the whole stack — and runs the hot-path
 # micro-benchmarks (cache walk, core load, kernel dispatch and the simos
 # thread handoff, emulated epoch close, ledger append), which must report 0
-# allocs/op on steady-state paths; see doc/performance.md.
+# allocs/op on steady-state paths, plus the preset machine build, whose
+# B/op must stay in the tens of KB (no cache builds its lines before its
+# first fill); see doc/performance.md.
 bench-quick:
 	$(GO) run ./cmd/quartzbench -exp table2,fig8 -scale quick -parallel 4
 	$(GO) test -bench='BenchmarkCache|BenchmarkPrefetcher' -benchtime=100000x -run=^$$ ./internal/cache
 	$(GO) test -bench='BenchmarkCore' -benchtime=100000x -run=^$$ ./internal/cpu
+	$(GO) test -bench='BenchmarkMachineBuild' -benchtime=1000x -run=^$$ ./internal/machine
 	$(GO) test -bench='BenchmarkKernel' -benchtime=100000x -run=^$$ ./internal/sim
 	$(GO) test -bench='BenchmarkSimContextSwitch' -benchtime=100000x -run=^$$ .
 	$(GO) test -bench='BenchmarkEmulated' -benchtime=10000x -run=^$$ ./internal/bench

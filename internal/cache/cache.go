@@ -33,10 +33,15 @@
 // accounting are unchanged, so simulated virtual time is unaffected (the
 // determinism gate the equivalence tests pin down).
 //
-// No-allocation contract: after New, the steady-state operations — Lookup,
-// TouchLast, Insert, InsertAbsent, Flush, Contains and the prefetcher's
-// Observe — never allocate. `make bench-alloc` gates this with
-// testing.AllocsPerRun.
+// No-allocation contract: a level allocates once, at its first fill, and
+// never again. New only records the geometry, and a probe of a level
+// nothing has filled answers exactly as an empty level does (a miss, an
+// absent line), so a simulated machine costs only the levels its run
+// touches: an idle core's L1/L2 and an unused socket's L3 stay a bare
+// Cache struct. Apart from that first fill, the steady-state operations —
+// Lookup, TouchLast, Insert, InsertAbsent, Flush, Contains and the
+// prefetcher's Observe — never allocate. `make bench-alloc` gates this
+// with testing.AllocsPerRun.
 package cache
 
 import (
@@ -128,7 +133,9 @@ type setList struct {
 // each way's tag as tag+1 so that zero means "invalid way"; sigs holds a
 // one-byte hash of that value (0 = invalid way), the vector the set walk
 // actually scans. A way is valid iff its signature is nonzero, and the
-// valid ways of a set are exactly the members of its recency list.
+// valid ways of a set are exactly the members of its recency list. The
+// arrays stay nil until the level's first fill (alloc); until then every
+// entry point treats the level as empty.
 type Cache struct {
 	cfg   Config
 	sigs  []uint8   // signature of meta[i].tag per way; 0 = invalid
@@ -163,24 +170,19 @@ func sigOf(want uintptr) uint8 {
 	return s
 }
 
-// New builds a cache from cfg.
+// New validates cfg and records the level's geometry. The line arrays are
+// left to the level's first fill.
 func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	lines := cfg.SizeBytes / cfg.LineSize
-	numSets := lines / cfg.Ways
+	numSets := cfg.SizeBytes / cfg.LineSize / cfg.Ways
 	mask := 0
 	if numSets&(numSets-1) == 0 {
 		mask = numSets - 1
 	}
 	c := &Cache{
 		cfg:     cfg,
-		sigs:    make([]uint8, lines),
-		meta:    make([]wayMeta, lines),
-		links:   make([]wayLink, lines),
-		dirty:   make([]bool, lines),
-		lists:   make([]setList, numSets),
 		numSets: numSets,
 		ways:    cfg.Ways,
 		setMask: mask,
@@ -191,6 +193,17 @@ func New(cfg Config) (*Cache, error) {
 		c.linePow2 = true
 	}
 	return c, nil
+}
+
+// alloc builds the line arrays, all empty. Insert and InsertAbsent call it
+// on the level's first fill; it is the only allocation a level makes.
+func (c *Cache) alloc() {
+	lines := c.numSets * c.ways
+	c.sigs = make([]uint8, lines)
+	c.meta = make([]wayMeta, lines)
+	c.links = make([]wayLink, lines)
+	c.dirty = make([]bool, lines)
+	c.lists = make([]setList, c.numSets)
 }
 
 // Config reports the cache's configuration.
@@ -271,6 +284,10 @@ func (c *Cache) hitAt(idx int, now sim.Time, markDirty bool) (wait sim.Time) {
 // and returns any residual wait for an in-flight fill (zero once the line
 // has fully arrived). markDirty additionally dirties the line (a store hit).
 func (c *Cache) Lookup(addr uintptr, now sim.Time, markDirty bool) (hit bool, wait sim.Time) {
+	if c.sigs == nil { // never filled: every line is absent
+		c.stats.Misses++
+		return false, 0
+	}
 	tag := c.tagOf(addr)
 	set := c.setOf(tag)
 	base := set * c.ways
@@ -291,8 +308,9 @@ func (c *Cache) Lookup(addr uintptr, now sim.Time, markDirty bool) (hit bool, wa
 
 // TouchLast re-hits the cache's most recently hit or filled line when addr
 // still maps to it, performing bookkeeping identical to Lookup, and reports
-// ok=false (with no side effects) otherwise. It lets the CPU's per-core
-// last-line filter skip the set walk for consecutive same-line accesses.
+// ok=false (with no side effects) otherwise, as it always does on a
+// never-filled level. It lets the CPU's per-core last-line filter skip the
+// set walk for consecutive same-line accesses.
 func (c *Cache) TouchLast(addr uintptr, now sim.Time, markDirty bool) (wait sim.Time, ok bool) {
 	idx := c.lastIdx
 	if idx < 0 || c.meta[idx].tag != c.tagOf(addr)+1 {
@@ -304,6 +322,9 @@ func (c *Cache) TouchLast(addr uintptr, now sim.Time, markDirty bool) (wait sim.
 // Contains reports whether the line holding addr is present, without
 // touching LRU or statistics.
 func (c *Cache) Contains(addr uintptr) bool {
+	if c.sigs == nil {
+		return false
+	}
 	tag := c.tagOf(addr)
 	set := c.setOf(tag)
 	base := set * c.ways
@@ -322,6 +343,9 @@ func (c *Cache) Contains(addr uintptr) bool {
 // prefetch) is refreshed instead: it becomes MRU, keeps its dirty bit, and
 // takes the earlier of the two arrivals.
 func (c *Cache) Insert(addr uintptr, dirty bool, arrival sim.Time) (ev Eviction, evicted bool) {
+	if c.sigs == nil {
+		c.alloc()
+	}
 	tag := c.tagOf(addr)
 	set := c.setOf(tag)
 	base := set * c.ways
@@ -344,6 +368,9 @@ func (c *Cache) Insert(addr uintptr, dirty bool, arrival sim.Time) (ev Eviction,
 // follows a miss on this cache with no operation on it in between. It skips
 // the presence walk, and on a full set it does no scan at all.
 func (c *Cache) InsertAbsent(addr uintptr, dirty bool, arrival sim.Time) (ev Eviction, evicted bool) {
+	if c.sigs == nil {
+		c.alloc()
+	}
 	tag := c.tagOf(addr)
 	set := c.setOf(tag)
 	want := tag + 1
@@ -390,6 +417,9 @@ func (c *Cache) place(set, base int, want uintptr, sig uint8, dirty bool, arriva
 // and whether it was dirty (and therefore needs a writeback). This models
 // clflush/clflushopt.
 func (c *Cache) Flush(addr uintptr) (present, dirty bool) {
+	if c.sigs == nil {
+		return false, false
+	}
 	tag := c.tagOf(addr)
 	set := c.setOf(tag)
 	base := set * c.ways
@@ -424,7 +454,8 @@ func (c *Cache) Flush(addr uintptr) (present, dirty bool) {
 
 // InvalidateAll drops every line, returning the dirty line addresses so the
 // caller can model writeback traffic. It is used to model cache invalidation
-// between experiment trials.
+// between experiment trials. A never-filled level has nil arrays, so the
+// scan and the clears do nothing and it returns nil.
 func (c *Cache) InvalidateAll() []uintptr {
 	var dirtyAddrs []uintptr
 	for i, s := range c.sigs {

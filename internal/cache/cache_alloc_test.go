@@ -7,14 +7,61 @@ import (
 )
 
 // TestCacheOpsNoAllocs gates the package's no-allocation contract for every
-// steady-state cache entry point. Each op runs against full sets, so inserts
-// evict and flushes leave holes that the next insert refills.
+// steady-state cache entry point. A never-filled level is probed first: it
+// must answer as an empty level without building its arrays. Then each op
+// runs against full sets, so inserts evict and flushes leave holes that the
+// next insert refills.
 func TestCacheOpsNoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
 	}
 	cfg := Config{Name: "alloc", SizeBytes: 32 << 10, Ways: 8, LineSize: 64, LookupLat: sim.Nanosecond}
 	lines := uintptr(cfg.SizeBytes / cfg.LineSize)
+
+	fresh := mustCache(t, cfg)
+	var lookups int64
+	for _, op := range []struct {
+		name string
+		f    func()
+	}{
+		{"Lookup", func() {
+			lookups++
+			if hit, _ := fresh.Lookup(uintptr(lookups)*64, 0, lookups%2 == 0); hit {
+				t.Fatal("never-filled Lookup hit")
+			}
+		}},
+		{"Contains", func() {
+			if fresh.Contains(64) {
+				t.Fatal("never-filled Contains reported present")
+			}
+		}},
+		{"TouchLast", func() {
+			if _, ok := fresh.TouchLast(64, 0, true); ok {
+				t.Fatal("never-filled TouchLast hit")
+			}
+		}},
+		{"Flush", func() {
+			if present, _ := fresh.Flush(64); present {
+				t.Fatal("never-filled Flush reported present")
+			}
+		}},
+		{"InvalidateAll", func() {
+			if dirty := fresh.InvalidateAll(); dirty != nil {
+				t.Fatalf("never-filled InvalidateAll = %v, want nil", dirty)
+			}
+		}},
+	} {
+		if allocs := testing.AllocsPerRun(500, op.f); allocs != 0 {
+			t.Errorf("never-filled %s: %v allocs/op, want 0", op.name, allocs)
+		}
+	}
+	if got, want := fresh.Stats(), (Stats{Misses: lookups}); got != want {
+		t.Errorf("never-filled stats = %+v, want %+v", got, want)
+	}
+	if fresh.sigs != nil {
+		t.Error("probes of a never-filled level built its line arrays")
+	}
+
 	c := mustCache(t, cfg)
 	for a := uintptr(0); a < lines; a++ { // fill every way of every set
 		c.Insert(a*64, false, 0)

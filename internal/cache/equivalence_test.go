@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/quartz-emu/quartz/internal/sim"
@@ -11,12 +12,14 @@ import (
 // last-hit fast path. The optimized Cache must be observably
 // indistinguishable from it — same hit/miss outcomes, waits, victims and
 // statistics on any operation sequence — which is the determinism gate for
-// the hot-path layout work.
+// the hot-path layout work. last is the tag+1 of the most recently hit or
+// filled line (0 = none), the line TouchLast re-hits.
 type refCache struct {
 	cfg     Config
 	lines   []refLine
 	numSets int
 	useClk  uint64
+	last    uintptr
 	stats   Stats
 }
 
@@ -49,6 +52,7 @@ func (c *refCache) Lookup(addr uintptr, now sim.Time, markDirty bool) (bool, sim
 			if markDirty {
 				ln.dirty = true
 			}
+			c.last = tag + 1
 			c.stats.Hits++
 			if ln.arrival > now {
 				return true, ln.arrival - now
@@ -73,6 +77,7 @@ func (c *refCache) Insert(addr uintptr, dirty bool, arrival sim.Time) (Eviction,
 			if arrival < ln.arrival {
 				ln.arrival = arrival
 			}
+			c.last = tag + 1
 			return Eviction{}, false
 		}
 		if victim == -1 && !ln.valid {
@@ -99,7 +104,32 @@ func (c *refCache) Insert(addr uintptr, dirty bool, arrival sim.Time) (Eviction,
 	}
 	c.useClk++
 	set[victim] = refLine{valid: true, tag: tag, dirty: dirty, lastUse: c.useClk, arrival: arrival}
+	c.last = tag + 1
 	return ev, evicted
+}
+
+// TouchLast is a Lookup of the most recently hit or filled line, and a no-op
+// for any other address.
+func (c *refCache) TouchLast(addr uintptr, now sim.Time, markDirty bool) (sim.Time, bool) {
+	if c.last == 0 || c.last != addr/uintptr(c.cfg.LineSize)+1 {
+		return 0, false
+	}
+	_, wait := c.Lookup(addr, now, markDirty)
+	return wait, true
+}
+
+// InvalidateAll drops every line and returns the dirty line addresses in
+// line-index order.
+func (c *refCache) InvalidateAll() []uintptr {
+	var dirty []uintptr
+	for i, ln := range c.lines {
+		if ln.valid && ln.dirty {
+			dirty = append(dirty, ln.tag*uintptr(c.cfg.LineSize))
+		}
+		c.lines[i] = refLine{}
+	}
+	c.last = 0
+	return dirty
 }
 
 func (c *refCache) Contains(addr uintptr) bool {
@@ -120,6 +150,9 @@ func (c *refCache) Flush(addr uintptr) (present, dirty bool) {
 			c.stats.Flushes++
 			present, dirty = true, ln.dirty
 			*ln = refLine{}
+			if c.last == tag+1 {
+				c.last = 0
+			}
 			return present, dirty
 		}
 	}
@@ -247,4 +280,170 @@ func TestTouchLastEquivalentToLookup(t *testing.T) {
 	if fast.Stats() != walk.Stats() {
 		t.Errorf("stats diverged: fast %+v, walk %+v", fast.Stats(), walk.Stats())
 	}
+}
+
+// fuzzConfigs are the geometries FuzzCacheMatchesReference replays each
+// trace on: the presets' associativities, with few sets so short traces
+// fill and evict, and a non-power-of-two set count at both ends.
+var fuzzConfigs = []Config{
+	{Name: "4-way-3-sets", SizeBytes: 64 * 4 * 3, Ways: 4, LineSize: 64, LookupLat: sim.Nanosecond},
+	{Name: "8-way", SizeBytes: 64 * 8 * 2, Ways: 8, LineSize: 64, LookupLat: sim.Nanosecond},
+	{Name: "16-way", SizeBytes: 64 * 16 * 2, Ways: 16, LineSize: 64, LookupLat: sim.Nanosecond},
+	{Name: "20-way-3-sets", SizeBytes: 64 * 20 * 3, Ways: 20, LineSize: 64, LookupLat: sim.Nanosecond},
+}
+
+// Fuzz op codes: the low nibble of an op byte picks the operation, bit 4
+// the dirty flag and bits 5-7 the virtual time in 10 ns steps. The second
+// byte of each op is the address in half-line units (128 distinct lines,
+// more than any fuzz geometry holds).
+const (
+	fzLookup        = 0 // demand access (also 1-5 and 15)
+	fzFill          = 6 // InsertAbsent right after a miss, else Insert (also 7)
+	fzPrefetch      = 8 // Insert with a future arrival
+	fzContains      = 9
+	fzTouchLast     = 10 // TouchLast, falling back to Lookup as the CPU walk does (also 11)
+	fzFlush         = 12 // (also 13)
+	fzInvalidateAll = 14
+)
+
+// fuzzOp encodes one fuzz op for the seed corpus.
+func fuzzOp(code int, dirty bool, addr byte) []byte {
+	if dirty {
+		code |= 1 << 4
+	}
+	return []byte{byte(code), addr}
+}
+
+// FuzzCacheMatchesReference decodes the input into an operation trace, used
+// the way the CPU walk uses a level — InsertAbsent only for the line whose
+// Lookup just missed, TouchLast with a Lookup fallback — and replays it on
+// the optimized Cache and refCache for every fuzz geometry. Every return
+// value and the final statistics must agree.
+func FuzzCacheMatchesReference(f *testing.F) {
+	var cold []byte // probes, flushes and invalidates before the first fill
+	for _, code := range []int{fzLookup, fzContains, fzTouchLast, fzFlush, fzInvalidateAll, fzLookup, fzFill, fzTouchLast, fzFlush} {
+		cold = append(cold, fuzzOp(code, true, 2)...)
+	}
+	f.Add(cold)
+	var mid []byte // dirty fills, InvalidateAll mid-trace, then refills
+	for a := byte(0); a < 64; a += 3 {
+		mid = append(mid, fuzzOp(fzLookup, a%2 == 0, a)...)
+		mid = append(mid, fuzzOp(fzFill, a%2 == 0, a)...)
+	}
+	mid = append(mid, fuzzOp(fzInvalidateAll, false, 0)...)
+	for a := byte(0); a < 64; a += 5 {
+		mid = append(mid, fuzzOp(fzLookup, false, a)...)
+		mid = append(mid, fuzzOp(fzFill, true, a)...)
+		mid = append(mid, fuzzOp(fzTouchLast, true, a)...)
+	}
+	f.Add(mid)
+	var walk []byte // a CPU-walk-like mix long enough to fill and evict every geometry
+	x := uint64(0x9e3779b97f4a7c15)
+	rnd := func(n uint64) uint64 {
+		x = x*6364136223846793005 + 1442695040888963407
+		return (x >> 33) % n
+	}
+	var a byte
+	for len(walk) < 8192 {
+		if rnd(2) == 0 { // otherwise re-access the previous line
+			a = byte(rnd(256))
+		}
+		dirty := rnd(4) == 0
+		op := func(code int) { walk = append(walk, fuzzOp(code|int(rnd(8))<<5, dirty, a)...) }
+		switch r := rnd(20); {
+		case r < 12:
+			op(fzLookup)
+			op(fzFill)
+		case r < 14:
+			op(fzTouchLast)
+		case r < 16:
+			op(fzPrefetch)
+		case r < 18:
+			op(fzContains)
+		default:
+			op(fzFlush)
+		}
+	}
+	f.Add(walk)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, cfg := range fuzzConfigs {
+			replayFuzzTrace(t, cfg, data)
+		}
+	})
+}
+
+func replayFuzzTrace(t *testing.T, cfg Config, data []byte) {
+	t.Helper()
+	opt := mustCache(t, cfg)
+	ref := newRefCache(cfg)
+	missed, missAddr := false, uintptr(0) // the previous op was a Lookup miss on missAddr
+	for i := 0; i+1 < len(data); i += 2 {
+		code, addr := data[i], uintptr(data[i+1])*uintptr(cfg.LineSize)/2
+		dirty := code&(1<<4) != 0
+		now := sim.Time(code>>5) * 10 * sim.Nanosecond
+		prevMissed := missed
+		missed = false
+		switch code & 0xf {
+		case fzFill, fzFill + 1:
+			var e1, e2 Eviction
+			var v1, v2 bool
+			if prevMissed {
+				e1, v1 = opt.InsertAbsent(missAddr, dirty, now)
+				e2, v2 = ref.Insert(missAddr, dirty, now)
+			} else {
+				e1, v1 = opt.Insert(addr, dirty, now)
+				e2, v2 = ref.Insert(addr, dirty, now)
+			}
+			if e1 != e2 || v1 != v2 {
+				t.Fatalf("%s op %d: fill = (%+v,%v), ref (%+v,%v)", cfg.Name, i/2, e1, v1, e2, v2)
+			}
+		case fzPrefetch:
+			e1, v1 := opt.Insert(addr, false, now+100*sim.Nanosecond)
+			e2, v2 := ref.Insert(addr, false, now+100*sim.Nanosecond)
+			if e1 != e2 || v1 != v2 {
+				t.Fatalf("%s op %d: Insert(%#x) = (%+v,%v), ref (%+v,%v)", cfg.Name, i/2, addr, e1, v1, e2, v2)
+			}
+		case fzContains:
+			if got, want := opt.Contains(addr), ref.Contains(addr); got != want {
+				t.Fatalf("%s op %d: Contains(%#x) = %v, ref %v", cfg.Name, i/2, addr, got, want)
+			}
+		case fzTouchLast, fzTouchLast + 1:
+			w1, ok1 := opt.TouchLast(addr, now, dirty)
+			w2, ok2 := ref.TouchLast(addr, now, dirty)
+			if w1 != w2 || ok1 != ok2 {
+				t.Fatalf("%s op %d: TouchLast(%#x) = (%v,%v), ref (%v,%v)", cfg.Name, i/2, addr, w1, ok1, w2, ok2)
+			}
+			if !ok1 {
+				missed, missAddr = lookupBoth(t, cfg, i/2, opt, ref, addr, now, dirty), addr
+			}
+		case fzFlush, fzFlush + 1:
+			p1, d1 := opt.Flush(addr)
+			p2, d2 := ref.Flush(addr)
+			if p1 != p2 || d1 != d2 {
+				t.Fatalf("%s op %d: Flush(%#x) = (%v,%v), ref (%v,%v)", cfg.Name, i/2, addr, p1, d1, p2, d2)
+			}
+		case fzInvalidateAll:
+			if got, want := opt.InvalidateAll(), ref.InvalidateAll(); !slices.Equal(got, want) {
+				t.Fatalf("%s op %d: InvalidateAll = %#x, ref %#x", cfg.Name, i/2, got, want)
+			}
+		default:
+			missed, missAddr = lookupBoth(t, cfg, i/2, opt, ref, addr, now, dirty), addr
+		}
+	}
+	if opt.Stats() != ref.stats {
+		t.Errorf("%s: final stats diverged: opt %+v, ref %+v", cfg.Name, opt.Stats(), ref.stats)
+	}
+}
+
+// lookupBoth runs one Lookup on both models, requires equal results, and
+// reports whether it missed.
+func lookupBoth(t *testing.T, cfg Config, op int, opt *Cache, ref *refCache, addr uintptr, now sim.Time, dirty bool) (missed bool) {
+	t.Helper()
+	h1, w1 := opt.Lookup(addr, now, dirty)
+	h2, w2 := ref.Lookup(addr, now, dirty)
+	if h1 != h2 || w1 != w2 {
+		t.Fatalf("%s op %d: Lookup(%#x) = (%v,%v), ref (%v,%v)", cfg.Name, op, addr, h1, w1, h2, w2)
+	}
+	return !h1
 }

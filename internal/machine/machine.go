@@ -65,6 +65,17 @@ func (c Config) Validate() error {
 	if err := c.Mem.Validate(); err != nil {
 		return fmt.Errorf("machine %q: %w", c.Name, err)
 	}
+	// The prefetcher forms line addresses with the core's line size, each
+	// cache tags with its own and the controller picks channels with its
+	// own, so they must agree.
+	for _, l := range []struct {
+		name string
+		size int
+	}{{"L1", c.L1.LineSize}, {"L2", c.L2.LineSize}, {"L3", c.L3.LineSize}, {"memory", c.Mem.LineSize}} {
+		if l.size != c.Core.LineSize {
+			return fmt.Errorf("machine %q: %s line size %d differs from the core's %d", c.Name, l.name, l.size, c.Core.LineSize)
+		}
+	}
 	walk := c.L1.LookupLat + c.L2.LookupLat + c.L3.LookupLat
 	if c.LocalLat <= walk {
 		return fmt.Errorf("machine %q: LocalLat %v must exceed cache walk %v", c.Name, c.LocalLat, walk)
