@@ -63,7 +63,8 @@ profile-smoke:
 # thread handoff, emulated epoch close, ledger append), which must report 0
 # allocs/op on steady-state paths, plus the preset machine build, whose
 # B/op must stay in the tens of KB (no cache builds its lines before its
-# first fill); see doc/performance.md.
+# first fill), and the MemLat driver over 64 MiB chains (host ns per
+# simulated load, 0 allocs/op); see doc/performance.md.
 bench-quick:
 	$(GO) run ./cmd/quartzbench -exp table2,fig8 -scale quick -parallel 4
 	$(GO) test -bench='BenchmarkCache|BenchmarkPrefetcher' -benchtime=100000x -run=^$$ ./internal/cache
@@ -72,13 +73,14 @@ bench-quick:
 	$(GO) test -bench='BenchmarkKernel' -benchtime=100000x -run=^$$ ./internal/sim
 	$(GO) test -bench='BenchmarkSimContextSwitch' -benchtime=100000x -run=^$$ .
 	$(GO) test -bench='BenchmarkEmulated' -benchtime=10000x -run=^$$ ./internal/bench
+	$(GO) test -bench='BenchmarkMemLatRun' -benchtime=3x -run=^$$ ./internal/bench
 	$(GO) test -bench='BenchmarkEpochClosedStreaming' -benchtime=100000x -run=^$$ ./internal/obs
 	$(GO) test -bench='BenchmarkWorkload' -benchtime=100000x -run=^$$ ./internal/workload
 
 # bench-alloc runs the allocation-regression gates: testing.AllocsPerRun
 # asserting zero allocations on the steady-state epoch-close, batched
-# load/store, simos lock and memory-op, prefetcher, ledger-append, and
-# traffic measured-op paths. Runs
+# load/store, simos lock and memory-op, signal delivery, prefetcher,
+# ledger-append, traffic measured-op, and MemLat driver paths. Runs
 # without -race (the race runtime allocates); `make test` still covers these
 # files race-enabled with the gates skipped.
 bench-alloc:

@@ -114,6 +114,85 @@ func TestAsymStorePathNoAllocs(t *testing.T) {
 	}
 }
 
+// TestMemLatRunNoAllocs extends the allocation gate to the MemLat driver:
+// once its chains are built and a run has warmed the simulation up, a
+// whole Run, one chain or a LoadGroup over four, allocates nothing. The
+// epoch is short enough that every Run spans several monitor-signalled
+// epoch closes, so the signal path is held to zero as well.
+func TestMemLatRunNoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	const runs = 20
+	q := quickQuartz(400)
+	q.MinEpoch, q.MaxEpoch = 5*sim.Microsecond, 5*sim.Microsecond
+	for _, chains := range []int{1, 4} {
+		env, err := NewEnv(EnvConfig{Preset: machine.XeonE5_2450, Mode: Emulated, Quartz: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ml, err := BuildMemLat(env.Proc, MemLatConfig{Lines: 1 << 12, Chains: chains, Iters: 1 << 12, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := env.Run(func(e *Env, th *simos.Thread) {
+			for i := 0; i < 4; i++ {
+				ml.Run(th)
+			}
+			before := e.Emu.Stats().MaxEpochs
+			allocs := testing.AllocsPerRun(runs, func() {
+				ml.Run(th)
+			})
+			if closes := e.Emu.Stats().MaxEpochs - before; closes < 2*runs {
+				t.Errorf("%d chains: %d signalled epoch closes over %d runs, want at least %d", chains, closes, runs, 2*runs)
+			}
+			if allocs != 0 {
+				t.Errorf("steady-state MemLat.Run, %d chains: %v allocs/op, want 0", chains, allocs)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMemLatRun measures the MemLat driver on Conf_1 Sandy Bridge with
+// the workload's 1<<20-line chains. One op is 1<<20 loads over a 64 MiB
+// footprint, far beyond the 20 MiB L3, so the simulated caches miss as they
+// do in the experiments; ns/load is the host cost per simulated load.
+func BenchmarkMemLatRun(b *testing.B) {
+	const lines = 1 << 20
+	for _, bc := range []struct {
+		name   string
+		chains int
+	}{{"1chain", 1}, {"4chains", 4}} {
+		chains := bc.chains
+		b.Run(bc.name, func(b *testing.B) {
+			env, err := NewEnv(EnvConfig{
+				Preset: machine.XeonE5_2450, Mode: Emulated,
+				Quartz: quickQuartz(RemoteLatNS(machine.XeonE5_2450)),
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ml, err := BuildMemLat(env.Proc, MemLatConfig{Lines: lines, Chains: chains, Iters: lines / chains, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := env.Run(func(e *Env, th *simos.Thread) {
+				ml.Run(th)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ml.Run(th)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/load")
+			}); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
 // BenchmarkEmulatedEpochClose measures one load batch plus an explicit epoch
 // close under emulation — the per-epoch cost Quartz's lightweight claim
 // rests on. Reported allocs/op must be 0 (TestEmulatedHotPathNoAllocs is

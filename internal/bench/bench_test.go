@@ -1,11 +1,16 @@
 package bench
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
+	"github.com/quartz-emu/quartz/internal/cache"
 	"github.com/quartz-emu/quartz/internal/core"
 	"github.com/quartz-emu/quartz/internal/machine"
+	"github.com/quartz-emu/quartz/internal/mem"
 	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/simos"
 	"github.com/quartz-emu/quartz/internal/stats"
@@ -337,23 +342,375 @@ func TestWorkloadConfigValidation(t *testing.T) {
 	if err := (StreamConfig{}).Validate(); err == nil {
 		t.Error("empty StreamConfig accepted")
 	}
+	// Chains index their slots with int32: longer ones must be rejected by
+	// name, not wrapped.
+	const tooLong = math.MaxInt32 + 1
+	for _, tc := range []struct {
+		field string
+		err   error
+	}{
+		{"MemLatConfig.Lines", MemLatConfig{Lines: tooLong, Chains: 1, Iters: 1}.Validate()},
+		{"MTConfig.Lines", MTConfig{Threads: 1, Sections: 1, Lines: tooLong}.Validate()},
+		{"MultiLatConfig.DRAMLines", MultiLatConfig{DRAMLines: tooLong, NVMLines: 2, DRAMBurst: 1, NVMBurst: 1}.Validate()},
+		{"MultiLatConfig.NVMLines", MultiLatConfig{DRAMLines: 2, NVMLines: tooLong, DRAMBurst: 1, NVMBurst: 1}.Validate()},
+	} {
+		if tc.err == nil {
+			t.Errorf("%s = %d accepted", tc.field, tooLong)
+		} else if msg := tc.err.Error(); !strings.Contains(msg, tc.field) || !strings.Contains(msg, "2147483647") {
+			t.Errorf("%s = %d: error %q does not name the field and the limit", tc.field, tooLong, msg)
+		}
+	}
+	if err := (MemLatConfig{Lines: math.MaxInt32, Chains: 1, Iters: 1}).Validate(); err != nil {
+		t.Errorf("MemLatConfig.Lines at the limit rejected: %v", err)
+	}
 	if Native.String() == "" || Emulated.String() == "" || Mode(99).String() == "" {
 		t.Error("Mode.String broken")
 	}
 }
 
 func TestPermutationCycleVisitsAll(t *testing.T) {
-	next := permutationCycle(1000, 77)
-	seen := make([]bool, 1000)
-	cur := int32(0)
-	for i := 0; i < 1000; i++ {
-		if seen[cur] {
-			t.Fatalf("cycle revisited %d after %d steps", cur, i)
-		}
-		seen[cur] = true
-		cur = next[cur]
+	const n = 1000
+	order := permutationCycle(n, 77)
+	if len(order) != n || order[0] != 0 {
+		t.Fatalf("order has %d slots starting at %d, want %d starting at 0", len(order), order[0], n)
 	}
-	if cur != 0 {
-		t.Errorf("cycle did not close (ended at %d)", cur)
+	seen := make([]bool, n)
+	for k, slot := range order {
+		if seen[slot] {
+			t.Fatalf("chase revisited %d after %d steps", slot, k)
+		}
+		seen[slot] = true
+	}
+}
+
+// successorCycle is the reference chain construction: the same shuffle,
+// linked into a successor array (next[s] is the slot after s), which is the
+// pointer structure the simulated program chases.
+func successorCycle(n int, seed int64) []int32 {
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	x := uint64(seed)*2862933555777941757 + 3037000493
+	for i := n - 1; i > 0; i-- {
+		x = x*6364136223846793005 + 1442695040888963407
+		j := int((x >> 11) % uint64(i+1))
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+	next := make([]int32, n)
+	for i := 0; i < n; i++ {
+		next[perm[i]] = perm[(i+1)%n]
+	}
+	return next
+}
+
+// FuzzPermutationOrder checks the visit order against the reference
+// successor chase: it starts at slot 0, names every slot once, and lists
+// exactly the slots the successor chase from 0 reaches.
+func FuzzPermutationOrder(f *testing.F) {
+	for _, n := range []int{2, 3, 1000, 4096} {
+		f.Add(n, int64(n)*31+7)
+	}
+	f.Fuzz(func(t *testing.T, n int, seed int64) {
+		n = 2 + int(uint(n)%(1<<16-1)) // [2, 1<<16]
+		order := buildPermutationCycle(n, seed)
+		if len(order) != n || order[0] != 0 {
+			t.Fatalf("n=%d seed=%d: order has %d slots starting at %d", n, seed, len(order), order[0])
+		}
+		seen := make([]bool, n)
+		next := successorCycle(n, seed)
+		cur := int32(0)
+		for k, slot := range order {
+			if seen[slot] {
+				t.Fatalf("n=%d seed=%d: slot %d listed twice (step %d)", n, seed, slot, k)
+			}
+			seen[slot] = true
+			if slot != cur {
+				t.Fatalf("n=%d seed=%d: step %d visits %d, successor chase visits %d", n, seed, k, slot, cur)
+			}
+			cur = next[cur]
+		}
+		if cur != 0 {
+			t.Fatalf("n=%d seed=%d: successor chase did not close after %d steps", n, seed, n)
+		}
+	})
+}
+
+// simState is everything a chase leaves behind in the simulated machine:
+// the completion time, the emulator's statistics and every cache level's
+// and memory controller's counters.
+type simState struct {
+	CT    sim.Time
+	Core  core.Stats
+	L1L2  []cache.Stats
+	L3    []cache.Stats
+	Ctrls []mem.Stats
+}
+
+func captureState(env *Env, ct sim.Time) simState {
+	s := simState{CT: ct}
+	if env.Emu != nil {
+		s.Core = env.Emu.Stats()
+	}
+	for _, c := range env.Mach.Cores() {
+		s.L1L2 = append(s.L1L2, c.L1().Stats(), c.L2().Stats())
+	}
+	for _, sock := range env.Mach.Sockets() {
+		s.L3 = append(s.L3, sock.L3.Stats())
+		s.Ctrls = append(s.Ctrls, sock.Ctrl.Stats())
+	}
+	return s
+}
+
+// TestChaseKernelsMatchSuccessorChase runs each chase kernel next to a
+// reference loop that steps a successor array (cur = next[cur]) on an
+// identically built environment. The simulated machine must end in the
+// same state. The shapes wrap their chains, so the order's wrap index is
+// exercised too.
+func TestChaseKernelsMatchSuccessorChase(t *testing.T) {
+	const lines = 64
+	// newEnv builds a Conf_1 Sandy Bridge, or a two-memory Haswell (Sandy
+	// Bridge lacks the counters two-memory mode reads). Its caches hold
+	// fewer lines than a chain, so hits and misses depend on the order the
+	// lines are visited in, not only on how many visits there are.
+	newEnv := func(two bool) *Env {
+		q := quickQuartz(400)
+		q.TwoMemory = two
+		preset := machine.XeonE5_2450
+		if two {
+			preset = machine.XeonE5_2650v3
+		}
+		mc := machine.PresetConfig(preset)
+		mc.L1.SizeBytes, mc.L1.Ways = 16*64, 4
+		mc.L2.SizeBytes, mc.L2.Ways = 32*64, 4
+		mc.L3.SizeBytes, mc.L3.Ways = 64*64, 8
+		env, err := NewEnv(EnvConfig{Machine: &mc, Mode: Emulated, Quartz: q, Lookahead: 2 * sim.Microsecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return env
+	}
+	check := func(name string, got, want simState) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: kernel ended in\n%+v\nreference ended in\n%+v", name, got, want)
+		}
+	}
+	// measure runs body as the main thread, takes the completion time it
+	// reports, and closes the epoch before the statistics are read.
+	measure := func(env *Env, body func(th *simos.Thread) sim.Time) simState {
+		var ct sim.Time
+		if err := env.Run(func(e *Env, th *simos.Thread) {
+			ct = body(th)
+			e.CloseEpoch(th)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return captureState(env, ct)
+	}
+
+	for _, chains := range []int{1, 4} {
+		cfg := MemLatConfig{Lines: lines, Chains: chains, Iters: 3*lines + 5, Seed: 21}
+		env := newEnv(false)
+		ml, err := BuildMemLat(env.Proc, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := measure(env, func(th *simos.Thread) sim.Time { return ml.Run(th).CT })
+
+		ref := newEnv(false)
+		rl, err := BuildMemLat(ref.Proc, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := measure(ref, func(th *simos.Thread) sim.Time {
+			start := th.Now()
+			next := make([][]int32, chains)
+			cur := make([]int32, chains)
+			for c := range next {
+				next[c] = successorCycle(lines, cfg.Seed+int64(c)*7919)
+			}
+			for i := 0; i < cfg.Iters; i++ {
+				for c := range cur {
+					rl.batch[c] = rl.bases[c] + uintptr(cur[c])*64
+				}
+				if chains == 1 {
+					th.Load(rl.batch[0])
+				} else {
+					th.LoadGroup(rl.batch)
+				}
+				for c := range cur {
+					cur[c] = next[c][cur[c]]
+				}
+			}
+			return th.Now() - start
+		})
+		check(fmt.Sprintf("MemLat %d chains", chains), got, want)
+	}
+
+	mt := MTConfig{Threads: 3, Sections: 4, CSDur: 10, OutDur: 15, Lines: lines, Seed: 5}
+	if mt.Sections*(mt.CSDur+mt.OutDur) <= mt.Lines {
+		t.Fatal("MT shape does not wrap its chains")
+	}
+	env := newEnv(false)
+	got := measure(env, func(th *simos.Thread) sim.Time {
+		res, err := RunMultiThreaded(env, th, mt)
+		if err != nil {
+			th.Failf("%v", err)
+		}
+		return res.CT
+	})
+	ref := newEnv(false)
+	want := measure(ref, func(th *simos.Thread) sim.Time { return referenceMultiThreaded(ref, th, mt) })
+	check("MultiThreaded", got, want)
+
+	mlCfg := MultiLatConfig{DRAMLines: 300, NVMLines: 200, DRAMBurst: 7, NVMBurst: 5, Seed: 13}
+	env = newEnv(true)
+	mlat, err := BuildMultiLat(env.Proc, env.Emu, mlCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = measure(env, func(th *simos.Thread) sim.Time { return mlat.Run(th, 0, 0).CT })
+	ref = newEnv(true)
+	rlat, err := BuildMultiLat(ref.Proc, ref.Emu, mlCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = measure(ref, func(th *simos.Thread) sim.Time {
+		start := th.Now()
+		nextD := successorCycle(mlCfg.DRAMLines, mlCfg.Seed)
+		nextN := successorCycle(mlCfg.NVMLines, mlCfg.Seed+65537)
+		remD, remN := mlCfg.DRAMLines, mlCfg.NVMLines
+		curD, curN := int32(0), int32(0)
+		for remD > 0 || remN > 0 {
+			for i := 0; i < mlCfg.DRAMBurst && remD > 0; i++ {
+				th.Load(rlat.baseDRAM + uintptr(curD)*64)
+				curD = nextD[curD]
+				remD--
+			}
+			for i := 0; i < mlCfg.NVMBurst && remN > 0; i++ {
+				th.Load(rlat.baseNVM + uintptr(curN)*64)
+				curN = nextN[curN]
+				remN--
+			}
+		}
+		return th.Now() - start
+	})
+	check("MultiLat", got, want)
+}
+
+// referenceMultiThreaded is RunMultiThreaded with each worker stepping a
+// successor array, and returns the completion time.
+func referenceMultiThreaded(env *Env, main *simos.Thread, cfg MTConfig) sim.Time {
+	type worker struct {
+		next []int32
+		base uintptr
+	}
+	workers := make([]worker, cfg.Threads)
+	for i := range workers {
+		base, err := env.Proc.MallocOnNode(uintptr(cfg.Lines)*64, cfg.Node)
+		if err != nil {
+			main.Failf("%v", err)
+		}
+		workers[i] = worker{next: successorCycle(cfg.Lines, cfg.Seed+int64(i)*104729), base: base}
+	}
+	lock := env.Proc.NewMutex("mt-lock")
+	startMu := env.Proc.NewMutex("mt-start-mu")
+	arrivedCv := env.Proc.NewCond("mt-arrived-cv")
+	goCv := env.Proc.NewCond("mt-go-cv")
+	arrived := 0
+	started := false
+	threads := make([]*simos.Thread, 0, cfg.Threads)
+	for i := range workers {
+		w := workers[i]
+		th, err := main.CreateThread(fmt.Sprintf("mt-%d", i), func(t *simos.Thread) {
+			startMu.Lock(t)
+			arrived++
+			arrivedCv.Signal(t)
+			for !started {
+				goCv.Wait(t, startMu)
+			}
+			startMu.Unlock(t)
+			cur := int32(0)
+			chase := func(iters int) {
+				for j := 0; j < iters; j++ {
+					t.Load(w.base + uintptr(cur)*64)
+					cur = w.next[cur]
+				}
+			}
+			for k := 0; k < cfg.Sections; k++ {
+				lock.Lock(t)
+				chase(cfg.CSDur)
+				lock.Unlock(t)
+				chase(cfg.OutDur)
+			}
+		})
+		if err != nil {
+			main.Failf("%v", err)
+		}
+		threads = append(threads, th)
+	}
+	startMu.Lock(main)
+	for arrived < cfg.Threads {
+		arrivedCv.Wait(main, startMu)
+	}
+	env.CloseEpoch(main)
+	start := main.Now()
+	started = true
+	goCv.Broadcast(main)
+	startMu.Unlock(main)
+	var end sim.Time
+	for _, th := range threads {
+		main.Join(th)
+		end = max(end, th.Now())
+	}
+	return max(end, main.Now()) - start
+}
+
+// TestMemLatInjectionMetamorphic checks two properties of the delay model
+// through MemLat on Conf_1: emulating NVM at exactly the DRAM latency
+// injects nothing, and raising the NVM latency never injects less on the
+// same chain and seed.
+func TestMemLatInjectionMetamorphic(t *testing.T) {
+	cfg := MemLatConfig{Lines: 1 << 16, Chains: 1, Iters: 20_000, Seed: 3}
+	injected := func(nvm sim.Time) sim.Time {
+		q := quickQuartz(0)
+		q.NVMLatency = nvm
+		env, err := NewEnv(EnvConfig{Preset: machine.XeonE5_2450, Mode: Emulated, Quartz: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ml, err := BuildMemLat(env.Proc, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := env.Run(func(e *Env, th *simos.Thread) {
+			ml.Run(th)
+			e.CloseEpoch(th)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return env.Emu.Stats().Injected
+	}
+	probe, err := NewEnv(EnvConfig{Preset: machine.XeonE5_2450, Mode: Emulated, Quartz: quickQuartz(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dram := probe.Emu.DRAMLatency()
+	if got := injected(dram); got != 0 {
+		t.Errorf("NVM latency = DRAM latency %v injected %v, want 0", dram, got)
+	}
+	prev := sim.Time(0)
+	for _, extra := range []float64{50, 200, 600} {
+		nvm := dram + sim.FromNanos(extra)
+		got := injected(nvm)
+		t.Logf("NVM latency %v: injected %v", nvm, got)
+		if got < prev {
+			t.Errorf("NVM latency %v injected %v, less than %v at a lower latency", nvm, got, prev)
+		}
+		prev = got
+	}
+	if prev == 0 {
+		t.Error("NVM latency DRAM+600ns injected nothing")
 	}
 }

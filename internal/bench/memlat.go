@@ -2,6 +2,8 @@ package bench
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 
 	"github.com/quartz-emu/quartz/internal/sim"
@@ -30,20 +32,31 @@ func (c MemLatConfig) Validate() error {
 	if c.Lines <= 1 || c.Chains <= 0 || c.Iters <= 0 {
 		return fmt.Errorf("bench: MemLat needs positive lines/chains/iters (got %d/%d/%d)", c.Lines, c.Chains, c.Iters)
 	}
+	return checkChainLen("MemLatConfig.Lines", c.Lines)
+}
+
+// checkChainLen rejects a chain too long for the int32 slot indices a
+// visit order holds.
+func checkChainLen(field string, n int) error {
+	if n > math.MaxInt32 {
+		return fmt.Errorf("bench: %s = %d exceeds the chain limit of %d lines", field, n, math.MaxInt32)
+	}
 	return nil
 }
 
 // MemLat is a built instance of the benchmark: Chains independent pointer
-// cycles, each a random permutation over Lines cache lines. The contents of
-// each element dictate which one is read next, so a chain is strictly
-// latency-bound; different chains are independent, so a group of them
-// exercises memory-level parallelism.
+// cycles, each a random single cycle over Lines cache lines. In the
+// simulated program each element holds the address of the next, so a chain
+// is strictly latency-bound; different chains are independent, so a group
+// of them exercises memory-level parallelism. The host side keeps each
+// chain as its visit order and reads it sequentially, so the host
+// prefetcher streams the next simulated address instead of the simulator
+// missing on it once per load.
 type MemLat struct {
-	cfg   MemLatConfig
-	next  [][]int32
-	bases []uintptr
-	batch []uintptr
-	cur   []int32
+	cfg    MemLatConfig
+	orders [][]int32
+	bases  []uintptr
+	batch  []uintptr
 }
 
 // MemLatResult is one run's measurement.
@@ -64,11 +77,10 @@ func BuildMemLat(p *simos.Process, cfg MemLatConfig) (*MemLat, error) {
 		return nil, err
 	}
 	b := &MemLat{
-		cfg:   cfg,
-		next:  make([][]int32, cfg.Chains),
-		bases: make([]uintptr, cfg.Chains),
-		batch: make([]uintptr, cfg.Chains),
-		cur:   make([]int32, cfg.Chains),
+		cfg:    cfg,
+		orders: make([][]int32, cfg.Chains),
+		bases:  make([]uintptr, cfg.Chains),
+		batch:  make([]uintptr, cfg.Chains),
 	}
 	for c := 0; c < cfg.Chains; c++ {
 		base, err := p.MallocOnNode(uintptr(cfg.Lines)*64, cfg.Node)
@@ -76,32 +88,34 @@ func BuildMemLat(p *simos.Process, cfg MemLatConfig) (*MemLat, error) {
 			return nil, fmt.Errorf("bench: MemLat chain %d: %w", c, err)
 		}
 		b.bases[c] = base
-		b.next[c] = permutationCycle(cfg.Lines, cfg.Seed+int64(c)*7919)
+		b.orders[c] = permutationCycle(cfg.Lines, cfg.Seed+int64(c)*7919)
 	}
 	return b, nil
 }
 
-// Run chases the chains for the configured iterations from thread t.
+// Run chases the chains for the configured iterations from thread t, each
+// from its slot 0.
 func (b *MemLat) Run(t *simos.Thread) MemLatResult {
-	for c := range b.cur {
-		b.cur[c] = 0
-	}
 	start := t.Now()
+	n := b.cfg.Lines
 	if b.cfg.Chains == 1 {
-		next, base := b.next[0], b.bases[0]
-		cur := int32(0)
+		order, base := b.orders[0], b.bases[0]
+		k := 0
 		for i := 0; i < b.cfg.Iters; i++ {
-			t.Load(base + uintptr(cur)*64)
-			cur = next[cur]
+			t.Load(base + uintptr(order[k])*64)
+			if k++; k == n {
+				k = 0
+			}
 		}
 	} else {
+		k := 0
 		for i := 0; i < b.cfg.Iters; i++ {
-			for c := 0; c < b.cfg.Chains; c++ {
-				b.batch[c] = b.bases[c] + uintptr(b.cur[c])*64
+			for c, order := range b.orders {
+				b.batch[c] = b.bases[c] + uintptr(order[k])*64
 			}
 			t.LoadGroup(b.batch)
-			for c := 0; c < b.cfg.Chains; c++ {
-				b.cur[c] = b.next[c][b.cur[c]]
+			if k++; k == n {
+				k = 0
 			}
 		}
 	}
@@ -115,7 +129,7 @@ func (b *MemLat) Run(t *simos.Thread) MemLatResult {
 
 // permCache memoizes permutationCycle results. Workload construction is
 // fully seeded, so the same (n, seed) chain is rebuilt for every trial and
-// every sweep point of an experiment; the successor arrays are treated as
+// every sweep point of an experiment; the visit orders are treated as
 // read-only by every consumer, so trials (including parallel runner jobs)
 // can share one copy. The key space is bounded by the experiment configs.
 var permCache sync.Map // permKey -> []int32
@@ -125,21 +139,24 @@ type permKey struct {
 	seed int64
 }
 
-// permutationCycle builds a single-cycle successor array over n slots using
-// a seeded splitmix-style shuffle, so a chase visits every element exactly
-// once before repeating. The returned slice is shared and must not be
-// mutated.
+// permutationCycle returns the visit order of a single cycle over n slots,
+// drawn with a seeded splitmix-style shuffle: order[k] is the slot a chase
+// from slot 0 reaches after k steps, so it starts at 0 and names every slot
+// exactly once before the chase repeats. The returned slice is shared and
+// must not be mutated.
 func permutationCycle(n int, seed int64) []int32 {
 	key := permKey{n, seed}
 	if v, ok := permCache.Load(key); ok {
 		return v.([]int32)
 	}
-	next := buildPermutationCycle(n, seed)
-	permCache.Store(key, next)
-	return next
+	order := buildPermutationCycle(n, seed)
+	permCache.Store(key, order)
+	return order
 }
 
-// buildPermutationCycle is the uncached construction.
+// buildPermutationCycle is the uncached construction. The shuffled perm is
+// itself the cycle (perm[i] is followed by perm[i+1], the last by the
+// first); rotating it to start at slot 0 gives the visit order.
 func buildPermutationCycle(n int, seed int64) []int32 {
 	perm := make([]int32, n)
 	for i := range perm {
@@ -151,9 +168,9 @@ func buildPermutationCycle(n int, seed int64) []int32 {
 		j := int((x >> 11) % uint64(i+1))
 		perm[i], perm[j] = perm[j], perm[i]
 	}
-	next := make([]int32, n)
-	for i := 0; i < n; i++ {
-		next[perm[i]] = perm[(i+1)%n]
-	}
-	return next
+	p := slices.Index(perm, 0)
+	slices.Reverse(perm[:p])
+	slices.Reverse(perm[p:])
+	slices.Reverse(perm)
+	return perm
 }

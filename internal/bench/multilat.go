@@ -28,17 +28,20 @@ func (c MultiLatConfig) Validate() error {
 	if c.DRAMLines <= 1 || c.NVMLines <= 1 || c.DRAMBurst <= 0 || c.NVMBurst <= 0 {
 		return fmt.Errorf("bench: bad MultiLatConfig %+v", c)
 	}
-	return nil
+	if err := checkChainLen("MultiLatConfig.DRAMLines", c.DRAMLines); err != nil {
+		return err
+	}
+	return checkChainLen("MultiLatConfig.NVMLines", c.NVMLines)
 }
 
 // MultiLat is a built instance: a DRAM-resident chain (plain malloc) and an
 // NVM-resident chain (pmalloc through the emulator's virtual topology).
 type MultiLat struct {
-	cfg      MultiLatConfig
-	nextDRAM []int32
-	nextNVM  []int32
-	baseDRAM uintptr
-	baseNVM  uintptr
+	cfg       MultiLatConfig
+	orderDRAM []int32
+	orderNVM  []int32
+	baseDRAM  uintptr
+	baseNVM   uintptr
 }
 
 // MultiLatResult is one run's measurement.
@@ -64,31 +67,30 @@ func BuildMultiLat(p *simos.Process, emu *core.Emulator, cfg MultiLatConfig) (*M
 		return nil, fmt.Errorf("bench: MultiLat NVM array: %w", err)
 	}
 	return &MultiLat{
-		cfg:      cfg,
-		nextDRAM: permutationCycle(cfg.DRAMLines, cfg.Seed),
-		nextNVM:  permutationCycle(cfg.NVMLines, cfg.Seed+65537),
-		baseDRAM: baseDRAM,
-		baseNVM:  baseNVM,
+		cfg:       cfg,
+		orderDRAM: permutationCycle(cfg.DRAMLines, cfg.Seed),
+		orderNVM:  permutationCycle(cfg.NVMLines, cfg.Seed+65537),
+		baseDRAM:  baseDRAM,
+		baseNVM:   baseNVM,
 	}, nil
 }
 
 // Run chases the combined pattern until both arrays are exhausted, reading
 // each element exactly once.
 func (b *MultiLat) Run(t *simos.Thread, dramLat, nvmLat sim.Time) MultiLatResult {
-	remDRAM, remNVM := b.cfg.DRAMLines, b.cfg.NVMLines
-	curD, curN := int32(0), int32(0)
+	dram, nvm := b.orderDRAM, b.orderNVM
 	start := t.Now()
-	for remDRAM > 0 || remNVM > 0 {
-		for i := 0; i < b.cfg.DRAMBurst && remDRAM > 0; i++ {
-			t.Load(b.baseDRAM + uintptr(curD)*64)
-			curD = b.nextDRAM[curD]
-			remDRAM--
+	for len(dram) > 0 || len(nvm) > 0 {
+		burst := dram[:min(b.cfg.DRAMBurst, len(dram))]
+		for _, slot := range burst {
+			t.Load(b.baseDRAM + uintptr(slot)*64)
 		}
-		for i := 0; i < b.cfg.NVMBurst && remNVM > 0; i++ {
-			t.Load(b.baseNVM + uintptr(curN)*64)
-			curN = b.nextNVM[curN]
-			remNVM--
+		dram = dram[len(burst):]
+		burst = nvm[:min(b.cfg.NVMBurst, len(nvm))]
+		for _, slot := range burst {
+			t.Load(b.baseNVM + uintptr(slot)*64)
 		}
+		nvm = nvm[len(burst):]
 	}
 	ct := t.Now() - start
 	return MultiLatResult{

@@ -34,7 +34,7 @@ func (c MTConfig) Validate() error {
 	if c.Threads <= 0 || c.Sections <= 0 || c.CSDur < 0 || c.OutDur < 0 || c.Lines <= 1 {
 		return fmt.Errorf("bench: bad MTConfig %+v", c)
 	}
-	return nil
+	return checkChainLen("MTConfig.Lines", c.Lines)
 }
 
 // MTResult is one run's measurement.
@@ -53,8 +53,8 @@ func RunMultiThreaded(env *Env, main *simos.Thread, cfg MTConfig) (MTResult, err
 		return MTResult{}, err
 	}
 	type worker struct {
-		next []int32
-		base uintptr
+		order []int32
+		base  uintptr
 	}
 	workers := make([]worker, cfg.Threads)
 	for i := range workers {
@@ -63,8 +63,8 @@ func RunMultiThreaded(env *Env, main *simos.Thread, cfg MTConfig) (MTResult, err
 			return MTResult{}, fmt.Errorf("bench: MT chain %d: %w", i, err)
 		}
 		workers[i] = worker{
-			next: permutationCycle(cfg.Lines, cfg.Seed+int64(i)*104729),
-			base: base,
+			order: permutationCycle(cfg.Lines, cfg.Seed+int64(i)*104729),
+			base:  base,
 		}
 	}
 	lock := env.Proc.NewMutex("mt-lock")
@@ -89,11 +89,13 @@ func RunMultiThreaded(env *Env, main *simos.Thread, cfg MTConfig) (MTResult, err
 				goCv.Wait(t, startMu)
 			}
 			startMu.Unlock(t)
-			cur := int32(0)
+			pos := 0
 			chase := func(iters int) {
 				for j := 0; j < iters; j++ {
-					t.Load(w.base + uintptr(cur)*64)
-					cur = w.next[cur]
+					t.Load(w.base + uintptr(w.order[pos])*64)
+					if pos++; pos == cfg.Lines {
+						pos = 0
+					}
 				}
 			}
 			for k := 0; k < cfg.Sections; k++ {

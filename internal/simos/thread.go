@@ -356,7 +356,9 @@ func (t *Thread) checkSignals() {
 	}
 	for len(t.sigPending) > 0 {
 		s := t.sigPending[0]
-		t.sigPending = t.sigPending[1:]
+		// Shift in place: reslicing from the front would shrink the
+		// capacity, so every later Kill would allocate.
+		t.sigPending = append(t.sigPending[:0], t.sigPending[1:]...)
 		h := t.proc.handlers[s]
 		if h == nil {
 			continue // default disposition: ignore
