@@ -5,7 +5,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet test bench-quick bench bench-alloc bench-compare bench-smoke serve-smoke traffic-smoke asym-smoke profile-smoke full-results docs-check ci
+.PHONY: all build vet test bench-quick bench bench-alloc perf-smoke serve-smoke traffic-smoke asym-smoke profile-smoke full-results docs-check ci
 
 all: vet test
 
@@ -27,7 +27,7 @@ docs-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 
-ci: docs-check test bench-alloc bench-smoke serve-smoke traffic-smoke asym-smoke profile-smoke
+ci: docs-check test bench-alloc perf-smoke serve-smoke traffic-smoke asym-smoke profile-smoke
 
 # serve-smoke end-to-end checks the live introspection plane: quartzbench
 # -serve on an ephemeral port with a streaming ledger sink, probed by
@@ -86,22 +86,12 @@ bench-quick:
 bench-alloc:
 	$(GO) test -run 'NoAllocs' -count=1 ./internal/bench ./internal/cache ./internal/obs ./internal/obs/vtprof ./internal/simos ./internal/workload
 
-# bench-compare times the quick suite experiment by experiment (min of
-# three passes each) with intra-experiment trial parallelism on, diffs
-# against the committed BENCH_7 artifact, and rewrites it — the
-# perf-trajectory record. Fails (after writing, so the numbers survive for
-# inspection) if the quick suite regressed more than 5% against the
-# committed artifact. Wall times on a shared host drift day to day
-# (doc/performance.md shows ~8% across two days on identical code), so
-# treat a small positive delta as noise unless an interleaved A/B confirms
-# it; the committed artifact must come from a same-day baseline run.
-bench-compare:
-	$(GO) run ./cmd/benchcompare -exp fig11,fig12,fig13 -scale quick -runs 3 -trial-parallel 4 -baseline BENCH_7.json -o BENCH_7.json -fail-above 5
-
-# bench-smoke exercises the bench-compare flow on one fast experiment
-# without touching the committed artifact (the ci hook).
-bench-smoke:
-	$(GO) run ./cmd/benchcompare -exp table2 -scale quick -runs 1 -o ""
+# perf-smoke drives the repository benchmark (cmd/quartzperf) once over all
+# five workloads at a tenth of a second each. It builds through the same
+# run.sh the benchmark uses and exits 1 if any seed-1 simulated output
+# differs from cmd/quartzperf/testdata/expected.json.
+perf-smoke:
+	bash cmd/quartzperf/run.sh --workload all --seed 1 --seconds 0.1 --trace 0
 
 # bench runs every paper artifact as testing.B benchmarks at quick scale.
 bench:

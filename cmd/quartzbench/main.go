@@ -3,13 +3,10 @@
 // ablations, printed as text tables.
 //
 // Experiments are decomposed into independent sweep-point jobs and executed
-// on a worker pool (internal/runner); within one job, -trial-parallel runs
-// the independent repeated trials (and paired Conf_1/Conf_2 or model-variant
-// simulations) on their own goroutines. The rendered tables are
-// byte-identical for every -parallel × -trial-parallel combination,
-// including the serial -parallel 1 special case — see doc/parallelism.md. A
-// crashed or timed-out job fails its experiment (and the exit code) without
-// stopping the rest of the suite.
+// on a worker pool (internal/runner). The rendered tables are byte-identical
+// for every -parallel worker count, including the serial -parallel 1 special
+// case — see doc/parallelism.md. A crashed or timed-out job fails its
+// experiment (and the exit code) without stopping the rest of the suite.
 //
 // Usage:
 //
@@ -57,7 +54,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		outFlag      = fs.String("o", "", "also write output to this file")
 		listFlag     = fs.Bool("list", false, "list experiment ids and exit")
 		parallelFlag = fs.Int("parallel", 0, "concurrent jobs (0 = GOMAXPROCS, 1 = serial)")
-		trialPar     = fs.Int("trial-parallel", 0, "concurrent trials/variants within one job (0 or 1 = serial)")
 		jsonFlag     = fs.String("json", "", "write per-job JSONL results to this file")
 		timeoutFlag  = fs.Duration("timeout", 0, "per-job timeout (0 = none)")
 		retriesFlag  = fs.Int("retries", 0, "retries per failed job")
@@ -78,7 +74,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Validate flag combinations before any experiment runs, mirroring the
 	// upfront -exp id validation: a misconfiguration must fail in
 	// milliseconds, not after the suite.
-	if err := validateFlags(*listFlag, *parallelFlag, *trialPar, *retriesFlag, &o); err != nil {
+	if err := validateFlags(*listFlag, *parallelFlag, *retriesFlag, &o); err != nil {
 		fmt.Fprintf(stderr, "quartzbench: %v\n", err)
 		return 2
 	}
@@ -101,7 +97,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "quartzbench: unknown scale %q (quick|full)\n", *scaleFlag)
 		return 2
 	}
-	scale.TrialParallel = *trialPar
 	if err := applyTrafficOverrides(&scale, *trafClients, *trafMixes, *trafPool, *trafLats); err != nil {
 		fmt.Fprintf(stderr, "quartzbench: %v\n", err)
 		return 2
@@ -255,12 +250,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // validateFlags rejects invalid flag values and combinations upfront with
 // clear errors.
-func validateFlags(list bool, parallel, trialParallel, retries int, o *cli.Obs) error {
+func validateFlags(list bool, parallel, retries int, o *cli.Obs) error {
 	switch {
 	case parallel < 0:
 		return fmt.Errorf("-parallel %d: must be >= 0 (0 = GOMAXPROCS, 1 = serial)", parallel)
-	case trialParallel < 0:
-		return fmt.Errorf("-trial-parallel %d: must be >= 0 (0 or 1 = serial)", trialParallel)
 	case retries < 0:
 		return fmt.Errorf("-retries %d: must be >= 0", retries)
 	case list && o.Serve != "":

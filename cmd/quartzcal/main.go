@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/quartz-emu/quartz/internal/bench"
@@ -23,58 +24,65 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("quartzcal", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		presetFlag = flag.String("preset", "sandybridge", "sandybridge|ivybridge|haswell")
-		points     = flag.Int("points", 16, "number of register values to calibrate")
-		lines      = flag.Int("lines", 1<<16, "stream length in cache lines")
-		threads    = flag.Int("threads", 4, "streaming threads")
+		presetFlag = fs.String("preset", "sandybridge", "sandybridge|ivybridge|haswell")
+		points     = fs.Int("points", 16, "number of register values to calibrate (2-4096)")
+		lines      = fs.Int("lines", 1<<16, "stream length in cache lines (at least one per thread)")
+		threads    = fs.Int("threads", 4, "streaming threads")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
-	var preset machine.Preset
-	switch *presetFlag {
-	case "sandybridge":
-		preset = machine.XeonE5_2450
-	case "ivybridge":
-		preset = machine.XeonE5_2660v2
-	case "haswell":
-		preset = machine.XeonE5_2650v3
-	default:
-		fmt.Fprintf(os.Stderr, "quartzcal: unknown preset %q\n", *presetFlag)
+	// Every flag is validated before any machine is built: a bad value exits
+	// 2 in milliseconds.
+	preset, err := machine.PresetByName(*presetFlag)
+	switch {
+	case err != nil:
+		err = fmt.Errorf("-preset: %w", err)
+	case *points < 2 || *points > mem.RegisterMax+1:
+		err = fmt.Errorf("-points %d: must be in [2, %d]", *points, mem.RegisterMax+1)
+	case *threads < 1:
+		err = fmt.Errorf("-threads %d: must be >= 1", *threads)
+	case *lines < *threads:
+		err = fmt.Errorf("-lines %d: must be >= -threads (%d)", *lines, *threads)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "quartzcal: %v\n", err)
 		return 2
 	}
 
 	table, err := calibrate(preset, *points, *lines, *threads)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "quartzcal: %v\n", err)
+		fmt.Fprintf(stderr, "quartzcal: %v\n", err)
 		return 1
 	}
-	fmt.Printf("# bandwidth calibration for %v\n", preset)
-	fmt.Printf("# register  bytes/sec\n")
+	fmt.Fprintf(stdout, "# bandwidth calibration for %v\n", preset)
+	fmt.Fprintf(stdout, "# register  bytes/sec\n")
 	for _, p := range table {
-		fmt.Printf("%6d  %.4g\n", p.Register, p.Bandwidth)
+		fmt.Fprintf(stdout, "%6d  %.4g\n", p.Register, p.Bandwidth)
 	}
 	for _, target := range []float64{1e9, 5e9, 10e9, 20e9} {
 		reg, err := table.RegisterFor(target)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "quartzcal: %v\n", err)
+			fmt.Fprintf(stderr, "quartzcal: %v\n", err)
 			return 1
 		}
-		fmt.Printf("# target %.3g B/s -> register %d\n", target, reg)
+		fmt.Fprintf(stdout, "# target %.3g B/s -> register %d\n", target, reg)
 	}
 	return 0
 }
 
 // calibrate measures attainable bandwidth per register value, each on a
 // fresh machine (cold caches), exactly as the paper's helper program does.
+// points must be in [2, RegisterMax+1], so the register step is at least 1.
 func calibrate(preset machine.Preset, points, lines, threads int) (kmod.CalibrationTable, error) {
-	if points < 2 {
-		points = 2
-	}
 	var table kmod.CalibrationTable
 	step := (mem.RegisterMax + 1) / points
 	for reg := step; reg <= mem.RegisterMax+1; reg += step {

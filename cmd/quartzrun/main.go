@@ -137,7 +137,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // error names the known profiles.
 func (f *flags) validate() error {
 	var err error
-	if f.preset, err = parsePreset(f.presetName); err != nil {
+	if f.preset, err = machine.PresetByName(f.presetName); err != nil {
 		return fmt.Errorf("-preset: %w", err)
 	}
 	if f.mode, err = parseMode(f.modeName); err != nil {
@@ -168,19 +168,6 @@ func (f *flags) validate() error {
 		f.nvmProfile = names[0]
 	}
 	return f.obs.Validate()
-}
-
-func parsePreset(s string) (machine.Preset, error) {
-	switch s {
-	case "sandybridge":
-		return machine.XeonE5_2450, nil
-	case "ivybridge":
-		return machine.XeonE5_2660v2, nil
-	case "haswell":
-		return machine.XeonE5_2650v3, nil
-	default:
-		return 0, fmt.Errorf("unknown preset %q", s)
-	}
 }
 
 func parseMode(s string) (bench.Mode, error) {

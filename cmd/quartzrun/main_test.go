@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -11,6 +12,8 @@ import (
 	"github.com/quartz-emu/quartz/internal/obs"
 )
 
+// TestParsePreset: -preset resolves through machine.PresetByName, and a bad
+// name fails validation naming the flag and the value.
 func TestParsePreset(t *testing.T) {
 	tests := []struct {
 		in      string
@@ -24,9 +27,14 @@ func TestParsePreset(t *testing.T) {
 		{"", 0, true},
 	}
 	for _, tt := range tests {
-		got, err := parsePreset(tt.in)
-		if (err != nil) != tt.wantErr || got != tt.want {
-			t.Errorf("parsePreset(%q) = %v, %v", tt.in, got, err)
+		f := flags{presetName: tt.in, modeName: "emulated", modelName: "stall", workload: "memlat"}
+		f.obs.LedgerFormat = "jsonl"
+		err := f.validate()
+		if (err != nil) != tt.wantErr || (!tt.wantErr && f.preset != tt.want) {
+			t.Errorf("-preset %q: preset %v, err %v", tt.in, f.preset, err)
+		}
+		if err != nil && !strings.Contains(err.Error(), fmt.Sprintf("-preset: unknown preset %q", tt.in)) {
+			t.Errorf("-preset %q: error %q does not name the flag and value", tt.in, err)
 		}
 	}
 }

@@ -67,7 +67,7 @@ type EnvConfig struct {
 	OSOptions *simos.Options
 	// Profiler, when non-nil, attaches a virtual-time profiler to the
 	// process: every thread's simulated time is attributed by (phase stack,
-	// category) and folded into it. Trial-parallel units may share one
+	// category) and folded into it. A job's paired units may share one
 	// profiler; the fold is commutative. Nil (the default) is inert.
 	Profiler *vtprof.Profiler
 }

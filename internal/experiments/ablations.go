@@ -35,10 +35,9 @@ func modelAblationJobs(s Scale) JobSet {
 					return res.CT, err
 				}
 				// The physical reference and the two model variants are three
-				// independent simulations — parallel units under
-				// -trial-parallel.
+				// independent simulations.
 				var cts [3]sim.Time
-				err := runUnits(s, 3, func(u int) error {
+				err := runUnits(3, func(u int) error {
 					switch u {
 					case 0:
 						phys, err := runMemLat(bench.EnvConfig{Preset: machine.XeonE5_2660v2, Mode: bench.PhysicalRemote}, mlCfg)
@@ -142,9 +141,9 @@ func pcommitAblationJobs(s Scale) JobSet {
 					return ct, err
 				}
 				// The serialized and pcommit variants are independent
-				// simulations — parallel units under -trial-parallel.
+				// simulations.
 				var cts [2]sim.Time
-				err := runUnits(s, 2, func(u int) error {
+				err := runUnits(2, func(u int) error {
 					ct, err := run(u == 1)
 					cts[u] = ct
 					return err
@@ -206,7 +205,7 @@ func amortizationAblationJobs(s Scale) JobSet {
 				q.DisableAmortization = disabled
 				q.MaxEpoch = 500 * sim.Microsecond // frequent epochs make overhead visible
 				lats := make([]sim.Time, s.Trials)
-				err := runUnits(s, s.Trials, func(trial int) error {
+				err := runUnits(s.Trials, func(trial int) error {
 					res, err := runMemLat(bench.EnvConfig{
 						Preset: machine.XeonE5_2660v2, Mode: bench.Emulated, Quartz: q,
 					}, bench.MemLatConfig{

@@ -70,11 +70,10 @@ func fig15Jobs(s Scale) JobSet {
 				Run: func() (Metrics, error) {
 					seed := uint64(trial*101 + threads)
 					prof := s.profiler(js.ID, fmt.Sprintf("threads=%d/trial=%d", threads, trial))
-					// The Conf_2 and Conf_1 runs are independent simulations
-					// — parallel units under -trial-parallel; both fold into
-					// the job's profiler (the fold is commutative).
+					// The Conf_2 and Conf_1 runs are independent simulations;
+					// both fold into the job's profiler.
 					var phys, emu kvstore.WorkloadResult
-					err := runUnits(s, 2, func(u int) error {
+					err := runUnits(2, func(u int) error {
 						if u == 0 {
 							p, err := kvRun(s, preset, bench.PhysicalRemote, core.Config{}, threads, seed, prof)
 							if err != nil {
@@ -180,11 +179,10 @@ func pageRankValidationJobs(s Scale) JobSet {
 			Run: func() (Metrics, error) {
 				seed := uint64(trial + 5)
 				prof := s.profiler(js.ID, fmt.Sprintf("trial=%d", trial))
-				// The Conf_2 and Conf_1 runs are independent simulations —
-				// parallel units under -trial-parallel; both fold into the
-				// job's profiler (the fold is commutative).
+				// The Conf_2 and Conf_1 runs are independent simulations;
+				// both fold into the job's profiler.
 				var phys, emu pagerank.Result
-				err := runUnits(s, 2, func(u int) error {
+				err := runUnits(2, func(u int) error {
 					if u == 0 {
 						p, err := prRun(s, bench.PhysicalRemote, core.Config{}, seed, prof)
 						if err != nil {

@@ -124,7 +124,7 @@ func fig12AsymJobs(s Scale) JobSet {
 					base := make([]sim.Time, s.Trials)
 					asym := make([]sim.Time, s.Trials)
 					stores := int64(s.AsymLines)
-					err := runUnits(s, 3*s.Trials, func(u int) error {
+					err := runUnits(3*s.Trials, func(u int) error {
 						trial := u / 3
 						switch u % 3 {
 						case 0:
@@ -245,7 +245,7 @@ func fig11AsymJobs(s Scale) JobSet {
 				},
 				Run: func() (Metrics, error) {
 					bps := make([]float64, s.Trials)
-					err := runUnits(s, s.Trials, func(trial int) error {
+					err := runUnits(s.Trials, func(trial int) error {
 						mc := machine.PresetConfig(pr.preset)
 						prof.ApplyToMem(&mc)
 						q := asymQuartz(prof)

@@ -85,19 +85,10 @@ type Scale struct {
 	// their environments so every simulated nanosecond is attributed by
 	// (thread, phase stack, category). quartzbench exposes it as -vtprof.
 	// Nil (the default) keeps every simulation byte-identical to an
-	// unprofiled run. Trial-parallel units of one job share its profiler;
+	// unprofiled run. The paired units of one job share its profiler;
 	// the fold is commutative, so profiles are identical for any
-	// -parallel x -trial-parallel layout.
+	// -parallel worker count.
 	Profiles *vtprof.Suite
-	// TrialParallel bounds the goroutines one job may use to run its
-	// independent units — repeated trials, or the paired/variant simulations
-	// of one sweep point (Conf_1 vs Conf_2, model variants) — concurrently.
-	// Each unit builds its own machine and seeds its own simulation, and
-	// results land in position-indexed slots, so tables are byte-identical
-	// for any value. 0 or 1 runs units serially (the default); quartzbench
-	// exposes it as -trial-parallel. It composes multiplicatively with the
-	// runner's -parallel worker count — see doc/parallelism.md.
-	TrialParallel int
 }
 
 // Quick is the test/CI scale.

@@ -56,10 +56,9 @@ func graph500ValidationJobs(s Scale) JobSet {
 			Params: map[string]string{"trial": strconv.Itoa(trial)},
 			Run: func() (Metrics, error) {
 				seed := uint64(trial + 11)
-				// The Conf_2 and Conf_1 runs are independent simulations —
-				// parallel units under -trial-parallel.
+				// The Conf_2 and Conf_1 runs are independent simulations.
 				var phys, emu graph500.Result
-				err := runUnits(s, 2, func(u int) error {
+				err := runUnits(2, func(u int) error {
 					if u == 0 {
 						p, err := graph500Run(s, bench.PhysicalRemote, core.Config{}, seed)
 						if err != nil {

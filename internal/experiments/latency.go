@@ -27,13 +27,13 @@ func fig11Jobs(s Scale) JobSet {
 				Run: func() (Metrics, error) {
 					prof := s.profiler(js.ID, fmt.Sprintf("%s/chains=%d", pr.label, chains))
 					// Each trial's Conf_2 and Conf_1 runs are independent
-					// simulations, so they form 2*Trials parallel units:
-					// unit u is trial u/2, physical on even u, emulated on
-					// odd. Results land positionally, keeping the mean's
+					// simulations, so they form 2*Trials units: unit u is
+					// trial u/2, physical on even u, emulated on odd.
+					// Results land positionally, keeping the mean's
 					// summation order fixed.
 					phys := make([]sim.Time, s.Trials)
 					emu := make([]sim.Time, s.Trials)
-					err := runUnits(s, 2*s.Trials, func(u int) error {
+					err := runUnits(2*s.Trials, func(u int) error {
 						trial := u / 2
 						mlCfg := bench.MemLatConfig{
 							Lines: s.Lines / 2, Chains: chains, Iters: s.MemLatIters,
@@ -118,7 +118,7 @@ func fig12Jobs(s Scale) JobSet {
 				Run: func() (Metrics, error) {
 					prof := s.profiler(js.ID, fmt.Sprintf("%s/target=%.0f", pr.label, target))
 					lats := make([]sim.Time, s.Trials)
-					err := runUnits(s, s.Trials, func(trial int) error {
+					err := runUnits(s.Trials, func(trial int) error {
 						res, err := runMemLat(bench.EnvConfig{
 							Preset: pr.preset, Mode: bench.Emulated,
 							Quartz:   quartzConfig(target),
@@ -232,7 +232,7 @@ func fig13Jobs(s Scale) JobSet {
 							prof := s.profiler(js.ID,
 								fmt.Sprintf("%s/%s/threads=%d/%s", pr.label, variant.name, threads, st.name))
 							cts := make([]sim.Time, s.Trials)
-							err := runUnits(s, s.Trials, func(trial int) error {
+							err := runUnits(s.Trials, func(trial int) error {
 								env, err := bench.NewEnv(bench.EnvConfig{
 									Preset: pr.preset, Mode: mode, Quartz: q,
 									Lookahead: 2 * sim.Microsecond,

@@ -37,7 +37,7 @@ func overheadJobs(s Scale) JobSet {
 			Params: map[string]string{"mode": m.name},
 			Run: func() (Metrics, error) {
 				cts := make([]sim.Time, s.Trials)
-				err := runUnits(s, s.Trials, func(trial int) error {
+				err := runUnits(s.Trials, func(trial int) error {
 					res, err := runMemLat(bench.EnvConfig{
 						Preset: machine.XeonE5_2660v2, Mode: m.mode, Quartz: q,
 					}, bench.MemLatConfig{
@@ -102,7 +102,7 @@ func epochSizeJobs(s Scale) JobSet {
 			Params: map[string]string{"max_epoch": maxEpoch.String()},
 			Run: func() (Metrics, error) {
 				lats := make([]sim.Time, s.Trials)
-				err := runUnits(s, s.Trials, func(trial int) error {
+				err := runUnits(s.Trials, func(trial int) error {
 					q := quartzConfig(epochSizeTarget)
 					q.MaxEpoch = maxEpoch
 					q.MonitorInterval = maxEpoch / 2

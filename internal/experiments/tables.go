@@ -59,7 +59,7 @@ func table2Jobs(s Scale) JobSet {
 				Params: map[string]string{"family": pr.label, "mode": m.name},
 				Run: func() (Metrics, error) {
 					lats := make([]sim.Time, s.Trials)
-					err := runUnits(s, s.Trials, func(trial int) error {
+					err := runUnits(s.Trials, func(trial int) error {
 						res, err := runMemLat(
 							bench.EnvConfig{Preset: pr.preset, Mode: m.mode},
 							bench.MemLatConfig{Lines: s.Lines, Chains: 1, Iters: s.MemLatIters, Seed: int64(100 + trial)},
@@ -117,7 +117,7 @@ func fig8Jobs(s Scale) JobSet {
 			Params: map[string]string{"register": strconv.Itoa(int(reg))},
 			Run: func() (Metrics, error) {
 				bws := make([]float64, s.Trials)
-				err := runUnits(s, s.Trials, func(trial int) error {
+				err := runUnits(s.Trials, func(trial int) error {
 					env, err := bench.NewEnv(bench.EnvConfig{
 						Preset: machine.XeonE5_2450, Mode: bench.Native,
 						Lookahead: 5 * sim.Microsecond,

@@ -69,7 +69,7 @@ func fig14Jobs(s Scale) JobSet {
 						Run: func() (Metrics, error) {
 							cts := make([]sim.Time, s.Trials)
 							exps := make([]sim.Time, s.Trials)
-							err := runUnits(s, s.Trials, func(trial int) error {
+							err := runUnits(s.Trials, func(trial int) error {
 								q := quartzConfig(nvmNS)
 								q.TwoMemory = true
 								env, err := bench.NewEnv(bench.EnvConfig{

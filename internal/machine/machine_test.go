@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -63,6 +64,25 @@ func TestPresetFor(t *testing.T) {
 		PresetFor(perf.IvyBridge) != XeonE5_2660v2 ||
 		PresetFor(perf.Haswell) != XeonE5_2650v3 {
 		t.Error("PresetFor mapping wrong")
+	}
+	for _, tt := range []struct {
+		name string
+		want Preset
+	}{
+		{"sandybridge", XeonE5_2450},
+		{"ivybridge", XeonE5_2660v2},
+		{"haswell", XeonE5_2650v3},
+		{"skylake", 0},
+		{"", 0},
+		{"Haswell", 0},
+	} {
+		got, err := PresetByName(tt.name)
+		if got != tt.want || (err != nil) != (tt.want == 0) {
+			t.Errorf("PresetByName(%q) = %v, %v; want %v", tt.name, got, err, tt.want)
+		}
+		if err != nil && !strings.Contains(err.Error(), fmt.Sprintf("%q", tt.name)) {
+			t.Errorf("PresetByName(%q) error %q does not name the value", tt.name, err)
+		}
 	}
 }
 

@@ -54,6 +54,20 @@ func PresetFor(f perf.Family) Preset {
 	}
 }
 
+// PresetByName resolves a testbed's CLI name: sandybridge, ivybridge or
+// haswell. The error names the bad value.
+func PresetByName(name string) (Preset, error) {
+	switch name {
+	case "sandybridge":
+		return XeonE5_2450, nil
+	case "ivybridge":
+		return XeonE5_2660v2, nil
+	case "haswell":
+		return XeonE5_2650v3, nil
+	}
+	return 0, fmt.Errorf("unknown preset %q (sandybridge|ivybridge|haswell)", name)
+}
+
 // baseConfig holds the structure shared by all three testbeds; presets
 // specialize frequency, cache sizes, channel counts and NUMA latencies.
 func baseConfig() Config {

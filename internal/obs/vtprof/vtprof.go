@@ -251,9 +251,9 @@ func (s *ThreadSeries) Fold(now sim.Time) {
 const keySep = "\x1f"
 
 // Profiler aggregates the folded thread series of one job. Threads of
-// several kernels (trial-parallel units) may share one Profiler; folding is
-// mutex-protected and commutative, so the aggregate is independent of unit
-// scheduling.
+// several kernels (a job's paired units) may share one Profiler; folding is
+// commutative, and mutex-protected because the live /vtprof endpoint
+// snapshots while jobs fold.
 type Profiler struct {
 	mu      sync.Mutex
 	samples map[string]*[NumCategories]int64

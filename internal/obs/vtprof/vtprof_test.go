@@ -203,7 +203,7 @@ func TestFoldIdempotent(t *testing.T) {
 }
 
 // TestFoldMergesThreadsByName: two series with the same thread name fold into
-// one sample row (trial-parallel units sharing a job profiler).
+// one sample row (paired units sharing a job profiler).
 func TestFoldMergesThreadsByName(t *testing.T) {
 	p := New()
 	a := p.NewThread("w", 0)

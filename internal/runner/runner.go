@@ -9,11 +9,10 @@
 // count — including the serial Workers=1 special case — yields identical
 // metrics and therefore byte-identical assembled tables.
 //
-// This pool is the outer of the two host-side parallelism layers: it
-// spreads whole jobs across workers (-parallel), while Scale.TrialParallel
-// (-trial-parallel) additionally fans out the independent trials and paired
-// simulations inside one job. The knobs compose multiplicatively and both
-// preserve the byte-identical-tables contract; see doc/parallelism.md.
+// This pool is the only host-side parallelism over experiments: it spreads
+// whole jobs across workers (-parallel), and the trials and paired
+// simulations inside one job run serially on that job's worker; see
+// doc/parallelism.md.
 package runner
 
 import (

@@ -57,12 +57,17 @@ func renderAll(t *testing.T, runs []ExperimentRun) string {
 
 // TestSuiteDeterminism: the assembled tables must be byte-identical
 // regardless of worker count. table2 exercises the per-cell decomposition,
-// fig16 the cross-job baseline normalization in the assembler.
+// fig16 the cross-job baseline normalization in the assembler, fig11 the
+// paired Conf_1/Conf_2 trial slots, model-ablation the variant units, and
+// the two asymmetric-model sweeps the store-counter/write-stall path
+// (fig12-asym interleaves read/baseline/asym unit triples; fig11-asym spawns
+// multi-writer simulations whose registration order reprograms the write
+// throttle).
 func TestSuiteDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real experiments")
 	}
-	ids := []string{"table2", "fig16"}
+	ids := []string{"table2", "fig16", "fig11", "model-ablation", "fig11-asym", "fig12-asym"}
 	serial, err := Suite(context.Background(), ids, suiteScale, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -102,51 +107,6 @@ func TestTrafficSuiteDeterminism(t *testing.T) {
 	}
 	if !strings.Contains(want, "knee") {
 		t.Errorf("traffic sweep reports no knee:\n%s", want)
-	}
-}
-
-// TestTrialParallelDeterminism: within one job, the repeated trials and the
-// paired Conf_1/Conf_2 (or model-variant) simulations merge by position, so
-// the assembled tables must be byte-identical for serial vs. parallel units
-// — and for every -parallel × -trial-parallel combination, the ISSUE 7
-// gate. fig11 exercises paired trials, model-ablation the variant fan-out,
-// table2 the plain positional trial slots, and the two asymmetric-model
-// sweeps the store-counter/write-stall path (fig12-asym interleaves
-// read/baseline/asym unit triples; fig11-asym spawns multi-writer
-// simulations whose registration order reprograms the write throttle).
-func TestTrialParallelDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real experiments")
-	}
-	ids := []string{"fig11", "model-ablation", "table2", "fig11-asym", "fig12-asym"}
-	scale := suiteScale
-	scale.Trials = 3 // multiple trial units per job, not just the paired runs
-	serial, err := Suite(context.Background(), ids, scale, Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := renderAll(t, serial)
-	if len(want) == 0 {
-		t.Fatal("empty suite output")
-	}
-	for _, cfg := range []struct {
-		name            string
-		workers, trials int
-	}{
-		{"serial-workers/parallel-trials", 1, 4},
-		{"parallel-workers/parallel-trials", 6, 4},
-		{"parallel-workers/serial-trials", 6, 1},
-	} {
-		s := scale
-		s.TrialParallel = cfg.trials
-		runs, err := Suite(context.Background(), ids, s, Config{Workers: cfg.workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := renderAll(t, runs); got != want {
-			t.Errorf("%s diverges from serial output:\n--- serial ---\n%s\n--- %s ---\n%s",
-				cfg.name, want, cfg.name, got)
-		}
 	}
 }
 

@@ -11,8 +11,7 @@ import (
 
 // vtScale is a tiny scale covering the two experiment shapes that matter for
 // profiler determinism: fig11's paired Conf_1/Conf_2 units (which share one
-// job profiler and exercise trial parallelism) and traffic-sweep's
-// phase-tagged serving scenarios.
+// job profiler) and traffic-sweep's phase-tagged serving scenarios.
 func vtScale() experiments.Scale {
 	return experiments.Scale{
 		Sparse:      true,
@@ -30,13 +29,12 @@ func vtScale() experiments.Scale {
 	}
 }
 
-// runVTSuite runs fig11 + traffic-sweep under one scheduling layout and
+// runVTSuite runs fig11 + traffic-sweep on the given worker count and
 // returns the rendered tables plus the merged suite profile bytes (nil when
 // no profiler was attached).
-func runVTSuite(t *testing.T, workers, trialParallel int, profile bool) (string, []byte) {
+func runVTSuite(t *testing.T, workers int, profile bool) (string, []byte) {
 	t.Helper()
 	s := vtScale()
-	s.TrialParallel = trialParallel
 	var suite *vtprof.Suite
 	if profile {
 		suite = vtprof.NewSuite()
@@ -65,14 +63,14 @@ func runVTSuite(t *testing.T, workers, trialParallel int, profile bool) (string,
 
 // TestVTProfDeterministicAcrossLayouts: with the profiler attached, both the
 // experiment tables and the merged suite profile must be byte-identical for
-// every -parallel x -trial-parallel layout — job scheduling and the
-// commutative fold may not leak into either artifact.
+// serial and 4-worker runs — job scheduling and the commutative fold may not
+// leak into either artifact.
 func TestVTProfDeterministicAcrossLayouts(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs two experiments under three layouts")
+		t.Skip("runs two experiments three times")
 	}
-	serialTables, serialProf := runVTSuite(t, 1, 1, true)
-	parTables, parProf := runVTSuite(t, 4, 2, true)
+	serialTables, serialProf := runVTSuite(t, 1, true)
+	parTables, parProf := runVTSuite(t, 4, true)
 	if serialTables != parTables {
 		t.Errorf("tables differ across layouts:\n--- serial ---\n%s\n--- parallel ---\n%s",
 			serialTables, parTables)
@@ -87,7 +85,7 @@ func TestVTProfDeterministicAcrossLayouts(t *testing.T) {
 
 	// Detaching the profiler must not move a single virtual timestamp: the
 	// tables are the same bytes with and without it.
-	bareTables, _ := runVTSuite(t, 4, 2, false)
+	bareTables, _ := runVTSuite(t, 4, false)
 	if bareTables != serialTables {
 		t.Errorf("tables differ with profiler detached:\n--- profiled ---\n%s\n--- bare ---\n%s",
 			serialTables, bareTables)

@@ -54,8 +54,6 @@ type (
 	Preset = machine.Preset
 	// Process is a simulated application process.
 	Process = simos.Process
-	// ProcessOptions tunes OS costs and thread/memory placement.
-	ProcessOptions = simos.Options
 	// Thread is a simulated POSIX thread; workloads run on it.
 	Thread = simos.Thread
 	// Mutex is an interposable POSIX-style mutex.
@@ -116,39 +114,6 @@ func NewCustomMachine(cfg MachineConfig) (*Machine, error) { return machine.New(
 // NewCustomMachine.
 func PresetMachineConfig(p Preset) MachineConfig { return machine.PresetConfig(p) }
 
-// NewCustomSystem is NewSystem on a custom machine configuration.
-func NewCustomSystem(mcfg MachineConfig, cfg Config) (*System, error) {
-	m, err := NewCustomMachine(mcfg)
-	if err != nil {
-		return nil, err
-	}
-	opts := DefaultProcessOptions()
-	opts.AllowedSockets = []int{0}
-	opts.Lookahead = 2 * sim.Microsecond
-	proc, err := NewProcess(m, opts)
-	if err != nil {
-		return nil, err
-	}
-	emu, err := Attach(proc, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &System{Machine: m, Process: proc, Emulator: emu}, nil
-}
-
-// NewProcess creates a simulated process on a machine.
-func NewProcess(m *Machine, opts ProcessOptions) (*Process, error) {
-	return simos.NewProcess(m, opts)
-}
-
-// DefaultProcessOptions returns the standard simulated-OS cost model.
-func DefaultProcessOptions() ProcessOptions { return simos.DefaultOptions() }
-
-// Attach prepares emulation of a process, exactly as loading the real
-// library via LD_PRELOAD would: it programs counters and throttle registers
-// through the kernel-module layer and interposes on pthread entry points.
-func Attach(p *Process, cfg Config) (*Emulator, error) { return core.Attach(p, cfg) }
-
 // System bundles machine + process + emulator for the common case.
 type System struct {
 	Machine  *Machine
@@ -164,14 +129,31 @@ func NewSystem(p Preset, cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := DefaultProcessOptions()
-	opts.AllowedSockets = []int{0}
-	opts.Lookahead = 2 * sim.Microsecond
-	proc, err := NewProcess(m, opts)
+	return newSystem(m, cfg)
+}
+
+// NewCustomSystem is NewSystem on a custom machine configuration.
+func NewCustomSystem(mcfg MachineConfig, cfg Config) (*System, error) {
+	m, err := NewCustomMachine(mcfg)
 	if err != nil {
 		return nil, err
 	}
-	emu, err := Attach(proc, cfg)
+	return newSystem(m, cfg)
+}
+
+// newSystem creates the socket-0 process on m and attaches the emulator to
+// it, exactly as loading the real library via LD_PRELOAD would: counters and
+// throttle registers are programmed through the kernel-module layer and the
+// pthread entry points are interposed.
+func newSystem(m *Machine, cfg Config) (*System, error) {
+	opts := simos.DefaultOptions()
+	opts.AllowedSockets = []int{0}
+	opts.Lookahead = 2 * sim.Microsecond
+	proc, err := simos.NewProcess(m, opts)
+	if err != nil {
+		return nil, err
+	}
+	emu, err := core.Attach(proc, cfg)
 	if err != nil {
 		return nil, err
 	}
