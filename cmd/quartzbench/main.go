@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"iter"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -293,8 +294,8 @@ func applyTrafficOverrides(scale *experiments.Scale, clientsCSV, mixesCSV string
 		var lats []float64
 		for _, s := range strings.Split(latsCSV, ",") {
 			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-			if err != nil || v <= 0 {
-				return fmt.Errorf("-traffic-lats: %q is not a positive latency in ns", s)
+			if err != nil || !(v > 0) || math.IsInf(v, 1) {
+				return fmt.Errorf("-traffic-lats: %q is not a finite positive latency in ns", s)
 			}
 			lats = append(lats, v)
 		}
@@ -345,8 +346,8 @@ func suiteProfiles(suite *vtprof.Suite) iter.Seq2[string, *vtprof.Profile] {
 // -nvm-write / -nvm-profile flags, resolving every profile name against the
 // machine registry upfront so a typo fails before any experiment runs.
 func applyAsymOverrides(scale *experiments.Scale, nvmWriteNS float64, profilesCSV string) error {
-	if nvmWriteNS < 0 {
-		return fmt.Errorf("-nvm-write %g: must be >= 0 ns (0 = profile default)", nvmWriteNS)
+	if !(nvmWriteNS >= 0) || math.IsInf(nvmWriteNS, 1) {
+		return fmt.Errorf("-nvm-write %g: must be a finite number >= 0 ns (0 = profile default)", nvmWriteNS)
 	}
 	if nvmWriteNS > 0 {
 		scale.AsymWriteLatNS = nvmWriteNS

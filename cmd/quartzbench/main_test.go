@@ -70,6 +70,8 @@ func TestTrafficFlagValidation(t *testing.T) {
 		{"-exp", "traffic-sweep", "-traffic-pool", "-2"},
 		{"-exp", "traffic-sweep", "-traffic-lats", "600,zero"},
 		{"-exp", "traffic-sweep", "-traffic-lats", "0"},
+		{"-exp", "traffic-sweep", "-traffic-lats", "NaN"},
+		{"-exp", "traffic-sweep", "-traffic-lats", "600,Inf"},
 	}
 	for _, args := range cases {
 		if code, _, _ := runCLI(t, args...); code != 2 {
@@ -266,6 +268,7 @@ func TestNoObservabilityFlagsWritesNothing(t *testing.T) {
 func TestAsymFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"-exp", "fig12-asym", "-nvm-write", "-5"},
+		{"-exp", "fig12-asym", "-nvm-write", "NaN"},
 		{"-exp", "fig12-asym", "-nvm-profile", "xpoint"},
 		{"-exp", "fig11-asym", "-nvm-profile", "optane-dcpmm,bogus"},
 	}

@@ -24,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -69,6 +70,7 @@ type flags struct {
 	obs        cli.Obs
 
 	// Resolved by validate.
+	ini    core.Config // loaded from -config
 	preset machine.Preset
 	mode   bench.Mode
 	model  core.Model
@@ -133,8 +135,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// validate rejects bad flag values and resolves the named ones. The profile
-// error names the known profiles.
+// validate rejects bad flag values, resolves the named ones and loads the
+// -config file. The profile error names the known profiles.
 func (f *flags) validate() error {
 	var err error
 	if f.preset, err = machine.PresetByName(f.presetName); err != nil {
@@ -154,8 +156,27 @@ func (f *flags) validate() error {
 	if !slices.Contains(workloads, f.workload) {
 		return fmt.Errorf("-workload: unknown workload %q (%s)", f.workload, strings.Join(workloads, "|"))
 	}
-	if f.nvmWriteNS < 0 {
-		return fmt.Errorf("-nvm-write %g: must be >= 0 ns (0 = symmetric model)", f.nvmWriteNS)
+	// !(v >= 0) rejects NaN as well as negatives; an epoch must also be
+	// nonzero.
+	for _, n := range []struct {
+		flag, bound string
+		v           float64
+	}{
+		{"-nvm-lat", ">= 0", f.nvmLatNS},
+		{"-nvm-bw", ">= 0", f.nvmBW},
+		{"-pflush-lat", ">= 0", f.pflushNS},
+		{"-nvm-write", ">= 0", f.nvmWriteNS},
+		{"-min-epoch", "> 0", f.minEpoch},
+		{"-max-epoch", "> 0", f.maxEpoch},
+	} {
+		if !(n.v >= 0) || math.IsInf(n.v, 1) || (n.v == 0 && n.bound == "> 0") {
+			return fmt.Errorf("%s %g: must be a finite number %s", n.flag, n.v, n.bound)
+		}
+	}
+	if f.configPath != "" {
+		if f.ini, err = core.LoadINIFile(f.configPath); err != nil {
+			return fmt.Errorf("-config: %w", err)
+		}
 	}
 	if f.nvmProfile != "" {
 		names, err := cli.NVMProfiles(f.nvmProfile)
@@ -197,10 +218,7 @@ func execute(f *flags, stdout io.Writer) error {
 		InjectionOff: f.injectOff,
 	}
 	if f.configPath != "" {
-		var err error
-		if q, err = core.LoadINIFile(f.configPath); err != nil {
-			return err
-		}
+		q = f.ini
 	}
 
 	// Asymmetric store model: a profile overlays calibrated read/write

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -27,7 +28,7 @@ func TestParsePreset(t *testing.T) {
 		{"", 0, true},
 	}
 	for _, tt := range tests {
-		f := flags{presetName: tt.in, modeName: "emulated", modelName: "stall", workload: "memlat"}
+		f := flags{presetName: tt.in, modeName: "emulated", modelName: "stall", workload: "memlat", minEpoch: 0.1, maxEpoch: 10}
 		f.obs.LedgerFormat = "jsonl"
 		err := f.validate()
 		if (err != nil) != tt.wantErr || (!tt.wantErr && f.preset != tt.want) {
@@ -69,22 +70,41 @@ func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errw.String()
 }
 
-// TestExecuteRejectsBadFlags: every bad flag value exits 2 before the
-// environment is built, naming the flag; a run that fails exits 1.
+// TestExecuteRejectsBadFlags: every bad flag value, including a bad -config
+// file, exits 2 with a one-line error naming the flag before the
+// environment is built; a run that fails exits 1.
 func TestExecuteRejectsBadFlags(t *testing.T) {
+	dir := t.TempDir()
+	ini := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
 	for _, c := range []struct{ flag, value string }{
 		{"-preset", "pentium"},
 		{"-mode", "quantum"},
 		{"-model", "guess"},
 		{"-workload", "mystery"},
 		{"-nvm-profile", "pcm,optane-dcpmm"},
+		{"-nvm-lat", "NaN"},
+		{"-nvm-lat", "-300"},
+		{"-nvm-bw", "-1"},
+		{"-pflush-lat", "Inf"},
+		{"-nvm-write", "NaN"},
+		{"-min-epoch", "0"},
+		{"-max-epoch", "NaN"},
+		{"-config", ini("nan.ini", "[latency]\nread = NaN\n")},
+		{"-config", ini("dram.ini", "[latency]\ndram = -100\n")},
+		{"-config", filepath.Join(dir, "missing.ini")},
 	} {
 		code, stdout, stderr := runCLI(t, c.flag, c.value)
 		if code != 2 {
 			t.Errorf("%s %s: exit = %d, want 2; stderr: %s", c.flag, c.value, code, stderr)
 		}
-		if !strings.Contains(stderr, c.flag) {
-			t.Errorf("%s %s: stderr %q does not name the flag", c.flag, c.value, stderr)
+		if !strings.Contains(stderr, c.flag) || strings.Count(stderr, "\n") != 1 {
+			t.Errorf("%s %s: stderr %q is not one line naming the flag", c.flag, c.value, stderr)
 		}
 		if stdout != "" {
 			t.Errorf("%s %s: ran despite the bad flag:\n%s", c.flag, c.value, stdout)
@@ -175,7 +195,7 @@ func TestExecuteStreamsLedger(t *testing.T) {
 func TestValidateAsymFlags(t *testing.T) {
 	valid := func(nvmWrite float64, profile string) error {
 		f := flags{presetName: "ivybridge", modeName: "emulated", modelName: "stall", workload: "memlat",
-			nvmWriteNS: nvmWrite, nvmProfile: profile}
+			minEpoch: 0.1, maxEpoch: 10, nvmWriteNS: nvmWrite, nvmProfile: profile}
 		f.obs.LedgerFormat = "jsonl"
 		return f.validate()
 	}

@@ -98,14 +98,8 @@ func Generate(cfg GenerateConfig, alloc Alloc) (*Graph, error) {
 	return g, nil
 }
 
-// M reports the edge count.
-func (g *Graph) M() int { return len(g.Edges) }
-
 // SimEdges reports the simulated base address of the edge array.
 func (g *Graph) SimEdges() uintptr { return g.simEdges }
-
-// SimOffsets reports the simulated base address of the offsets array.
-func (g *Graph) SimOffsets() uintptr { return g.simOffsets }
 
 // edgeAddr is the simulated address of edge slot i (4-byte entries).
 func (g *Graph) edgeAddr(i int) uintptr { return g.simEdges + uintptr(i)*4 }

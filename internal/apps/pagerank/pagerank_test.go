@@ -32,10 +32,10 @@ func TestGenerateShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.N != 1000 || g.M() != 8000 {
-		t.Fatalf("graph shape = %d vertices / %d edges", g.N, g.M())
+	if g.N != 1000 || len(g.Edges) != 8000 {
+		t.Fatalf("graph shape = %d vertices / %d edges", g.N, len(g.Edges))
 	}
-	if g.Offsets[0] != 0 || int(g.Offsets[g.N]) != g.M() {
+	if g.Offsets[0] != 0 || int(g.Offsets[g.N]) != len(g.Edges) {
 		t.Error("CSR offsets malformed")
 	}
 	for v := 0; v < g.N; v++ {
@@ -51,7 +51,7 @@ func TestGenerateShape(t *testing.T) {
 			hubEdges++
 		}
 	}
-	if frac := float64(hubEdges) / float64(g.M()); frac < 0.05 {
+	if frac := float64(hubEdges) / float64(len(g.Edges)); frac < 0.05 {
 		t.Errorf("hub fraction %.3f, want skew > uniform 0.032", frac)
 	}
 }

@@ -206,18 +206,12 @@ func (c *Cache) alloc() {
 	c.lists = make([]setList, c.numSets)
 }
 
-// Config reports the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // LookupLat reports the level's probe latency without copying the whole
 // configuration (the hot-path accessor for the CPU walk).
 func (c *Cache) LookupLat() sim.Time { return c.cfg.LookupLat }
 
 // Stats returns a copy of the accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats zeroes the statistics.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // tagOf maps an address to its line tag (addr / LineSize; a shift when the
 // line size is a power of two — unsigned division and shift agree exactly).
@@ -450,23 +444,4 @@ func (c *Cache) Flush(addr uintptr) (present, dirty bool) {
 		c.lastIdx = -1
 	}
 	return present, dirty
-}
-
-// InvalidateAll drops every line, returning the dirty line addresses so the
-// caller can model writeback traffic. It is used to model cache invalidation
-// between experiment trials. A never-filled level has nil arrays, so the
-// scan and the clears do nothing and it returns nil.
-func (c *Cache) InvalidateAll() []uintptr {
-	var dirtyAddrs []uintptr
-	for i, s := range c.sigs {
-		if s != 0 && c.dirty[i] {
-			dirtyAddrs = append(dirtyAddrs, (c.meta[i].tag-1)*uintptr(c.cfg.LineSize))
-		}
-	}
-	clear(c.sigs)
-	clear(c.dirty)
-	clear(c.meta)
-	clear(c.lists)
-	c.lastIdx = -1
-	return dirtyAddrs
 }

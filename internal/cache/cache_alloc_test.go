@@ -45,11 +45,6 @@ func TestCacheOpsNoAllocs(t *testing.T) {
 				t.Fatal("never-filled Flush reported present")
 			}
 		}},
-		{"InvalidateAll", func() {
-			if dirty := fresh.InvalidateAll(); dirty != nil {
-				t.Fatalf("never-filled InvalidateAll = %v, want nil", dirty)
-			}
-		}},
 	} {
 		if allocs := testing.AllocsPerRun(500, op.f); allocs != 0 {
 			t.Errorf("never-filled %s: %v allocs/op, want 0", op.name, allocs)

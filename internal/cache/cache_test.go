@@ -163,20 +163,6 @@ func TestInsertExistingLineMergesDirty(t *testing.T) {
 	}
 }
 
-func TestInvalidateAllReturnsDirtyLines(t *testing.T) {
-	c := mustCache(t, smallConfig())
-	c.Insert(0x0, true, 0)
-	c.Insert(0x40, false, 0)
-	c.Insert(0x80, true, 0)
-	dirty := c.InvalidateAll()
-	if len(dirty) != 2 {
-		t.Fatalf("InvalidateAll returned %d dirty lines, want 2", len(dirty))
-	}
-	if hit, _ := c.Lookup(0x40, 0, false); hit {
-		t.Error("line survived InvalidateAll")
-	}
-}
-
 func TestContainsDoesNotPerturbState(t *testing.T) {
 	c := mustCache(t, smallConfig())
 	c.Insert(0x40, false, 0)

@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"slices"
 	"testing"
 
 	"github.com/quartz-emu/quartz/internal/sim"
@@ -116,20 +115,6 @@ func (c *refCache) TouchLast(addr uintptr, now sim.Time, markDirty bool) (sim.Ti
 	}
 	_, wait := c.Lookup(addr, now, markDirty)
 	return wait, true
-}
-
-// InvalidateAll drops every line and returns the dirty line addresses in
-// line-index order.
-func (c *refCache) InvalidateAll() []uintptr {
-	var dirty []uintptr
-	for i, ln := range c.lines {
-		if ln.valid && ln.dirty {
-			dirty = append(dirty, ln.tag*uintptr(c.cfg.LineSize))
-		}
-		c.lines[i] = refLine{}
-	}
-	c.last = 0
-	return dirty
 }
 
 func (c *refCache) Contains(addr uintptr) bool {
@@ -297,13 +282,12 @@ var fuzzConfigs = []Config{
 // byte of each op is the address in half-line units (128 distinct lines,
 // more than any fuzz geometry holds).
 const (
-	fzLookup        = 0 // demand access (also 1-5 and 15)
-	fzFill          = 6 // InsertAbsent right after a miss, else Insert (also 7)
-	fzPrefetch      = 8 // Insert with a future arrival
-	fzContains      = 9
-	fzTouchLast     = 10 // TouchLast, falling back to Lookup as the CPU walk does (also 11)
-	fzFlush         = 12 // (also 13)
-	fzInvalidateAll = 14
+	fzLookup    = 0 // demand access (also 1-5, 14 and 15)
+	fzFill      = 6 // InsertAbsent right after a miss, else Insert (also 7)
+	fzPrefetch  = 8 // Insert with a future arrival
+	fzContains  = 9
+	fzTouchLast = 10 // TouchLast, falling back to Lookup as the CPU walk does (also 11)
+	fzFlush     = 12 // (also 13)
 )
 
 // fuzzOp encodes one fuzz op for the seed corpus.
@@ -320,17 +304,16 @@ func fuzzOp(code int, dirty bool, addr byte) []byte {
 // the optimized Cache and refCache for every fuzz geometry. Every return
 // value and the final statistics must agree.
 func FuzzCacheMatchesReference(f *testing.F) {
-	var cold []byte // probes, flushes and invalidates before the first fill
-	for _, code := range []int{fzLookup, fzContains, fzTouchLast, fzFlush, fzInvalidateAll, fzLookup, fzFill, fzTouchLast, fzFlush} {
+	var cold []byte // probes and flushes before the first fill
+	for _, code := range []int{fzLookup, fzContains, fzTouchLast, fzFlush, fzLookup, fzFill, fzTouchLast, fzFlush} {
 		cold = append(cold, fuzzOp(code, true, 2)...)
 	}
 	f.Add(cold)
-	var mid []byte // dirty fills, InvalidateAll mid-trace, then refills
+	var mid []byte // dirty fills, then refills over the same lines
 	for a := byte(0); a < 64; a += 3 {
 		mid = append(mid, fuzzOp(fzLookup, a%2 == 0, a)...)
 		mid = append(mid, fuzzOp(fzFill, a%2 == 0, a)...)
 	}
-	mid = append(mid, fuzzOp(fzInvalidateAll, false, 0)...)
 	for a := byte(0); a < 64; a += 5 {
 		mid = append(mid, fuzzOp(fzLookup, false, a)...)
 		mid = append(mid, fuzzOp(fzFill, true, a)...)
@@ -422,10 +405,6 @@ func replayFuzzTrace(t *testing.T, cfg Config, data []byte) {
 			p2, d2 := ref.Flush(addr)
 			if p1 != p2 || d1 != d2 {
 				t.Fatalf("%s op %d: Flush(%#x) = (%v,%v), ref (%v,%v)", cfg.Name, i/2, addr, p1, d1, p2, d2)
-			}
-		case fzInvalidateAll:
-			if got, want := opt.InvalidateAll(), ref.InvalidateAll(); !slices.Equal(got, want) {
-				t.Fatalf("%s op %d: InvalidateAll = %#x, ref %#x", cfg.Name, i/2, got, want)
 			}
 		default:
 			missed, missAddr = lookupBoth(t, cfg, i/2, opt, ref, addr, now, dirty), addr

@@ -19,6 +19,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/quartz-emu/quartz/internal/obs"
 	"github.com/quartz-emu/quartz/internal/perf"
@@ -181,20 +182,27 @@ func (c Config) Validate() error {
 	if c.NVMLatency < 0 {
 		return fmt.Errorf("core: NVMLatency %v negative", c.NVMLatency)
 	}
-	if c.MinEpoch > c.MaxEpoch {
-		return fmt.Errorf("core: MinEpoch %v exceeds MaxEpoch %v", c.MinEpoch, c.MaxEpoch)
-	}
-	if c.NVMBandwidth < 0 {
-		return fmt.Errorf("core: NVMBandwidth %g negative", c.NVMBandwidth)
-	}
-	if c.NVMWriteBandwidth < 0 {
-		return fmt.Errorf("core: NVMWriteBandwidth %g negative", c.NVMWriteBandwidth)
-	}
 	if c.NVMWriteLatency < 0 {
 		return fmt.Errorf("core: NVMWriteLatency %v negative", c.NVMWriteLatency)
 	}
+	if c.DRAMLatency < 0 {
+		return fmt.Errorf("core: DRAMLatency %v negative", c.DRAMLatency)
+	}
+	if c.WriteLatency < 0 {
+		return fmt.Errorf("core: WriteLatency %v negative", c.WriteLatency)
+	}
+	if c.MinEpoch > c.MaxEpoch {
+		return fmt.Errorf("core: MinEpoch %v exceeds MaxEpoch %v", c.MinEpoch, c.MaxEpoch)
+	}
+	// !(bw >= 0) rejects NaN as well as negatives.
+	if !(c.NVMBandwidth >= 0) || math.IsInf(c.NVMBandwidth, 1) {
+		return fmt.Errorf("core: NVMBandwidth %g is not a finite number >= 0", c.NVMBandwidth)
+	}
+	if !(c.NVMWriteBandwidth >= 0) || math.IsInf(c.NVMWriteBandwidth, 1) {
+		return fmt.Errorf("core: NVMWriteBandwidth %g is not a finite number >= 0", c.NVMWriteBandwidth)
+	}
 	for i, bw := range c.WriteBandwidthByThreads {
-		if bw <= 0 {
+		if !(bw > 0) || math.IsInf(bw, 1) {
 			return fmt.Errorf("core: WriteBandwidthByThreads[%d] = %g, must be positive", i, bw)
 		}
 	}

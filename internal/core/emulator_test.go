@@ -95,6 +95,19 @@ func TestAttachValidation(t *testing.T) {
 	if _, err := Attach(p, Config{NVMLatency: sim.FromNanos(500), MinEpoch: sim.Second, MaxEpoch: sim.Millisecond}); err == nil {
 		t.Error("MinEpoch > MaxEpoch accepted")
 	}
+	nvm := sim.FromNanos(500)
+	for name, cfg := range map[string]Config{
+		"negative DRAM latency":  {NVMLatency: nvm, DRAMLatency: -sim.Nanosecond},
+		"negative pflush delay":  {NVMLatency: nvm, WriteLatency: -sim.Nanosecond},
+		"NaN bandwidth":          {NVMLatency: nvm, NVMBandwidth: math.NaN()},
+		"NaN write bandwidth":    {NVMLatency: nvm, NVMWriteBandwidth: math.NaN()},
+		"NaN write curve entry":  {NVMLatency: nvm, WriteBandwidthByThreads: []float64{math.NaN()}},
+		"FromNanos(NaN) latency": {NVMLatency: math.MinInt64},
+	} {
+		if _, err := Attach(p, cfg); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
 }
 
 func TestAttachRejectsDVFS(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -55,7 +56,7 @@ func ParseINI(r io.Reader) (Config, error) {
 	var cfg Config
 	latencyEnabled := true
 	bandwidthEnabled := true
-	var latReadNS, latWriteNS, latNVMWriteNS, latDRAMNS float64
+	var latRead, latWrite, latNVMWrite, latDRAM sim.Time
 	var bwReadMB, bwWriteMB float64
 
 	section := ""
@@ -91,69 +92,44 @@ func ParseINI(r io.Reader) (Config, error) {
 		}
 		switch section {
 		case "latency":
+			var err error
 			switch key {
 			case "enable":
-				b, err := parseBool(value)
-				if err != nil {
-					return fail(err)
-				}
-				latencyEnabled = b
+				latencyEnabled, err = parseBool(value)
 			case "read":
-				v, err := strconv.ParseFloat(value, 64)
-				if err != nil {
-					return fail(err)
-				}
-				latReadNS = v
+				latRead, err = parseTime(value, sim.Nanosecond)
 			case "write":
-				v, err := strconv.ParseFloat(value, 64)
-				if err != nil {
-					return fail(err)
-				}
-				latWriteNS = v
+				latWrite, err = parseTime(value, sim.Nanosecond)
 			case "nvm_write":
-				v, err := strconv.ParseFloat(value, 64)
-				if err != nil {
-					return fail(err)
-				}
-				latNVMWriteNS = v
+				latNVMWrite, err = parseTime(value, sim.Nanosecond)
 			case "dram":
-				v, err := strconv.ParseFloat(value, 64)
-				if err != nil {
-					return fail(err)
-				}
-				latDRAMNS = v
+				latDRAM, err = parseTime(value, sim.Nanosecond)
 			default:
-				return fail(fmt.Errorf("unknown key"))
+				err = fmt.Errorf("unknown key")
 			}
-		case "bandwidth":
-			switch key {
-			case "enable":
-				b, err := parseBool(value)
-				if err != nil {
-					return fail(err)
-				}
-				bandwidthEnabled = b
-			case "read", "model":
-				v, err := strconv.ParseFloat(value, 64)
-				if err != nil {
-					return fail(err)
-				}
-				bwReadMB = v
-			case "write":
-				v, err := strconv.ParseFloat(value, 64)
-				if err != nil {
-					return fail(err)
-				}
-				bwWriteMB = v
-			default:
-				return fail(fmt.Errorf("unknown key"))
-			}
-		case "epochs":
-			v, err := strconv.ParseFloat(value, 64)
 			if err != nil {
 				return fail(err)
 			}
-			d := sim.Time(v * float64(sim.Millisecond))
+		case "bandwidth":
+			var err error
+			switch key {
+			case "enable":
+				bandwidthEnabled, err = parseBool(value)
+			case "read", "model":
+				bwReadMB, err = parseNonNeg(value)
+			case "write":
+				bwWriteMB, err = parseNonNeg(value)
+			default:
+				err = fmt.Errorf("unknown key")
+			}
+			if err != nil {
+				return fail(err)
+			}
+		case "epochs":
+			d, err := parseTime(value, sim.Millisecond)
+			if err != nil {
+				return fail(err)
+			}
 			switch key {
 			case "min":
 				cfg.MinEpoch = d
@@ -241,11 +217,11 @@ func ParseINI(r io.Reader) (Config, error) {
 	}
 
 	if latencyEnabled {
-		cfg.NVMLatency = sim.FromNanos(latReadNS)
-		cfg.WriteLatency = sim.FromNanos(latWriteNS)
-		cfg.NVMWriteLatency = sim.FromNanos(latNVMWriteNS)
+		cfg.NVMLatency = latRead
+		cfg.WriteLatency = latWrite
+		cfg.NVMWriteLatency = latNVMWrite
 	}
-	cfg.DRAMLatency = sim.FromNanos(latDRAMNS)
+	cfg.DRAMLatency = latDRAM
 	if bandwidthEnabled {
 		cfg.NVMBandwidth = bwReadMB * 1e6
 		cfg.NVMWriteBandwidth = bwWriteMB * 1e6
@@ -272,4 +248,30 @@ func parseBool(s string) (bool, error) {
 	default:
 		return false, fmt.Errorf("invalid boolean %q", s)
 	}
+}
+
+// parseNonNeg parses a finite, non-negative number: every numeric ini
+// value is a latency, bandwidth or duration.
+func parseNonNeg(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	if !(v >= 0) || math.IsInf(v, 1) {
+		return 0, fmt.Errorf("%q is not a finite number >= 0", s)
+	}
+	return v, nil
+}
+
+// parseTime parses a non-negative duration in unit, rejecting one too long
+// for sim.Time.
+func parseTime(s string, unit sim.Time) (sim.Time, error) {
+	v, err := parseNonNeg(s)
+	if err != nil {
+		return 0, err
+	}
+	if v*float64(unit) >= float64(sim.MaxTime) {
+		return 0, fmt.Errorf("%q is out of range", s)
+	}
+	return sim.Time(v * float64(unit)), nil
 }

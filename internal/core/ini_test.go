@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -142,21 +143,32 @@ type = simple
 	}
 }
 
+// badINI lists configurations ParseINI must reject; FuzzParseINI seeds
+// from them too.
+var badINI = []struct {
+	name string
+	in   string
+}{
+	{"unknown-section", "[frobnicate]\nx = 1\n"},
+	{"unknown-key", "[latency]\nbogus = 1\n"},
+	{"bad-number", "[latency]\nread = fast\n"},
+	{"bad-bool", "[latency]\nenable = maybe\n"},
+	{"no-section", "read = 500\n"},
+	{"no-equals", "[latency]\nread 500\n"},
+	{"bad-model", "[model]\ntype = quantum\n"},
+	{"bad-pmc", "[model]\npmc = msr\n"},
+	{"nan-latency", "[latency]\nread = NaN\n"},
+	{"inf-latency", "[latency]\nread = Inf\n"},
+	{"negative-dram", "[latency]\ndram = -100\n"},
+	{"out-of-range-latency", "[latency]\nread = 1e13\n"},
+	{"nan-bandwidth", "[bandwidth]\nread = NaN\n"},
+	{"negative-bandwidth", "[bandwidth]\nwrite = -1\n"},
+	{"negative-epoch", "[epochs]\nmin = -1\n"},
+	{"inf-epoch", "[epochs]\nmax = +Inf\n"},
+}
+
 func TestParseINIErrors(t *testing.T) {
-	tests := []struct {
-		name string
-		in   string
-	}{
-		{"unknown-section", "[frobnicate]\nx = 1\n"},
-		{"unknown-key", "[latency]\nbogus = 1\n"},
-		{"bad-number", "[latency]\nread = fast\n"},
-		{"bad-bool", "[latency]\nenable = maybe\n"},
-		{"no-section", "read = 500\n"},
-		{"no-equals", "[latency]\nread 500\n"},
-		{"bad-model", "[model]\ntype = quantum\n"},
-		{"bad-pmc", "[model]\npmc = msr\n"},
-	}
-	for _, tt := range tests {
+	for _, tt := range badINI {
 		t.Run(tt.name, func(t *testing.T) {
 			if _, err := ParseINI(strings.NewReader(tt.in)); err == nil {
 				t.Errorf("ParseINI(%q) succeeded, want error", tt.in)
@@ -199,4 +211,30 @@ max = 2
 	if _, err := Attach(p, cfg); err != nil {
 		t.Errorf("parsed config failed to attach: %v", err)
 	}
+}
+
+// FuzzParseINI: ParseINI never panics, and a configuration that parses and
+// validates formats with %v and holds no negative duration.
+func FuzzParseINI(f *testing.F) {
+	sample, err := os.ReadFile(filepath.Join("..", "..", "docs", "nvmemul.ini.sample"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(sample))
+	for _, tt := range badINI {
+		f.Add(tt.in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		cfg, err := ParseINI(strings.NewReader(in))
+		if err != nil || cfg.Validate() != nil {
+			return
+		}
+		_ = fmt.Sprintf("%v", cfg)
+		for _, d := range []sim.Time{cfg.NVMLatency, cfg.WriteLatency, cfg.NVMWriteLatency, cfg.DRAMLatency,
+			cfg.MinEpoch, cfg.MaxEpoch, cfg.MonitorInterval} {
+			if d < 0 {
+				t.Errorf("ParseINI(%q) validated with negative duration %v", in, d)
+			}
+		}
+	})
 }

@@ -22,66 +22,6 @@ func countersEqual(t *testing.T, a, b *perf.Counters) {
 	}
 }
 
-// TestLoadRunEquivalentToLoadLoop drives one core with individual dependent
-// loads and a twin with the batched LoadRun over the same strided sequences.
-// Total latency, final virtual time, perf counters and cache statistics must
-// match exactly — LoadRun is the unrolled loop, batched.
-func TestLoadRunEquivalentToLoadLoop(t *testing.T) {
-	loop, _ := testCore(t, 4)
-	run, _ := testCore(t, 4)
-
-	x := uint64(7)
-	rnd := func(n uint64) uint64 {
-		x = x*6364136223846793005 + 1442695040888963407
-		return (x >> 33) % n
-	}
-	nowLoop, nowRun := sim.Time(0), sim.Time(0)
-	for iter := 0; iter < 200; iter++ {
-		base := uintptr(rnd(1 << 22))
-		stride := uintptr(rnd(4)+1) * 64
-		n := int(rnd(32)) + 1
-
-		var total sim.Time
-		addr := base
-		for i := 0; i < n; i++ {
-			lat, _ := loop.Load(nowLoop+total, addr)
-			total += lat
-			addr += stride
-		}
-		nowLoop += total
-		nowRun += run.LoadRun(nowRun, base, stride, n)
-		if nowLoop != nowRun {
-			t.Fatalf("iter %d: virtual time diverged: loop %v, run %v", iter, nowLoop, nowRun)
-		}
-	}
-	countersEqual(t, loop.Counters(), run.Counters())
-	if loop.L1().Stats() != run.L1().Stats() || loop.L3().Stats() != run.L3().Stats() {
-		t.Error("cache statistics diverged between Load loop and LoadRun")
-	}
-}
-
-// TestStoreRunEquivalentToStoreLoop does the same for posted stores.
-func TestStoreRunEquivalentToStoreLoop(t *testing.T) {
-	loop, _ := testCore(t, 0)
-	run, _ := testCore(t, 0)
-	nowLoop, nowRun := sim.Time(0), sim.Time(0)
-	for iter := 0; iter < 100; iter++ {
-		base := uintptr(iter) * 4096
-		var total sim.Time
-		for i := 0; i < 40; i++ {
-			total += loop.Store(nowLoop+total, base+uintptr(i)*64)
-		}
-		nowLoop += total
-		nowRun += run.StoreRun(nowRun, base, 64, 40)
-		if nowLoop != nowRun {
-			t.Fatalf("iter %d: virtual time diverged: loop %v, run %v", iter, nowLoop, nowRun)
-		}
-	}
-	if loop.L1().Stats() != run.L1().Stats() {
-		t.Error("L1 statistics diverged between Store loop and StoreRun")
-	}
-}
-
 // TestLoadGroupRunEquivalentToLoadGroup checks the slice-free group variant
 // against LoadGroup over the same arithmetic sequence, including runs larger
 // than the MSHR bound (multiple waves).
@@ -131,15 +71,5 @@ func BenchmarkCoreLoadStream(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		lat, _ := core.Load(now, uintptr(i)*64)
 		now += lat
-	}
-}
-
-// BenchmarkCoreLoadRun measures the batched strided-run entry point.
-func BenchmarkCoreLoadRun(b *testing.B) {
-	core, _ := testCore(b, 0)
-	now := sim.Time(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i += 64 {
-		now += core.LoadRun(now, 0, 64, 64)
 	}
 }

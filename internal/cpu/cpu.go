@@ -87,7 +87,6 @@ func (c Config) Validate() error {
 
 // Core is one simulated hardware thread's execution resources.
 type Core struct {
-	id     int
 	socket int
 	cfg    Config
 
@@ -115,7 +114,7 @@ func NewCore(id, socket int, cfg Config, l1, l2, l3 *cache.Cache, ctr *perf.Coun
 		return nil, fmt.Errorf("cpu: core %d: nil component", id)
 	}
 	c := &Core{
-		id: id, socket: socket, cfg: cfg,
+		socket: socket, cfg: cfg,
 		l1: l1, l2: l2, l3: l3,
 		pf:     cache.NewPrefetcher(cfg.PrefetchDepth),
 		ctr:    ctr,
@@ -132,15 +131,6 @@ func NewCore(id, socket int, cfg Config, l1, l2, l3 *cache.Cache, ctr *perf.Coun
 	return c, nil
 }
 
-// ID reports the core id.
-func (c *Core) ID() int { return c.id }
-
-// Socket reports the core's socket (== NUMA node).
-func (c *Core) Socket() int { return c.socket }
-
-// Config reports the core configuration.
-func (c *Core) Config() Config { return c.cfg }
-
 // Counters exposes the core's PMC bank.
 func (c *Core) Counters() *perf.Counters { return c.ctr }
 
@@ -149,9 +139,6 @@ func (c *Core) L1() *cache.Cache { return c.l1 }
 
 // L2 exposes the private second-level cache.
 func (c *Core) L2() *cache.Cache { return c.l2 }
-
-// L3 exposes the socket-shared last-level cache.
-func (c *Core) L3() *cache.Cache { return c.l3 }
 
 // FreqHz reports the core's nominal frequency.
 func (c *Core) FreqHz() float64 { return c.cfg.FreqHz }
@@ -208,41 +195,6 @@ func (c *Core) loadFast(now sim.Time, addr uintptr) (sim.Time, Source) {
 		return c.l1Lat + wait, SrcL1
 	}
 	return c.loadOne(now, addr)
-}
-
-// LoadRun performs n demand loads at addresses base, base+stride, …, each
-// issued only after the previous completes (a dependent scan, no
-// memory-level parallelism), and returns the total latency. It is
-// behaviorally identical to n Load calls with the clock advanced by each
-// load's latency in between; the batched entry point exists so tight scan
-// loops pay one call instead of n and benefit from the last-line filter
-// when consecutive elements share a 64B line.
-func (c *Core) LoadRun(now sim.Time, base, stride uintptr, n int) sim.Time {
-	var total sim.Time
-	for ; n > 0; n-- {
-		lat, src := c.loadFast(now, base)
-		if src >= SrcL3 {
-			c.ctr.AddStallCycles(sim.TimeToCycles(lat, c.effectiveFreq(now)))
-		}
-		now += lat
-		total += lat
-		base += stride
-	}
-	return total
-}
-
-// StoreRun performs n posted stores at addresses base, base+stride, …,
-// with the clock advanced by each store's pipeline latency in between,
-// returning the total. Identical to n sequential Store calls.
-func (c *Core) StoreRun(now sim.Time, base, stride uintptr, n int) sim.Time {
-	var total sim.Time
-	for ; n > 0; n-- {
-		lat := c.Store(now, base)
-		now += lat
-		total += lat
-		base += stride
-	}
-	return total
 }
 
 // LoadGroup performs len(addrs) independent demand loads issued in parallel

@@ -259,7 +259,7 @@ func TestTSCInvariantUnderDVFS(t *testing.T) {
 	d := NewDVFS(0.6, 100*sim.Microsecond)
 	d.SetEnabled(true)
 	core, _ := testCore(t, 0)
-	coreD, err := NewCore(1, 0, core.Config(), core.L1(), core.L2(), core.L3(), core.Counters(), &fakeMem{localLat: 80 * sim.Nanosecond, remoteBase: 1 << 40}, d)
+	coreD, err := NewCore(1, 0, core.cfg, core.L1(), core.L2(), core.l3, core.Counters(), &fakeMem{localLat: 80 * sim.Nanosecond, remoteBase: 1 << 40}, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,9 +312,6 @@ func TestSourceString(t *testing.T) {
 
 func TestCoreAccessors(t *testing.T) {
 	core, _ := testCore(t, 0)
-	if core.ID() != 0 || core.Socket() != 0 {
-		t.Errorf("ID/Socket = %d/%d", core.ID(), core.Socket())
-	}
 	if core.FreqHz() != 2e9 {
 		t.Errorf("FreqHz = %g", core.FreqHz())
 	}
@@ -343,7 +340,7 @@ func TestStoreHitsInLowerLevels(t *testing.T) {
 	if core.L1().Contains(addr) {
 		t.Skip("line survived the L1 sweep; set mapping kept it resident")
 	}
-	if !core.L2().Contains(addr) && !core.L3().Contains(addr) {
+	if !core.L2().Contains(addr) && !core.l3.Contains(addr) {
 		t.Skip("line evicted beyond L2/L3 by the sweep")
 	}
 	fm.accesses = nil

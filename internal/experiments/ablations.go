@@ -86,11 +86,6 @@ func modelAblationJobs(s Scale) JobSet {
 	return js
 }
 
-// ModelAblation contrasts the paper's Eq. 2 stall model against the naive
-// Eq. 1 reference-count model (Fig. 2's motivation): under memory-level
-// parallelism, Eq. 1 over-delays by roughly the MLP factor.
-func ModelAblation(s Scale) (Table, error) { return modelAblationJobs(s).runSerial() }
-
 // pcommitFieldCounts are the per-object field counts of the §6 contrast.
 var pcommitFieldCounts = []int{2, 4, 8, 16}
 
@@ -179,12 +174,6 @@ func pcommitAblationJobs(s Scale) JobSet {
 	return js
 }
 
-// PCommitAblation contrasts the §3.1 serialized pflush write model against
-// the §6 clflushopt+pcommit extension on a persistent-object initialization
-// workload: independent field writes within an object can proceed in
-// parallel under pcommit.
-func PCommitAblation(s Scale) (Table, error) { return pcommitAblationJobs(s).runSerial() }
-
 // amortizationTarget is the emulated latency of the carry-over ablation.
 const amortizationTarget = 300.0
 
@@ -238,8 +227,3 @@ func amortizationAblationJobs(s Scale) JobSet {
 	}
 	return js
 }
-
-// AmortizationAblation contrasts the §3.2 overhead carry-over against a
-// build with amortization disabled, on a latency-bound chase: without
-// discounting, the epoch-processing overhead inflates the emulated latency.
-func AmortizationAblation(s Scale) (Table, error) { return amortizationAblationJobs(s).runSerial() }

@@ -127,11 +127,6 @@ func fig15Jobs(s Scale) JobSet {
 	return js
 }
 
-// Fig15 reproduces Figure 15: the validation error of the key-value store's
-// put/s and get/s throughput for 1-8 threads on Sandy Bridge, comparing
-// Conf_1 (emulated) with Conf_2 (physically remote).
-func Fig15(s Scale) (Table, error) { return fig15Jobs(s).runSerial() }
-
 // prRun runs PageRank once in a fresh environment, reporting the kernel CT.
 func prRun(s Scale, mode bench.Mode, q core.Config, seed uint64, prof *vtprof.Profiler) (pagerank.Result, error) {
 	env, err := bench.NewEnv(bench.EnvConfig{
@@ -227,11 +222,6 @@ func pageRankValidationJobs(s Scale) JobSet {
 	}
 	return js
 }
-
-// PageRankValidation reproduces the §4.7 PageRank validation number: the
-// error between emulated and physically-remote completion times (the paper
-// reports 2.9% on Sandy Bridge).
-func PageRankValidation(s Scale) (Table, error) { return pageRankValidationJobs(s).runSerial() }
 
 // fig16Point is one sweep point of Figure 16: a label plus the emulator
 // configuration it evaluates.
@@ -331,8 +321,3 @@ func fig16Jobs(s Scale) JobSet {
 	}
 	return js
 }
-
-// Fig16 reproduces Figure 16: PageRank completion time and KV-store
-// throughput sensitivity to emulated NVM latency and bandwidth (Sandy
-// Bridge; emulator-only predictions, as in the paper).
-func Fig16(s Scale) (Table, error) { return fig16Jobs(s).runSerial() }

@@ -211,12 +211,6 @@ func fig12AsymJobs(s Scale) JobSet {
 	return js
 }
 
-// Fig12Asym validates the asymmetric read/write latency model: for each
-// testbed and NVM profile it reports the emulated read latency (MemLat) and
-// the emulated store latency (paired streaming-store kernel) against the
-// profile targets.
-func Fig12Asym(s Scale) (Table, error) { return fig12AsymJobs(s).runSerial() }
-
 // fig11AsymPreset is the testbed the bandwidth-collapse sweep runs on; Ivy
 // Bridge is the paper's most accurate testbed and the reference elsewhere.
 var fig11AsymPreset = presetRow{machine.XeonE5_2660v2, "Ivy Bridge"}
@@ -324,8 +318,3 @@ func fig11AsymJobs(s Scale) JobSet {
 	}
 	return js
 }
-
-// Fig11Asym sweeps writer-thread counts through the store+flush kernel under
-// the calibrated NVM profiles, demonstrating the Optane write-bandwidth
-// collapse the per-thread throttle curve models.
-func Fig11Asym(s Scale) (Table, error) { return fig11AsymJobs(s).runSerial() }

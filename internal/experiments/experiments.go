@@ -185,20 +185,6 @@ type JobSet struct {
 	Assemble func(points []Metrics) (Table, error)
 }
 
-// runSerial executes the set's jobs in order in the calling goroutine — the
-// parallelism-1 special case of internal/runner.
-func (js JobSet) runSerial() (Table, error) {
-	points := make([]Metrics, len(js.Jobs))
-	for i, j := range js.Jobs {
-		m, err := j.Run()
-		if err != nil {
-			return Table{}, fmt.Errorf("%s: %w", j.Name, err)
-		}
-		points[i] = m
-	}
-	return js.Assemble(points)
-}
-
 // Table is a rendered experiment result.
 type Table struct {
 	ID     string // e.g. "fig11"

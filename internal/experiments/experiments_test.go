@@ -133,7 +133,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 }
 
 func TestTable2ShapeAndOrdering(t *testing.T) {
-	tab, err := Table2(tiny)
+	tab, err := Run("table2", tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestTable2ShapeAndOrdering(t *testing.T) {
 }
 
 func TestFig8MonotoneThenSaturating(t *testing.T) {
-	tab, err := Fig8(tiny)
+	tab, err := Run("fig8", tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestFig8MonotoneThenSaturating(t *testing.T) {
 
 func TestFig12TracksTargets(t *testing.T) {
 	s := tiny
-	tab, err := Fig12(s)
+	tab, err := Run("fig12", s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestFig12TracksTargets(t *testing.T) {
 // its 170 ns reads (W/R > 1) — and the measured store latency tracks the
 // effective (DRAM-floored) target.
 func TestFig12AsymDivergence(t *testing.T) {
-	tab, err := Fig12Asym(tiny)
+	tab, err := Run("fig12-asym", tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestFig12AsymDivergence(t *testing.T) {
 // the curve's peak region and then fall back, while the flat-bandwidth PCM
 // profile must never collapse below its single-writer throughput.
 func TestFig11AsymCollapse(t *testing.T) {
-	tab, err := Fig11Asym(tiny)
+	tab, err := Run("fig11-asym", tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestFig11AsymCollapse(t *testing.T) {
 }
 
 func TestOverheadTable(t *testing.T) {
-	tab, err := Overhead(tiny)
+	tab, err := Run("overhead", tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestOverheadTable(t *testing.T) {
 func TestPCommitAblationSpeedsUp(t *testing.T) {
 	s := tiny
 	s.KVOps = 60
-	tab, err := PCommitAblation(s)
+	tab, err := Run("pcommit", s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,12 +109,6 @@ func graph500ValidationJobs(s Scale) JobSet {
 	return js
 }
 
-// Graph500Validation reproduces the conclusion's extended validation: BFS
-// over a scale-free graph (the Graph500 reference kernel) compared between
-// Conf_1 and Conf_2. The paper reports Quartz within 12% of a hardware
-// latency emulator on this workload.
-func Graph500Validation(s Scale) (Table, error) { return graph500ValidationJobs(s).runSerial() }
-
 // asymSettings are the read/write throttle combinations of the §2.1
 // extension study.
 var asymSettings = []struct {
@@ -222,10 +216,3 @@ func asymMeasure(s Scale, read, write uint16, copyKernel bool) (float64, error) 
 	})
 	return bw, err
 }
-
-// AsymmetricBandwidth exercises the separate read/write throttle registers
-// of §2.1 that the paper's hardware did not support: with the write register
-// throttled to a quarter of the read register, a read-dominated stream keeps
-// its bandwidth while a writeback-dominated stream drops, reflecting the
-// read/write bandwidth asymmetry of real NVM parts.
-func AsymmetricBandwidth(s Scale) (Table, error) { return asymmetricBandwidthJobs(s).runSerial() }

@@ -106,7 +106,7 @@ func presetRows() []presetRow {
 	}
 }
 
-// meanOf averages a slice of sim.Time as float64 nanoseconds.
+// nanos converts a slice of sim.Time to float64 nanoseconds.
 func nanos(ts []sim.Time) []float64 {
 	out := make([]float64, len(ts))
 	for i, t := range ts {

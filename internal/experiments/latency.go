@@ -95,12 +95,6 @@ func fig11Jobs(s Scale) JobSet {
 	return js
 }
 
-// Fig11 reproduces Figure 11: the MemLat emulation error versus the number
-// of concurrent pointer chains, per processor family. Conf_1 (Quartz
-// emulating the remote-DRAM latency on local memory) is compared against
-// Conf_2 (physically remote memory, no emulation).
-func Fig11(s Scale) (Table, error) { return fig11Jobs(s).runSerial() }
-
 // fig12Targets are the emulated NVM latencies of Figure 12.
 var fig12Targets = []float64{200, 300, 400, 500, 600, 700, 800, 900, 1000}
 
@@ -164,10 +158,6 @@ func fig12Jobs(s Scale) JobSet {
 	}
 	return js
 }
-
-// Fig12 reproduces Figure 12: MemLat-reported latency versus the target
-// emulated NVM latency, per family, with the resulting emulation error.
-func Fig12(s Scale) (Table, error) { return fig12Jobs(s).runSerial() }
 
 // fig13MinEpochs are the minimum-epoch settings of Figure 13 (the 10 ms
 // entry disables sync-epoch delay propagation since min == max).
@@ -297,9 +287,3 @@ func fig13Jobs(s Scale) JobSet {
 	}
 	return js
 }
-
-// Fig13 reproduces Figure 13: Multi-Threaded benchmark completion time for
-// 2, 4 and 8 threads under four minimum-epoch settings versus the
-// no-emulation (physically remote) execution, in both the "cs only" and
-// "with compute" variants, on Sandy Bridge and Ivy Bridge.
-func Fig13(s Scale) (Table, error) { return fig13Jobs(s).runSerial() }

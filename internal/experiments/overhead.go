@@ -80,12 +80,6 @@ func overheadJobs(s Scale) JobSet {
 	return js
 }
 
-// Overhead reproduces the §3.2 overhead numbers: initialization and
-// per-thread registration costs, epoch processing cost under rdpmc versus
-// PAPI-style counter access, and the end-to-end emulator overhead measured
-// with switched-off delay injection.
-func Overhead(s Scale) (Table, error) { return overheadJobs(s).runSerial() }
-
 // epochSizeMaxEpochs are the maximum-epoch settings of footnote 4.
 var epochSizeMaxEpochs = []sim.Time{sim.Millisecond, 10 * sim.Millisecond, 100 * sim.Millisecond}
 
@@ -143,11 +137,6 @@ func epochSizeJobs(s Scale) JobSet {
 	}
 	return js
 }
-
-// EpochSize reproduces the paper's footnote 4: emulation accuracy as a
-// function of the maximum epoch size (1, 10, 100 ms) — accuracy degrades
-// with very large epochs.
-func EpochSize(s Scale) (Table, error) { return epochSizeJobs(s).runSerial() }
 
 // runMemLatNoFinalClose is runMemLat without the final CloseEpoch: it
 // measures the way an uninstrumented application would, which is exactly

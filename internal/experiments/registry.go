@@ -75,14 +75,22 @@ func Jobs(id string, s Scale) (JobSet, error) {
 }
 
 // Run regenerates experiment id at scale s by running its jobs serially in
-// decomposition order. internal/runner executes the same jobs concurrently
-// and assembles an identical table.
+// decomposition order, in the calling goroutine. internal/runner executes
+// the same jobs concurrently and assembles an identical table.
 func Run(id string, s Scale) (Table, error) {
 	js, err := Jobs(id, s)
 	if err != nil {
 		return Table{}, err
 	}
-	return js.runSerial()
+	points := make([]Metrics, len(js.Jobs))
+	for i, j := range js.Jobs {
+		m, err := j.Run()
+		if err != nil {
+			return Table{}, fmt.Errorf("%s: %w", j.Name, err)
+		}
+		points[i] = m
+	}
+	return js.Assemble(points)
 }
 
 func unknownErr(id string) error {

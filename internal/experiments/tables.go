@@ -100,10 +100,6 @@ func table2Jobs(s Scale) JobSet {
 	return js
 }
 
-// Table2 reproduces Table 2: measured local and remote DRAM access
-// latencies per testbed.
-func Table2(s Scale) (Table, error) { return table2Jobs(s).runSerial() }
-
 // fig8Registers are the thermal-control register settings of Figure 8.
 var fig8Registers = []uint16{64, 128, 256, 512, 1024, 1536, 2048, 3072, 4095}
 
@@ -170,8 +166,3 @@ func fig8Jobs(s Scale) JobSet {
 	}
 	return js
 }
-
-// Fig8 reproduces Figure 8: STREAM copy bandwidth versus the thermal
-// throttle register value on the Sandy Bridge testbed — linear until the
-// attainable maximum.
-func Fig8(s Scale) (Table, error) { return fig8Jobs(s).runSerial() }

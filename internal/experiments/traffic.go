@@ -184,9 +184,6 @@ func trafficSweepJobs(s Scale) JobSet {
 	return js
 }
 
-// TrafficSweep runs the traffic-sweep experiment serially.
-func TrafficSweep(s Scale) (Table, error) { return trafficSweepJobs(s).runSerial() }
-
 // trafficSLOJobs decomposes traffic-slo: one job per mix at the sweep's
 // largest client count and lowest NVM latency, reporting the per-op-kind
 // breakdown (counts and p99) behind the aggregate SLO.
@@ -241,9 +238,6 @@ func trafficSLOJobs(s Scale) JobSet {
 	}
 	return js
 }
-
-// TrafficSLO runs the traffic-slo experiment serially.
-func TrafficSLO(s Scale) (Table, error) { return trafficSLOJobs(s).runSerial() }
 
 // trafficMegaJobs decomposes traffic-mega: the scheduler-scale sweep, one
 // job per client count up to 2^20 simulated clients (Full scale). Each point
@@ -307,6 +301,3 @@ func trafficMegaJobs(s Scale) JobSet {
 	}
 	return js
 }
-
-// TrafficMega runs the traffic-mega experiment serially.
-func TrafficMega(s Scale) (Table, error) { return trafficMegaJobs(s).runSerial() }

@@ -12,7 +12,7 @@ func TestTrafficSweepStructure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real traffic scenarios")
 	}
-	tab, err := TrafficSweep(tiny)
+	tab, err := Run("traffic-sweep", tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,11 +37,11 @@ func TestTrafficSweepDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real traffic scenarios")
 	}
-	a, err := TrafficSweep(tiny)
+	a, err := Run("traffic-sweep", tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := TrafficSweep(tiny)
+	b, err := Run("traffic-sweep", tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestTrafficSLOStructure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real traffic scenarios")
 	}
-	tab, err := TrafficSLO(tiny)
+	tab, err := Run("traffic-slo", tiny)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,9 +140,3 @@ func fig14Jobs(s Scale) JobSet {
 	}
 	return js
 }
-
-// Fig14 reproduces Figure 14: MultiLat emulation error under the two-memory
-// (DRAM+NVM) virtual topology for two array configurations and four access
-// patterns across emulated NVM latencies, on Ivy Bridge and Haswell (the
-// families with local/remote miss counters).
-func Fig14(s Scale) (Table, error) { return fig14Jobs(s).runSerial() }

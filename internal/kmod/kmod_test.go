@@ -108,9 +108,9 @@ func TestProgramCountersEnablesAllCores(t *testing.T) {
 	if !k.Programmed() {
 		t.Error("Programmed() false after ProgramCounters")
 	}
-	for _, c := range m.Cores() {
+	for i, c := range m.Cores() {
 		if !c.Counters().Enabled() {
-			t.Fatalf("core %d counters not enabled", c.ID())
+			t.Fatalf("core %d counters not enabled", i)
 		}
 	}
 	k.EnableUserRDPMC()

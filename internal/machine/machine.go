@@ -198,33 +198,3 @@ func (m *Machine) Access(now sim.Time, addr uintptr, kind mem.AccessKind, fromSo
 	}
 	return m.sockets[home].Ctrl.Access(now, addr, kind, service)
 }
-
-// LocalServiceLat reports the DRAM service latency (end-to-end latency minus
-// the cache walk) for local accesses; used by tests.
-func (m *Machine) LocalServiceLat() sim.Time { return m.serviceLocal }
-
-// RemoteServiceLat reports the DRAM service latency for remote accesses.
-func (m *Machine) RemoteServiceLat() sim.Time { return m.serviceRemote }
-
-// InvalidateCaches drops all cache contents (modeling wbinvd between
-// experiment trials, as the paper does to eliminate caching effects).
-// Dirty-line writeback traffic is intentionally not charged.
-func (m *Machine) InvalidateCaches() {
-	for _, s := range m.sockets {
-		s.L3.InvalidateAll()
-		for _, c := range s.Cores {
-			c.L1().InvalidateAll()
-			c.L2().InvalidateAll()
-		}
-	}
-}
-
-// ResetCounters zeroes every core's PMC bank and controller statistics.
-func (m *Machine) ResetCounters() {
-	for _, s := range m.sockets {
-		s.Ctrl.ResetStats()
-		for _, c := range s.Cores {
-			c.Counters().Reset()
-		}
-	}
-}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/quartz-emu/quartz/internal/cpu"
 	"github.com/quartz-emu/quartz/internal/mem"
 	"github.com/quartz-emu/quartz/internal/perf"
 	"github.com/quartz-emu/quartz/internal/sim"
@@ -26,8 +27,10 @@ func TestAllPresetsAssemble(t *testing.T) {
 			}
 			// Cores of one socket share the L3; across sockets they differ.
 			s0 := m.Socket(0)
-			if s0.Cores[0].L3() != s0.Cores[1].L3() {
-				t.Error("cores of socket 0 have different L3s")
+			addr := m.NodeBase(0) + 1<<20
+			s0.Cores[0].Load(0, addr)
+			if _, src := s0.Cores[1].Load(sim.Millisecond, addr); src != cpu.SrcL3 {
+				t.Errorf("core 1 load of core 0's line served by %v, want the shared L3", src)
 			}
 			if m.Socket(0).L3 == m.Socket(1).L3 {
 				t.Error("sockets share an L3")
@@ -60,11 +63,6 @@ func TestPresetParameters(t *testing.T) {
 }
 
 func TestPresetFor(t *testing.T) {
-	if PresetFor(perf.SandyBridge) != XeonE5_2450 ||
-		PresetFor(perf.IvyBridge) != XeonE5_2660v2 ||
-		PresetFor(perf.Haswell) != XeonE5_2650v3 {
-		t.Error("PresetFor mapping wrong")
-	}
 	for _, tt := range []struct {
 		name string
 		want Preset
@@ -110,11 +108,10 @@ func TestLocalVsRemoteAccessLatency(t *testing.T) {
 	}
 	local := m.Access(0, m.NodeBase(0), mem.Read, 0)
 	remote := m.Access(0, m.NodeBase(1), mem.Read, 0)
-	wantGap := m.RemoteServiceLat() - m.LocalServiceLat()
-	if remote-local != wantGap {
+	cfg := m.Config()
+	if wantGap := cfg.RemoteLat - cfg.LocalLat; remote-local != wantGap {
 		t.Errorf("remote-local gap = %v, want %v", remote-local, wantGap)
 	}
-	cfg := m.Config()
 	walk := cfg.L1.LookupLat + cfg.L2.LookupLat + cfg.L3.LookupLat
 	if local+walk != cfg.LocalLat {
 		t.Errorf("local end-to-end = %v, want %v", local+walk, cfg.LocalLat)
@@ -140,43 +137,6 @@ func TestEndToEndLoadLatencyMatchesTable2(t *testing.T) {
 		if latR != cfg.RemoteLat {
 			t.Errorf("%v: remote load = %v, want %v", p, latR, cfg.RemoteLat)
 		}
-	}
-}
-
-func TestInvalidateCachesDropsState(t *testing.T) {
-	m, err := NewPreset(XeonE5_2450)
-	if err != nil {
-		t.Fatal(err)
-	}
-	core := m.Core(0)
-	addr := m.NodeBase(0) + 1<<20
-	core.Load(0, addr)
-	if !core.L1().Contains(addr) {
-		t.Fatal("line not cached after load")
-	}
-	m.InvalidateCaches()
-	if core.L1().Contains(addr) || core.L2().Contains(addr) || core.L3().Contains(addr) {
-		t.Error("line survived InvalidateCaches")
-	}
-}
-
-func TestResetCountersClearsAll(t *testing.T) {
-	m, err := NewPreset(XeonE5_2450)
-	if err != nil {
-		t.Fatal(err)
-	}
-	core := m.Core(0)
-	core.Counters().SetEnabled(true)
-	core.Load(0, m.NodeBase(0)+1<<20)
-	if core.Counters().TrueStallCycles() == 0 {
-		t.Fatal("no stalls recorded")
-	}
-	m.ResetCounters()
-	if core.Counters().TrueStallCycles() != 0 {
-		t.Error("stalls survived ResetCounters")
-	}
-	if m.Socket(0).Ctrl.Stats() != (mem.Stats{}) {
-		t.Error("controller stats survived ResetCounters")
 	}
 }
 
@@ -250,9 +210,6 @@ func TestCustomMachineConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Socket(0).L3.Config().SizeBytes; got != 256<<10 {
-		t.Errorf("custom L3 size = %d", got)
-	}
 	if got := m.Socket(0).Ctrl.PeakBandwidth(); got != 4*4*12.8e9 {
 		t.Errorf("custom peak bandwidth = %g", got)
 	}
@@ -283,7 +240,7 @@ func TestSmallerL3MissesMore(t *testing.T) {
 				now += lat
 			}
 		}
-		s := core.L3().Stats()
+		s := m.Socket(0).L3.Stats()
 		return s.Misses
 	}
 	small := run(256 << 10)

@@ -46,22 +46,6 @@ type NVMProfile struct {
 	WriteBandwidthByThreads []float64
 }
 
-// WriteBandwidthFor reports the profile's aggregate write bandwidth for the
-// given concurrent writer-thread count: the collapse-curve entry when a
-// curve is present (clamped to its ends), otherwise the flat WriteBandwidth.
-func (p NVMProfile) WriteBandwidthFor(writers int) float64 {
-	if len(p.WriteBandwidthByThreads) == 0 {
-		return p.WriteBandwidth
-	}
-	if writers < 1 {
-		writers = 1
-	}
-	if writers > len(p.WriteBandwidthByThreads) {
-		writers = len(p.WriteBandwidthByThreads)
-	}
-	return p.WriteBandwidthByThreads[writers-1]
-}
-
 // ApplyToMem overlays the profile's device-side characteristics onto a
 // machine memory configuration (currently the access granularity).
 func (p NVMProfile) ApplyToMem(mc *Config) {
@@ -119,11 +103,6 @@ var nvmProfiles = []NVMProfile{
 		ReadBandwidth:  25.0e9,
 		WriteBandwidth: 3.0e9,
 	},
-}
-
-// NVMProfiles lists the calibrated profiles in registry order.
-func NVMProfiles() []NVMProfile {
-	return append([]NVMProfile(nil), nvmProfiles...)
 }
 
 // NVMProfileNames lists the profile identifiers, sorted.

@@ -42,18 +42,6 @@ func (p Preset) String() string {
 // Presets lists all testbed presets in paper order.
 func Presets() []Preset { return []Preset{XeonE5_2450, XeonE5_2660v2, XeonE5_2650v3} }
 
-// PresetFor returns the preset matching a processor family.
-func PresetFor(f perf.Family) Preset {
-	switch f {
-	case perf.SandyBridge:
-		return XeonE5_2450
-	case perf.IvyBridge:
-		return XeonE5_2660v2
-	default:
-		return XeonE5_2650v3
-	}
-}
-
 // PresetByName resolves a testbed's CLI name: sandybridge, ivybridge or
 // haswell. The error names the bad value.
 func PresetByName(name string) (Preset, error) {

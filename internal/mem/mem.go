@@ -178,9 +178,6 @@ func (c *Controller) Config() Config { return c.cfg }
 // Stats returns a copy of the accumulated traffic statistics.
 func (c *Controller) Stats() Stats { return c.stats }
 
-// ResetStats zeroes the traffic statistics.
-func (c *Controller) ResetStats() { c.stats = Stats{} }
-
 // SetThrottle programs both thermal-control registers to the same value.
 // Values above RegisterMax are rejected; this mirrors writing a 12-bit PCI
 // register.

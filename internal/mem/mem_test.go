@@ -192,10 +192,6 @@ func TestStatsAccounting(t *testing.T) {
 	if s.BytesRead != 3*64 {
 		t.Errorf("bytes read = %d, want 192", s.BytesRead)
 	}
-	c.ResetStats()
-	if s := c.Stats(); s != (Stats{}) {
-		t.Errorf("after reset stats = %+v, want zero", s)
-	}
 }
 
 // TestBandwidthCapProperty streams many lines through the controller and

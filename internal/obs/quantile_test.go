@@ -93,9 +93,6 @@ func TestQuantileEmpty(t *testing.T) {
 	if hs.Min != 0 || hs.Max != 0 || hs.Mean != 0 {
 		t.Errorf("empty snapshot min/max/mean = %v/%v/%v, want 0/0/0", hs.Min, hs.Max, hs.Mean)
 	}
-	if hs.quantileOf(0.5) != 0 {
-		t.Errorf("empty snapshot quantileOf(0.5) = %v, want 0", hs.quantileOf(0.5))
-	}
 }
 
 // TestQuantileOneSample: a single observation clamps every quantile to that
@@ -128,9 +125,9 @@ func TestQuantileTwoBuckets(t *testing.T) {
 	}
 	// The direct path and the snapshot-derived path must agree.
 	hs := h.Snapshot()
-	if hs.quantileOf(0.5) != h.Quantile(0.5) || hs.quantileOf(0.99) != h.Quantile(0.99) {
-		t.Errorf("snapshot quantileOf diverges from Quantile: %v/%v vs %v/%v",
-			hs.quantileOf(0.5), hs.quantileOf(0.99), h.Quantile(0.5), h.Quantile(0.99))
+	if hs.P50 != h.Quantile(0.5) || hs.P99 != h.Quantile(0.99) {
+		t.Errorf("snapshot quantiles diverge from Quantile: %v/%v vs %v/%v",
+			hs.P50, hs.P99, h.Quantile(0.5), h.Quantile(0.99))
 	}
 }
 

@@ -34,10 +34,6 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Value reports the stored value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Add increments the gauge by d (not atomic with respect to concurrent Adds
-// of different deltas; use a Counter when exact concurrent sums matter).
-func (g *Gauge) Add(d float64) { g.Set(g.Value() + d) }
-
 // histBuckets is the number of power-of-two histogram buckets: bucket k
 // counts observations v with 2^(k-1) < v <= 2^k (bucket 0 counts v <= 1).
 const histBuckets = 64
@@ -150,9 +146,6 @@ func (l *LocalHistogram) Observe(v int64) {
 	l.bkt[bucketOf(v)]++
 }
 
-// Count reports the number of observations recorded (flushed or not).
-func (l *LocalHistogram) Count() int64 { return l.count }
-
 // FlushInto folds the observations recorded since the previous flush into
 // dst and, when non-nil, dst2 — the same delta into both, so a result
 // histogram and a live registry histogram stay in step from one flush
@@ -258,29 +251,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 		return 0
 	}
 	return quantile(counts[:], total, q, h.min.Load(), h.max.Load())
-}
-
-// quantileOf recomputes a quantile from an existing snapshot's buckets.
-func (s HistogramSnapshot) quantileOf(q float64) float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	var counts [histBuckets]int64
-	var total int64
-	for label, n := range s.Buckets {
-		counts[bucketOfLabel(label)] = n
-		total += n
-	}
-	return quantile(counts[:], total, q, s.Min, s.Max)
-}
-
-// bucketOfLabel inverts bucketLabel.
-func bucketOfLabel(label string) int {
-	if label == "<=inf" {
-		return histBuckets - 1
-	}
-	v, _ := strconv.ParseInt(label[2:], 10, 64)
-	return bucketOf(v)
 }
 
 // quantile walks the cumulative bucket counts to the bucket holding the

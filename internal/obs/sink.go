@@ -117,9 +117,6 @@ func NewFileSink(path string, opts SinkOptions) (*FileSink, error) {
 	return s, nil
 }
 
-// Path returns the active segment's path.
-func (s *FileSink) Path() string { return s.path }
-
 // openSegment opens a fresh active file and writes the format header.
 func (s *FileSink) openSegment() error {
 	f, err := os.Create(s.path)

@@ -171,13 +171,6 @@ func (c *Counters) Read(e Event) (uint64, error) {
 // harnesses and tests; real software cannot observe this.
 func (c *Counters) TrueStallCycles() float64 { return c.trueStall }
 
-// Reset zeroes all counts (used between experiment trials).
-func (c *Counters) Reset() {
-	c.stallCycles, c.trueStall = 0, 0
-	c.l3Hit, c.l3MissLoc, c.l3MissRem = 0, 0, 0
-	c.stores, c.storeMissLoc, c.storeMissRem = 0, 0, 0
-}
-
 // noiseUnit maps a sequence number to a deterministic value in [-1, 1] via a
 // splitmix64 hash, giving reproducible "measurement noise".
 func noiseUnit(seq uint64) float64 {

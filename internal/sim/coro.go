@@ -64,17 +64,11 @@ type abortSentinel struct{}
 // failPanic carries a fatal simulation error out of a coro body.
 type failPanic struct{ err error }
 
-// ID reports the coro's unique id (spawn order).
-func (c *Coro) ID() int { return c.id }
-
 // Name reports the coro's diagnostic name.
 func (c *Coro) Name() string { return c.name }
 
 // Clock reports the coro's local virtual time.
 func (c *Coro) Clock() Time { return c.clock }
-
-// Kernel reports the owning kernel.
-func (c *Coro) Kernel() *Kernel { return c.kernel }
 
 // run is the coroutine body backing the coro.
 func (c *Coro) run(yield func(struct{}) bool) {

@@ -65,9 +65,6 @@ func NewKernel(lookahead Time) *Kernel {
 	return &Kernel{lookahead: lookahead}
 }
 
-// Lookahead reports the kernel's lookahead quantum.
-func (k *Kernel) Lookahead() Time { return k.lookahead }
-
 // Spawn creates a new simulated thread whose body is fn, starting at virtual
 // time start. It may be called before Run, or from inside a running coro (in
 // which case start is typically the parent's clock plus a creation cost).

@@ -101,7 +101,7 @@ func TestLookaheadBoundProperty(t *testing.T) {
 		x := uint64(seed) | 1
 		for i := 0; i < 3; i++ {
 			k.Spawn("p", 0, func(c *Coro) {
-				local := x + uint64(c.ID())*0x9e3779b97f4a7c15
+				local := x + uint64(c.id)*0x9e3779b97f4a7c15
 				for j := 0; j < 100; j++ {
 					local = local*6364136223846793005 + 1442695040888963407
 					c.Advance(Time(local%50+1) * Nanosecond)

@@ -63,6 +63,8 @@ func (t Time) String() string {
 	switch {
 	case t == MaxTime:
 		return "∞"
+	case t == math.MinInt64: // -t overflows back to t
+		return "-∞"
 	case t < 0:
 		return "-" + (-t).String()
 	case t < Picosecond:
@@ -82,9 +84,6 @@ func (t Time) String() string {
 
 // FromNanos converts a floating-point nanosecond quantity to a Time.
 func FromNanos(ns float64) Time { return Time(ns * float64(Nanosecond)) }
-
-// FromSeconds converts a floating-point second quantity to a Time.
-func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
 
 // CyclesToTime converts a cycle count at the given core frequency (Hz) to a
 // simulated duration.

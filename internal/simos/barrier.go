@@ -31,9 +31,6 @@ func (p *Process) NewBarrier(name string, parties int) (*Barrier, error) {
 // Name reports the barrier's diagnostic name.
 func (b *Barrier) Name() string { return b.name }
 
-// Parties reports the rendezvous size.
-func (b *Barrier) Parties() int { return b.parties }
-
 // Wait blocks until all parties have arrived, then releases the generation.
 func (b *Barrier) Wait(t *Thread) { t.proc.table.BarrierWait(t, b) }
 

@@ -15,8 +15,8 @@ func TestBarrierValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Name() != "b" || b.Parties() != 3 {
-		t.Errorf("barrier metadata wrong: %q/%d", b.Name(), b.Parties())
+	if b.Name() != "b" || b.parties != 3 {
+		t.Errorf("barrier metadata wrong: %q/%d", b.Name(), b.parties)
 	}
 }
 

@@ -112,9 +112,6 @@ func (p *Process) Options() Options { return p.opts }
 // (the LD_PRELOAD-equivalent hook point).
 func (p *Process) Table() *FuncTable { return &p.table }
 
-// Threads returns all threads created so far, in creation order.
-func (p *Process) Threads() []*Thread { return p.threads }
-
 // allowedSockets resolves the effective socket binding.
 func (p *Process) allowedSockets() []int {
 	if len(p.opts.AllowedSockets) > 0 {
@@ -165,18 +162,12 @@ func (p *Process) Run(fn ThreadFunc) error {
 // statistics. A nil recorder (the default) records nothing.
 func (p *Process) SetRecorder(r *obs.Recorder) { p.rec = r }
 
-// Recorder reports the installed observability recorder (nil when unset).
-func (p *Process) Recorder() *obs.Recorder { return p.rec }
-
 // SetProfiler installs a virtual-time profiler before the process runs:
 // every thread created from then on carries a vtprof series, the simos
 // operations charge their time categories against it, and threads fold into
 // the profiler as they exit. A nil profiler (the default) leaves every
 // charge site a single pointer test and the simulation byte-identical.
 func (p *Process) SetProfiler(prof *vtprof.Profiler) { p.prof = prof }
-
-// Profiler reports the installed virtual-time profiler (nil when unset).
-func (p *Process) Profiler() *vtprof.Profiler { return p.prof }
 
 // EndTime reports the virtual time at which the last thread finished. Valid
 // after Run returns.

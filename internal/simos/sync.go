@@ -22,9 +22,6 @@ func (p *Process) NewMutex(name string) *Mutex {
 // Name reports the mutex's diagnostic name.
 func (m *Mutex) Name() string { return m.name }
 
-// Owner reports the current holder, or nil.
-func (m *Mutex) Owner() *Thread { return m.owner }
-
 // Lock acquires the mutex, blocking in FIFO order if it is held.
 func (m *Mutex) Lock(t *Thread) { t.proc.table.MutexLock(t, m) }
 

@@ -234,14 +234,6 @@ func (t *Thread) Fence(until sim.Time) {
 	t.vtCharge(vtprof.MemStall)
 }
 
-// RDTSC reads the core timestamp counter (rdtscp), charging its cost.
-func (t *Thread) RDTSC() uint64 {
-	const rdtscpCycles = 32
-	t.coro.Advance(t.core.TimeForCycles(rdtscpCycles))
-	t.vtCharge(vtprof.Compute)
-	return t.core.TSC(t.coro.Clock())
-}
-
 // SpinUntilTSC spins (as Quartz's delay injection does) until the timestamp
 // counter reaches target, polling every pollCycles. It charges no profiler
 // category itself: the emulator's injection path accounts the spin via

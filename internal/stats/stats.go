@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary describes a sample of repeated measurements.
@@ -51,11 +50,10 @@ func (s Summary) String() string {
 	return fmt.Sprintf("mean=%.4g min=%.4g max=%.4g sd=%.3g n=%d", s.Mean, s.Min, s.Max, s.Stddev, s.N)
 }
 
-// Accumulator is a merge-friendly streaming summary: samples are added one
-// at a time (or whole accumulators merged), without retaining them. Mean,
-// min and max match Summarize exactly for the same insertion order; the
-// variance uses Welford/Chan updates and can differ from Summarize's
-// two-pass result by floating-point rounding.
+// Accumulator is a streaming summary: samples are added one at a time,
+// without retaining them. Mean, min and max match Summarize exactly for the
+// same insertion order; the variance uses Welford updates and can differ
+// from Summarize's two-pass result by floating-point rounding.
 type Accumulator struct {
 	n        int
 	sum      float64
@@ -80,34 +78,6 @@ func (a *Accumulator) Add(x float64) {
 	a.mean += d / float64(a.n)
 	a.m2 += d * (x - a.mean)
 }
-
-// Merge folds another accumulator into a (Chan et al.'s parallel variance
-// combination), so per-worker partial summaries reduce to the whole-sample
-// summary.
-func (a *Accumulator) Merge(b Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = b
-		return
-	}
-	n := float64(a.n + b.n)
-	d := b.mean - a.mean
-	a.mean += d * float64(b.n) / n
-	a.m2 += b.m2 + d*d*float64(a.n)*float64(b.n)/n
-	a.n += b.n
-	a.sum += b.sum
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-}
-
-// N reports the number of samples added.
-func (a Accumulator) N() int { return a.n }
 
 // Summary finalizes the accumulated statistics. An empty accumulator yields
 // a zero Summary, as Summarize does for an empty sample.
@@ -144,39 +114,4 @@ func SignedErr(got, want float64) float64 {
 		return math.Inf(1)
 	}
 	return (got - want) / math.Abs(want)
-}
-
-// Percentile returns the p-th percentile (0..100) of xs by nearest-rank.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return sorted[rank]
-}
-
-// GeoMean returns the geometric mean of positive xs (NaN if any x <= 0).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
 }

@@ -55,38 +55,6 @@ func TestSignedErr(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 4, 2, 3}
-	if got := Percentile(xs, 0); got != 1 {
-		t.Errorf("p0 = %g", got)
-	}
-	if got := Percentile(xs, 100); got != 5 {
-		t.Errorf("p100 = %g", got)
-	}
-	if got := Percentile(xs, 50); got != 3 {
-		t.Errorf("p50 = %g", got)
-	}
-	if !math.IsNaN(Percentile(nil, 50)) {
-		t.Error("empty percentile not NaN")
-	}
-	// Input must not be mutated.
-	if xs[0] != 5 {
-		t.Error("Percentile sorted its input in place")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4}); math.Abs(got-2) > 1e-12 {
-		t.Errorf("GeoMean(1,4) = %g, want 2", got)
-	}
-	if !math.IsNaN(GeoMean([]float64{1, -1})) {
-		t.Error("GeoMean with negative input not NaN")
-	}
-	if !math.IsNaN(GeoMean(nil)) {
-		t.Error("GeoMean(empty) not NaN")
-	}
-}
-
 func TestSummaryBoundsProperty(t *testing.T) {
 	prop := func(raw []float64) bool {
 		var xs []float64
@@ -116,7 +84,7 @@ func TestAccumulatorMatchesSummarize(t *testing.T) {
 	}
 	want := Summarize(xs)
 	got := a.Summary()
-	if a.N() != len(xs) || got.N != want.N || got.Mean != want.Mean ||
+	if a.n != len(xs) || got.N != want.N || got.Mean != want.Mean ||
 		got.Min != want.Min || got.Max != want.Max {
 		t.Errorf("accumulator summary = %+v, want %+v", got, want)
 	}
@@ -133,60 +101,5 @@ func TestAccumulatorEmptyAndSingle(t *testing.T) {
 	a.Add(7)
 	if s := a.Summary(); s.N != 1 || s.Mean != 7 || s.Min != 7 || s.Max != 7 || s.Stddev != 0 {
 		t.Errorf("single accumulator summary = %+v", s)
-	}
-}
-
-func TestAccumulatorMerge(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}
-	for split := 0; split <= len(xs); split++ {
-		var lo, hi Accumulator
-		for _, x := range xs[:split] {
-			lo.Add(x)
-		}
-		for _, x := range xs[split:] {
-			hi.Add(x)
-		}
-		lo.Merge(hi)
-		want := Summarize(xs)
-		got := lo.Summary()
-		if got.N != want.N || math.Abs(got.Mean-want.Mean) > 1e-12 ||
-			got.Min != want.Min || got.Max != want.Max ||
-			math.Abs(got.Stddev-want.Stddev) > 1e-12 {
-			t.Errorf("split %d: merged summary = %+v, want %+v", split, got, want)
-		}
-	}
-}
-
-func TestAccumulatorMergeProperty(t *testing.T) {
-	// Bound magnitudes: near math.MaxFloat64 the running sums overflow
-	// differently depending on addition order, which isn't the property
-	// under test.
-	ok := func(x float64) bool { return !math.IsNaN(x) && math.Abs(x) < 1e100 }
-	f := func(a, b []float64) bool {
-		var whole, left, right Accumulator
-		for _, x := range a {
-			if !ok(x) {
-				return true
-			}
-			whole.Add(x)
-			left.Add(x)
-		}
-		for _, x := range b {
-			if !ok(x) {
-				return true
-			}
-			whole.Add(x)
-			right.Add(x)
-		}
-		left.Merge(right)
-		w, m := whole.Summary(), left.Summary()
-		if w.N != m.N || w.Min != m.Min || w.Max != m.Max {
-			return false
-		}
-		scale := math.Max(1, math.Abs(w.Mean))
-		return math.Abs(w.Mean-m.Mean) <= 1e-9*scale
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

@@ -160,26 +160,6 @@ type Op struct {
 	Key  uint64
 }
 
-// ClientGen produces one simulated client's deterministic op stream: keys
-// from the scenario's popularity distribution, kinds from its mix, all
-// driven by a generator derived from (seed, client index) alone.
-type ClientGen struct {
-	r    LCG
-	keys KeyDist
-	mix  Mix
-}
-
-// NewClientGen builds client c's stream for the given scenario seed.
-func NewClientGen(seed uint64, c int, keys KeyDist, mix Mix) ClientGen {
-	return ClientGen{r: NewLCG(ClientState(seed, c)), keys: keys, mix: mix}
-}
-
-// Next generates the client's next operation: one key draw, then one op-kind
-// draw (the same draw order as the validation workload).
-func (g *ClientGen) Next() Op {
-	return nextOp(&g.r, g.keys, g.mix.Read, g.mix.Read+g.mix.Update)
-}
-
 // nextOp is the generation step over externally held generator state — the
 // engine keeps one inline LCG per client in a flat slice and shares the key
 // distribution and the mix's cumulative per-mille thresholds (readMax =

@@ -81,18 +81,19 @@ func TestMixByName(t *testing.T) {
 	}
 }
 
-// TestClientGenDrawOrder pins the stream contract: one key draw, then one
-// per-mille kind draw, from the LCG seeded with ClientState(seed, c). The
+// TestClientGenDrawOrder pins a client's op-stream contract: nextOp makes
+// one key draw, then one per-mille kind draw, from the client's LCG seeded
+// with ClientState(seed, c). The
 // replay below is the exact specification a different pool decomposition
 // must reproduce.
 func TestClientGenDrawOrder(t *testing.T) {
 	const seed, c = 42, 3
 	keys := Uniform{Keys: 50}
 	mix := Mix{Name: "t", Read: 700, Update: 200, Scan: 100, ScanLen: 4}
-	g := NewClientGen(seed, c, keys, mix)
+	g := NewLCG(ClientState(seed, c))
 	r := NewLCG(ClientState(seed, c))
 	for i := 0; i < 1000; i++ {
-		op := g.Next()
+		op := nextOp(&g, keys, mix.Read, mix.Read+mix.Update)
 		wantKey := r.Next() % keys.Keys
 		v := int(r.Next() % 1000)
 		var wantKind OpKind
@@ -112,11 +113,11 @@ func TestClientGenDrawOrder(t *testing.T) {
 
 func TestClientGenKindFrequencies(t *testing.T) {
 	mix := Mix{Name: "t", Read: 700, Update: 200, Scan: 100, ScanLen: 4}
-	g := NewClientGen(7, 0, Uniform{Keys: 1000}, mix)
+	g := NewLCG(ClientState(7, 0))
 	const n = 100000
 	var counts [NumOpKinds]int
 	for i := 0; i < n; i++ {
-		counts[g.Next().Kind]++
+		counts[nextOp(&g, Uniform{Keys: 1000}, mix.Read, mix.Read+mix.Update).Kind]++
 	}
 	wants := []float64{0.7, 0.2, 0.1}
 	for k, want := range wants {

@@ -13,13 +13,6 @@ type SLOPoint struct {
 	P50, P95, P99 float64
 }
 
-// PointOf condenses a scenario result into its sweep point.
-func PointOf(r ScenarioResult) SLOPoint {
-	p := SLOPoint{Clients: r.Clients, OpsPerSec: r.OpsPerSec}
-	p.P50, p.P95, p.P99 = r.Quantiles()
-	return p
-}
-
 // SLOReport is one (scenario, mix) series across a client-count sweep, with
 // the throughput knee and the latency-SLO breach located.
 type SLOReport struct {
@@ -99,14 +92,6 @@ func detectBreach(points []SLOPoint) int {
 	return -1
 }
 
-// Knee reports the client count at the throughput knee (0 when none).
-func (r SLOReport) Knee() int {
-	if r.KneeIdx < 0 {
-		return 0
-	}
-	return r.Points[r.KneeIdx].Clients
-}
-
 // Summary renders the report's one-line verdict, the form the experiment
 // tables quote in their notes.
 func (r SLOReport) Summary() string {
@@ -122,25 +107,6 @@ func (r SLOReport) Summary() string {
 		p := r.Points[r.BreachIdx]
 		fmt.Fprintf(&b, "; p99 SLO (%.0fx baseline) first exceeded at %d clients", BreachFactor, p.Clients)
 	}
-	return b.String()
-}
-
-// Render formats the full report as aligned text: one row per sweep point,
-// the knee row marked.
-func (r SLOReport) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "SLO report — scenario %s, mix %s\n", r.Scenario, r.Mix)
-	fmt.Fprintf(&b, "%10s  %12s  %10s  %10s  %10s\n", "clients", "ops/s", "p50", "p95", "p99")
-	for i, p := range r.Points {
-		mark := ""
-		if i == r.KneeIdx {
-			mark = "  <- knee"
-		}
-		fmt.Fprintf(&b, "%10d  %12.0f  %10s  %10s  %10s%s\n",
-			p.Clients, p.OpsPerSec, fmtLatNS(p.P50), fmtLatNS(p.P95), fmtLatNS(p.P99), mark)
-	}
-	b.WriteString(r.Summary())
-	b.WriteByte('\n')
 	return b.String()
 }
 

@@ -36,36 +36,24 @@ func TestSLOReport(t *testing.T) {
 	if r.KneeIdx != 2 {
 		t.Errorf("KneeIdx = %d, want 2", r.KneeIdx)
 	}
-	if r.Knee() != 64 {
-		t.Errorf("Knee() = %d, want 64", r.Knee())
-	}
 	// Baseline p99 1000; 4x limit 4000; first breach is 256 clients (9000).
 	if r.BreachIdx != 3 {
 		t.Errorf("BreachIdx = %d, want 3", r.BreachIdx)
 	}
-	out := r.Render()
-	for _, want := range []string{"read-mostly", "<- knee", "knee at 64 clients", "first exceeded at 256 clients", "9.00us"} {
+	out := r.Summary()
+	for _, want := range []string{"read-mostly", "knee at 64 clients", "p99 1.50us", "first exceeded at 256 clients"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("Render() missing %q:\n%s", want, out)
+			t.Errorf("Summary() missing %q: %s", want, out)
 		}
 	}
 }
 
 func TestSLOReportNoKnee(t *testing.T) {
 	r := NewSLOReport("s", "m", nil)
-	if r.KneeIdx != -1 || r.BreachIdx != -1 || r.Knee() != 0 {
+	if r.KneeIdx != -1 || r.BreachIdx != -1 {
 		t.Errorf("empty report = %+v", r)
 	}
 	if !strings.Contains(r.Summary(), "no throughput knee") {
 		t.Errorf("Summary() = %q", r.Summary())
-	}
-}
-
-func TestPointOf(t *testing.T) {
-	res := ScenarioResult{Name: "s", Clients: 8, OpsPerSec: 123, Lat: &Latencies{}}
-	res.Lat.All.Observe(1000)
-	p := PointOf(res)
-	if p.Clients != 8 || p.OpsPerSec != 123 || p.P99 <= 0 {
-		t.Errorf("PointOf = %+v", p)
 	}
 }

@@ -81,12 +81,6 @@ func (z *Zipfian) Key(r *LCG) uint64 {
 // N reports the key-space size.
 func (z *Zipfian) N() uint64 { return z.n }
 
-// RankProb reports the probability of drawing popularity rank i (the i-th
-// most popular key before scrambling): P(i) = (1/(i+1)^theta) / zetan.
-func (z *Zipfian) RankProb(rank uint64) float64 {
-	return 1 / math.Pow(float64(rank+1), z.theta) / z.zetan
-}
-
 // fnv64 hashes v's eight bytes with FNV-1a.
 func fnv64(v uint64) uint64 {
 	h := uint64(14695981039346656037)
