@@ -19,10 +19,12 @@ test:
 	$(GO) test -race ./...
 
 # docs-check gates the documentation: no dead relative links anywhere in
-# the Markdown tree (README, DESIGN, doc/ book, ...), gofmt-clean sources,
-# and a clean vet.
+# the Markdown tree (README, DESIGN, doc/ book, ...), no CLI flag in a
+# documented command line that the CLI does not define, no export only
+# tests use, gofmt-clean sources, and a clean vet.
 docs-check:
 	$(GO) run ./cmd/docscheck .
+	$(GO) test ./cmd/docscheck
 	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...

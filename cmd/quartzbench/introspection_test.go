@@ -20,7 +20,6 @@ func TestObsFlagValidationUpfront(t *testing.T) {
 	}{
 		{"bad format", []string{"-exp", "table1", "-ledger-out", "x", "-ledger-format", "csv"}, "-ledger-format"},
 		{"negative parallel", []string{"-exp", "table1", "-parallel", "-1"}, "-parallel"},
-		{"negative retries", []string{"-exp", "table1", "-retries", "-2"}, "-retries"},
 		{"negative rotate", []string{"-exp", "table1", "-ledger-out", "x", "-ledger-rotate-mb", "-5"}, "-ledger-rotate-mb"},
 		{"rotate without out", []string{"-exp", "table1", "-ledger-rotate-mb", "4"}, "-ledger-rotate-mb needs -ledger-out"},
 		{"linger without serve", []string{"-exp", "table1", "-serve-linger", "5s"}, "-serve-linger needs -serve"},

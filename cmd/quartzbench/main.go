@@ -5,8 +5,8 @@
 // Experiments are decomposed into independent sweep-point jobs and executed
 // on a worker pool (internal/runner). The rendered tables are byte-identical
 // for every -parallel worker count, including the serial -parallel 1 special
-// case — see doc/parallelism.md. A crashed or timed-out job fails its
-// experiment (and the exit code) without stopping the rest of the suite.
+// case — see doc/parallelism.md. A crashed job fails its experiment (and
+// the exit code) without stopping the rest of the suite.
 //
 // Usage:
 //
@@ -56,8 +56,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		listFlag     = fs.Bool("list", false, "list experiment ids and exit")
 		parallelFlag = fs.Int("parallel", 0, "concurrent jobs (0 = GOMAXPROCS, 1 = serial)")
 		jsonFlag     = fs.String("json", "", "write per-job JSONL results to this file")
-		timeoutFlag  = fs.Duration("timeout", 0, "per-job timeout (0 = none)")
-		retriesFlag  = fs.Int("retries", 0, "retries per failed job")
 		progressFlag = fs.Bool("progress", false, "report job completion progress on stderr")
 		trafClients  = fs.String("traffic-clients", "", "comma-separated client counts overriding the scale's traffic-* sweep (e.g. 64,256,1024)")
 		trafMixes    = fs.String("traffic-mixes", "", "comma-separated mix presets overriding the scale's traffic-* sweep (read-mostly, write-heavy, scan-blend)")
@@ -75,7 +73,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Validate flag combinations before any experiment runs, mirroring the
 	// upfront -exp id validation: a misconfiguration must fail in
 	// milliseconds, not after the suite.
-	if err := validateFlags(*listFlag, *parallelFlag, *retriesFlag, &o); err != nil {
+	if err := validateFlags(*listFlag, *parallelFlag, &o); err != nil {
 		fmt.Fprintf(stderr, "quartzbench: %v\n", err)
 		return 2
 	}
@@ -146,11 +144,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		out = io.MultiWriter(stdout, f)
 	}
 
-	cfg := runner.Config{
-		Workers: *parallelFlag,
-		Timeout: *timeoutFlag,
-		Retries: *retriesFlag,
-	}
+	cfg := runner.Config{Workers: *parallelFlag}
 
 	// Observability: one shared recorder collects the whole suite — runner
 	// job outcomes directly, and per-epoch ledger records from every
@@ -216,8 +210,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// Ctrl-C cancels the suite: running jobs are abandoned, pending ones are
-	// recorded as canceled, and whatever assembled cleanly still renders.
+	// Ctrl-C cancels the suite: running jobs are abandoned, every unfinished
+	// job is recorded as canceled, and whatever assembled cleanly still
+	// renders.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
@@ -251,12 +246,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // validateFlags rejects invalid flag values and combinations upfront with
 // clear errors.
-func validateFlags(list bool, parallel, retries int, o *cli.Obs) error {
+func validateFlags(list bool, parallel int, o *cli.Obs) error {
 	switch {
 	case parallel < 0:
 		return fmt.Errorf("-parallel %d: must be >= 0 (0 = GOMAXPROCS, 1 = serial)", parallel)
-	case retries < 0:
-		return fmt.Errorf("-retries %d: must be >= 0", retries)
 	case list && o.Serve != "":
 		return fmt.Errorf("-serve makes no sense with -list (nothing runs)")
 	}

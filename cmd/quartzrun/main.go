@@ -173,6 +173,9 @@ func (f *flags) validate() error {
 			return fmt.Errorf("%s %g: must be a finite number %s", n.flag, n.v, n.bound)
 		}
 	}
+	if min(f.threads, f.iters, f.lines) < 1 {
+		return fmt.Errorf("-threads %d, -iters %d, -lines %d: each must be >= 1", f.threads, f.iters, f.lines)
+	}
 	if f.configPath != "" {
 		if f.ini, err = core.LoadINIFile(f.configPath); err != nil {
 			return fmt.Errorf("-config: %w", err)
@@ -274,7 +277,7 @@ func dispatch(env *bench.Env, f *flags, stdout io.Writer) error {
 	switch f.workload {
 	case "memlat":
 		ml, err := bench.BuildMemLat(env.Proc, bench.MemLatConfig{
-			Lines: f.lines, Chains: f.threads, Iters: f.iters,
+			Lines: max(2, f.lines), Chains: f.threads, Iters: f.iters,
 			Node: env.AllocNode(), Seed: f.seed,
 		})
 		if err != nil {
@@ -301,8 +304,8 @@ func dispatch(env *bench.Env, f *flags, stdout io.Writer) error {
 	case "multithreaded":
 		return env.Run(func(e *bench.Env, th *simos.Thread) {
 			res, err := bench.RunMultiThreaded(e, th, bench.MTConfig{
-				Threads: max(2, f.threads), Sections: f.iters / 100,
-				CSDur: 100, OutDur: 100, Lines: f.lines / 4,
+				Threads: max(2, f.threads), Sections: max(1, f.iters/100),
+				CSDur: 100, OutDur: 100, Lines: max(2, f.lines/4),
 				Node: env.AllocNode(), Seed: f.seed,
 			})
 			if err != nil {
@@ -315,7 +318,7 @@ func dispatch(env *bench.Env, f *flags, stdout io.Writer) error {
 			return fmt.Errorf("multilat needs -mode emulated -two-memory")
 		}
 		ml, err := bench.BuildMultiLat(env.Proc, env.Emu, bench.MultiLatConfig{
-			DRAMLines: f.lines / 8, NVMLines: f.lines / 16,
+			DRAMLines: max(2, f.lines/8), NVMLines: max(2, f.lines/16),
 			DRAMBurst: 2000, NVMBurst: 1000, Seed: f.seed,
 		})
 		if err != nil {
@@ -362,14 +365,19 @@ func dispatch(env *bench.Env, f *flags, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
+		// Both apps stamp CT before the trailing epoch closes; time the
+		// window through the close so the emulated delay lands inside it.
 		return env.Run(func(e *bench.Env, th *simos.Thread) {
+			start := th.Now()
 			if f.workload == "bfs" {
 				res, err := graph500.BFS(g, th, 0, alloc)
 				if err != nil {
 					th.Failf("%v", err)
 				}
+				e.CloseEpoch(th)
+				res.CT = th.Now() - start
 				fmt.Fprintf(stdout, "bfs: CT=%v  visited=%d  edges=%d  TEPS=%.3g\n",
-					res.CT, res.Visited, res.EdgesTraversed, res.TEPS)
+					res.CT, res.Visited, res.EdgesTraversed, float64(res.EdgesTraversed)/res.CT.Seconds())
 				return
 			}
 			res, err := pagerank.Run(g, th, pagerank.DefaultConfig(), alloc)
@@ -377,6 +385,7 @@ func dispatch(env *bench.Env, f *flags, stdout io.Writer) error {
 				th.Failf("%v", err)
 			}
 			e.CloseEpoch(th)
+			res.CT = th.Now() - start
 			fmt.Fprintf(stdout, "pagerank: CT=%v  iterations=%d  residual=%.3g\n",
 				res.CT, res.Iterations, res.Error)
 		})

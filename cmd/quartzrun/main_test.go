@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/quartz-emu/quartz/internal/bench"
 	"github.com/quartz-emu/quartz/internal/machine"
@@ -28,7 +30,8 @@ func TestParsePreset(t *testing.T) {
 		{"", 0, true},
 	}
 	for _, tt := range tests {
-		f := flags{presetName: tt.in, modeName: "emulated", modelName: "stall", workload: "memlat", minEpoch: 0.1, maxEpoch: 10}
+		f := flags{presetName: tt.in, modeName: "emulated", modelName: "stall", workload: "memlat",
+			threads: 1, iters: 100_000, lines: 1 << 20, minEpoch: 0.1, maxEpoch: 10}
 		f.obs.LedgerFormat = "jsonl"
 		err := f.validate()
 		if (err != nil) != tt.wantErr || (!tt.wantErr && f.preset != tt.want) {
@@ -95,6 +98,9 @@ func TestExecuteRejectsBadFlags(t *testing.T) {
 		{"-nvm-write", "NaN"},
 		{"-min-epoch", "0"},
 		{"-max-epoch", "NaN"},
+		{"-threads", "0"},
+		{"-iters", "-5"},
+		{"-lines", "0"},
 		{"-config", ini("nan.ini", "[latency]\nread = NaN\n")},
 		{"-config", ini("dram.ini", "[latency]\ndram = -100\n")},
 		{"-config", filepath.Join(dir, "missing.ini")},
@@ -113,6 +119,48 @@ func TestExecuteRejectsBadFlags(t *testing.T) {
 	// multilat needs -two-memory: a failed run, not a usage error.
 	if code, _, _ := runCLI(t, "-workload", "multilat", "-lines", "4096"); code != 1 {
 		t.Errorf("multilat without -two-memory: exit = %d, want 1", code)
+	}
+}
+
+// TestSmallestSizesRun: every workload runs at the smallest -threads,
+// -iters and -lines that validation accepts; the derived per-workload sizes
+// are clamped to what the benchmarks need.
+func TestSmallestSizesRun(t *testing.T) {
+	for _, w := range workloads {
+		args := []string{"-workload", w, "-threads", "1", "-iters", "1", "-lines", "1"}
+		if w == "multilat" {
+			args = append(args, "-two-memory")
+		}
+		if code, _, stderr := runCLI(t, args...); code != 0 {
+			t.Errorf("%s: exit = %d, stderr: %s", w, code, stderr)
+		}
+	}
+}
+
+// TestGraphCTIncludesTrailingEpoch: pagerank and bfs time their window
+// through the trailing epoch close, so the emulated completion time carries
+// the injected NVM delay instead of equalling the native one.
+func TestGraphCTIncludesTrailingEpoch(t *testing.T) {
+	ct := func(workload, mode string) time.Duration {
+		t.Helper()
+		code, stdout, stderr := runCLI(t, "-workload", workload, "-mode", mode, "-iters", "1", "-nvm-lat", "1000")
+		if code != 0 {
+			t.Fatalf("%s -mode %s: exit = %d, stderr: %s", workload, mode, code, stderr)
+		}
+		m := regexp.MustCompile(workload + `: CT=(\S+)`).FindStringSubmatch(stdout)
+		if m == nil {
+			t.Fatalf("%s -mode %s: no CT in output:\n%s", workload, mode, stdout)
+		}
+		d, err := time.ParseDuration(m[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	for _, w := range []string{"pagerank", "bfs"} {
+		if native, emulated := ct(w, "native"), ct(w, "emulated"); emulated <= native {
+			t.Errorf("%s: emulated CT %v does not exceed native CT %v at -nvm-lat 1000", w, emulated, native)
+		}
 	}
 }
 
@@ -195,7 +243,8 @@ func TestExecuteStreamsLedger(t *testing.T) {
 func TestValidateAsymFlags(t *testing.T) {
 	valid := func(nvmWrite float64, profile string) error {
 		f := flags{presetName: "ivybridge", modeName: "emulated", modelName: "stall", workload: "memlat",
-			minEpoch: 0.1, maxEpoch: 10, nvmWriteNS: nvmWrite, nvmProfile: profile}
+			threads: 1, iters: 100_000, lines: 1 << 20, minEpoch: 0.1, maxEpoch: 10,
+			nvmWriteNS: nvmWrite, nvmProfile: profile}
 		f.obs.LedgerFormat = "jsonl"
 		return f.validate()
 	}

@@ -132,7 +132,6 @@ func RunWorkload(s *Store, main *simos.Thread, cfg WorkloadConfig, closeEpoch fu
 	getCounts := make([]int64, cfg.Threads)
 	var firstErr error
 	for w := 0; w < cfg.Threads; w++ {
-		w := w
 		th, err := main.CreateThread(fmt.Sprintf("kv-client-%d", w), func(t *simos.Thread) {
 			startMu.Lock(t)
 			arrived++

@@ -30,7 +30,7 @@ type MemLatConfig struct {
 // Validate reports configuration errors.
 func (c MemLatConfig) Validate() error {
 	if c.Lines <= 1 || c.Chains <= 0 || c.Iters <= 0 {
-		return fmt.Errorf("bench: MemLat needs positive lines/chains/iters (got %d/%d/%d)", c.Lines, c.Chains, c.Iters)
+		return fmt.Errorf("bench: MemLat needs lines >= 2 and positive chains/iters (got %d/%d/%d)", c.Lines, c.Chains, c.Iters)
 	}
 	return checkChainLen("MemLatConfig.Lines", c.Lines)
 }

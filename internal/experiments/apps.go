@@ -64,12 +64,13 @@ func fig15Jobs(s Scale) JobSet {
 	preset := machine.XeonE5_2450
 	for _, threads := range fig15Threads {
 		for trial := 0; trial < s.Trials; trial++ {
+			name := fmt.Sprintf("threads=%d/trial=%d", threads, trial)
 			js.Jobs = append(js.Jobs, Job{
-				Name:   fmt.Sprintf("threads=%d/trial=%d", threads, trial),
+				Name:   name,
 				Params: map[string]string{"threads": strconv.Itoa(threads), "trial": strconv.Itoa(trial)},
 				Run: func() (Metrics, error) {
 					seed := uint64(trial*101 + threads)
-					prof := s.profiler(js.ID, fmt.Sprintf("threads=%d/trial=%d", threads, trial))
+					prof := s.profiler(js.ID, name)
 					// The Conf_2 and Conf_1 runs are independent simulations;
 					// both fold into the job's profiler.
 					var phys, emu kvstore.WorkloadResult
@@ -168,12 +169,13 @@ func prRun(s Scale, mode bench.Mode, q core.Config, seed uint64, prof *vtprof.Pr
 func pageRankValidationJobs(s Scale) JobSet {
 	js := JobSet{ID: "pagerank-validate"}
 	for trial := 0; trial < s.Trials; trial++ {
+		name := fmt.Sprintf("trial=%d", trial)
 		js.Jobs = append(js.Jobs, Job{
-			Name:   fmt.Sprintf("trial=%d", trial),
+			Name:   name,
 			Params: map[string]string{"trial": strconv.Itoa(trial)},
 			Run: func() (Metrics, error) {
 				seed := uint64(trial + 5)
-				prof := s.profiler(js.ID, fmt.Sprintf("trial=%d", trial))
+				prof := s.profiler(js.ID, name)
 				// The Conf_2 and Conf_1 runs are independent simulations;
 				// both fold into the job's profiler.
 				var phys, emu pagerank.Result
@@ -266,13 +268,14 @@ func fig16Jobs(s Scale) JobSet {
 	js := JobSet{ID: "fig16"}
 	points := fig16Points(s)
 	for _, pt := range points {
+		prName := pt.sweep + "=" + pt.setting + "/pagerank"
+		kvName := pt.sweep + "=" + pt.setting + "/kvstore"
 		js.Jobs = append(js.Jobs,
 			Job{
-				Name:   pt.sweep + "=" + pt.setting + "/pagerank",
+				Name:   prName,
 				Params: map[string]string{"sweep": pt.sweep, "setting": pt.setting, "app": "pagerank"},
 				Run: func() (Metrics, error) {
-					name := pt.sweep + "=" + pt.setting + "/pagerank"
-					pr, err := prRun(s, bench.Emulated, pt.q, 5, s.profiler(js.ID, name))
+					pr, err := prRun(s, bench.Emulated, pt.q, 5, s.profiler(js.ID, prName))
 					if err != nil {
 						return nil, fmt.Errorf("fig16 %s %s: %w", pt.sweep, pt.setting, err)
 					}
@@ -280,11 +283,10 @@ func fig16Jobs(s Scale) JobSet {
 				},
 			},
 			Job{
-				Name:   pt.sweep + "=" + pt.setting + "/kvstore",
+				Name:   kvName,
 				Params: map[string]string{"sweep": pt.sweep, "setting": pt.setting, "app": "kvstore"},
 				Run: func() (Metrics, error) {
-					name := pt.sweep + "=" + pt.setting + "/kvstore"
-					kv, err := kvRun(s, machine.XeonE5_2450, bench.Emulated, pt.q, 4, 5, s.profiler(js.ID, name))
+					kv, err := kvRun(s, machine.XeonE5_2450, bench.Emulated, pt.q, 4, 5, s.profiler(js.ID, kvName))
 					if err != nil {
 						return nil, fmt.Errorf("fig16 %s %s: %w", pt.sweep, pt.setting, err)
 					}

@@ -107,7 +107,6 @@ func fig12AsymJobs(s Scale) JobSet {
 	prs := presetRows()
 	for _, pr := range prs {
 		for _, prof := range profiles {
-			pr, prof := pr, prof
 			js.Jobs = append(js.Jobs, Job{
 				Name: fmt.Sprintf("%s/%s", pr.label, prof.Name),
 				Params: map[string]string{
@@ -231,7 +230,6 @@ func fig11AsymJobs(s Scale) JobSet {
 	pr := fig11AsymPreset
 	for _, prof := range profiles {
 		for _, writers := range s.AsymWriters {
-			prof, writers := prof, writers
 			js.Jobs = append(js.Jobs, Job{
 				Name: fmt.Sprintf("%s/writers=%d", prof.Name, writers),
 				Params: map[string]string{

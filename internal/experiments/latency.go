@@ -21,11 +21,12 @@ func fig11Jobs(s Scale) JobSet {
 	prs := presetRows()
 	for _, pr := range prs {
 		for _, chains := range fig11Chains {
+			name := fmt.Sprintf("%s/chains=%d", pr.label, chains)
 			js.Jobs = append(js.Jobs, Job{
-				Name:   fmt.Sprintf("%s/chains=%d", pr.label, chains),
+				Name:   name,
 				Params: map[string]string{"family": pr.label, "chains": strconv.Itoa(chains)},
 				Run: func() (Metrics, error) {
-					prof := s.profiler(js.ID, fmt.Sprintf("%s/chains=%d", pr.label, chains))
+					prof := s.profiler(js.ID, name)
 					// Each trial's Conf_2 and Conf_1 runs are independent
 					// simulations, so they form 2*Trials units: unit u is
 					// trial u/2, physical on even u, emulated on odd.
@@ -106,11 +107,12 @@ func fig12Jobs(s Scale) JobSet {
 	prs := presetRows()
 	for _, pr := range prs {
 		for _, target := range fig12Targets {
+			name := fmt.Sprintf("%s/target=%.0f", pr.label, target)
 			js.Jobs = append(js.Jobs, Job{
-				Name:   fmt.Sprintf("%s/target=%.0f", pr.label, target),
+				Name:   name,
 				Params: map[string]string{"family": pr.label, "target_ns": fmt.Sprintf("%.0f", target)},
 				Run: func() (Metrics, error) {
-					prof := s.profiler(js.ID, fmt.Sprintf("%s/target=%.0f", pr.label, target))
+					prof := s.profiler(js.ID, name)
 					lats := make([]sim.Time, s.Trials)
 					err := runUnits(s.Trials, func(trial int) error {
 						res, err := runMemLat(bench.EnvConfig{
@@ -212,15 +214,15 @@ func fig13Jobs(s Scale) JobSet {
 						q.MinEpoch = st.minEpoch
 						q.MaxEpoch = 10 * sim.Millisecond
 					}
+					name := fmt.Sprintf("%s/%s/threads=%d/%s", pr.label, variant.name, threads, st.name)
 					js.Jobs = append(js.Jobs, Job{
-						Name: fmt.Sprintf("%s/%s/threads=%d/%s", pr.label, variant.name, threads, st.name),
+						Name: name,
 						Params: map[string]string{
 							"family": pr.label, "variant": variant.name,
 							"threads": strconv.Itoa(threads), "setting": st.name,
 						},
 						Run: func() (Metrics, error) {
-							prof := s.profiler(js.ID,
-								fmt.Sprintf("%s/%s/threads=%d/%s", pr.label, variant.name, threads, st.name))
+							prof := s.profiler(js.ID, name)
 							cts := make([]sim.Time, s.Trials)
 							err := runUnits(s.Trials, func(trial int) error {
 								env, err := bench.NewEnv(bench.EnvConfig{

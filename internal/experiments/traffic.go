@@ -121,16 +121,15 @@ func trafficSweepJobs(s Scale) JobSet {
 	for mi, mixName := range s.TrafficMixes {
 		for li, latNS := range s.TrafficLatsNS {
 			for _, clients := range s.TrafficClients {
-				mixName, latNS, clients := mixName, latNS, clients
 				seed := trafficSeed(mi, li, clients)
+				name := fmt.Sprintf("%s/lat=%.0fns/clients=%d", mixName, latNS, clients)
 				js.Jobs = append(js.Jobs, Job{
-					Name: fmt.Sprintf("%s/lat=%.0fns/clients=%d", mixName, latNS, clients),
+					Name: name,
 					Params: map[string]string{
 						"mix": mixName, "lat_ns": fmt.Sprintf("%.0f", latNS),
 						"clients": strconv.Itoa(clients),
 					},
 					Run: func() (Metrics, error) {
-						name := fmt.Sprintf("%s/lat=%.0fns/clients=%d", mixName, latNS, clients)
 						res, err := trafficRun(s, mixName, latNS, clients, seed, s.profiler(js.ID, name))
 						if err != nil {
 							return nil, fmt.Errorf("traffic-sweep %s lat=%.0f clients=%d: %w",
@@ -192,16 +191,15 @@ func trafficSLOJobs(s Scale) JobSet {
 	clients := s.TrafficClients[len(s.TrafficClients)-1]
 	latNS := s.TrafficLatsNS[0]
 	for mi, mixName := range s.TrafficMixes {
-		mixName := mixName
 		seed := trafficSeed(mi, 0, clients)
+		name := fmt.Sprintf("%s/clients=%d", mixName, clients)
 		js.Jobs = append(js.Jobs, Job{
-			Name: fmt.Sprintf("%s/clients=%d", mixName, clients),
+			Name: name,
 			Params: map[string]string{
 				"mix": mixName, "lat_ns": fmt.Sprintf("%.0f", latNS),
 				"clients": strconv.Itoa(clients),
 			},
 			Run: func() (Metrics, error) {
-				name := fmt.Sprintf("%s/clients=%d", mixName, clients)
 				res, err := trafficRun(s, mixName, latNS, clients, seed, s.profiler(js.ID, name))
 				if err != nil {
 					return nil, fmt.Errorf("traffic-slo %s: %w", mixName, err)
@@ -258,17 +256,16 @@ func trafficMegaJobs(s Scale) JobSet {
 	ms.TrafficOps = s.TrafficMegaOps
 	ms.TrafficWarmup = s.TrafficMegaWarmup
 	for _, clients := range s.TrafficMegaClients {
-		clients := clients
 		// Decorrelated from the traffic-sweep seeds by a mega-only offset.
 		seed := trafficSeed(0, 0, clients) + 0x6d656761
+		name := fmt.Sprintf("clients=%d", clients)
 		js.Jobs = append(js.Jobs, Job{
-			Name: fmt.Sprintf("clients=%d", clients),
+			Name: name,
 			Params: map[string]string{
 				"mix": mixName, "lat_ns": fmt.Sprintf("%.0f", latNS),
 				"clients": strconv.Itoa(clients),
 			},
 			Run: func() (Metrics, error) {
-				name := fmt.Sprintf("clients=%d", clients)
 				res, err := trafficRun(ms, mixName, latNS, clients, seed, s.profiler(js.ID, name))
 				if err != nil {
 					return nil, fmt.Errorf("traffic-mega clients=%d: %w", clients, err)

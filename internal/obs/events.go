@@ -31,10 +31,9 @@ type Event struct {
 	Path string `json:"path,omitempty"`
 
 	// Runner job fields (Kind "job").
-	Job      string  `json:"job,omitempty"`
-	Status   string  `json:"status,omitempty"`
-	Attempts int     `json:"attempts,omitempty"`
-	WallMS   float64 `json:"wall_ms,omitempty"`
+	Job    string  `json:"job,omitempty"`
+	Status string  `json:"status,omitempty"`
+	WallMS float64 `json:"wall_ms,omitempty"`
 
 	// Traffic scenario progress fields (Kind "traffic"): the scenario name,
 	// its client count and op mix, measured-op progress, and the live

@@ -62,7 +62,7 @@ func TestEventsInjectAndKinds(t *testing.T) {
 	}
 	r.EpochClosed(rec)
 	r.ThrottleProgrammed("/sys/devices/t0")
-	r.JobDone("exp-1/j2", "ok", 2, 1500*time.Millisecond)
+	r.JobDone("exp-1/j2", "ok", 1500*time.Millisecond)
 
 	wantKinds := []string{"epoch", "inject", "throttle", "job"}
 	for _, want := range wantKinds {
@@ -81,7 +81,7 @@ func TestEventsInjectAndKinds(t *testing.T) {
 					t.Error("throttle event missing path")
 				}
 			case "job":
-				if ev.Job != "exp-1/j2" || ev.Status != "ok" || ev.Attempts != 2 {
+				if ev.Job != "exp-1/j2" || ev.Status != "ok" || ev.WallMS != 1500 {
 					t.Errorf("job event payload: %+v", ev)
 				}
 			}

@@ -405,18 +405,14 @@ func (r *Recorder) BucketRefill(path string) {
 
 // JobDone records one experiment-runner job outcome. jobID names the job
 // for the event stream; it does not affect the aggregated metrics.
-func (r *Recorder) JobDone(jobID, status string, attempts int, wall time.Duration) {
+func (r *Recorder) JobDone(jobID, status string, wall time.Duration) {
 	if r == nil {
 		return
 	}
 	r.reg.Counter("runner.jobs." + status).Add(1)
-	r.reg.Counter("runner.attempts").Add(int64(attempts))
-	if attempts > 1 {
-		r.reg.Counter("runner.retries_used").Add(int64(attempts - 1))
-	}
 	r.reg.Histogram("runner.job_wall_ms").Observe(wall.Milliseconds())
 	r.hub.publish(Event{
-		Kind: "job", Job: jobID, Status: status, Attempts: attempts,
+		Kind: "job", Job: jobID, Status: status,
 		WallMS: float64(wall.Microseconds()) / 1e3,
 	})
 }

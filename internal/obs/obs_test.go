@@ -27,7 +27,7 @@ func TestNilRecorderNoOp(t *testing.T) {
 	r.EpochSuppressed("sync")
 	r.ContendedWait()
 	r.KernelRun(sim.KernelStats{Spawned: 3})
-	r.JobDone("job", "ok", 1, time.Second)
+	r.JobDone("job", "ok", time.Second)
 	if got := r.Ledger(); got != nil {
 		t.Errorf("nil Ledger = %v, want nil", got)
 	}
@@ -153,21 +153,15 @@ func TestDefaultRecorder(t *testing.T) {
 // TestJobDoneMetrics covers the runner-facing aggregation.
 func TestJobDoneMetrics(t *testing.T) {
 	r := New(0)
-	r.JobDone("a", "ok", 1, 10*time.Millisecond)
-	r.JobDone("b", "ok", 3, 20*time.Millisecond) // two retries used
-	r.JobDone("c", "failed", 2, 5*time.Millisecond)
+	r.JobDone("a", "ok", 10*time.Millisecond)
+	r.JobDone("b", "ok", 20*time.Millisecond)
+	r.JobDone("c", "failed", 5*time.Millisecond)
 	reg := r.Registry()
 	if got := reg.Counter("runner.jobs.ok").Value(); got != 2 {
 		t.Errorf("jobs.ok = %d, want 2", got)
 	}
 	if got := reg.Counter("runner.jobs.failed").Value(); got != 1 {
 		t.Errorf("jobs.failed = %d, want 1", got)
-	}
-	if got := reg.Counter("runner.attempts").Value(); got != 6 {
-		t.Errorf("attempts = %d, want 6", got)
-	}
-	if got := reg.Counter("runner.retries_used").Value(); got != 3 {
-		t.Errorf("retries_used = %d, want 3", got)
 	}
 	h := reg.Histogram("runner.job_wall_ms").Snapshot()
 	if h.Count != 3 || h.Sum != 35 {

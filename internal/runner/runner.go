@@ -1,13 +1,14 @@
-// Package runner is the experiment execution engine: it schedules
-// independent deterministic jobs onto a bounded worker pool with per-job
-// timeouts, panic recovery, bounded retries, cancellation, live progress and
-// a structured JSONL result sink, then reassembles the out-of-order
-// completions into deterministic tables (suite.go).
+// Package runner is the experiment execution engine: it schedules the
+// flattened jobs of a suite's experiments onto a bounded worker pool with
+// panic recovery, cancellation, live progress and a structured JSONL result
+// sink, then reassembles the out-of-order completions into deterministic
+// tables (suite.go).
 //
 // Determinism contract: results are indexed exactly like the submitted jobs,
 // and the jobs themselves seed their simulations explicitly, so any worker
 // count — including the serial Workers=1 special case — yields identical
-// metrics and therefore byte-identical assembled tables.
+// metrics and therefore byte-identical assembled tables. A job that fails
+// would fail the same way again, so the pool never retries one.
 //
 // This pool is the only host-side parallelism over experiments: it spreads
 // whole jobs across workers (-parallel), and the trials and paired
@@ -20,10 +21,10 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"github.com/quartz-emu/quartz/internal/experiments"
 	"github.com/quartz-emu/quartz/internal/obs"
 )
 
@@ -33,26 +34,11 @@ type Status string
 const (
 	// StatusOK: the job returned metrics.
 	StatusOK Status = "ok"
-	// StatusFailed: every attempt returned an error or panicked.
+	// StatusFailed: the job returned an error or panicked.
 	StatusFailed Status = "failed"
-	// StatusTimeout: the per-job timeout fired; the attempt was abandoned.
-	StatusTimeout Status = "timeout"
-	// StatusCanceled: the suite was canceled before the job could finish.
+	// StatusCanceled: the suite was canceled before the job finished.
 	StatusCanceled Status = "canceled"
 )
-
-// Job is one schedulable unit of work.
-type Job struct {
-	// ID is unique across the suite, e.g. "fig12/Ivy Bridge/target=500".
-	ID string
-	// Experiment is the owning experiment id ("fig12").
-	Experiment string
-	// Params describes the sweep point for the result sink.
-	Params map[string]string
-	// Fn computes the job. Deterministic jobs ignore ctx; long-running ones
-	// may honor it to stop early on cancellation.
-	Fn func(ctx context.Context) (map[string]float64, error)
-}
 
 // Result records one job's outcome. Results are returned indexed exactly as
 // the jobs were submitted, regardless of completion order.
@@ -64,7 +50,6 @@ type Result struct {
 	Metrics    map[string]float64
 	Err        string
 	Wall       time.Duration
-	Attempts   int
 	Start, End time.Time
 }
 
@@ -73,21 +58,13 @@ type Config struct {
 	// Workers is the number of concurrently running jobs; <= 0 means
 	// GOMAXPROCS. Workers == 1 is the serial path.
 	Workers int
-	// Timeout bounds each job attempt; 0 disables. A timed-out attempt's
-	// goroutine is abandoned (it cannot be preempted mid-simulation) and the
-	// job is recorded as StatusTimeout without retry.
-	Timeout time.Duration
-	// Retries is the number of additional attempts after a failed (errored
-	// or panicked) attempt.
-	Retries int
 	// Sink, when non-nil, receives every result as its job completes.
 	Sink *Sink
 	// OnProgress, when non-nil, is called after every job completion. Calls
 	// are serialized; keep the work cheap.
 	OnProgress func(Progress)
-	// Recorder, when non-nil, aggregates job outcomes, attempts and wall
-	// times into its metrics registry (internal/obs). A nil recorder is a
-	// no-op.
+	// Recorder, when non-nil, aggregates job outcomes and wall times into
+	// its metrics registry (internal/obs). A nil recorder is a no-op.
 	Recorder *obs.Recorder
 	// Status, when non-nil, tracks live per-experiment job progress for the
 	// HTTP introspection plane (/runs). A nil board is a no-op.
@@ -102,59 +79,57 @@ type Progress struct {
 	Last   Result
 }
 
-// Run executes jobs on a bounded worker pool and returns results indexed
-// exactly as jobs. It never returns early: when ctx is canceled, running
-// attempts are abandoned, the remaining jobs are recorded as
-// StatusCanceled, and all workers are drained before returning. The error
-// is non-nil only when the sink failed to record a result.
-func Run(ctx context.Context, cfg Config, jobs []Job) ([]Result, error) {
+// job is one schedulable unit: an experiment job and the set it belongs to.
+type job struct {
+	set string
+	experiments.Job
+}
+
+// result starts the job's record; the caller fills in the outcome.
+func (j job) result(now time.Time) Result {
+	return Result{JobID: j.set + "/" + j.Name, Experiment: j.set, Params: j.Params, Start: now}
+}
+
+// run executes jobs on a bounded worker pool and returns results indexed
+// exactly as jobs. When ctx is canceled, workers take no further jobs and
+// run returns at once without waiting for the jobs still in flight: every
+// job that had not finished is recorded as StatusCanceled. The error is
+// non-nil only when the sink failed to record a result.
+func run(ctx context.Context, cfg Config, jobs []job) ([]Result, error) {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	results := make([]Result, len(jobs))
-	if len(jobs) == 0 {
-		return results, nil
-	}
-
+	// Workers write ran[i] and then send i, buffered for every job, so a
+	// worker still running when the collector returns on cancellation never
+	// blocks. The collector copies each finished result into results, which
+	// no worker touches.
+	ran := make([]Result, len(jobs))
+	finished := make(chan int, len(jobs))
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	completions := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	for range min(workers, len(jobs)) {
 		go func() {
-			defer wg.Done()
-			for {
+			for ctx.Err() == nil {
 				i := int(next.Add(1)) - 1
 				if i >= len(jobs) {
 					return
 				}
-				if ctx.Err() != nil {
-					results[i] = canceled(jobs[i])
-				} else {
-					results[i] = runJob(ctx, cfg, jobs[i])
-				}
-				completions <- i
+				ran[i] = runJob(jobs[i])
+				finished <- i
 			}
 		}()
 	}
-	go func() {
-		wg.Wait()
-		close(completions)
-	}()
 
+	results := make([]Result, len(jobs))
 	var sinkErr error
 	done, failed := 0, 0
-	for i := range completions {
-		r := results[i]
+	collect := func(i int, r Result) {
+		results[i] = r
 		done++
 		if r.Status != StatusOK {
 			failed++
 		}
-		cfg.Recorder.JobDone(r.JobID, string(r.Status), r.Attempts, r.Wall)
+		cfg.Recorder.JobDone(r.JobID, string(r.Status), r.Wall)
 		cfg.Status.JobFinished(r)
 		if cfg.Sink != nil {
 			if err := cfg.Sink.Write(r); err != nil && sinkErr == nil {
@@ -165,96 +140,45 @@ func Run(ctx context.Context, cfg Config, jobs []Job) ([]Result, error) {
 			cfg.OnProgress(Progress{Done: done, Failed: failed, Total: len(jobs), Last: r})
 		}
 	}
+	for done < len(jobs) {
+		select {
+		case i := <-finished:
+			collect(i, ran[i])
+		case <-ctx.Done():
+			for len(finished) > 0 {
+				i := <-finished
+				collect(i, ran[i])
+			}
+			now := time.Now()
+			for i, r := range results {
+				if r.Status == "" {
+					r = jobs[i].result(now)
+					r.Status, r.Err, r.End = StatusCanceled, "suite canceled", now
+					collect(i, r)
+				}
+			}
+		}
+	}
 	return results, sinkErr
 }
 
-// canceled records a job that was never attempted.
-func canceled(j Job) Result {
-	now := time.Now()
-	return Result{
-		JobID: j.ID, Experiment: j.Experiment, Params: j.Params,
-		Status: StatusCanceled, Err: "suite canceled",
-		Start: now, End: now,
-	}
-}
-
-// runJob runs one job with bounded retries, converting panics and timeouts
-// into failed-job records instead of letting them kill the suite.
-func runJob(ctx context.Context, cfg Config, j Job) Result {
-	res := Result{JobID: j.ID, Experiment: j.Experiment, Params: j.Params, Start: time.Now()}
-	attempts := 1 + cfg.Retries
-	if attempts < 1 {
-		attempts = 1
-	}
-	for attempt := 1; attempt <= attempts; attempt++ {
-		res.Attempts = attempt
-		metrics, interrupted, err := runAttempt(ctx, cfg.Timeout, j)
-		switch {
-		case interrupted == byTimeout:
-			// Deterministic jobs time out deterministically: don't retry.
-			res.Status = StatusTimeout
-			res.Err = fmt.Sprintf("attempt %d: no result within %s", attempt, cfg.Timeout)
-			attempt = attempts
-		case interrupted == byCancel:
-			res.Status = StatusCanceled
-			res.Err = "suite canceled mid-attempt"
-			attempt = attempts
-		case err != nil:
+// runJob runs one job, turning an error or a panic into a failed-job record
+// instead of letting it kill the suite.
+func runJob(j job) (res Result) {
+	res = j.result(time.Now())
+	defer func() {
+		if p := recover(); p != nil {
 			res.Status = StatusFailed
-			res.Err = fmt.Sprintf("attempt %d: %v", attempt, err)
-		default:
-			res.Status = StatusOK
-			res.Metrics = metrics
-			res.Err = ""
-			attempt = attempts
+			res.Err = fmt.Sprintf("panic: %v\n%s", p, debug.Stack())
 		}
-	}
-	res.End = time.Now()
-	res.Wall = res.End.Sub(res.Start)
-	return res
-}
-
-// interruption distinguishes why an attempt returned without a job result.
-type interruption int
-
-const (
-	notInterrupted interruption = iota
-	byTimeout
-	byCancel
-)
-
-// runAttempt runs Fn in its own goroutine so that a panic, a hang past the
-// timeout, or a context cancellation can be observed without taking down
-// the worker. Abandoned attempts finish in the background; their results
-// are discarded via the buffered channel.
-func runAttempt(ctx context.Context, timeout time.Duration, j Job) (map[string]float64, interruption, error) {
-	type attempt struct {
-		metrics map[string]float64
-		err     error
-	}
-	ch := make(chan attempt, 1)
-	go func() {
-		defer func() {
-			if p := recover(); p != nil {
-				ch <- attempt{err: fmt.Errorf("panic: %v\n%s", p, debug.Stack())}
-			}
-		}()
-		m, err := j.Fn(ctx)
-		ch <- attempt{metrics: m, err: err}
+		res.End = time.Now()
+		res.Wall = res.End.Sub(res.Start)
 	}()
-
-	var timer <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		timer = t.C
+	m, err := j.Run()
+	if err != nil {
+		res.Status, res.Err = StatusFailed, err.Error()
+	} else {
+		res.Status, res.Metrics = StatusOK, m
 	}
-	select {
-	case a := <-ch:
-		return a.metrics, notInterrupted, a.err
-	case <-timer:
-		return nil, byTimeout, nil
-	case <-ctx.Done():
-		return nil, byCancel, nil
-	}
+	return res
 }

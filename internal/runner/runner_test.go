@@ -7,64 +7,89 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/quartz-emu/quartz/internal/experiments"
 )
 
 // okJob returns a job that yields {"v": v}.
-func okJob(id string, v float64) Job {
-	return Job{
-		ID: id, Experiment: "test",
-		Fn: func(context.Context) (map[string]float64, error) {
-			return map[string]float64{"v": v}, nil
+func okJob(name string, v float64) experiments.Job {
+	return experiments.Job{
+		Name: name,
+		Run:  func() (experiments.Metrics, error) { return experiments.Metrics{"v": v}, nil },
+	}
+}
+
+// errJob returns a job that fails with msg.
+func errJob(name, msg string) experiments.Job {
+	return experiments.Job{
+		Name: name,
+		Run:  func() (experiments.Metrics, error) { return nil, errors.New(msg) },
+	}
+}
+
+// jobSet is a synthetic experiment whose table lists each job's "v".
+func jobSet(id string, jobs ...experiments.Job) experiments.JobSet {
+	return experiments.JobSet{
+		ID:   id,
+		Jobs: jobs,
+		Assemble: func(points []experiments.Metrics) (experiments.Table, error) {
+			t := experiments.Table{ID: id, Title: id, Header: []string{"v"}}
+			for _, p := range points {
+				t.Rows = append(t.Rows, []string{fmt.Sprint(p["v"])})
+			}
+			return t, nil
 		},
 	}
 }
 
 func TestResultsIndexedBySubmissionOrder(t *testing.T) {
-	var jobs []Job
-	for i := 0; i < 50; i++ {
-		jobs = append(jobs, okJob(fmt.Sprintf("job-%d", i), float64(i)))
+	var sets []experiments.JobSet
+	for s := 0; s < 2; s++ {
+		var jobs []experiments.Job
+		for i := 0; i < 25; i++ {
+			jobs = append(jobs, okJob(fmt.Sprintf("job-%d", i), float64(100*s+i)))
+		}
+		sets = append(sets, jobSet(fmt.Sprintf("set-%d", s), jobs...))
 	}
-	results, err := Run(context.Background(), Config{Workers: 8}, jobs)
+	runs, err := SuiteSets(context.Background(), sets, Config{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(jobs) {
-		t.Fatalf("got %d results, want %d", len(results), len(jobs))
-	}
-	for i, r := range results {
-		if r.JobID != jobs[i].ID {
-			t.Errorf("result %d is %q, want %q", i, r.JobID, jobs[i].ID)
+	for s, er := range runs {
+		if er.Err != nil {
+			t.Fatalf("%s: %v", er.ID, er.Err)
 		}
-		if r.Status != StatusOK || r.Metrics["v"] != float64(i) {
-			t.Errorf("result %d: status %s metrics %v", i, r.Status, r.Metrics)
+		if len(er.Jobs) != 25 {
+			t.Fatalf("%s: got %d results, want 25", er.ID, len(er.Jobs))
 		}
-		if r.Attempts != 1 {
-			t.Errorf("result %d: attempts = %d, want 1", i, r.Attempts)
+		for i, r := range er.Jobs {
+			if want := fmt.Sprintf("set-%d/job-%d", s, i); r.JobID != want {
+				t.Errorf("result %d is %q, want %q", i, r.JobID, want)
+			}
+			if r.Status != StatusOK || r.Metrics["v"] != float64(100*s+i) {
+				t.Errorf("result %s: status %s metrics %v", r.JobID, r.Status, r.Metrics)
+			}
 		}
 	}
 }
 
 // TestPanicBecomesFailedJobRecord: a crashed job must become a failed-job
-// record — with the panic message preserved — while the rest of the suite
-// completes untouched.
+// record — with the panic message preserved — while its siblings complete
+// untouched.
 func TestPanicBecomesFailedJobRecord(t *testing.T) {
-	jobs := []Job{
-		okJob("before", 1),
-		{
-			ID: "boom", Experiment: "test",
-			Fn: func(context.Context) (map[string]float64, error) {
-				panic("simulated sim crash")
-			},
-		},
-		okJob("after", 2),
+	boom := experiments.Job{
+		Name: "boom",
+		Run:  func() (experiments.Metrics, error) { panic("simulated sim crash") },
 	}
-	results, err := Run(context.Background(), Config{Workers: 2}, jobs)
+	runs, err := SuiteSets(context.Background(),
+		[]experiments.JobSet{jobSet("test", okJob("before", 1), boom, okJob("after", 2))},
+		Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := runs[0].Jobs
 	if results[1].Status != StatusFailed {
 		t.Fatalf("panicking job status = %s, want %s", results[1].Status, StatusFailed)
 	}
@@ -78,139 +103,79 @@ func TestPanicBecomesFailedJobRecord(t *testing.T) {
 	}
 }
 
-func TestBoundedRetries(t *testing.T) {
-	var calls atomic.Int64
-	flaky := Job{
-		ID: "flaky", Experiment: "test",
-		Fn: func(context.Context) (map[string]float64, error) {
-			if calls.Add(1) < 3 {
-				return nil, errors.New("transient")
-			}
-			return map[string]float64{"v": 7}, nil
-		},
-	}
-	results, err := Run(context.Background(), Config{Workers: 1, Retries: 2}, []Job{flaky})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Status != StatusOK {
-		t.Fatalf("status = %s (%s), want ok after retries", results[0].Status, results[0].Err)
-	}
-	if results[0].Attempts != 3 {
-		t.Errorf("attempts = %d, want 3", results[0].Attempts)
-	}
-
-	calls.Store(0)
-	results, err = Run(context.Background(), Config{Workers: 1, Retries: 1}, []Job{flaky})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Status != StatusFailed {
-		t.Fatalf("status = %s, want failed once retries are exhausted", results[0].Status)
-	}
-	if results[0].Attempts != 2 {
-		t.Errorf("attempts = %d, want 2", results[0].Attempts)
-	}
-}
-
-// TestPerJobTimeout: a hung job is recorded as timed out (not retried) and
-// does not stall its siblings.
-func TestPerJobTimeout(t *testing.T) {
+// TestCancellationDrainsWorkers: canceling mid-suite must return promptly,
+// even though the jobs in flight ignore the cancellation (as real jobs do),
+// with every unfinished job recorded canceled and the finished experiment
+// still assembled.
+func TestCancellationDrainsWorkers(t *testing.T) {
+	const workers, stuckN = 4, 30
 	release := make(chan struct{})
 	defer close(release)
-	jobs := []Job{
-		{
-			ID: "hang", Experiment: "test",
-			Fn: func(context.Context) (map[string]float64, error) {
+	started := make(chan struct{}, stuckN)
+	var stuck []experiments.Job
+	for i := 0; i < stuckN; i++ {
+		stuck = append(stuck, experiments.Job{
+			Name: fmt.Sprintf("stuck-%d", i),
+			Run: func() (experiments.Metrics, error) {
+				started <- struct{}{}
 				<-release
-				return nil, nil
-			},
-		},
-		okJob("quick", 1),
-	}
-	results, err := Run(context.Background(), Config{Workers: 2, Timeout: 20 * time.Millisecond, Retries: 3}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Status != StatusTimeout {
-		t.Fatalf("hung job status = %s, want %s", results[0].Status, StatusTimeout)
-	}
-	if results[0].Attempts != 1 {
-		t.Errorf("timed-out job was retried: attempts = %d", results[0].Attempts)
-	}
-	if results[1].Status != StatusOK {
-		t.Errorf("sibling job status = %s", results[1].Status)
-	}
-}
-
-// TestCancellationDrainsWorkers: canceling mid-suite must mark the pending
-// jobs canceled and return a full result set without deadlocking.
-func TestCancellationDrainsWorkers(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	started := make(chan struct{}, 1)
-	var jobs []Job
-	jobs = append(jobs, Job{
-		ID: "first", Experiment: "test",
-		Fn: func(context.Context) (map[string]float64, error) {
-			select {
-			case started <- struct{}{}:
-			default:
-			}
-			return map[string]float64{"v": 1}, nil
-		},
-	})
-	for i := 0; i < 30; i++ {
-		jobs = append(jobs, Job{
-			ID: fmt.Sprintf("pending-%d", i), Experiment: "test",
-			Fn: func(ctx context.Context) (map[string]float64, error) {
-				<-ctx.Done() // simulate a ctx-aware long job
-				return nil, ctx.Err()
+				return experiments.Metrics{"v": 1}, nil
 			},
 		})
 	}
+	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
-		<-started
+		// Once every worker sits in a stuck job, the quick job has finished.
+		for i := 0; i < workers; i++ {
+			<-started
+		}
 		cancel()
 	}()
-	done := make(chan []Result, 1)
+	var progressN int
+	type outcome struct {
+		runs []ExperimentRun
+		err  error
+	}
+	done := make(chan outcome, 1)
 	go func() {
-		results, _ := Run(ctx, Config{Workers: 4}, jobs)
-		done <- results
+		runs, err := SuiteSets(ctx,
+			[]experiments.JobSet{jobSet("quick", okJob("only", 1)), jobSet("stuck", stuck...)},
+			Config{Workers: workers, OnProgress: func(Progress) { progressN++ }})
+		done <- outcome{runs, err}
 	}()
+	var o outcome
 	select {
-	case results := <-done:
-		if len(results) != len(jobs) {
-			t.Fatalf("got %d results, want %d", len(results), len(jobs))
-		}
-		var canceledN int
-		for _, r := range results {
-			if r.Status == StatusCanceled {
-				canceledN++
-			}
-			if r.Status == "" {
-				t.Errorf("job %s has no recorded status", r.JobID)
-			}
-		}
-		if canceledN == 0 {
-			t.Error("no jobs recorded as canceled after mid-suite cancellation")
-		}
+	case o = <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Run did not drain workers after cancellation")
+		t.Fatal("SuiteSets did not return after cancellation")
+	}
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	if er := o.runs[0]; er.Err != nil || !strings.Contains(er.Table.Render(), "quick") {
+		t.Errorf("finished experiment did not assemble: err=%v table=%q", er.Err, er.Table.Render())
+	}
+	er := o.runs[1]
+	if er.Err == nil || !strings.Contains(er.Err.Error(), string(StatusCanceled)) {
+		t.Errorf("canceled experiment error = %v", er.Err)
+	}
+	for _, r := range er.Jobs {
+		if r.Status != StatusCanceled {
+			t.Errorf("job %s status = %q, want %s", r.JobID, r.Status, StatusCanceled)
+		}
+	}
+	if progressN != 1+stuckN {
+		t.Errorf("progress reported %d jobs, want %d", progressN, 1+stuckN)
 	}
 }
 
 func TestSinkWritesJSONLRecords(t *testing.T) {
 	var buf bytes.Buffer
-	jobs := []Job{
-		okJob("a", 1),
-		{
-			ID: "b", Experiment: "test", Params: map[string]string{"point": "x"},
-			Fn: func(context.Context) (map[string]float64, error) {
-				return nil, errors.New("kaput")
-			},
-		},
-	}
-	if _, err := Run(context.Background(), Config{Workers: 2, Sink: NewSink(&buf)}, jobs); err != nil {
+	b := errJob("b", "kaput")
+	b.Params = map[string]string{"point": "x"}
+	if _, err := SuiteSets(context.Background(),
+		[]experiments.JobSet{jobSet("test", okJob("a", 1), b)},
+		Config{Workers: 2, Sink: NewSink(&buf)}); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -225,10 +190,10 @@ func TestSinkWritesJSONLRecords(t *testing.T) {
 		}
 		byJob[rec.Job] = rec
 	}
-	if a := byJob["a"]; a.Status != StatusOK || a.Metrics["v"] != 1 || a.Experiment != "test" {
+	if a := byJob["test/a"]; a.Status != StatusOK || a.Metrics["v"] != 1 || a.Experiment != "test" {
 		t.Errorf("record a = %+v", a)
 	}
-	if b := byJob["b"]; b.Status != StatusFailed || !strings.Contains(b.Error, "kaput") || b.Params["point"] != "x" {
+	if b := byJob["test/b"]; b.Status != StatusFailed || !strings.Contains(b.Error, "kaput") || b.Params["point"] != "x" {
 		t.Errorf("record b = %+v", b)
 	}
 }
@@ -236,14 +201,12 @@ func TestSinkWritesJSONLRecords(t *testing.T) {
 func TestProgressReporting(t *testing.T) {
 	var last Progress
 	var callsN int
-	jobs := []Job{okJob("a", 1), okJob("b", 2), {
-		ID: "c", Experiment: "test",
-		Fn: func(context.Context) (map[string]float64, error) { return nil, errors.New("no") },
-	}}
-	_, err := Run(context.Background(), Config{Workers: 1, OnProgress: func(p Progress) {
-		callsN++
-		last = p
-	}}, jobs)
+	_, err := SuiteSets(context.Background(),
+		[]experiments.JobSet{jobSet("test", okJob("a", 1), okJob("b", 2), errJob("c", "no"))},
+		Config{Workers: 1, OnProgress: func(p Progress) {
+			callsN++
+			last = p
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,11 +219,11 @@ func TestProgressReporting(t *testing.T) {
 }
 
 func TestZeroJobs(t *testing.T) {
-	results, err := Run(context.Background(), Config{}, nil)
+	runs, err := SuiteSets(context.Background(), nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 0 {
-		t.Fatalf("got %d results for zero jobs", len(results))
+	if len(runs) != 0 {
+		t.Fatalf("got %d runs for zero sets", len(runs))
 	}
 }

@@ -25,7 +25,6 @@ type record struct {
 	Experiment string             `json:"experiment"`
 	Params     map[string]string  `json:"params,omitempty"`
 	Status     Status             `json:"status"`
-	Attempts   int                `json:"attempts"`
 	WallMS     float64            `json:"wall_ms"`
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
 	Error      string             `json:"error,omitempty"`
@@ -40,7 +39,6 @@ func (s *Sink) Write(r Result) error {
 		Experiment: r.Experiment,
 		Params:     r.Params,
 		Status:     r.Status,
-		Attempts:   r.Attempts,
 		WallMS:     float64(r.Wall.Microseconds()) / 1e3,
 		Metrics:    r.Metrics,
 		Error:      r.Err,

@@ -68,25 +68,15 @@ func (b *StatusBoard) exp(id string) *expState {
 	return e
 }
 
-// JobFinished folds one completed job into the board. Experiments never
-// registered via SuiteStarted (direct Run usage) are created on the fly
-// with a growing total.
+// JobFinished folds one completed job into the board.
 func (b *StatusBoard) JobFinished(r Result) {
 	if b == nil {
 		return
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.started.IsZero() {
-		b.started = time.Now()
-		b.running = true
-	}
 	e := b.exp(r.Experiment)
 	e.done++
-	if e.done > e.total {
-		e.total = e.done
-		b.total++
-	}
 	b.done++
 	if r.Status != StatusOK {
 		e.failed++
@@ -97,7 +87,7 @@ func (b *StatusBoard) JobFinished(r Result) {
 	}
 	b.last = &JobStatus{
 		ID: r.JobID, Experiment: r.Experiment, Status: r.Status,
-		Attempts: r.Attempts, WallMS: float64(r.Wall.Microseconds()) / 1e3,
+		WallMS: float64(r.Wall.Microseconds()) / 1e3,
 	}
 }
 
@@ -132,7 +122,6 @@ type JobStatus struct {
 	ID         string  `json:"id"`
 	Experiment string  `json:"experiment"`
 	Status     Status  `json:"status"`
-	Attempts   int     `json:"attempts"`
 	WallMS     float64 `json:"wall_ms"`
 }
 

@@ -3,9 +3,12 @@ package runner
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/quartz-emu/quartz/internal/experiments"
 )
 
 // TestStatusBoardLifecycle walks a board through a small suite and checks
@@ -25,8 +28,8 @@ func TestStatusBoardLifecycle(t *testing.T) {
 		t.Fatalf("initial states: %+v", s.Experiments)
 	}
 
-	b.JobFinished(Result{JobID: "overhead/0", Experiment: "overhead", Status: StatusOK, Attempts: 1, Wall: 20 * time.Millisecond})
-	b.JobFinished(Result{JobID: "overhead/1", Experiment: "overhead", Status: StatusFailed, Attempts: 2})
+	b.JobFinished(Result{JobID: "overhead/0", Experiment: "overhead", Status: StatusOK, Wall: 20 * time.Millisecond})
+	b.JobFinished(Result{JobID: "overhead/1", Experiment: "overhead", Status: StatusFailed, Wall: 5 * time.Millisecond})
 	s = b.Snapshot()
 	if s.DoneJobs != 2 || s.FailedJobs != 1 {
 		t.Fatalf("after jobs: %+v", s)
@@ -34,7 +37,7 @@ func TestStatusBoardLifecycle(t *testing.T) {
 	if e := s.Experiments[0]; e.State != "running" || e.DoneJobs != 2 || e.FailedJobs != 1 {
 		t.Fatalf("overhead state: %+v", e)
 	}
-	if s.LastJob == nil || s.LastJob.ID != "overhead/1" || s.LastJob.Attempts != 2 {
+	if s.LastJob == nil || s.LastJob.ID != "overhead/1" || s.LastJob.WallMS != 5 {
 		t.Fatalf("last job: %+v", s.LastJob)
 	}
 
@@ -50,22 +53,6 @@ func TestStatusBoardLifecycle(t *testing.T) {
 	}
 	if e := s.Experiments[1]; e.State != "error" || e.Err != "assembly failed" {
 		t.Errorf("tables final state: %+v", e)
-	}
-}
-
-// TestStatusBoardUnregisteredExperiment: direct Run usage (no SuiteStarted)
-// grows totals on the fly instead of reporting done > total.
-func TestStatusBoardUnregisteredExperiment(t *testing.T) {
-	b := NewStatusBoard()
-	for i := 0; i < 3; i++ {
-		b.JobFinished(Result{JobID: "adhoc/j", Experiment: "adhoc", Status: StatusOK})
-	}
-	s := b.Snapshot()
-	if s.TotalJobs != 3 || s.DoneJobs != 3 {
-		t.Fatalf("ad-hoc totals: %+v", s)
-	}
-	if e := s.Experiments[0]; e.TotalJobs != 3 || e.DoneJobs != 3 {
-		t.Fatalf("ad-hoc experiment: %+v", e)
 	}
 }
 
@@ -112,27 +99,18 @@ func TestStatusBoardConcurrent(t *testing.T) {
 }
 
 // TestRunUpdatesStatusBoard: the runner itself must feed the board as jobs
-// complete.
+// complete and experiments assemble.
 func TestRunUpdatesStatusBoard(t *testing.T) {
 	board := NewStatusBoard()
-	jobs := make([]Job, 4)
-	for i := range jobs {
-		i := i
-		jobs[i] = Job{
-			ID: string(rune('a' + i)), Experiment: "exp",
-			Fn: func(context.Context) (map[string]float64, error) {
-				if i == 3 {
-					return nil, errors.New("planned failure")
-				}
-				return map[string]float64{"v": 1}, nil
-			},
-		}
-	}
-	if _, err := Run(context.Background(), Config{Workers: 2, Status: board}, jobs); err != nil {
+	set := jobSet("exp", okJob("a", 1), okJob("b", 1), okJob("c", 1), errJob("d", "planned failure"))
+	if _, err := SuiteSets(context.Background(), []experiments.JobSet{set}, Config{Workers: 2, Status: board}); err != nil {
 		t.Fatal(err)
 	}
 	s := board.Snapshot()
-	if s.DoneJobs != 4 || s.FailedJobs != 1 {
-		t.Fatalf("board after Run: %+v", s)
+	if s.Running || s.TotalJobs != 4 || s.DoneJobs != 4 || s.FailedJobs != 1 {
+		t.Fatalf("board after SuiteSets: %+v", s)
+	}
+	if e := s.Experiments[0]; e.State != "error" || !strings.Contains(e.Err, "planned failure") {
+		t.Errorf("experiment state: %+v", e)
 	}
 }

@@ -13,8 +13,8 @@ type ExperimentRun struct {
 	ID string
 	// Table is the assembled artifact; valid only when Err is nil.
 	Table experiments.Table
-	// Err is set when any job failed, timed out, or was canceled, or when
-	// assembly failed. The rest of the suite still completes.
+	// Err is set when any job failed or was canceled, or when assembly
+	// failed. The rest of the suite still completes.
 	Err error
 	// Jobs are the experiment's job results in decomposition order.
 	Jobs []Result
@@ -42,22 +42,15 @@ func Suite(ctx context.Context, ids []string, s experiments.Scale, cfg Config) (
 // and reassembles each experiment's table from its results in decomposition
 // order. Assembly depends only on job metrics, never on scheduling, so the
 // output is byte-identical for every worker count. One experiment failing
-// (job error, panic, timeout, cancellation) marks that run's Err and leaves
+// (job error, panic, cancellation) marks that run's Err and leaves
 // the others intact.
 func SuiteSets(ctx context.Context, sets []experiments.JobSet, cfg Config) ([]ExperimentRun, error) {
-	var flat []Job
+	var flat []job
 	offsets := make([]int, len(sets)+1)
 	for si, set := range sets {
 		offsets[si] = len(flat)
 		for _, ej := range set.Jobs {
-			flat = append(flat, Job{
-				ID:         set.ID + "/" + ej.Name,
-				Experiment: set.ID,
-				Params:     ej.Params,
-				Fn: func(context.Context) (map[string]float64, error) {
-					return ej.Run()
-				},
-			})
+			flat = append(flat, job{set: set.ID, Job: ej})
 		}
 	}
 	offsets[len(sets)] = len(flat)
@@ -73,7 +66,7 @@ func SuiteSets(ctx context.Context, sets []experiments.JobSet, cfg Config) ([]Ex
 		defer cfg.Status.SuiteFinished()
 	}
 
-	results, sinkErr := Run(ctx, cfg, flat)
+	results, sinkErr := run(ctx, cfg, flat)
 
 	runs := make([]ExperimentRun, 0, len(sets))
 	for si, set := range sets {

@@ -102,16 +102,18 @@ func TestVTSuiteJobKeys(t *testing.T) {
 	s := vtScale()
 	suite := vtprof.NewSuite()
 	s.Profiles = suite
-	runs, err := Suite(context.Background(), []string{"traffic-sweep"}, s, Config{Workers: 2})
+	runs, err := Suite(context.Background(), []string{"fig11", "traffic-sweep"}, s, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runs[0].Err != nil {
-		t.Fatal(runs[0].Err)
-	}
 	want := map[string]bool{}
-	for _, jr := range runs[0].Jobs {
-		want[jr.JobID] = true
+	for _, r := range runs {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.ID, r.Err)
+		}
+		for _, jr := range r.Jobs {
+			want[jr.JobID] = true
+		}
 	}
 	jobs := suite.Jobs()
 	if len(jobs) != len(want) {
