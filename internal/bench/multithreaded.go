@@ -46,8 +46,8 @@ type MTResult struct {
 
 // RunMultiThreaded builds the per-thread chains, spawns the workers from the
 // given main thread, and reports the completion time. It must be called from
-// inside an Env.Run body so that thread creation flows through the (possibly
-// interposed) process table.
+// inside an Env.Run body so that thread creation runs the process's
+// ThreadStarted hook, which registers each worker with an attached emulator.
 func RunMultiThreaded(env *Env, main *simos.Thread, cfg MTConfig) (MTResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return MTResult{}, err

@@ -120,9 +120,9 @@ func (r StoreBWResult) AggBytesPerSec() float64 {
 
 // RunStoreBW builds the per-writer buffers, spawns the writers from the
 // given main thread, and reports the completion time and bytes written. It
-// must be called from inside an Env.Run body so thread creation flows
-// through the (possibly interposed) process table — under the emulator,
-// each writer registration reprograms the write throttle when a
+// must be called from inside an Env.Run body so thread creation runs the
+// process's ThreadStarted hook — under the emulator, each writer
+// registration reprograms the write throttle when a
 // write-bandwidth collapse curve is configured.
 func RunStoreBW(env *Env, main *simos.Thread, cfg StoreBWConfig) (StoreBWResult, error) {
 	if err := cfg.Validate(); err != nil {

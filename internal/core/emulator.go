@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"github.com/quartz-emu/quartz/internal/interpose"
 	"github.com/quartz-emu/quartz/internal/kmod"
 	"github.com/quartz-emu/quartz/internal/machine"
 	"github.com/quartz-emu/quartz/internal/obs"
@@ -89,7 +88,6 @@ type Emulator struct {
 
 	monitorThread *simos.Thread
 	stopMonitor   bool
-	restoreHooks  func()
 
 	rec    *obs.Recorder // nil unless observability is enabled
 	obsPID int           // trace PID assigned by rec
@@ -100,8 +98,9 @@ type Emulator struct {
 
 // Attach prepares emulation of proc under cfg: it verifies the platform
 // (DVFS off; counter support), programs the hardware via the kernel module
-// (bandwidth throttle, PMC events, user rdpmc), and interposes on the
-// process's thread and synchronization entry points. Call Run afterwards.
+// (bandwidth throttle, PMC events, user rdpmc), and installs its hooks on
+// the process's thread-start, synchronization and epoch-signal points. Call
+// Run afterwards.
 func Attach(proc *simos.Process, cfg Config) (*Emulator, error) {
 	if proc == nil {
 		return nil, errors.New("core: nil process")
@@ -250,21 +249,11 @@ func Attach(proc *simos.Process, cfg Config) (*Emulator, error) {
 		proc.SetRecorder(e.rec)
 	}
 
-	restore, err := interpose.Install(proc, interpose.Hooks{
-		ThreadStarted:       e.onThreadStarted,
-		BeforeMutexLock:     func(t *simos.Thread, _ *simos.Mutex) { e.onSyncEvent(t) },
-		BeforeMutexUnlock:   func(t *simos.Thread, _ *simos.Mutex) { e.onSyncEvent(t) },
-		BeforeCondSignal:    func(t *simos.Thread, _ *simos.Cond) { e.onSyncEvent(t) },
-		BeforeCondBroadcast: func(t *simos.Thread, _ *simos.Cond) { e.onSyncEvent(t) },
-		BeforeRWLock:        func(t *simos.Thread, _ *simos.RWMutex) { e.onSyncEvent(t) },
-		BeforeRWUnlock:      func(t *simos.Thread, _ *simos.RWMutex) { e.onSyncEvent(t) },
-		BeforeBarrierWait:   func(t *simos.Thread, _ *simos.Barrier) { e.onSyncEvent(t) },
+	proc.SetHooks(simos.Hooks{
+		ThreadStarted: e.onThreadStarted,
+		BeforeSync:    e.onSyncEvent,
+		OnEpochSignal: e.onSigEpoch,
 	})
-	if err != nil {
-		return nil, err
-	}
-	e.restoreHooks = restore
-	proc.RegisterHandler(simos.SigEpoch, e.onSigEpoch)
 	e.attached = true
 	return e, nil
 }
@@ -308,10 +297,9 @@ func (e *Emulator) Run(fn simos.ThreadFunc) error {
 			e.endEpoch(ts, reasonEnd)
 		}
 		e.stopMonitor = true
-		t.Kill(mon, simos.SigEpoch)
+		t.Kill(mon)
 		t.Join(mon)
 	})
-	e.restoreHooks()
 	return err
 }
 
@@ -362,8 +350,9 @@ func (e *Emulator) reprogramWriteThrottle(t *simos.Thread, writers int) {
 }
 
 // onSyncEvent closes the current epoch before an inter-thread communication
-// event (lock release, condvar notify) so the accumulated delay propagates
-// to waiting threads (§2.3), subject to the minimum epoch length.
+// event (lock acquire or release, condvar notify, barrier arrival) so the
+// accumulated delay propagates to waiting threads (§2.3), subject to the
+// minimum epoch length.
 func (e *Emulator) onSyncEvent(t *simos.Thread) {
 	ts := e.byThread[t]
 	if ts == nil || ts.inEpochEnd {
@@ -378,7 +367,7 @@ func (e *Emulator) onSyncEvent(t *simos.Thread) {
 
 // onSigEpoch handles the monitor's maximum-epoch signal in the context of
 // the interrupted thread (Fig. 5 steps 2-6).
-func (e *Emulator) onSigEpoch(t *simos.Thread, _ simos.Signal) {
+func (e *Emulator) onSigEpoch(t *simos.Thread) {
 	ts := e.byThread[t]
 	if ts == nil || ts.inEpochEnd {
 		return // monitor shutdown kick or unregistered thread
@@ -416,7 +405,7 @@ func (e *Emulator) monitorLoop(mt *simos.Thread) {
 				continue
 			}
 			if mt.Now()-ts.epochStart > e.cfg.MaxEpoch {
-				mt.Kill(ts.t, simos.SigEpoch)
+				mt.Kill(ts.t)
 			}
 		}
 	}

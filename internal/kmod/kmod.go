@@ -30,13 +30,22 @@ func Open(mach *machine.Machine) (*Module, error) {
 	return &Module{mach: mach}, nil
 }
 
-// SetThrottle programs socket's THRT_PWR_DIMM thermal-control register.
-func (k *Module) SetThrottle(socket int, reg uint16) error {
+// ctrl resolves socket's memory controller.
+func (k *Module) ctrl(socket int) (*mem.Controller, error) {
 	socks := k.mach.Sockets()
 	if socket < 0 || socket >= len(socks) {
-		return fmt.Errorf("kmod: socket %d out of range [0,%d)", socket, len(socks))
+		return nil, fmt.Errorf("kmod: socket %d out of range [0,%d)", socket, len(socks))
 	}
-	if err := socks[socket].Ctrl.SetThrottle(reg); err != nil {
+	return socks[socket].Ctrl, nil
+}
+
+// SetThrottle programs socket's THRT_PWR_DIMM thermal-control register.
+func (k *Module) SetThrottle(socket int, reg uint16) error {
+	c, err := k.ctrl(socket)
+	if err != nil {
+		return err
+	}
+	if err := c.SetThrottle(reg); err != nil {
 		return fmt.Errorf("kmod: socket %d: %w", socket, err)
 	}
 	return nil
@@ -54,11 +63,11 @@ func (k *Module) SetThrottleAll(reg uint16) error {
 
 // SetReadThrottle programs only socket's read-path throttle register.
 func (k *Module) SetReadThrottle(socket int, reg uint16) error {
-	socks := k.mach.Sockets()
-	if socket < 0 || socket >= len(socks) {
-		return fmt.Errorf("kmod: socket %d out of range [0,%d)", socket, len(socks))
+	c, err := k.ctrl(socket)
+	if err != nil {
+		return err
 	}
-	if err := socks[socket].Ctrl.SetReadThrottle(reg); err != nil {
+	if err := c.SetReadThrottle(reg); err != nil {
 		return fmt.Errorf("kmod: socket %d: %w", socket, err)
 	}
 	return nil
@@ -67,11 +76,11 @@ func (k *Module) SetReadThrottle(socket int, reg uint16) error {
 // SetWriteThrottle programs only socket's write-path throttle register,
 // enabling the read/write bandwidth asymmetry of §2.1.
 func (k *Module) SetWriteThrottle(socket int, reg uint16) error {
-	socks := k.mach.Sockets()
-	if socket < 0 || socket >= len(socks) {
-		return fmt.Errorf("kmod: socket %d out of range [0,%d)", socket, len(socks))
+	c, err := k.ctrl(socket)
+	if err != nil {
+		return err
 	}
-	if err := socks[socket].Ctrl.SetWriteThrottle(reg); err != nil {
+	if err := c.SetWriteThrottle(reg); err != nil {
 		return fmt.Errorf("kmod: socket %d: %w", socket, err)
 	}
 	return nil
@@ -82,11 +91,11 @@ func (k *Module) SetWriteThrottle(socket int, reg uint16) error {
 // of the linear throttle ramp; CalibrationTable interpolation is available
 // through the calibration helper for measured curves).
 func (k *Module) ThrottleForBandwidth(socket int, target float64) (uint16, error) {
-	socks := k.mach.Sockets()
-	if socket < 0 || socket >= len(socks) {
-		return 0, fmt.Errorf("kmod: socket %d out of range [0,%d)", socket, len(socks))
+	c, err := k.ctrl(socket)
+	if err != nil {
+		return 0, err
 	}
-	return socks[socket].Ctrl.RegisterForBandwidth(target), nil
+	return c.RegisterForBandwidth(target), nil
 }
 
 // ProgramCounters programs each core's PMC bank with the family's Table 1
@@ -169,13 +178,4 @@ func (t CalibrationTable) MaxBandwidth() float64 {
 		}
 	}
 	return max
-}
-
-// Controller exposes a socket's memory controller for diagnostics.
-func (k *Module) Controller(socket int) (*mem.Controller, error) {
-	socks := k.mach.Sockets()
-	if socket < 0 || socket >= len(socks) {
-		return nil, fmt.Errorf("kmod: socket %d out of range [0,%d)", socket, len(socks))
-	}
-	return socks[socket].Ctrl, nil
 }

@@ -194,24 +194,6 @@ func TestCalibrationTableValidation(t *testing.T) {
 	}
 }
 
-func TestControllerAccessor(t *testing.T) {
-	m := mustMachine(t)
-	k, err := Open(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl, err := k.Controller(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ctrl != m.Socket(1).Ctrl {
-		t.Error("Controller(1) returned wrong controller")
-	}
-	if _, err := k.Controller(5); err == nil {
-		t.Error("invalid socket accepted")
-	}
-}
-
 func TestCountersAvailableForAllFamilies(t *testing.T) {
 	for _, p := range machine.Presets() {
 		m, err := machine.NewPreset(p)

@@ -32,8 +32,11 @@ func (p *Process) MallocOnNode(size uintptr, node int) (uintptr, error) {
 		size = 1
 	}
 	rounded := (size + allocAlign - 1) &^ (allocAlign - 1)
-	limit := uintptr(1) << machine.NodeShift
-	if p.heap[node]+rounded+heapBase > limit {
+	// Compare against the room left rather than summing, so neither a size
+	// whose rounding wraps (rounded < size) nor one that would wrap the bump
+	// pointer passes.
+	room := uintptr(1)<<machine.NodeShift - heapBase - p.heap[node]
+	if rounded < size || rounded > room {
 		return 0, fmt.Errorf("simos: node %d out of simulated memory (%d bytes requested)", node, size)
 	}
 	base := p.mach.NodeBase(node) + heapBase + p.heap[node]

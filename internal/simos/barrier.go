@@ -8,10 +8,10 @@ import (
 
 // Barrier is an OpenMP-style thread barrier. The paper's conclusion lists
 // barrier-like parallel-programming constructs among the inter-thread
-// dependency events Quartz should learn to interpose on; Wait routes
-// through the process function table so an emulator can close epochs and
-// inject accumulated delay before the rendezvous becomes visible to peers —
-// the same propagation rule as for lock releases (§2.3).
+// dependency events Quartz should learn to interpose on; Wait runs the
+// BeforeSync hook first so an emulator can close epochs and inject
+// accumulated delay before the rendezvous becomes visible to peers — the
+// same propagation rule as for lock releases (§2.3).
 type Barrier struct {
 	proc    *Process
 	name    string
@@ -32,10 +32,8 @@ func (p *Process) NewBarrier(name string, parties int) (*Barrier, error) {
 func (b *Barrier) Name() string { return b.name }
 
 // Wait blocks until all parties have arrived, then releases the generation.
-func (b *Barrier) Wait(t *Thread) { t.proc.table.BarrierWait(t, b) }
-
-// doBarrierWait is the uninterposed barrier implementation.
-func doBarrierWait(t *Thread, b *Barrier) {
+func (b *Barrier) Wait(t *Thread) {
+	t.beforeSync()
 	t.checkSignals()
 	t.coro.Strict()
 	t.coro.Advance(t.proc.cyc(t.proc.opts.MutexOpCycles, t))

@@ -92,34 +92,3 @@ func TestBarrierReusableAcrossGenerations(t *testing.T) {
 		t.Errorf("rounds completed = %v, want %d each", counts, rounds)
 	}
 }
-
-func TestBarrierInterposition(t *testing.T) {
-	p := newProc(t, DefaultOptions())
-	b, err := p.NewBarrier("b", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var intercepted int
-	tbl := p.Table()
-	orig := tbl.BarrierWait
-	tbl.BarrierWait = func(th *Thread, bb *Barrier) {
-		intercepted++
-		orig(th, bb)
-	}
-	err = p.Run(func(th *Thread) {
-		w, err := th.CreateThread("w", func(t2 *Thread) {
-			b.Wait(t2)
-		})
-		if err != nil {
-			th.Failf("create: %v", err)
-		}
-		b.Wait(th)
-		th.Join(w)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if intercepted != 2 {
-		t.Errorf("interposed barrier waits = %d, want 2", intercepted)
-	}
-}

@@ -131,10 +131,10 @@ func TestVirtualTimeMonotoneUnderSignals(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stamps []sim.Time
-	p.RegisterHandler(SigUser2, func(th *Thread, _ Signal) {
+	p.SetHooks(Hooks{OnEpochSignal: func(th *Thread) {
 		stamps = append(stamps, th.Now())
 		th.Compute(500)
-	})
+	}})
 	err = p.Run(func(th *Thread) {
 		w, werr := th.CreateThread("victim", func(t2 *Thread) {
 			for i := 0; i < 200; i++ {
@@ -147,7 +147,7 @@ func TestVirtualTimeMonotoneUnderSignals(t *testing.T) {
 		}
 		for i := 0; i < 20; i++ {
 			th.ComputeFor(5 * sim.Microsecond)
-			th.Kill(w, SigUser2)
+			th.Kill(w)
 		}
 		th.Join(w)
 	})

@@ -1,9 +1,9 @@
 // Package simos is the simulated operating-system layer: processes whose
 // threads execute on the simulated machine, POSIX-style mutexes, condition
-// variables and signals (including EINTR semantics for interrupted
-// "system calls"), a NUMA-aware allocator (malloc / numa_alloc_onnode), and
-// a function-override table that mirrors the weak-symbol interposition the
-// real Quartz performs via LD_PRELOAD.
+// variables and the emulator's epoch signal (including EINTR semantics for
+// interrupted "system calls"), a NUMA-aware allocator (malloc /
+// numa_alloc_onnode), and one hook set that stands in for the weak-symbol
+// interposition the real Quartz performs via LD_PRELOAD.
 package simos
 
 import (
@@ -53,22 +53,45 @@ func DefaultOptions() Options {
 	}
 }
 
-// Process is one simulated application: a set of threads sharing a machine,
-// an address space, and a function table.
+// Hooks are the callbacks an emulator library installs on a process. The
+// real Quartz overrides the weak pthread symbols with same-name functions
+// loaded first via LD_PRELOAD, which do their bookkeeping and then call the
+// original (§3.1), and its monitor interrupts a thread whose epoch ran too
+// long with a POSIX signal. Each hook is optional; a nil hook costs one
+// pointer test.
+type Hooks struct {
+	// ThreadStarted runs in every thread made by CreateThread or
+	// CreateThreadOn, before its body: the "new threads call back into the
+	// library and register themselves with the monitor" step (Fig. 5,
+	// step 1). The main thread does not run it.
+	ThreadStarted func(*Thread)
+	// BeforeSync runs first in every synchronization entry point: Mutex
+	// Lock/Unlock (including the release inside Cond.Wait), Cond
+	// Signal/Broadcast, RWMutex RLock/Lock/Unlock and Barrier.Wait. §2.3
+	// closes epochs there, so delay accrued before the event is injected
+	// before the event becomes visible to other threads.
+	BeforeSync func(*Thread)
+	// OnEpochSignal handles the epoch signal Kill sends (SIGUSR1 in the
+	// real implementation). It runs in the interrupted thread's context,
+	// like a POSIX handler on the target thread's stack.
+	OnEpochSignal func(*Thread)
+}
+
+// Process is one simulated application: a set of threads sharing a machine
+// and an address space.
 type Process struct {
 	mach *machine.Machine
 	kern *sim.Kernel
 	opts Options
 
-	table    FuncTable
+	hooks    Hooks
 	threads  []*Thread
 	nextTID  int
 	nextCore int
 
-	handlers map[Signal]Handler
-	heap     []uintptr        // per-node bump pointers
-	rec      *obs.Recorder    // nil-safe observability sink
-	prof     *vtprof.Profiler // nil-safe virtual-time profiler
+	heap []uintptr        // per-node bump pointers
+	rec  *obs.Recorder    // nil-safe observability sink
+	prof *vtprof.Profiler // nil-safe virtual-time profiler
 
 	started bool
 }
@@ -87,15 +110,12 @@ func NewProcess(mach *machine.Machine, opts Options) (*Process, error) {
 	if opts.DefaultNode >= nSockets {
 		return nil, fmt.Errorf("simos: default node %d out of range [0,%d)", opts.DefaultNode, nSockets)
 	}
-	p := &Process{
-		mach:     mach,
-		kern:     sim.NewKernel(opts.Lookahead),
-		opts:     opts,
-		handlers: make(map[Signal]Handler),
-		heap:     make([]uintptr, nSockets),
-	}
-	p.table = defaultFuncTable()
-	return p, nil
+	return &Process{
+		mach: mach,
+		kern: sim.NewKernel(opts.Lookahead),
+		opts: opts,
+		heap: make([]uintptr, nSockets),
+	}, nil
 }
 
 // Machine reports the process's machine.
@@ -107,10 +127,9 @@ func (p *Process) Kernel() *sim.Kernel { return p.kern }
 // Options reports the process options.
 func (p *Process) Options() Options { return p.opts }
 
-// Table returns a pointer to the process's function table so that an
-// emulator library can interpose on its entries before the process runs
-// (the LD_PRELOAD-equivalent hook point).
-func (p *Process) Table() *FuncTable { return &p.table }
+// SetHooks installs an emulator's hooks before the process runs (the
+// LD_PRELOAD-equivalent attach point).
+func (p *Process) SetHooks(h Hooks) { p.hooks = h }
 
 // allowedSockets resolves the effective socket binding.
 func (p *Process) allowedSockets() []int {
@@ -139,7 +158,7 @@ func (p *Process) Run(fn ThreadFunc) error {
 		return errors.New("simos: process already ran")
 	}
 	p.started = true
-	if _, err := p.newThread(nil, "main", fn, -1, 0); err != nil {
+	if _, err := p.newThread(nil, "main", fn, -1); err != nil {
 		return err
 	}
 	err := p.kern.Run()
@@ -173,11 +192,6 @@ func (p *Process) SetProfiler(prof *vtprof.Profiler) { p.prof = prof }
 // after Run returns.
 func (p *Process) EndTime() sim.Time { return p.kern.Now() }
 
-// RegisterHandler installs a process-wide signal handler (sigaction).
-func (p *Process) RegisterHandler(s Signal, h Handler) {
-	p.handlers[s] = h
-}
-
 // pickCore assigns the next core, round-robin over the allowed sockets'
 // cores. Oversubscription is allowed: a blocked thread sharing a core with
 // a runnable one costs nothing in this model (no preemption contention).
@@ -195,8 +209,9 @@ func (p *Process) pickCore(socket int) int {
 }
 
 // newThread creates a thread bound to a core. socket pins the thread to a
-// socket (-1 follows policy); startDelay defers its first instruction.
-func (p *Process) newThread(parent *Thread, name string, fn ThreadFunc, socket int, startDelay sim.Time) (*Thread, error) {
+// socket (-1 follows policy). A thread with a parent runs the ThreadStarted
+// hook before its body.
+func (p *Process) newThread(parent *Thread, name string, fn ThreadFunc, socket int) (*Thread, error) {
 	if fn == nil {
 		return nil, errors.New("simos: nil thread function")
 	}
@@ -212,6 +227,9 @@ func (p *Process) newThread(parent *Thread, name string, fn ThreadFunc, socket i
 
 	body := func(c *sim.Coro) {
 		t.coro = c
+		if h := p.hooks.ThreadStarted; h != nil && parent != nil {
+			h(t)
+		}
 		fn(t)
 		t.finish()
 	}
@@ -220,7 +238,7 @@ func (p *Process) newThread(parent *Thread, name string, fn ThreadFunc, socket i
 	// simulation context, so this is race-free.
 	var at sim.Time
 	if parent != nil {
-		at = parent.coro.Clock() + startDelay
+		at = parent.coro.Clock()
 	}
 	t.vt = p.prof.NewThread(name, at)
 	t.coro = p.kern.Spawn(name, at, body)

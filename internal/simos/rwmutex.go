@@ -5,9 +5,9 @@ import (
 )
 
 // RWMutex is a POSIX-style reader-writer lock (pthread_rwlock) with writer
-// preference. Releases route through the process function table so an
-// emulator can close epochs before a release becomes visible — readers and
-// writers alike propagate accumulated delay to threads they unblock.
+// preference. Every acquisition and release runs the BeforeSync hook first,
+// so an emulator can close epochs before a release becomes visible — readers
+// and writers alike propagate accumulated delay to threads they unblock.
 type RWMutex struct {
 	proc     *Process
 	name     string
@@ -26,17 +26,8 @@ func (p *Process) NewRWMutex(name string) *RWMutex {
 func (m *RWMutex) Name() string { return m.name }
 
 // RLock acquires the lock shared (pthread_rwlock_rdlock).
-func (m *RWMutex) RLock(t *Thread) { t.proc.table.RWLockShared(t, m) }
-
-// Lock acquires the lock exclusive (pthread_rwlock_wrlock).
-func (m *RWMutex) Lock(t *Thread) { t.proc.table.RWLockExclusive(t, m) }
-
-// Unlock releases the lock (pthread_rwlock_unlock); it works for both
-// shared and exclusive holders, like the POSIX call.
-func (m *RWMutex) Unlock(t *Thread) { t.proc.table.RWUnlock(t, m) }
-
-// doRWLockShared is the uninterposed shared acquisition.
-func doRWLockShared(t *Thread, m *RWMutex) {
+func (m *RWMutex) RLock(t *Thread) {
+	t.beforeSync()
 	t.checkSignals()
 	t.coro.Strict()
 	t.coro.Advance(t.proc.cyc(t.proc.opts.MutexOpCycles, t))
@@ -51,8 +42,9 @@ func doRWLockShared(t *Thread, m *RWMutex) {
 	m.readers++
 }
 
-// doRWLockExclusive is the uninterposed exclusive acquisition.
-func doRWLockExclusive(t *Thread, m *RWMutex) {
+// Lock acquires the lock exclusive (pthread_rwlock_wrlock).
+func (m *RWMutex) Lock(t *Thread) {
+	t.beforeSync()
 	t.checkSignals()
 	t.coro.Strict()
 	t.coro.Advance(t.proc.cyc(t.proc.opts.MutexOpCycles, t))
@@ -66,8 +58,10 @@ func doRWLockExclusive(t *Thread, m *RWMutex) {
 	m.writer = t
 }
 
-// doRWUnlock is the uninterposed release.
-func doRWUnlock(t *Thread, m *RWMutex) {
+// Unlock releases the lock (pthread_rwlock_unlock); it works for both
+// shared and exclusive holders, like the POSIX call.
+func (m *RWMutex) Unlock(t *Thread) {
+	t.beforeSync()
 	t.checkSignals()
 	t.coro.Strict()
 	switch {

@@ -111,25 +111,31 @@ func TestRWMutexUnlockByNonHolderFails(t *testing.T) {
 	}
 }
 
+// TestRWMutexInterposition checks that BeforeSync fires once per rwlock call
+// on the calling thread, also when the call blocks: the writer's Lock waits
+// for the reader's Unlock and still counts once.
 func TestRWMutexInterposition(t *testing.T) {
 	p := newProc(t, DefaultOptions())
 	rw := p.NewRWMutex("rw")
-	var locks, unlocks int
-	tbl := p.Table()
-	origS, origX, origU := tbl.RWLockShared, tbl.RWLockExclusive, tbl.RWUnlock
-	tbl.RWLockShared = func(t2 *Thread, m *RWMutex) { locks++; origS(t2, m) }
-	tbl.RWLockExclusive = func(t2 *Thread, m *RWMutex) { locks++; origX(t2, m) }
-	tbl.RWUnlock = func(t2 *Thread, m *RWMutex) { unlocks++; origU(t2, m) }
+	calls := map[string]int{}
+	p.SetHooks(Hooks{BeforeSync: func(th *Thread) { calls[th.Name()]++ }})
 	err := p.Run(func(th *Thread) {
 		rw.RLock(th)
+		w, err := th.CreateThread("writer", func(w *Thread) {
+			rw.Lock(w) // blocks until main's Unlock
+			rw.Unlock(w)
+		})
+		if err != nil {
+			th.Failf("create: %v", err)
+		}
+		th.ComputeFor(sim.Millisecond)
 		rw.Unlock(th)
-		rw.Lock(th)
-		rw.Unlock(th)
+		th.Join(w)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if locks != 2 || unlocks != 2 {
-		t.Errorf("interposed rwlock ops = %d/%d, want 2/2", locks, unlocks)
+	if len(calls) != 2 || calls["main"] != 2 || calls["writer"] != 2 {
+		t.Errorf("BeforeSync calls per thread = %v, want main:2 writer:2", calls)
 	}
 }

@@ -98,6 +98,20 @@ func TestMallocPlacement(t *testing.T) {
 	if p.NodeOf(d) != 0 {
 		t.Errorf("default malloc on node %d, want 0", p.NodeOf(d))
 	}
+	// A size whose page rounding wraps, and one whose sum with the bump
+	// pointer wraps, are refused and leave the bump pointer in place.
+	for _, size := range []uintptr{^uintptr(0), ^uintptr(0) - 8192 - 4095} {
+		if a, err := p.MallocOnNode(size, 0); err == nil {
+			t.Errorf("MallocOnNode(%#x) = %#x, want an error", size, a)
+		}
+	}
+	next, err := p.Malloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next <= d {
+		t.Errorf("malloc after refused sizes = %#x, want above %#x", next, d)
+	}
 }
 
 func TestAllowedSocketsBindThreadsAndMalloc(t *testing.T) {
@@ -287,9 +301,9 @@ func TestCondSignalWakesOldestWaiter(t *testing.T) {
 func TestSignalHandlerRunsInTargetContext(t *testing.T) {
 	p := newProc(t, DefaultOptions())
 	var handled *Thread
-	p.RegisterHandler(SigEpoch, func(th *Thread, s Signal) {
+	p.SetHooks(Hooks{OnEpochSignal: func(th *Thread) {
 		handled = th
-	})
+	}})
 	err := p.Run(func(th *Thread) {
 		worker, _ := th.CreateThread("worker", func(w *Thread) {
 			for i := 0; i < 100; i++ {
@@ -297,7 +311,7 @@ func TestSignalHandlerRunsInTargetContext(t *testing.T) {
 			}
 		})
 		th.ComputeFor(100 * sim.Microsecond)
-		th.Kill(worker, SigEpoch)
+		th.Kill(worker)
 		th.Join(worker)
 		if handled == nil || handled.Name() != "worker" {
 			th.Failf("handler thread = %v, want worker", handled)
@@ -310,7 +324,7 @@ func TestSignalHandlerRunsInTargetContext(t *testing.T) {
 
 func TestNanosleepInterruptedReturnsEINTR(t *testing.T) {
 	p := newProc(t, DefaultOptions())
-	p.RegisterHandler(SigEpoch, func(th *Thread, s Signal) {})
+	p.SetHooks(Hooks{OnEpochSignal: func(*Thread) {}})
 	var sleepErr error
 	var slept sim.Time
 	err := p.Run(func(th *Thread) {
@@ -320,7 +334,7 @@ func TestNanosleepInterruptedReturnsEINTR(t *testing.T) {
 			slept = w.Now() - start
 		})
 		th.ComputeFor(1 * sim.Millisecond)
-		th.Kill(sleeper, SigEpoch)
+		th.Kill(sleeper)
 		th.Join(sleeper)
 	})
 	if err != nil {
@@ -350,43 +364,125 @@ func TestNanosleepUninterruptedCompletes(t *testing.T) {
 	}
 }
 
-func TestFuncTableInterposition(t *testing.T) {
-	// Wrap MutexUnlock the way the emulator does and check the original
-	// still runs (call-intercept-redirect).
-	p := newProc(t, DefaultOptions())
-	m := p.NewMutex("m")
-	var intercepted int
-	tbl := p.Table()
-	orig := tbl.MutexUnlock
-	tbl.MutexUnlock = func(th *Thread, mm *Mutex) {
-		intercepted++
-		orig(th, mm)
+// TestHooks checks where each hook runs. BeforeSync fires exactly once at
+// the start of each of the nine synchronization entry points, ahead of the
+// op's own delivery of a pending signal; inside Cond.Wait it fires at the
+// release and again at the re-acquisition, which is a Mutex.Lock.
+// ThreadStarted runs in each created thread, on its clock, before its body,
+// and never in the main thread.
+func TestHooks(t *testing.T) {
+	type objs struct {
+		m  *Mutex
+		c  *Cond
+		rw *RWMutex
+		b  *Barrier
 	}
-	err := p.Run(func(th *Thread) {
-		for i := 0; i < 5; i++ {
-			m.Lock(th)
-			m.Unlock(th)
+	onOwn := []string{"sync", "signal"}
+	cases := []struct {
+		name  string
+		setup func(th *Thread, o objs) // runs before events are logged
+		op    func(th *Thread, o objs)
+		want  []string
+	}{
+		{"Mutex.Lock", nil, func(th *Thread, o objs) { o.m.Lock(th) }, onOwn},
+		{"Mutex.Unlock", func(th *Thread, o objs) { o.m.Lock(th) }, func(th *Thread, o objs) { o.m.Unlock(th) }, onOwn},
+		{"Cond.Signal", nil, func(th *Thread, o objs) { o.c.Signal(th) }, onOwn},
+		{"Cond.Broadcast", nil, func(th *Thread, o objs) { o.c.Broadcast(th) }, onOwn},
+		{"Cond.Wait", func(th *Thread, o objs) {
+			o.m.Lock(th)
+			if _, err := th.CreateThread("signaller", func(s *Thread) {
+				o.m.Lock(s)
+				o.c.Signal(s)
+				o.m.Unlock(s)
+			}); err != nil {
+				th.Failf("create: %v", err)
+			}
+		}, func(th *Thread, o objs) { o.c.Wait(th, o.m) }, []string{"signal", "sync", "sync"}},
+		{"RWMutex.RLock", nil, func(th *Thread, o objs) { o.rw.RLock(th) }, onOwn},
+		{"RWMutex.Lock", nil, func(th *Thread, o objs) { o.rw.Lock(th) }, onOwn},
+		{"RWMutex.Unlock", func(th *Thread, o objs) { o.rw.RLock(th) }, func(th *Thread, o objs) { o.rw.Unlock(th) }, onOwn},
+		{"Barrier.Wait", nil, func(th *Thread, o objs) { o.b.Wait(th) }, onOwn},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newProc(t, DefaultOptions())
+			b, err := p.NewBarrier("b", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := objs{p.NewMutex("m"), p.NewCond("c"), p.NewRWMutex("rw"), b}
+			var op *Thread
+			var log []string
+			p.SetHooks(Hooks{
+				BeforeSync: func(th *Thread) {
+					if th == op {
+						log = append(log, "sync")
+					}
+				},
+				OnEpochSignal: func(th *Thread) {
+					if th == op {
+						log = append(log, "signal")
+					}
+				},
+			})
+			err = p.Run(func(th *Thread) {
+				if tc.setup != nil {
+					tc.setup(th, o)
+				}
+				op = th
+				th.signalPending = true // pending at entry
+				tc.op(th, o)
+				op = nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(log, tc.want) {
+				t.Errorf("events = %v, want %v", log, tc.want)
+			}
+		})
+	}
+
+	t.Run("ThreadStarted", func(t *testing.T) {
+		p := newProc(t, DefaultOptions())
+		var log []string
+		var hookEnd sim.Time
+		p.SetHooks(Hooks{ThreadStarted: func(th *Thread) {
+			log = append(log, "started "+th.Name())
+			th.ComputeFor(sim.Microsecond) // on the new thread's clock
+			hookEnd = th.Now()
+		}})
+		err := p.Run(func(th *Thread) {
+			for _, name := range []string{"a", "b"} {
+				c, err := th.CreateThread(name, func(c *Thread) {
+					log = append(log, "body "+c.Name())
+					if c.Now() != hookEnd {
+						c.Failf("body of %s starts at %v, want the hook's end %v", c.Name(), c.Now(), hookEnd)
+					}
+				})
+				if err != nil {
+					th.Failf("create: %v", err)
+				}
+				th.Join(c)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []string{"started a", "body a", "started b", "body b"}; !slices.Equal(log, want) {
+			t.Errorf("events = %v, want %v", log, want)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if intercepted != 5 {
-		t.Errorf("interposed unlock ran %d times, want 5", intercepted)
-	}
 }
 
+// TestThreadCreateInterposition checks that a thread pinned with
+// CreateThreadOn gets the ThreadStarted hook too, once, on its own thread.
 func TestThreadCreateInterposition(t *testing.T) {
 	p := newProc(t, DefaultOptions())
-	var createdNames []string
-	tbl := p.Table()
-	orig := tbl.ThreadCreate
-	tbl.ThreadCreate = func(parent *Thread, name string, fn ThreadFunc, socket int) (*Thread, error) {
-		createdNames = append(createdNames, name)
-		return orig(parent, name, fn, socket)
-	}
+	var started []string
+	p.SetHooks(Hooks{ThreadStarted: func(th *Thread) { started = append(started, th.Name()) }})
 	err := p.Run(func(th *Thread) {
-		w, err := th.CreateThread("registered", func(w *Thread) { w.Compute(10) })
+		w, err := th.CreateThreadOn(0, "registered", func(w *Thread) { w.Compute(10) })
 		if err != nil {
 			th.Failf("create: %v", err)
 		}
@@ -395,8 +491,57 @@ func TestThreadCreateInterposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(createdNames) != 1 || createdNames[0] != "registered" {
-		t.Errorf("intercepted creates = %v", createdNames)
+	if len(started) != 1 || started[0] != "registered" {
+		t.Errorf("started threads = %v, want [registered]", started)
+	}
+}
+
+// TestEpochSignalCoalescesAndRedelivers pins Kill's delivery rules: a second
+// Kill while the signal is pending runs the hook once, and a Kill sent while
+// the hook runs is delivered after the hook returns, not nested inside it.
+func TestEpochSignalCoalescesAndRedelivers(t *testing.T) {
+	p := newProc(t, DefaultOptions())
+	var calls, depth, maxDepth int
+	var resend bool
+	p.SetHooks(Hooks{OnEpochSignal: func(th *Thread) {
+		calls++
+		depth++
+		maxDepth = max(maxDepth, depth)
+		if resend {
+			resend = false
+			th.Kill(th)
+			th.Compute(100) // an interruption point inside the hook
+		}
+		depth--
+	}})
+	var afterFirst, afterSecond int
+	err := p.Run(func(th *Thread) {
+		w, err := th.CreateThread("sleeper", func(w *Thread) {
+			_ = w.Nanosleep(50 * sim.Millisecond)
+			afterFirst = calls
+			_ = w.Nanosleep(50 * sim.Millisecond)
+			afterSecond = calls
+		})
+		if err != nil {
+			th.Failf("create: %v", err)
+		}
+		th.ComputeFor(sim.Millisecond)
+		th.Kill(w)
+		th.Kill(w)
+		th.ComputeFor(sim.Millisecond)
+		th.YieldStrict() // let the sleeper take the first signal
+		resend = true
+		th.Kill(w)
+		th.Join(w)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if afterFirst != 1 {
+		t.Errorf("two Kills while pending ran the hook %d times, want 1", afterFirst)
+	}
+	if afterSecond != 3 || maxDepth != 1 {
+		t.Errorf("Kill during the hook: %d calls at depth %d, want 3 at depth 1", afterSecond, maxDepth)
 	}
 }
 

@@ -4,9 +4,16 @@ import (
 	"github.com/quartz-emu/quartz/internal/obs/vtprof"
 )
 
-// Mutex is a POSIX-style mutex with FIFO handoff. Lock and Unlock route
-// through the process function table, the interposition point Quartz uses to
-// close epochs at inter-thread communication events (§2.3).
+// beforeSync runs the BeforeSync hook, the point where Quartz closes epochs
+// at inter-thread communication events (§2.3).
+func (t *Thread) beforeSync() {
+	if h := t.proc.hooks.BeforeSync; h != nil {
+		h(t)
+	}
+}
+
+// Mutex is a POSIX-style mutex with FIFO handoff. Lock and Unlock run the
+// process's BeforeSync hook first.
 type Mutex struct {
 	proc    *Process
 	name    string
@@ -22,19 +29,14 @@ func (p *Process) NewMutex(name string) *Mutex {
 // Name reports the mutex's diagnostic name.
 func (m *Mutex) Name() string { return m.name }
 
-// Lock acquires the mutex, blocking in FIFO order if it is held.
-func (m *Mutex) Lock(t *Thread) { t.proc.table.MutexLock(t, m) }
-
-// Unlock releases the mutex, handing it to the oldest waiter if any.
-func (m *Mutex) Unlock(t *Thread) { t.proc.table.MutexUnlock(t, m) }
-
-// doLock is the uninterposed lock implementation. Like a futex-based
-// pthread mutex, a woken waiter competes for the lock rather than receiving
-// it by handoff, and pending signal handlers run between wake-up and
-// re-acquisition — so an emulator's delay injection on a waiting thread
-// happens while the thread does NOT hold the lock, exactly as on real
-// hardware.
-func doLock(t *Thread, m *Mutex) {
+// Lock acquires the mutex, blocking in FIFO order if it is held. Like a
+// futex-based pthread mutex, a woken waiter competes for the lock rather
+// than receiving it by handoff, and pending signal handlers run between
+// wake-up and re-acquisition — so an emulator's delay injection on a
+// waiting thread happens while the thread does NOT hold the lock, exactly as
+// on real hardware.
+func (m *Mutex) Lock(t *Thread) {
+	t.beforeSync()
 	t.checkSignals()
 	t.coro.Strict()
 	t.coro.Advance(t.proc.cyc(t.proc.opts.MutexOpCycles, t))
@@ -53,8 +55,11 @@ func doLock(t *Thread, m *Mutex) {
 	m.owner = t
 }
 
-// doUnlock is the uninterposed unlock implementation.
-func doUnlock(t *Thread, m *Mutex) {
+// Unlock releases the mutex, handing it to the oldest waiter if any. It is
+// the lock-release event the Quartz prototype interposes on to propagate
+// delays (§2.3).
+func (m *Mutex) Unlock(t *Thread) {
+	t.beforeSync()
 	t.checkSignals()
 	t.coro.Strict()
 	if m.owner != t {
@@ -94,24 +99,18 @@ func (c *Cond) Wait(t *Thread, m *Mutex) {
 		t.Failf("cond %q: wait without holding mutex %q", c.name, m.name)
 	}
 	c.waiters = append(c.waiters, t)
-	// Release through the table so an attached emulator sees the unlock —
-	// the inter-thread communication event it must inject delay before.
-	t.proc.table.MutexUnlock(t, m)
+	// Release through Unlock so an attached emulator sees the unlock — the
+	// inter-thread communication event it must inject delay before.
+	m.Unlock(t)
 	t.coro.Block()
 	t.vtCharge(vtprof.SyncWait)
 	t.checkSignals()
 	m.Lock(t)
 }
 
-// Signal wakes the oldest waiter, if any (pthread_cond_signal). It routes
-// through the function table so an emulator can interpose.
-func (c *Cond) Signal(t *Thread) { t.proc.table.CondSignal(t, c) }
-
-// Broadcast wakes all waiters (pthread_cond_broadcast), via the table.
-func (c *Cond) Broadcast(t *Thread) { t.proc.table.CondBroadcast(t, c) }
-
-// doCondSignal is the uninterposed signal implementation.
-func doCondSignal(t *Thread, c *Cond) {
+// Signal wakes the oldest waiter, if any (pthread_cond_signal).
+func (c *Cond) Signal(t *Thread) {
+	t.beforeSync()
 	t.checkSignals()
 	t.coro.Strict()
 	t.coro.Advance(t.proc.cyc(t.proc.opts.MutexOpCycles, t))
@@ -123,8 +122,9 @@ func doCondSignal(t *Thread, c *Cond) {
 	t.coro.Unblock(next.coro, t.coro.Clock()+t.proc.cyc(t.proc.opts.MutexHandoffCycles, next))
 }
 
-// doCondBroadcast is the uninterposed broadcast implementation.
-func doCondBroadcast(t *Thread, c *Cond) {
+// Broadcast wakes all waiters (pthread_cond_broadcast).
+func (c *Cond) Broadcast(t *Thread) {
+	t.beforeSync()
 	t.checkSignals()
 	t.coro.Strict()
 	t.coro.Advance(t.proc.cyc(t.proc.opts.MutexOpCycles, t))

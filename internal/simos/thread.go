@@ -19,11 +19,11 @@ type Thread struct {
 	tid  int
 	name string
 
-	sigPending []Signal
-	inHandler  bool
-	done       bool
-	endClock   sim.Time
-	joiners    []*Thread
+	signalPending bool // an epoch signal awaits delivery
+	inHandler     bool
+	done          bool
+	endClock      sim.Time
+	joiners       []*Thread
 
 	// vt is the thread's virtual-time profiler series; nil (the default)
 	// keeps every charge a single pointer test. See Process.SetProfiler.
@@ -282,7 +282,7 @@ func (t *Thread) Nanosleep(d sim.Time) error {
 	deadline := t.coro.Clock() + d
 	woke := t.coro.SleepUntil(deadline)
 	t.vtCharge(vtprof.SyncWait)
-	if len(t.sigPending) > 0 {
+	if t.signalPending {
 		t.checkSignals()
 		if woke < deadline {
 			return fmt.Errorf("simos: nanosleep: %w", ErrInterrupted)
@@ -295,16 +295,18 @@ func (t *Thread) Nanosleep(d sim.Time) error {
 // operations whose cross-thread ordering must be exact.
 func (t *Thread) YieldStrict() { t.coro.Strict() }
 
-// CreateThread creates a new thread running fn. It routes through the
-// process function table so an attached emulator can interpose (the
-// pthread_create hook).
+// CreateThread creates a new thread running fn (pthread_create). The new
+// thread runs the ThreadStarted hook before fn.
 func (t *Thread) CreateThread(name string, fn ThreadFunc) (*Thread, error) {
-	return t.proc.table.ThreadCreate(t, name, fn, -1)
+	return t.CreateThreadOn(-1, name, fn)
 }
 
-// CreateThreadOn is CreateThread pinned to a socket.
+// CreateThreadOn is CreateThread pinned to a socket; -1 follows the process
+// policy.
 func (t *Thread) CreateThreadOn(socket int, name string, fn ThreadFunc) (*Thread, error) {
-	return t.proc.table.ThreadCreate(t, name, fn, socket)
+	t.Compute(t.proc.opts.ThreadCreateCycles)
+	t.coro.Strict()
+	return t.proc.newThread(t, name, fn, socket)
 }
 
 // Join blocks until other's body has returned.
@@ -322,43 +324,36 @@ func (t *Thread) Join(other *Thread) {
 	t.checkSignals()
 }
 
-// Kill queues signal s for target and wakes it if it is sleeping
-// (pthread_kill). Handlers run at the target's next interruption point.
-func (t *Thread) Kill(target *Thread, s Signal) {
+// Kill sends the epoch signal to target and wakes it if it is sleeping
+// (pthread_kill). The OnEpochSignal hook runs at the target's next
+// interruption point. Like a standard (non-realtime) POSIX signal, a Kill
+// while one is already pending coalesces with it.
+func (t *Thread) Kill(target *Thread) {
 	t.coro.Strict()
-	if target.done {
+	if target.done || target.signalPending {
 		return
 	}
-	for _, pending := range target.sigPending {
-		if pending == s {
-			// Standard (non-realtime) POSIX signals coalesce: a signal
-			// already pending is not queued twice.
-			return
-		}
-	}
-	target.sigPending = append(target.sigPending, s)
+	target.signalPending = true
 	t.coro.Interrupt(target.coro, t.coro.Clock()+t.proc.cyc(t.proc.opts.SignalDeliveryCycles, target))
 }
 
-// checkSignals delivers pending signals by running their handlers inline in
-// this thread's context. Nested delivery is suppressed while a handler runs.
+// checkSignals delivers a pending epoch signal by running the OnEpochSignal
+// hook inline in this thread's context. Nested delivery is suppressed while
+// the hook runs; a Kill that arrives meanwhile is delivered once it returns.
 func (t *Thread) checkSignals() {
 	if t.inHandler {
 		return
 	}
-	for len(t.sigPending) > 0 {
-		s := t.sigPending[0]
-		// Shift in place: reslicing from the front would shrink the
-		// capacity, so every later Kill would allocate.
-		t.sigPending = append(t.sigPending[:0], t.sigPending[1:]...)
-		h := t.proc.handlers[s]
+	for t.signalPending {
+		t.signalPending = false
+		h := t.proc.hooks.OnEpochSignal
 		if h == nil {
 			continue // default disposition: ignore
 		}
 		t.inHandler = true
 		t.coro.Advance(t.proc.cyc(t.proc.opts.SignalDeliveryCycles, t))
 		t.vtCharge(vtprof.SchedWait)
-		h(t, s)
+		h(t)
 		t.inHandler = false
 	}
 }
