@@ -32,7 +32,6 @@ func TestParsePreset(t *testing.T) {
 	for _, tt := range tests {
 		f := flags{presetName: tt.in, modeName: "emulated", modelName: "stall", workload: "memlat",
 			threads: 1, iters: 100_000, lines: 1 << 20, minEpoch: 0.1, maxEpoch: 10}
-		f.obs.LedgerFormat = "jsonl"
 		err := f.validate()
 		if (err != nil) != tt.wantErr || (!tt.wantErr && f.preset != tt.want) {
 			t.Errorf("-preset %q: preset %v, err %v", tt.in, f.preset, err)
@@ -175,7 +174,8 @@ func TestExecuteRunsSmallMemLat(t *testing.T) {
 }
 
 // TestValidateObsFlags: a bad observability flag combination exits 2
-// before anything runs, with an error naming the offending flag.
+// before anything runs, with an error naming the offending flag. The
+// retired -ledger-format and -ledger-rotate-mb are among them.
 func TestValidateObsFlags(t *testing.T) {
 	ledger := filepath.Join(t.TempDir(), "ledger.jsonl")
 	cases := []struct {
@@ -183,9 +183,9 @@ func TestValidateObsFlags(t *testing.T) {
 		args []string
 		want string // substring of stderr
 	}{
-		{"bad format", []string{"-ledger-out", ledger, "-ledger-format", "csv"}, "-ledger-format"},
+		{"bad format", []string{"-ledger-out", ledger, "-ledger-format", "binary"}, "-ledger-format"},
 		{"negative rotate", []string{"-ledger-out", ledger, "-ledger-rotate-mb", "-1"}, "-ledger-rotate-mb"},
-		{"rotate without out", []string{"-ledger-rotate-mb", "4"}, "-ledger-rotate-mb needs -ledger-out"},
+		{"rotate without out", []string{"-ledger-rotate-mb", "4"}, "-ledger-rotate-mb"},
 		{"linger without serve", []string{"-serve-linger", "1s"}, "-serve-linger needs -serve"},
 		{"negative linger", []string{"-serve", ":0", "-serve-linger", "-1s"}, "-serve-linger"},
 	}
@@ -219,8 +219,8 @@ func TestLedgerSinkUnwritablePathRejected(t *testing.T) {
 // TestExecuteStreamsLedger: a small run with -ledger-out must stream a
 // dense, decodable epoch ledger.
 func TestExecuteStreamsLedger(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ledger.bin")
-	if code, _, stderr := runCLI(t, append(small, "-ledger-out", path, "-ledger-format", "binary")...); code != 0 {
+	path := filepath.Join(t.TempDir(), "ledger.jsonl")
+	if code, _, stderr := runCLI(t, append(small, "-ledger-out", path)...); code != 0 {
 		t.Fatalf("exit = %d, stderr: %s", code, stderr)
 	}
 	recs, err := obs.ReadLedger(path)
@@ -245,7 +245,6 @@ func TestValidateAsymFlags(t *testing.T) {
 		f := flags{presetName: "ivybridge", modeName: "emulated", modelName: "stall", workload: "memlat",
 			threads: 1, iters: 100_000, lines: 1 << 20, minEpoch: 0.1, maxEpoch: 10,
 			nvmWriteNS: nvmWrite, nvmProfile: profile}
-		f.obs.LedgerFormat = "jsonl"
 		return f.validate()
 	}
 	if err := valid(0, ""); err != nil {

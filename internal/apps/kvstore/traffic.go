@@ -17,47 +17,18 @@ var phaseTrafficPreload = vtprof.Intern("traffic-preload")
 // charges (value bytes in a separate arena, so serving traffic is
 // memory-bound the way production values are, not just tree-node-bound).
 type TrafficTarget struct {
-	s          *Store
-	arena      uintptr
-	valueBytes int
+	s *Store
+	payload
 }
 
 // NewTrafficTarget builds the adapter. valueBytes > 0 attaches a payload
 // arena sized for keys in [0, keySpace) from alloc; 0 skips payloads.
 func NewTrafficTarget(s *Store, keySpace uint64, valueBytes int, alloc Alloc) (*TrafficTarget, error) {
-	tt := &TrafficTarget{s: s, valueBytes: valueBytes}
-	if valueBytes > 0 {
-		if alloc == nil {
-			return nil, fmt.Errorf("kvstore: traffic valueBytes set without alloc")
-		}
-		arena, err := alloc(uintptr(keySpace) * uintptr(valueBytes))
-		if err != nil {
-			return nil, fmt.Errorf("kvstore: traffic payload arena: %w", err)
-		}
-		tt.arena = arena
+	p, err := newPayload(keySpace, valueBytes, alloc)
+	if err != nil {
+		return nil, err
 	}
-	return tt, nil
-}
-
-// touchValue charges the payload access for key: up to two cache lines at
-// the head of the value slot, read or written — the validation workload's
-// exact cost model.
-func (tt *TrafficTarget) touchValue(t *simos.Thread, key uint64, write bool) {
-	if tt.arena == 0 {
-		return
-	}
-	addr := tt.arena + uintptr(key)*uintptr(tt.valueBytes)
-	lines := (tt.valueBytes + 63) / 64
-	if lines > 2 {
-		lines = 2
-	}
-	for l := 0; l < lines; l++ {
-		if write {
-			t.Store(addr + uintptr(l*64))
-		} else {
-			t.Load(addr + uintptr(l*64))
-		}
-	}
+	return &TrafficTarget{s: s, payload: p}, nil
 }
 
 // Preload inserts keys 0..count-1 from th, writing each payload, so scans
@@ -69,7 +40,7 @@ func (tt *TrafficTarget) Preload(th *simos.Thread, count uint64) error {
 		if err := tt.s.Put(th, k, k); err != nil {
 			return fmt.Errorf("kvstore: traffic preload: %w", err)
 		}
-		tt.touchValue(th, k, true)
+		tt.touch(th, k, true)
 	}
 	return nil
 }
@@ -78,7 +49,7 @@ func (tt *TrafficTarget) Preload(th *simos.Thread, count uint64) error {
 func (tt *TrafficTarget) Read(t *simos.Thread, key uint64) bool {
 	_, ok := tt.s.Get(t, key)
 	if ok {
-		tt.touchValue(t, key, false)
+		tt.touch(t, key, false)
 	}
 	return ok
 }
@@ -88,7 +59,7 @@ func (tt *TrafficTarget) Update(t *simos.Thread, key uint64, value uint64) error
 	if err := tt.s.Put(t, key, value); err != nil {
 		return err
 	}
-	tt.touchValue(t, key, true)
+	tt.touch(t, key, true)
 	return nil
 }
 
@@ -96,7 +67,7 @@ func (tt *TrafficTarget) Update(t *simos.Thread, key uint64, value uint64) error
 func (tt *TrafficTarget) Scan(t *simos.Thread, key uint64, limit int) int {
 	n := 0
 	tt.s.Scan(t, key, limit, func(k, v uint64) bool {
-		tt.touchValue(t, k, false)
+		tt.touch(t, k, false)
 		n++
 		return true
 	})

@@ -62,6 +62,48 @@ type WorkloadResult struct {
 	GetsPerS float64
 }
 
+// payload is the per-key value arena both drivers charge: one slot of
+// valueBytes per possible key, in its own allocation, so ops are
+// memory-bound the way a production store's values are. The zero value
+// charges nothing.
+type payload struct {
+	arena      uintptr
+	valueBytes int
+}
+
+// newPayload allocates the arena for keys in [0, keySpace) from alloc when
+// valueBytes > 0.
+func newPayload(keySpace uint64, valueBytes int, alloc Alloc) (payload, error) {
+	if valueBytes <= 0 {
+		return payload{}, nil
+	}
+	if alloc == nil {
+		return payload{}, fmt.Errorf("kvstore: value bytes set without an allocator")
+	}
+	arena, err := alloc(uintptr(keySpace) * uintptr(valueBytes))
+	if err != nil {
+		return payload{}, fmt.Errorf("kvstore: payload arena: %w", err)
+	}
+	return payload{arena: arena, valueBytes: valueBytes}, nil
+}
+
+// touch charges the payload access for key: up to two cache lines at the
+// head of the value slot, read or written.
+func (p payload) touch(t *simos.Thread, key uint64, write bool) {
+	if p.arena == 0 {
+		return
+	}
+	addr := p.arena + uintptr(key)*uintptr(p.valueBytes)
+	lines := min((p.valueBytes+63)/64, 2) // ops touch the head of large values
+	for l := 0; l < lines; l++ {
+		if write {
+			t.Store(addr + uintptr(l*64))
+		} else {
+			t.Load(addr + uintptr(l*64))
+		}
+	}
+}
+
 // RunWorkload preloads the store and drives the put/get mix from Threads
 // client threads spawned off main. closeEpoch, when non-nil, is invoked per
 // worker before its final timestamp (the emulator's CloseEpoch) so trailing
@@ -74,31 +116,9 @@ func RunWorkload(s *Store, main *simos.Thread, cfg WorkloadConfig, closeEpoch fu
 	if keySpace == 0 {
 		keySpace = uint64(4*cfg.Preload + 16)
 	}
-	// Payload arena: one slot per possible key.
-	var arena uintptr
-	if cfg.ValueBytes > 0 {
-		var err error
-		arena, err = cfg.ValueAlloc(uintptr(keySpace) * uintptr(cfg.ValueBytes))
-		if err != nil {
-			return WorkloadResult{}, fmt.Errorf("kvstore: payload arena: %w", err)
-		}
-	}
-	touchValue := func(t *simos.Thread, key uint64, write bool) {
-		if arena == 0 {
-			return
-		}
-		addr := arena + uintptr(key)*uintptr(cfg.ValueBytes)
-		lines := (cfg.ValueBytes + 63) / 64
-		if lines > 2 {
-			lines = 2 // ops touch the head of large values
-		}
-		for l := 0; l < lines; l++ {
-			if write {
-				t.Store(addr + uintptr(l*64))
-			} else {
-				t.Load(addr + uintptr(l*64))
-			}
-		}
+	values, err := newPayload(keySpace, cfg.ValueBytes, cfg.ValueAlloc)
+	if err != nil {
+		return WorkloadResult{}, err
 	}
 
 	// Key and op-pick streams come from internal/workload, which preserves
@@ -112,7 +132,7 @@ func RunWorkload(s *Store, main *simos.Thread, cfg WorkloadConfig, closeEpoch fu
 			main.PopPhase()
 			return WorkloadResult{}, fmt.Errorf("kvstore: preload: %w", err)
 		}
-		touchValue(main, key, true)
+		values.touch(main, key, true)
 	}
 	main.PopPhase()
 
@@ -147,7 +167,7 @@ func RunWorkload(s *Store, main *simos.Thread, cfg WorkloadConfig, closeEpoch fu
 				key := dist.Key(&r)
 				if workload.GetDraw(&r, cfg.GetFraction) {
 					if _, ok := s.Get(t, key); ok {
-						touchValue(t, key, false)
+						values.touch(t, key, false)
 					}
 					getCounts[w]++
 				} else {
@@ -155,7 +175,7 @@ func RunWorkload(s *Store, main *simos.Thread, cfg WorkloadConfig, closeEpoch fu
 						firstErr = err
 						return
 					}
-					touchValue(t, key, true)
+					values.touch(t, key, true)
 					putCounts[w]++
 				}
 			}

@@ -62,9 +62,6 @@ type EnvConfig struct {
 	Quartz core.Config
 	// Lookahead tunes simulation speed for multithreaded workloads.
 	Lookahead sim.Time
-	// OSOptions overrides the simulated-OS cost model (zero value uses
-	// DefaultOptions with the binding the mode requires).
-	OSOptions *simos.Options
 	// Profiler, when non-nil, attaches a virtual-time profiler to the
 	// process: every thread's simulated time is attributed by (phase stack,
 	// category) and folded into it. A job's paired units may share one
@@ -95,9 +92,6 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 		return nil, err
 	}
 	opts := simos.DefaultOptions()
-	if cfg.OSOptions != nil {
-		opts = *cfg.OSOptions
-	}
 	opts.Lookahead = cfg.Lookahead
 	opts.AllowedSockets = []int{0} // computation always on socket 0 (§4.3)
 	switch cfg.Mode {

@@ -1,5 +1,5 @@
 // Package cli holds the command-line surface quartzbench and quartzrun
-// share: the ten observability and introspection flags, their upfront
+// share: the eight observability and introspection flags, their upfront
 // validation, the wiring they ask for (recorder, ledger sink, HTTP server)
 // and the exports that finish a run (Chrome trace, metrics JSON, virtual-time
 // profiles, linger). Each flag has one name, one meaning and one help text on
@@ -11,9 +11,7 @@
 //	-serve ADDR            live introspection HTTP server during the run
 //	-serve-linger D        keep the server up D after the run (Ctrl-C cuts it)
 //	-serve-pprof           mount net/http/pprof on the -serve server
-//	-ledger-out FILE       stream every epoch record to FILE as it closes
-//	-ledger-format F       ledger sink encoding: jsonl or binary
-//	-ledger-rotate-mb N    rotate the ledger sink file every N MiB
+//	-ledger-out FILE       stream every epoch record to FILE, as JSONL, as it closes
 //	-vtprof DIR            virtual-time profiles (pprof .pb.gz + .folded)
 //
 // See doc/observability.md, doc/live-monitoring.md and doc/profiling.md.
@@ -43,20 +41,17 @@ import (
 // Validate after parsing, Start before the run (deferring Close) and Finish
 // after it.
 type Obs struct {
-	Trace        string
-	Metrics      bool
-	MetricsOut   string
-	Serve        string
-	Linger       time.Duration
-	ServePprof   bool
-	LedgerOut    string
-	LedgerFormat string
-	LedgerRotMB  int64
-	VTProf       string
+	Trace      string
+	Metrics    bool
+	MetricsOut string
+	Serve      string
+	Linger     time.Duration
+	ServePprof bool
+	LedgerOut  string
+	VTProf     string
 
 	cmd      string // prefix of the messages written to stderr
 	stderr   io.Writer
-	format   obs.SinkFormat
 	rec      *obs.Recorder
 	srv      *obshttp.Server
 	profiles iter.Seq2[string, *vtprof.Profile]
@@ -86,23 +81,14 @@ func (o *Obs) Register(fs *flag.FlagSet) {
 	fs.StringVar(&o.Serve, "serve", "", "serve live introspection HTTP (/metrics, /ledger, /events, ...) on this address during the run (e.g. :8077)")
 	fs.DurationVar(&o.Linger, "serve-linger", 0, "keep the introspection server up this long after the run finishes (Ctrl-C cuts it short)")
 	fs.BoolVar(&o.ServePprof, "serve-pprof", false, "mount host-side net/http/pprof under /debug/pprof/ on the -serve server")
-	fs.StringVar(&o.LedgerOut, "ledger-out", "", "stream every epoch record to this file as it closes (removes the in-memory ledger bound)")
-	fs.StringVar(&o.LedgerFormat, "ledger-format", "jsonl", "ledger sink encoding: jsonl or binary")
-	fs.Int64Var(&o.LedgerRotMB, "ledger-rotate-mb", 0, "rotate the ledger sink file after this many MiB (0 = never)")
+	fs.StringVar(&o.LedgerOut, "ledger-out", "", "stream every epoch record to this JSONL file as it closes (removes the in-memory ledger bound)")
 	fs.StringVar(&o.VTProf, "vtprof", "", "write virtual-time profiles (pprof .pb.gz + .folded) into this directory")
 }
 
 // Validate rejects bad values and combinations before anything runs; the
 // caller exits 2 on error.
 func (o *Obs) Validate() error {
-	format, err := obs.ParseSinkFormat(o.LedgerFormat)
 	switch {
-	case err != nil:
-		return fmt.Errorf("-ledger-format: %v", err)
-	case o.LedgerRotMB < 0:
-		return fmt.Errorf("-ledger-rotate-mb %d: must be >= 0 (0 = never rotate)", o.LedgerRotMB)
-	case o.LedgerRotMB > 0 && o.LedgerOut == "":
-		return errors.New("-ledger-rotate-mb needs -ledger-out")
 	case o.Linger < 0:
 		return fmt.Errorf("-serve-linger %s: must be >= 0", o.Linger)
 	case o.Linger > 0 && o.Serve == "":
@@ -110,7 +96,6 @@ func (o *Obs) Validate() error {
 	case o.ServePprof && o.Serve == "":
 		return errors.New("-serve-pprof needs -serve")
 	}
-	o.format = format
 	return nil
 }
 
@@ -125,7 +110,7 @@ func (o *Obs) Start(stderr io.Writer, src Sources) error {
 		obs.SetDefault(o.rec)
 	}
 	if o.LedgerOut != "" {
-		sink, err := obs.NewFileSink(o.LedgerOut, obs.SinkOptions{Format: o.format, RotateBytes: o.LedgerRotMB << 20})
+		sink, err := obs.NewFileSink(o.LedgerOut)
 		if err == nil {
 			err = o.rec.AttachSink(sink, 0)
 		}

@@ -13,22 +13,29 @@ import (
 // parse registers the shared flags on a fresh FlagSet and parses args.
 func parse(t *testing.T, args ...string) *Obs {
 	t.Helper()
+	o, err := parseArgs(args)
+	if err != nil {
+		t.Fatalf("parse %v: %v", args, err)
+	}
+	return o
+}
+
+func parseArgs(args []string) (*Obs, error) {
 	var o Obs
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	o.Register(fs)
-	if err := fs.Parse(args); err != nil {
-		t.Fatalf("parse %v: %v", args, err)
-	}
-	return &o
+	return &o, fs.Parse(args)
 }
 
 // TestObsFlagValidation covers every upfront rejection of the shared flags;
-// each error names the offending flag.
+// each error names the offending flag. The retired -ledger-format and
+// -ledger-rotate-mb are refused at parse time, so a script still asking for
+// a binary or rotated ledger fails instead of getting one JSONL file.
 func TestObsFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
 		nil,
-		{"-ledger-out", "x", "-ledger-format", "binary", "-ledger-rotate-mb", "4"},
+		{"-ledger-out", "x"},
 		{"-serve", ":0", "-serve-linger", "5s", "-serve-pprof"},
 	} {
 		if err := parse(t, args...).Validate(); err != nil {
@@ -40,17 +47,20 @@ func TestObsFlagValidation(t *testing.T) {
 		args []string
 		want string // substring of the error
 	}{
-		{"bad format", []string{"-ledger-out", "x", "-ledger-format", "csv"}, "-ledger-format"},
-		{"bad format without out", []string{"-ledger-format", "xml"}, "-ledger-format"},
+		{"bad format", []string{"-ledger-out", "x", "-ledger-format", "binary"}, "-ledger-format"},
+		{"bad format without out", []string{"-ledger-format", "jsonl"}, "-ledger-format"},
 		{"negative rotate", []string{"-ledger-out", "x", "-ledger-rotate-mb", "-5"}, "-ledger-rotate-mb"},
-		{"rotate without out", []string{"-ledger-rotate-mb", "4"}, "-ledger-rotate-mb needs -ledger-out"},
+		{"rotate without out", []string{"-ledger-rotate-mb", "4"}, "-ledger-rotate-mb"},
 		{"linger without serve", []string{"-serve-linger", "5s"}, "-serve-linger needs -serve"},
 		{"negative linger", []string{"-serve", ":0", "-serve-linger", "-1s"}, "-serve-linger"},
 		{"serve pprof without serve", []string{"-serve-pprof"}, "-serve-pprof needs -serve"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := parse(t, c.args...).Validate()
+			o, err := parseArgs(c.args)
+			if err == nil {
+				err = o.Validate()
+			}
 			if err == nil {
 				t.Fatal("accepted")
 			}

@@ -41,23 +41,19 @@ func BenchmarkEpochClosedActive(b *testing.B) {
 }
 
 // BenchmarkEpochClosedStreaming measures the sink-attached path: tail-ring
-// append + event check + encode to the sink. Both formats are zero-alloc at
+// append + event check + JSONL encode to the sink. It is zero-alloc at
 // steady state (TestLedgerAppendNoAllocs is the hard gate).
 func BenchmarkEpochClosedStreaming(b *testing.B) {
-	for _, format := range []SinkFormat{FormatJSONL, FormatBinary} {
-		b.Run(format.String(), func(b *testing.B) {
-			r := New(0)
-			if err := r.AttachSink(NewWriterSink(discard{}, format), DefaultTailRing); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r.EpochClosed(benchRecord)
-			}
-			if err := r.CloseSink(); err != nil {
-				b.Fatal(err)
-			}
-		})
+	r := New(0)
+	if err := r.AttachSink(NewWriterSink(discard{}, FormatJSONL), DefaultTailRing); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.EpochClosed(benchRecord)
+	}
+	if err := r.CloseSink(); err != nil {
+		b.Fatal(err)
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
+	"unicode/utf8"
 
 	"github.com/quartz-emu/quartz/internal/sim"
 )
@@ -78,70 +80,80 @@ func TestAppendJSONRecordMatchesStdlib(t *testing.T) {
 	}
 }
 
-// TestAppendRecordBinaryMatchesTwoBuffer pins the in-place length-prefix
-// encoding against the obvious two-buffer construction.
-func TestAppendRecordBinaryMatchesTwoBuffer(t *testing.T) {
-	recs := []EpochRecord{
-		{},
-		benchRecord,
-		{Seq: 1 << 60, Thread: "long-thread-name-to-grow-the-payload",
-			Reason: "sync", LDMStallCycles: -1.5, Carry: -sim.Millisecond},
-	}
-	for _, rec := range recs {
-		var want []byte
-		payload := appendBinaryPayload(nil, rec)
-		want = appendUvarintTest(want, uint64(len(payload)))
-		want = append(want, payload...)
-
-		got := appendRecord(nil, rec, FormatBinary)
-		if !bytes.Equal(got, want) {
-			t.Errorf("binary framing mismatch for %+v:\n got %x\nwant %x", rec, got, want)
+// FuzzLedgerJSONL drives the one ledger codec with fuzzed strings,
+// integers and floats: the hand-rolled encoder must match json.Marshal byte
+// for byte, and DecodeLedger must give the record back. NaN and Inf are
+// skipped (the encoder refuses them by design, as json.Marshal does), and
+// so is the round trip of invalid UTF-8, which JSON replaces with U+FFFD.
+func FuzzLedgerJSONL(f *testing.F) {
+	f.Add(uint64(0), 0, "", "max", int64(0), int64(0), uint64(0), uint64(0), 0.0)
+	f.Add(uint64(7), 3, "worker-1", "sync", int64(1e12), int64(-5), uint64(1<<63), uint64(9), 1.5e-7)
+	f.Add(uint64(1<<60), -2, "<q\"u\\o>&\n", "caf\u00e9 \U0001F600", int64(-1<<62), int64(1<<62), uint64(3), uint64(1), 1e21)
+	f.Add(uint64(1), 1, "\xff\x00", "\u2028", int64(1), int64(1), uint64(0), uint64(0), -0.0)
+	f.Fuzz(func(t *testing.T, seq uint64, id int, thread, reason string,
+		start, delay int64, stall, stores uint64, ldm float64) {
+		if math.IsNaN(ldm) || math.IsInf(ldm, 0) {
+			t.Skip()
 		}
-		// And prefix-encoding onto a non-empty buffer must not disturb it.
-		pre := []byte("prefix")
-		got2 := appendRecord(append([]byte(nil), pre...), rec, FormatBinary)
-		if !bytes.Equal(got2, append(append([]byte(nil), pre...), want...)) {
-			t.Errorf("binary framing with prefix mismatch for %+v", rec)
+		// The optional fields follow the fuzzed values, so both sides of
+		// every omitempty boundary get covered.
+		rec := EpochRecord{
+			Seq: seq, PID: id, TID: -id, Thread: thread,
+			Start: sim.Time(start), End: sim.Time(start + delay), Reason: reason,
+			StallCycles: stall, L3Hit: stall >> 3, L3MissLocal: stores,
+			L3MissRemote: stall % 3, LDMStallCycles: ldm,
+			Stores: stores, StoreMissLocal: stores >> 1, StoreMissRem: stores % 5,
+			Delay: sim.Time(delay), WriteDelay: sim.Time(delay % 3), Injected: sim.Time(delay / 2),
+			InjectStart: sim.Time(start % 7), InjectEnd: sim.Time(start / 3),
+			Overhead: sim.Time(stall % 11), Carry: sim.Time(-delay),
 		}
-	}
-}
-
-func appendUvarintTest(buf []byte, v uint64) []byte {
-	for v >= 0x80 {
-		buf = append(buf, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(buf, byte(v))
+		want, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatalf("json.Marshal: %v", err)
+		}
+		line := appendJSONRecord(nil, rec)
+		if !bytes.Equal(line, want) {
+			t.Fatalf("encoder mismatch:\n got %s\nwant %s", line, want)
+		}
+		if !utf8.ValidString(thread) || !utf8.ValidString(reason) {
+			return
+		}
+		got, err := DecodeLedger(bytes.NewReader(append(line, '\n')))
+		if err != nil {
+			t.Fatalf("DecodeLedger(%s): %v", line, err)
+		}
+		if len(got) != 1 || !reflect.DeepEqual(got[0], rec) {
+			t.Fatalf("round trip of %s:\n got %+v\nwant %+v", line, got, rec)
+		}
+	})
 }
 
 // TestLedgerAppendNoAllocs is the allocation gate for the sink-attached
 // epoch-close path: once the tail ring and encoder scratch have reached
-// steady state, appending a record must not allocate in either format.
+// steady state, appending a record must not allocate.
 func TestLedgerAppendNoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
 	}
-	for _, format := range []SinkFormat{FormatJSONL, FormatBinary} {
-		t.Run(format.String(), func(t *testing.T) {
-			r := New(0)
-			if err := r.AttachSink(NewWriterSink(discard{}, format), 64); err != nil {
-				t.Fatal(err)
-			}
-			// Warm up: fill the tail ring and grow the encoder scratch.
-			for i := 0; i < 256; i++ {
-				r.EpochClosed(benchRecord)
-			}
-			if allocs := testing.AllocsPerRun(200, func() {
-				r.EpochClosed(benchRecord)
-			}); allocs != 0 {
-				t.Errorf("steady-state EpochClosed with %s sink: %v allocs/op, want 0", format, allocs)
-			}
-			if err := r.CloseSink(); err != nil {
-				t.Fatal(err)
-			}
-			if err := r.SinkErr(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+	t.Run("jsonl", func(t *testing.T) {
+		r := New(0)
+		if err := r.AttachSink(NewWriterSink(discard{}, FormatJSONL), 64); err != nil {
+			t.Fatal(err)
+		}
+		// Warm up: fill the tail ring and grow the encoder scratch.
+		for i := 0; i < 256; i++ {
+			r.EpochClosed(benchRecord)
+		}
+		if allocs := testing.AllocsPerRun(200, func() {
+			r.EpochClosed(benchRecord)
+		}); allocs != 0 {
+			t.Errorf("steady-state EpochClosed with a sink: %v allocs/op, want 0", allocs)
+		}
+		if err := r.CloseSink(); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.SinkErr(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -17,8 +17,8 @@
 //   - the Chrome trace exporter (chrome.go): the ledger rendered as a
 //     trace-event JSON file loadable in chrome://tracing or Perfetto, with
 //     epochs as slices and delay injections as flow-connected slices;
-//   - ledger sinks (sink.go): JSONL or compact-binary streaming of every
-//     epoch record to disk, removing the in-memory retention bound;
+//   - the ledger sink (sink.go): JSONL streaming of every epoch record to
+//     disk, removing the in-memory retention bound;
 //   - the event stream (events.go): a non-blocking fan-out of epoch closes,
 //     delay injections, throttle programmings and job completions, feeding
 //     the HTTP introspection plane (internal/obs/obshttp).
@@ -454,20 +454,38 @@ func (r *Recorder) Ledger() []EpochRecord {
 	return r.ledgerLocked()
 }
 
-// LedgerSince returns a copy of the retained records with Seq >= since, in
-// close order, plus the total number of epochs ever closed. When since
-// predates the oldest retained record the result starts at the oldest one
-// (its Seq exceeds since — that gap is how callers detect truncation; the
-// full ledger is in the sink, if one is attached).
-func (r *Recorder) LedgerSince(since uint64) (recs []EpochRecord, total uint64) {
+// LedgerSince returns a copy of at most maxRecs retained records with
+// Seq >= since, in close order, plus the total number of epochs ever closed.
+// When since predates the oldest retained record the result starts at the
+// oldest one (its Seq exceeds since — that gap is how callers detect
+// truncation; the full ledger is in the sink, if one is attached). Only the
+// returned records are copied, so a poll costs O(maxRecs + log retained) under
+// the ledger mutex however large the retained ledger is.
+func (r *Recorder) LedgerSince(since uint64, maxRecs int) (recs []EpochRecord, total uint64) {
 	if r == nil {
 		return nil, 0
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	all := r.ledgerLocked() // fresh copy, Seq ascending in both modes
-	idx := sort.Search(len(all), func(i int) bool { return all[i].Seq >= since })
-	return all[idx:], r.total
+	// The retained records in Seq order are old then young: the ring from
+	// its head, then the wrapped part before it.
+	old, young := r.ledger[r.start:], r.ledger[:r.start]
+	idx := sort.Search(len(r.ledger), func(i int) bool {
+		if i < len(old) {
+			return old[i].Seq >= since
+		}
+		return young[i-len(old)].Seq >= since
+	})
+	if idx < len(old) {
+		old = old[idx:]
+	} else {
+		old, young = nil, young[idx-len(old):]
+	}
+	n := max(0, min(maxRecs, len(old)+len(young)))
+	recs = make([]EpochRecord, 0, n)
+	recs = append(recs, old[:min(n, len(old))]...)
+	recs = append(recs, young[:n-len(recs)]...)
+	return recs, r.total
 }
 
 // Total reports how many epochs have ever been closed against r.

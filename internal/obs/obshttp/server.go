@@ -177,7 +177,8 @@ func ledger(rec *obs.Recorder, w http.ResponseWriter, r *http.Request) {
 	if limit == 0 || limit > 10000 {
 		limit = 10000
 	}
-	recs, total := rec.LedgerSince(since)
+	// One record past the page tells whether more follow.
+	recs, total := rec.LedgerSince(since, int(limit)+1)
 	page := LedgerPage{Total: total, Next: since}
 	if uint64(len(recs)) > limit {
 		recs = recs[:limit]

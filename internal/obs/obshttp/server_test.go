@@ -319,7 +319,7 @@ func TestEventsSSEOrderMatchesLedger(t *testing.T) {
 // endpoint; run under -race this is the data-race gate for the whole plane.
 func TestConcurrentClosesAndPolling(t *testing.T) {
 	rec := obs.New(0)
-	if err := rec.AttachSink(obs.NewWriterSink(discardWriter{}, obs.FormatBinary), 64); err != nil {
+	if err := rec.AttachSink(obs.NewWriterSink(discardWriter{}, obs.FormatJSONL), 64); err != nil {
 		t.Fatal(err)
 	}
 	board := runner.NewStatusBoard()

@@ -36,48 +36,49 @@ func fullRecord(i int) EpochRecord {
 }
 
 // TestSinkRoundTrip: write through the recorder, reopen, decode — the
-// decoded stream must equal the in-memory ledger, for both formats.
+// decoded stream must equal the in-memory ledger.
 func TestSinkRoundTrip(t *testing.T) {
-	for _, format := range []SinkFormat{FormatJSONL, FormatBinary} {
-		t.Run(format.String(), func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "ledger."+format.String())
-			sink, err := NewFileSink(path, SinkOptions{Format: format})
-			if err != nil {
-				t.Fatal(err)
+	t.Run("jsonl", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "ledger.jsonl")
+		sink, err := NewFileSink(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 100
+		r := New(0)
+		if err := r.AttachSink(sink, n); err != nil { // ring holds everything
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			r.EpochClosed(fullRecord(i))
+		}
+		if err := r.CloseSink(); err != nil {
+			t.Fatalf("CloseSink: %v", err)
+		}
+		got, err := ReadLedger(path)
+		if err != nil {
+			t.Fatalf("ReadLedger: %v", err)
+		}
+		want := r.Ledger()
+		if len(got) != len(want) {
+			t.Fatalf("decoded %d records, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("record %d round-trip mismatch:\n got %+v\nwant %+v", i, got[i], want[i])
 			}
-			const n = 100
-			r := New(0)
-			if err := r.AttachSink(sink, n); err != nil { // ring holds everything
-				t.Fatal(err)
-			}
-			for i := 0; i < n; i++ {
-				r.EpochClosed(fullRecord(i))
-			}
-			if err := r.CloseSink(); err != nil {
-				t.Fatalf("CloseSink: %v", err)
-			}
-			got, err := ReadLedger(path)
-			if err != nil {
-				t.Fatalf("ReadLedger: %v", err)
-			}
-			want := r.Ledger()
-			if len(got) != len(want) {
-				t.Fatalf("decoded %d records, want %d", len(got), len(want))
-			}
-			for i := range want {
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Fatalf("record %d round-trip mismatch:\n got %+v\nwant %+v", i, got[i], want[i])
-				}
-			}
-		})
-	}
+		}
+		if err := sink.Append(fullRecord(n)); !errors.Is(err, os.ErrClosed) {
+			t.Errorf("Append after Close: %v, want os.ErrClosed", err)
+		}
+	})
 }
 
 // TestSinkRemovesLedgerBound: with a sink attached nothing is ever dropped —
 // the sink holds the complete ledger and memory keeps only the tail ring.
 func TestSinkRemovesLedgerBound(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ledger.jsonl")
-	sink, err := NewFileSink(path, SinkOptions{})
+	sink, err := NewFileSink(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestAttachSinkFlushesRetained(t *testing.T) {
 		r.EpochClosed(fullRecord(i))
 	}
 	var buf bytes.Buffer
-	if err := r.AttachSink(NewWriterSink(&buf, FormatBinary), 0); err != nil {
+	if err := r.AttachSink(NewWriterSink(&buf, FormatJSONL), 0); err != nil {
 		t.Fatal(err)
 	}
 	for i := 5; i < 8; i++ {
@@ -150,70 +151,6 @@ func TestAttachSinkFlushesRetained(t *testing.T) {
 		if rec.Seq != uint64(i) {
 			t.Fatalf("record %d has Seq %d", i, rec.Seq)
 		}
-	}
-}
-
-// TestSinkRotation: a tiny rotation budget must produce multiple segments,
-// each independently decodable, concatenating to the full ledger in order.
-func TestSinkRotation(t *testing.T) {
-	for _, format := range []SinkFormat{FormatJSONL, FormatBinary} {
-		t.Run(format.String(), func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "ledger.out")
-			sink, err := NewFileSink(path, SinkOptions{Format: format, RotateBytes: 2048})
-			if err != nil {
-				t.Fatal(err)
-			}
-			const n = 300
-			for i := 0; i < n; i++ {
-				rec := fullRecord(i)
-				rec.Seq = uint64(i)
-				if err := sink.Append(rec); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := sink.Close(); err != nil {
-				t.Fatal(err)
-			}
-			segs, err := LedgerSegments(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(segs) < 3 {
-				t.Fatalf("only %d segments for %d records at 2KB rotation: %v", len(segs), n, segs)
-			}
-			for _, seg := range segs {
-				st, err := os.Stat(seg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Rotation must happen at record boundaries, never splitting a
-				// frame: every segment decodes cleanly on its own.
-				f, err := os.Open(seg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				recs, err := DecodeLedger(f)
-				f.Close()
-				if err != nil {
-					t.Fatalf("segment %s (%d bytes) does not decode standalone: %v", seg, st.Size(), err)
-				}
-				if len(recs) == 0 {
-					t.Fatalf("segment %s is empty", seg)
-				}
-			}
-			all, err := ReadLedger(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(all) != n {
-				t.Fatalf("reassembled %d records, want %d", len(all), n)
-			}
-			for i, rec := range all {
-				if rec.Seq != uint64(i) {
-					t.Fatalf("record %d has Seq %d: segment order broken", i, rec.Seq)
-				}
-			}
-		})
 	}
 }
 
@@ -253,21 +190,22 @@ func TestSinkErrorLatched(t *testing.T) {
 	}
 }
 
-// TestLedgerSince covers the cursor in both retention modes.
+// TestLedgerSince covers the cursor in both retention modes, including
+// pages that cross the wrap point of the tail ring.
 func TestLedgerSince(t *testing.T) {
 	t.Run("bounded", func(t *testing.T) {
 		r := New(4) // keeps oldest 4 of 10
 		for i := 0; i < 10; i++ {
 			r.EpochClosed(fullRecord(i))
 		}
-		recs, total := r.LedgerSince(2)
+		recs, total := r.LedgerSince(2, 100)
 		if total != 10 {
 			t.Errorf("total = %d, want 10", total)
 		}
 		if len(recs) != 2 || recs[0].Seq != 2 || recs[1].Seq != 3 {
 			t.Errorf("since=2 over retained seqs 0-3: got %d records starting at %v", len(recs), recs)
 		}
-		if recs, _ := r.LedgerSince(100); len(recs) != 0 {
+		if recs, _ := r.LedgerSince(100, 100); len(recs) != 0 {
 			t.Errorf("since past the end returned %d records", len(recs))
 		}
 	})
@@ -279,22 +217,40 @@ func TestLedgerSince(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			r.EpochClosed(fullRecord(i))
 		}
-		// Retained: seqs 6..9. A cursor from 0 jumps to the oldest retained.
-		recs, total := r.LedgerSince(0)
-		if total != 10 {
-			t.Errorf("total = %d, want 10", total)
-		}
-		if len(recs) != 4 || recs[0].Seq != 6 {
-			t.Fatalf("since=0 over ring 6..9: got %d records, first seq %d", len(recs), recs[0].Seq)
-		}
-		recs, _ = r.LedgerSince(8)
-		if len(recs) != 2 || recs[0].Seq != 8 {
-			t.Errorf("since=8: got %d records, first %v", len(recs), recs)
+		// Retained: seqs 6..9, stored wrapped as [8 9 6 7] with the head
+		// at 6. A cursor before the range jumps to the oldest retained.
+		for _, c := range []struct {
+			since     uint64
+			maxRecs   int
+			wantLen   int
+			wantFirst uint64
+		}{
+			{0, 100, 4, 6}, // before the range: the whole ring
+			{0, 3, 3, 6},   // before the range, page crosses the wrap
+			{7, 2, 2, 7},   // inside, page crosses the wrap
+			{6, 2, 2, 6},   // inside, page ends at the wrap
+			{8, 100, 2, 8}, // inside the wrapped part
+			{9, 1, 1, 9},   // the newest record
+			{10, 100, 0, 0},
+			{6, 0, 0, 0},
+		} {
+			recs, total := r.LedgerSince(c.since, c.maxRecs)
+			if total != 10 {
+				t.Errorf("total = %d, want 10", total)
+			}
+			if len(recs) != c.wantLen {
+				t.Fatalf("since=%d max=%d: got %d records, want %d", c.since, c.maxRecs, len(recs), c.wantLen)
+			}
+			for i, rec := range recs {
+				if want := c.wantFirst + uint64(i); rec.Seq != want {
+					t.Fatalf("since=%d max=%d: record %d has seq %d, want %d", c.since, c.maxRecs, i, rec.Seq, want)
+				}
+			}
 		}
 	})
 }
 
-// TestDecodeLedgerEmptyAndGarbage: edge cases of the sniffing decoder.
+// TestDecodeLedgerEmptyAndGarbage: edge cases of the decoder.
 func TestDecodeLedgerEmptyAndGarbage(t *testing.T) {
 	if recs, err := DecodeLedger(bytes.NewReader(nil)); err != nil || len(recs) != 0 {
 		t.Errorf("empty stream: recs=%v err=%v", recs, err)
@@ -302,9 +258,9 @@ func TestDecodeLedgerEmptyAndGarbage(t *testing.T) {
 	if _, err := DecodeLedger(bytes.NewReader([]byte("not a ledger\n"))); err == nil {
 		t.Error("garbage stream decoded without error")
 	}
-	// A truncated binary stream must fail loudly, not silently shorten.
+	// A truncated stream must fail loudly, not silently shorten.
 	var buf bytes.Buffer
-	s := NewWriterSink(&buf, FormatBinary)
+	s := NewWriterSink(&buf, FormatJSONL)
 	for i := 0; i < 3; i++ {
 		if err := s.Append(fullRecord(i)); err != nil {
 			t.Fatal(err)
@@ -312,19 +268,6 @@ func TestDecodeLedgerEmptyAndGarbage(t *testing.T) {
 	}
 	cut := buf.Bytes()[:buf.Len()-3]
 	if _, err := DecodeLedger(bytes.NewReader(cut)); err == nil {
-		t.Error("truncated binary stream decoded without error")
-	}
-}
-
-// TestParseSinkFormat pins the CLI-facing format names.
-func TestParseSinkFormat(t *testing.T) {
-	if f, err := ParseSinkFormat("jsonl"); err != nil || f != FormatJSONL {
-		t.Errorf("jsonl: %v %v", f, err)
-	}
-	if f, err := ParseSinkFormat("binary"); err != nil || f != FormatBinary {
-		t.Errorf("binary: %v %v", f, err)
-	}
-	if _, err := ParseSinkFormat("csv"); err == nil {
-		t.Error("csv accepted")
+		t.Error("truncated stream decoded without error")
 	}
 }

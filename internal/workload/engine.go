@@ -64,9 +64,6 @@ type ScenarioConfig struct {
 	Mix Mix
 	// Seed drives every client stream (see ClientState).
 	Seed uint64
-	// ThinkTime is the closed-loop pause between a client's completion and
-	// its next request (0 = back-to-back).
-	ThinkTime sim.Time
 	// ArrivalPeriod, when positive, switches the scenario to an open loop:
 	// each client issues requests on a fixed schedule (one per period,
 	// phase-staggered across clients) regardless of completions, so
@@ -106,8 +103,8 @@ func (c ScenarioConfig) Validate() error {
 	if c.Keys == nil || c.Keys.N() == 0 {
 		return fmt.Errorf("workload: scenario %q has no key distribution", c.Name)
 	}
-	if c.ThinkTime < 0 || c.ArrivalPeriod < 0 {
-		return fmt.Errorf("workload: negative think/arrival time")
+	if c.ArrivalPeriod < 0 {
+		return fmt.Errorf("workload: negative arrival period")
 	}
 	return c.Mix.Validate()
 }
@@ -249,13 +246,13 @@ func (wk *worker) init() {
 	for i := 0; i < n; i++ {
 		wk.gen[i] = NewLCG(ClientState(cfg.Seed, wk.w+i*wk.sc.pool))
 	}
-	// Preallocate only the picker the arrival rule needs: the calendar
-	// needs none, the FIFO ring one int32 per client (its heap fallback
-	// grows lazily in the rare zero-time-op case), everything else the
-	// heap.
-	if cfg.sched == schedAuto && cfg.ArrivalPeriod == 0 && cfg.ThinkTime == 0 {
+	// Preallocate only the picker the run needs: the calendar and the
+	// linear scan need none, the FIFO ring one int32 per client (its heap
+	// fallback grows lazily in the rare zero-time-op case), the forced heap
+	// mode the heap.
+	if cfg.sched == schedAuto && cfg.ArrivalPeriod == 0 {
 		wk.fifo.buf = make([]int32, n)
-	} else if cfg.sched == schedHeap || cfg.sched == schedAuto && cfg.ArrivalPeriod == 0 {
+	} else if cfg.sched == schedHeap {
 		wk.heap.idx = make([]int32, 0, n)
 	}
 }
@@ -301,7 +298,7 @@ func (wk *worker) runOne(t *simos.Thread, i int32) bool {
 	if cfg.ArrivalPeriod > 0 {
 		wk.due[i] = due + cfg.ArrivalPeriod
 	} else {
-		wk.due[i] = end + cfg.ThinkTime
+		wk.due[i] = end
 	}
 	return true
 }
@@ -379,7 +376,7 @@ func (wk *worker) runPhase(t *simos.Thread, limit int32, record bool) bool {
 		ok = wk.runLinear(t, limit)
 	case cfg.sched == schedAuto && cfg.ArrivalPeriod > 0:
 		ok = wk.runCalendar(t, limit)
-	case cfg.sched == schedAuto && cfg.ThinkTime == 0:
+	case cfg.sched == schedAuto:
 		ok = wk.runFIFO(t, limit)
 	default:
 		wk.heap.due = wk.due
@@ -431,7 +428,7 @@ func (wk *worker) runCalendar(t *simos.Thread, limit int32) bool {
 	return true
 }
 
-// runFIFO serves the closed-loop zero-think case from a ring, O(1) per
+// runFIFO serves the closed loop from a ring, O(1) per
 // pick: a served client's next due is its completion time, which simulated
 // -time monotonicity puts at or past every other owned client's due, so the
 // earliest-due client is the least recently served one. Every re-append is

@@ -242,7 +242,6 @@ func TestScenarioValidation(t *testing.T) {
 		func(c *ScenarioConfig) { c.MeasureOps = 0 },
 		func(c *ScenarioConfig) { c.WarmupOps = -1 },
 		func(c *ScenarioConfig) { c.Keys = nil },
-		func(c *ScenarioConfig) { c.ThinkTime = -1 },
 		func(c *ScenarioConfig) { c.ArrivalPeriod = -1 },
 		func(c *ScenarioConfig) { c.Mix.Read = 0 },
 	}

@@ -12,13 +12,12 @@ import "github.com/quartz-emu/quartz/internal/sim"
 // equivalence is pinned by TestSchedulerEquivalence.
 //
 // Cost per pick: the reference scan is O(owned); the 4-ary heap is
-// O(log4 owned); the open-loop calendar and the closed-loop zero-think FIFO
-// are O(1). At a million clients over a 16-thread pool an owned set is
+// O(log4 owned); the open-loop calendar and the closed-loop FIFO are O(1). At a million clients over a 16-thread pool an owned set is
 // 65 536 clients, so the difference is the whole ballgame.
 
 // schedMode selects the picker. The zero value picks automatically: the
-// calendar for open-loop fixed arrivals, the FIFO ring for closed-loop
-// zero-think, the heap otherwise. The forced modes exist for the
+// calendar for open-loop fixed arrivals, the FIFO ring (with its heap
+// fallback) for the closed loop. The forced modes exist for the
 // equivalence tests.
 type schedMode uint8
 
@@ -104,7 +103,7 @@ func (h *heap4) siftDown(k int) {
 	}
 }
 
-// fifoRing is the O(1) picker for the closed-loop zero-think case: a served
+// fifoRing is the O(1) picker for the closed loop: a served
 // client's next due is its completion time, which simulated-time
 // monotonicity puts at or past every other owned client's due, so the
 // earliest-due client is simply the least recently served one. The ring

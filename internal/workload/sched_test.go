@@ -73,7 +73,6 @@ func TestSchedulerEquivalence(t *testing.T) {
 		mutate   func(*ScenarioConfig)
 	}{
 		{"closed-zero-think", false, func(c *ScenarioConfig) {}},
-		{"closed-think", false, func(c *ScenarioConfig) { c.ThinkTime = 3 * sim.Microsecond }},
 		{"open-loop", false, func(c *ScenarioConfig) { c.ArrivalPeriod = 2 * sim.Microsecond }},
 		{"open-loop-overload", false, func(c *ScenarioConfig) {
 			c.ArrivalPeriod = 100 // far faster than service: deep backlog
