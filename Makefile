@@ -5,7 +5,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet test bench-quick bench bench-alloc perf-smoke serve-smoke traffic-smoke asym-smoke profile-smoke full-results docs-check ci
+.PHONY: all build vet test bench-quick bench bench-alloc fuzz-smoke perf-smoke serve-smoke traffic-smoke asym-smoke profile-smoke full-results docs-check ci
 
 all: vet test
 
@@ -29,7 +29,7 @@ docs-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 
-ci: docs-check test bench-alloc perf-smoke serve-smoke traffic-smoke asym-smoke profile-smoke
+ci: docs-check test bench-alloc fuzz-smoke perf-smoke serve-smoke traffic-smoke asym-smoke profile-smoke
 
 # serve-smoke end-to-end checks the live introspection plane: quartzbench
 # -serve on an ephemeral port with a streaming ledger sink, probed by
@@ -87,6 +87,20 @@ bench-quick:
 # files race-enabled with the gates skipped.
 bench-alloc:
 	$(GO) test -run 'NoAllocs' -count=1 ./internal/bench ./internal/cache ./internal/obs ./internal/obs/vtprof ./internal/simos ./internal/workload
+
+# fuzz-smoke runs each native fuzz target for 5 s past its seed corpus (the
+# seeds alone run under `go test ./...`): the cache and the stream
+# prefetcher against their reference models, the packed MemLat visit order
+# against a successor chase, the nvmemul.ini parser and the JSONL ledger
+# codec. Minimizing a newly interesting input is capped at 100 runs so the
+# 5 s go to fuzzing; a failing input is still written to the package's
+# testdata/fuzz.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzCacheMatchesReference$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/cache
+	$(GO) test -run '^$$' -fuzz '^FuzzPrefetcherMatchesReference$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/cache
+	$(GO) test -run '^$$' -fuzz '^FuzzPermutationOrder$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/bench
+	$(GO) test -run '^$$' -fuzz '^FuzzParseINI$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzLedgerJSONL$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/obs
 
 # perf-smoke drives the repository benchmark (cmd/quartzperf) once over all
 # five workloads at a tenth of a second each. It builds through the same

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -234,6 +235,54 @@ func TestExecuteStreamsLedger(t *testing.T) {
 		if rec.Seq != uint64(i) {
 			t.Fatalf("record %d has seq %d", i, rec.Seq)
 		}
+	}
+}
+
+// TestTraceRendersStreamedLedger: with -ledger-out, the in-memory ledger
+// keeps only the newest obs.DefaultTailRing records, so a run that closes
+// more epochs than that must still put every one of them in the -trace
+// file, and say it dropped none.
+func TestTraceRendersStreamedLedger(t *testing.T) {
+	dir := t.TempDir()
+	ledgerPath, tracePath := filepath.Join(dir, "ledger.jsonl"), filepath.Join(dir, "trace.json")
+	code, _, stderr := runCLI(t, "-workload", "multithreaded", "-threads", "4", "-iters", "120000",
+		"-ledger-out", ledgerPath, "-trace", tracePath)
+	if code != 0 {
+		t.Fatalf("exit = %d, stderr: %s", code, stderr)
+	}
+	recs, err := obs.ReadLedger(ledgerPath)
+	if err != nil {
+		t.Fatalf("ReadLedger: %v", err)
+	}
+	if len(recs) <= obs.DefaultTailRing {
+		t.Fatalf("run closed %d epochs, want more than the %d-record tail ring", len(recs), obs.DefaultTailRing)
+	}
+	raw, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr struct {
+		TraceEvents []struct {
+			Cat string `json:"cat"`
+			Ph  string `json:"ph"`
+		} `json:"traceEvents"`
+		OtherData struct {
+			Retained int `json:"epochs_retained"`
+			Dropped  int `json:"epochs_dropped"`
+		} `json:"otherData"`
+	}
+	if err := json.Unmarshal(raw, &tr); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	slices := 0
+	for _, ev := range tr.TraceEvents {
+		if ev.Cat == "epoch" && ev.Ph == "X" {
+			slices++
+		}
+	}
+	if slices != len(recs) || tr.OtherData.Retained != len(recs) || tr.OtherData.Dropped != 0 {
+		t.Errorf("trace has %d epoch slices (retained %d, dropped %d), ledger file has %d records",
+			slices, tr.OtherData.Retained, tr.OtherData.Dropped, len(recs))
 	}
 }
 

@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/quartz-emu/quartz"
@@ -13,16 +14,16 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "kvstore example: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	fmt.Println("KV store under emulated NVM (4 threads, 50/50 put/get)")
-	fmt.Println()
-	fmt.Printf("%-14s  %-12s  %-12s  %s\n", "NVM latency", "put/s", "get/s", "vs DRAM")
+func run(w io.Writer) error {
+	fmt.Fprintln(w, "KV store under emulated NVM (4 threads, 50/50 put/get)")
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%-14s  %-12s  %-12s  %s\n", "NVM latency", "put/s", "get/s", "vs DRAM")
 
 	var base float64
 	for _, targetNS := range []float64{87, 200, 500, 1000, 2000} {
@@ -38,11 +39,11 @@ func run() error {
 		if targetNS == 87 {
 			label = "DRAM (87ns)"
 		}
-		fmt.Printf("%-14s  %-12.0f  %-12.0f  %.2fx\n", label, res.PutsPerS, res.GetsPerS, total/base)
+		fmt.Fprintf(w, "%-14s  %-12.0f  %-12.0f  %.2fx\n", label, res.PutsPerS, res.GetsPerS, total/base)
 	}
-	fmt.Println()
-	fmt.Println("throughput falls slowly up to a few hundred ns, then sharply — the")
-	fmt.Println("tree's upper levels are cache-resident, but leaf reads pay full latency.")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "throughput falls slowly up to a few hundred ns, then sharply — the")
+	fmt.Fprintln(w, "tree's upper levels are cache-resident, but leaf reads pay full latency.")
 	return nil
 }
 

@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/quartz-emu/quartz"
@@ -14,16 +15,16 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "pagerank example: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	fmt.Println("PageRank (20k vertices, 160k edges) under emulated NVM")
-	fmt.Println()
-	fmt.Printf("%-14s  %-10s  %-8s  %s\n", "NVM latency", "CT (ms)", "iters", "vs DRAM")
+func run(w io.Writer) error {
+	fmt.Fprintln(w, "PageRank (20k vertices, 160k edges) under emulated NVM")
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%-14s  %-10s  %-8s  %s\n", "NVM latency", "CT (ms)", "iters", "vs DRAM")
 
 	var base float64
 	for _, targetNS := range []float64{87, 200, 500, 1000, 2000} {
@@ -39,7 +40,7 @@ func run() error {
 		if targetNS == 87 {
 			label = "DRAM (87ns)"
 		}
-		fmt.Printf("%-14s  %-10.2f  %-8d  %.2fx\n", label, ct, res.Iterations, ct/base)
+		fmt.Fprintf(w, "%-14s  %-10.2f  %-8d  %.2fx\n", label, ct, res.Iterations, ct/base)
 	}
 	return nil
 }

@@ -15,6 +15,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/quartz-emu/quartz"
@@ -27,16 +28,16 @@ const (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "persistence example: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	fmt.Printf("initializing %d persistent objects x %d fields (NVM write latency %dns)\n\n",
+func run(w io.Writer) error {
+	fmt.Fprintf(w, "initializing %d persistent objects x %d fields (NVM write latency %dns)\n\n",
 		objects, fieldsPerObj, writeLatNS)
-	fmt.Printf("%-34s  %-10s  %s\n", "write model", "CT (ms)", "vs volatile")
+	fmt.Fprintf(w, "%-34s  %-10s  %s\n", "write model", "CT (ms)", "vs volatile")
 
 	type mode int
 	const (
@@ -59,11 +60,11 @@ func run() error {
 		if base == 0 {
 			base = ct
 		}
-		fmt.Printf("%-34s  %-10.2f  %.1fx\n", names[m], ct, ct/base)
+		fmt.Fprintf(w, "%-34s  %-10.2f  %.1fx\n", names[m], ct, ct/base)
 	}
-	fmt.Println()
-	fmt.Println("pcommit lets the eight independent field writes of each object drain")
-	fmt.Println("in parallel; only the commit barrier pays the residual write latency.")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "pcommit lets the eight independent field writes of each object drain")
+	fmt.Fprintln(w, "in parallel; only the commit barrier pays the residual write latency.")
 	return nil
 }
 

@@ -5,34 +5,35 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/quartz-emu/quartz"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "quickstart: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	fmt.Println("Quartz quickstart: emulating NVM read latencies on the Ivy Bridge testbed")
-	fmt.Println()
-	fmt.Printf("%-12s  %-14s  %s\n", "target (ns)", "measured (ns)", "error")
+func run(w io.Writer) error {
+	fmt.Fprintln(w, "Quartz quickstart: emulating NVM read latencies on the Ivy Bridge testbed")
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%-12s  %-14s  %s\n", "target (ns)", "measured (ns)", "error")
 
 	for _, targetNS := range []float64{200, 400, 800} {
 		measured, err := chaseAt(targetNS)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-12.0f  %-14.1f  %+.2f%%\n",
+		fmt.Fprintf(w, "%-12.0f  %-14.1f  %+.2f%%\n",
 			targetNS, measured, 100*(measured-targetNS)/targetNS)
 	}
-	fmt.Println()
-	fmt.Println("each run slows ordinary loads from DRAM down to the target NVM latency")
-	fmt.Println("using epoch-based delay injection driven by simulated hardware counters.")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "each run slows ordinary loads from DRAM down to the target NVM latency")
+	fmt.Fprintln(w, "using epoch-based delay injection driven by simulated hardware counters.")
 	return nil
 }
 

@@ -13,6 +13,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/quartz-emu/quartz"
@@ -20,16 +21,16 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "twotier example: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	const nvmLatNS = 500
-	fmt.Printf("PageRank with two memory types (NVM emulated at %dns, Ivy Bridge)\n\n", nvmLatNS)
-	fmt.Printf("%-34s  %-10s  %s\n", "placement", "CT (ms)", "vs all-DRAM")
+	fmt.Fprintf(w, "PageRank with two memory types (NVM emulated at %dns, Ivy Bridge)\n\n", nvmLatNS)
+	fmt.Fprintf(w, "%-34s  %-10s  %s\n", "placement", "CT (ms)", "vs all-DRAM")
 
 	type placement struct {
 		name       string
@@ -51,11 +52,11 @@ func run() error {
 		if base == 0 {
 			base = ct
 		}
-		fmt.Printf("%-34s  %-10.2f  %.2fx\n", pl.name, ct, ct/base)
+		fmt.Fprintf(w, "%-34s  %-10.2f  %.2fx\n", pl.name, ct, ct/base)
 	}
-	fmt.Println()
-	fmt.Println("keeping only the hot vectors in DRAM recovers most of the all-DRAM")
-	fmt.Println("performance: the streaming edge reads prefetch well even from slow NVM.")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "keeping only the hot vectors in DRAM recovers most of the all-DRAM")
+	fmt.Fprintln(w, "performance: the streaming edge reads prefetch well even from slow NVM.")
 	return nil
 }
 

@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/quartz-emu/quartz"
@@ -20,17 +21,17 @@ const (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "walog example: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	fmt.Printf("WAL design study: %d durable appends of %dB records\n\n", records, recordSize)
+func run(w io.Writer) error {
+	fmt.Fprintf(w, "WAL design study: %d durable appends of %dB records\n\n", records, recordSize)
 	for _, writeNS := range []float64{300, 1000} {
-		fmt.Printf("NVM write latency %.0fns:\n", writeNS)
-		fmt.Printf("  %-26s  %-14s  %s\n", "design", "appends/s", "commit stall")
+		fmt.Fprintf(w, "NVM write latency %.0fns:\n", writeNS)
+		fmt.Fprintf(w, "  %-26s  %-14s  %s\n", "design", "appends/s", "commit stall")
 		for _, design := range []struct {
 			name       string
 			usePCommit bool
@@ -45,12 +46,12 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("  %-26s  %-14.0f  %v\n", design.name, rate, stall)
+			fmt.Fprintf(w, "  %-26s  %-14.0f  %v\n", design.name, rate, stall)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Println("group commit amortizes the NVM write latency; the pcommit model lets a")
-	fmt.Println("record's lines drain in parallel where pflush serializes them (§6).")
+	fmt.Fprintln(w, "group commit amortizes the NVM write latency; the pcommit model lets a")
+	fmt.Fprintln(w, "record's lines drain in parallel where pflush serializes them (§6).")
 	return nil
 }
 

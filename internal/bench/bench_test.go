@@ -371,15 +371,90 @@ func TestWorkloadConfigValidation(t *testing.T) {
 func TestPermutationCycleVisitsAll(t *testing.T) {
 	const n = 1000
 	order := permutationCycle(n, 77)
-	if len(order) != n || order[0] != 0 {
-		t.Fatalf("order has %d slots starting at %d, want %d starting at 0", len(order), order[0], n)
+	checkOrder(t, order, n, 77)
+	if again := permutationCycle(n, 77); again != order {
+		t.Error("permutationCycle rebuilt a memoized order")
 	}
+}
+
+// TestVisitOrderWidths builds orders at every slot-width change up to
+// 1<<20+1 slots and checks the width, the buffer size and every step.
+func TestVisitOrderWidths(t *testing.T) {
+	for _, tc := range []struct{ n, width int }{
+		{2, 1}, {3, 2}, {4, 2}, {5, 3},
+		{255, 8}, {256, 8}, {257, 9},
+		{65535, 16}, {65536, 16}, {65537, 17},
+		{1 << 20, 20}, {1<<20 + 1, 21},
+	} {
+		seed := int64(tc.n)
+		order := buildPermutationCycle(tc.n, seed)
+		if order.width != uint64(tc.width) {
+			t.Errorf("n=%d: width %d, want %d", tc.n, order.width, tc.width)
+		}
+		if want := (tc.n*tc.width+7)/8 + 8; len(order.packed) != want {
+			t.Errorf("n=%d: %d packed bytes, want %d", tc.n, len(order.packed), want)
+		}
+		checkOrder(t, order, tc.n, seed)
+	}
+}
+
+// TestVisitOrderSlots writes an all-ones slot into zeros and a zero slot
+// into all ones at every position of a 16-slot order, for every width up
+// to 31, and checks that only that position changed. Odd widths start
+// positions at every bit offset within a byte.
+func TestVisitOrderSlots(t *testing.T) {
+	const n = 16
+	for width := uint64(1); width <= 31; width++ {
+		packed, mask := make([]byte, (n*width+7)/8+8), uint64(1)<<width-1
+		fill := func(v uint64) {
+			for i := uint64(0); i < n; i++ {
+				setSlot(packed, i*width, mask, v)
+			}
+		}
+		for _, bg := range []uint64{0, mask} {
+			fill(bg)
+			for i := uint64(0); i < n; i++ {
+				setSlot(packed, i*width, mask, mask^bg)
+				for k := uint64(0); k < n; k++ {
+					want := bg
+					if k == i {
+						want = mask ^ bg
+					}
+					if got := slotAt(packed, k*width, mask); got != want {
+						t.Fatalf("width %d, background %#x, position %d set: position %d reads %#x, want %#x", width, bg, i, k, got, want)
+					}
+				}
+				setSlot(packed, i*width, mask, bg)
+			}
+		}
+	}
+}
+
+// checkOrder walks order with its cursor next to the reference successor
+// chase from slot 0 over the same (n, seed) shuffle: every step must agree,
+// no slot may repeat within n steps, and then the cursor must wrap to 0.
+func checkOrder(t *testing.T, order *visitOrder, n int, seed int64) {
+	t.Helper()
+	cur := order.cursor()
+	next := successorCycle(n, seed)
 	seen := make([]bool, n)
-	for k, slot := range order {
+	want := int32(0)
+	for k := 0; k < n; k++ {
+		slot := cur.next()
+		if slot != uintptr(want) {
+			t.Fatalf("n=%d seed=%d: step %d visits %d, successor chase visits %d", n, seed, k, slot, want)
+		}
 		if seen[slot] {
-			t.Fatalf("chase revisited %d after %d steps", slot, k)
+			t.Fatalf("n=%d seed=%d: slot %d listed twice (step %d)", n, seed, slot, k)
 		}
 		seen[slot] = true
+		want = next[want]
+	}
+	if want != 0 {
+		t.Fatalf("n=%d seed=%d: successor chase did not close after %d steps", n, seed, n)
+	}
+	if slot := cur.next(); slot != 0 {
+		t.Fatalf("n=%d seed=%d: cursor wrapped to %d, want 0", n, seed, slot)
 	}
 }
 
@@ -404,35 +479,16 @@ func successorCycle(n int, seed int64) []int32 {
 	return next
 }
 
-// FuzzPermutationOrder checks the visit order against the reference
-// successor chase: it starts at slot 0, names every slot once, and lists
-// exactly the slots the successor chase from 0 reaches.
+// FuzzPermutationOrder checks the packed visit order against the reference
+// successor chase: step k of its cursor is the slot the successor chase
+// from 0 reaches after k steps, for every k, and it names every slot once.
 func FuzzPermutationOrder(f *testing.F) {
 	for _, n := range []int{2, 3, 1000, 4096} {
 		f.Add(n, int64(n)*31+7)
 	}
 	f.Fuzz(func(t *testing.T, n int, seed int64) {
 		n = 2 + int(uint(n)%(1<<16-1)) // [2, 1<<16]
-		order := buildPermutationCycle(n, seed)
-		if len(order) != n || order[0] != 0 {
-			t.Fatalf("n=%d seed=%d: order has %d slots starting at %d", n, seed, len(order), order[0])
-		}
-		seen := make([]bool, n)
-		next := successorCycle(n, seed)
-		cur := int32(0)
-		for k, slot := range order {
-			if seen[slot] {
-				t.Fatalf("n=%d seed=%d: slot %d listed twice (step %d)", n, seed, slot, k)
-			}
-			seen[slot] = true
-			if slot != cur {
-				t.Fatalf("n=%d seed=%d: step %d visits %d, successor chase visits %d", n, seed, k, slot, cur)
-			}
-			cur = next[cur]
-		}
-		if cur != 0 {
-			t.Fatalf("n=%d seed=%d: successor chase did not close after %d steps", n, seed, n)
-		}
+		checkOrder(t, buildPermutationCycle(n, seed), n, seed)
 	})
 }
 

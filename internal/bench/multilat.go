@@ -38,8 +38,8 @@ func (c MultiLatConfig) Validate() error {
 // NVM-resident chain (pmalloc through the emulator's virtual topology).
 type MultiLat struct {
 	cfg       MultiLatConfig
-	orderDRAM []int32
-	orderNVM  []int32
+	orderDRAM *visitOrder
+	orderNVM  *visitOrder
 	baseDRAM  uintptr
 	baseNVM   uintptr
 }
@@ -78,19 +78,20 @@ func BuildMultiLat(p *simos.Process, emu *core.Emulator, cfg MultiLatConfig) (*M
 // Run chases the combined pattern until both arrays are exhausted, reading
 // each element exactly once.
 func (b *MultiLat) Run(t *simos.Thread, dramLat, nvmLat sim.Time) MultiLatResult {
-	dram, nvm := b.orderDRAM, b.orderNVM
+	dram, nvm := b.orderDRAM.cursor(), b.orderNVM.cursor()
+	leftDRAM, leftNVM := b.cfg.DRAMLines, b.cfg.NVMLines
 	start := t.Now()
-	for len(dram) > 0 || len(nvm) > 0 {
-		burst := dram[:min(b.cfg.DRAMBurst, len(dram))]
-		for _, slot := range burst {
-			t.Load(b.baseDRAM + uintptr(slot)*64)
+	for leftDRAM > 0 || leftNVM > 0 {
+		burst := min(b.cfg.DRAMBurst, leftDRAM)
+		for range burst {
+			t.Load(b.baseDRAM + dram.next()*64)
 		}
-		dram = dram[len(burst):]
-		burst = nvm[:min(b.cfg.NVMBurst, len(nvm))]
-		for _, slot := range burst {
-			t.Load(b.baseNVM + uintptr(slot)*64)
+		leftDRAM -= burst
+		burst = min(b.cfg.NVMBurst, leftNVM)
+		for range burst {
+			t.Load(b.baseNVM + nvm.next()*64)
 		}
-		nvm = nvm[len(burst):]
+		leftNVM -= burst
 	}
 	ct := t.Now() - start
 	return MultiLatResult{

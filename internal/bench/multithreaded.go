@@ -53,7 +53,7 @@ func RunMultiThreaded(env *Env, main *simos.Thread, cfg MTConfig) (MTResult, err
 		return MTResult{}, err
 	}
 	type worker struct {
-		order []int32
+		order *visitOrder
 		base  uintptr
 	}
 	workers := make([]worker, cfg.Threads)
@@ -89,13 +89,10 @@ func RunMultiThreaded(env *Env, main *simos.Thread, cfg MTConfig) (MTResult, err
 				goCv.Wait(t, startMu)
 			}
 			startMu.Unlock(t)
-			pos := 0
+			cur := w.order.cursor()
 			chase := func(iters int) {
 				for j := 0; j < iters; j++ {
-					t.Load(w.base + uintptr(w.order[pos])*64)
-					if pos++; pos == cfg.Lines {
-						pos = 0
-					}
+					t.Load(w.base + cur.next()*64)
 				}
 			}
 			for k := 0; k < cfg.Sections; k++ {

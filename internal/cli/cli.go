@@ -134,13 +134,54 @@ func (o *Obs) Start(stderr io.Writer, src Sources) error {
 // Recorder is the run's recorder (nil when nothing asked for one).
 func (o *Obs) Recorder() *obs.Recorder { return o.rec }
 
-// Finish exports the run: the Chrome trace, the metrics snapshot (stdout
-// and/or file) and the -vtprof profiles; then, while serving, it lingers
-// until -serve-linger passes, ctx ends or Ctrl-C arrives; last it seals the
-// ledger sink. An error is a failed run (exit 1).
+// Finish seals the ledger sink and exports the run: the Chrome trace, the
+// metrics snapshot (stdout and/or file) and the -vtprof profiles; then,
+// while serving, it lingers until -serve-linger passes, ctx ends or Ctrl-C
+// arrives. With -ledger-out the trace renders the sealed file, which holds
+// every epoch; the in-memory ledger keeps only its newest DefaultTailRing
+// records once a sink is attached. That render holds the whole file in
+// memory, so its cost grows with the run's epoch count. A failed sink does
+// not stop the exports: the trace falls back to the in-memory ledger, whose
+// epochs_dropped counts what it lacks, and the sink's error is returned
+// with any export error. An error is a failed run (exit 1).
 func (o *Obs) Finish(ctx context.Context, stdout io.Writer) error {
+	var sinkErr error
+	if err := o.rec.CloseSink(); err != nil {
+		sinkErr = fmt.Errorf("ledger sink: %w", err)
+	}
+	if err := o.export(stdout, o.LedgerOut != "" && sinkErr == nil); err != nil {
+		return errors.Join(sinkErr, err)
+	}
+	if o.srv != nil && o.Linger > 0 {
+		// Keep the introspection plane queryable after the run so smoke
+		// tests and dashboards can take a final reading.
+		fmt.Fprintf(o.stderr, "%s: introspection server lingering %s (Ctrl-C to stop)\n", o.cmd, o.Linger)
+		ctx, stop := signal.NotifyContext(ctx, os.Interrupt)
+		defer stop()
+		select {
+		case <-ctx.Done():
+		case <-time.After(o.Linger):
+		}
+	}
+	return sinkErr
+}
+
+// export writes the trace, the metrics and the profiles the flags ask for,
+// stopping at the first error. fromFile renders the trace from the sealed
+// -ledger-out file instead of the in-memory ledger.
+func (o *Obs) export(stdout io.Writer, fromFile bool) error {
 	if o.Trace != "" {
-		if err := writeFile(o.Trace, o.rec.WriteChromeTrace); err != nil {
+		var ledger []obs.EpochRecord
+		var err error
+		if fromFile {
+			ledger, err = obs.ReadLedger(o.LedgerOut)
+		} else {
+			ledger = o.rec.Ledger()
+		}
+		if err == nil {
+			err = writeFile(o.Trace, func(w io.Writer) error { return o.rec.WriteChromeTrace(w, ledger) })
+		}
+		if err != nil {
 			return fmt.Errorf("writing trace: %w", err)
 		}
 	}
@@ -158,20 +199,6 @@ func (o *Obs) Finish(ctx context.Context, stdout io.Writer) error {
 		if err := writeProfiles(o.VTProf, o.profiles); err != nil {
 			return fmt.Errorf("-vtprof: %w", err)
 		}
-	}
-	if o.srv != nil && o.Linger > 0 {
-		// Keep the introspection plane queryable after the run so smoke
-		// tests and dashboards can take a final reading.
-		fmt.Fprintf(o.stderr, "%s: introspection server lingering %s (Ctrl-C to stop)\n", o.cmd, o.Linger)
-		ctx, stop := signal.NotifyContext(ctx, os.Interrupt)
-		defer stop()
-		select {
-		case <-ctx.Done():
-		case <-time.After(o.Linger):
-		}
-	}
-	if err := o.rec.CloseSink(); err != nil {
-		return fmt.Errorf("ledger sink: %w", err)
 	}
 	return nil
 }

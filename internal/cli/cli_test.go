@@ -3,11 +3,17 @@ package cli
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/quartz-emu/quartz/internal/obs"
 )
 
 // parse registers the shared flags on a fresh FlagSet and parses args.
@@ -94,5 +100,58 @@ func TestLingerEndsWithContext(t *testing.T) {
 	}
 	if d := time.Since(start); d > 30*time.Second {
 		t.Errorf("linger took %s after its context ended", d)
+	}
+}
+
+// failSink refuses every record, as a full disk would.
+type failSink struct{}
+
+func (failSink) Append(obs.EpochRecord) error { return errors.New("disk full") }
+func (failSink) Close() error                 { return nil }
+
+// TestFinishExportsDespiteSinkError: a ledger sink that failed during the
+// run does not cost the run its other exports. The trace falls back to the
+// in-memory ledger, the metrics file is still written, and Finish reports
+// the sink's error.
+func TestFinishExportsDespiteSinkError(t *testing.T) {
+	dir := t.TempDir()
+	tracePath, metricsPath := filepath.Join(dir, "trace.json"), filepath.Join(dir, "metrics.json")
+	o := parse(t, "-ledger-out", filepath.Join(dir, "ledger.jsonl"), "-trace", tracePath, "-metrics-out", metricsPath)
+	defer o.Close()
+	if err := o.Start(io.Discard, Sources{}); err != nil {
+		t.Fatal(err)
+	}
+	// Swap the file sink for one that fails on every append.
+	if err := o.Recorder().CloseSink(); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Recorder().AttachSink(failSink{}, 0); err != nil {
+		t.Fatal(err)
+	}
+	const epochs = 3
+	for range epochs {
+		o.Recorder().EpochClosed(obs.EpochRecord{Thread: "main", Reason: "max"})
+	}
+	err := o.Finish(context.Background(), io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "ledger sink: disk full") {
+		t.Errorf("Finish = %v, want the sink's error", err)
+	}
+	if fi, err := os.Stat(metricsPath); err != nil || fi.Size() == 0 {
+		t.Errorf("-metrics-out not written after a sink error: %v", err)
+	}
+	raw, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatalf("-trace not written after a sink error: %v", err)
+	}
+	var tr struct {
+		OtherData struct {
+			Retained int `json:"epochs_retained"`
+		} `json:"otherData"`
+	}
+	if err := json.Unmarshal(raw, &tr); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	if tr.OtherData.Retained != epochs {
+		t.Errorf("trace rendered %d epochs from memory, want %d", tr.OtherData.Retained, epochs)
 	}
 }

@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"flag"
-	"os"
 	"path/filepath"
 	"testing"
-)
 
-var updateGolden = flag.Bool("update", false, "rewrite golden experiment tables")
+	"github.com/quartz-emu/quartz/internal/golden"
+)
 
 // TestGoldenTables pins the rendered output of representative experiments at
 // tiny scale against committed golden files. Experiment tables are
@@ -27,24 +25,7 @@ func TestGoldenTables(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := tab.Render()
-			path := filepath.Join("testdata", id+".golden")
-			if *updateGolden {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (regenerate with -update): %v", err)
-			}
-			if got != string(want) {
-				t.Errorf("rendered table differs from %s:\ngot:\n%s\nwant:\n%s", path, got, want)
-			}
+			golden.Check(t, []byte(tab.Render()), filepath.Join("testdata", id+".golden"))
 		})
 	}
 }

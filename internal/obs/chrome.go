@@ -36,19 +36,25 @@ type chromeTrace struct {
 // us converts virtual time (femtoseconds) to trace microseconds.
 func us(t sim.Time) float64 { return float64(t) / 1e9 }
 
-// WriteChromeTrace renders the epoch ledger as a Chrome trace-event JSON
-// file: every closed epoch is a complete slice on its thread's track,
-// every delay injection is a separate "inject" slice linked to its epoch
-// by a flow arrow, and process/thread metadata names the tracks. Virtual
-// time maps to trace time, so one trace can hold many parallel emulated
-// processes (distinct PIDs) without collision.
+// WriteChromeTrace renders ledger, a run's epoch records in close order,
+// as a Chrome trace-event JSON file: every closed epoch is a complete slice
+// on its thread's track, every delay injection is a separate "inject" slice
+// linked to its epoch by a flow arrow, and process/thread metadata names the
+// tracks. Virtual time maps to trace time, so one trace can hold many
+// parallel emulated processes (distinct PIDs) without collision. The
+// records come from the caller: r.Ledger() for an in-memory ledger, or
+// ReadLedger for the complete one a file sink wrote. The trace's
+// epochs_dropped is how many of r's closed epochs ledger lacks.
 //
 // It is a no-op on a nil recorder.
-func (r *Recorder) WriteChromeTrace(w io.Writer) error {
+func (r *Recorder) WriteChromeTrace(w io.Writer, ledger []EpochRecord) error {
 	if r == nil {
 		return nil
 	}
-	ledger, procs, dropped := r.snapshotLedger()
+	r.mu.Lock()
+	procs := append([]string(nil), r.procs...)
+	dropped := max(0, int64(r.total)-int64(len(ledger)))
+	r.mu.Unlock()
 
 	events := make([]chromeEvent, 0, 2*len(ledger)+len(procs))
 

@@ -44,7 +44,8 @@ func buildFixedRecorder() *Recorder {
 // golden when changing the exporter deliberately).
 func TestChromeTraceGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := buildFixedRecorder().WriteChromeTrace(&buf); err != nil {
+	fixed := buildFixedRecorder()
+	if err := fixed.WriteChromeTrace(&buf, fixed.Ledger()); err != nil {
 		t.Fatal(err)
 	}
 	const golden = `{
@@ -174,7 +175,8 @@ func TestChromeTraceGolden(t *testing.T) {
 // and a matched flow-event pair per injection.
 func TestChromeTraceStructure(t *testing.T) {
 	var buf bytes.Buffer
-	if err := buildFixedRecorder().WriteChromeTrace(&buf); err != nil {
+	fixed := buildFixedRecorder()
+	if err := fixed.WriteChromeTrace(&buf, fixed.Ledger()); err != nil {
 		t.Fatal(err)
 	}
 	var tr struct {
@@ -209,7 +211,7 @@ func TestChromeTraceStructure(t *testing.T) {
 // (traceEvents present and an array, not null).
 func TestChromeTraceEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := New(0).WriteChromeTrace(&buf); err != nil {
+	if err := New(0).WriteChromeTrace(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	var tr map[string]any
@@ -218,5 +220,28 @@ func TestChromeTraceEmpty(t *testing.T) {
 	}
 	if _, ok := tr["traceEvents"].([]any); !ok {
 		t.Errorf("traceEvents is not an array: %v", tr["traceEvents"])
+	}
+}
+
+// TestChromeTraceCountsMissingEpochs: a trace of fewer records than the
+// recorder closed, such as the in-memory tail of a streamed ledger, reports
+// the shortfall as epochs_dropped.
+func TestChromeTraceCountsMissingEpochs(t *testing.T) {
+	fixed := buildFixedRecorder()
+	var buf bytes.Buffer
+	if err := fixed.WriteChromeTrace(&buf, fixed.Ledger()[1:]); err != nil {
+		t.Fatal(err)
+	}
+	var tr struct {
+		OtherData struct {
+			Retained int `json:"epochs_retained"`
+			Dropped  int `json:"epochs_dropped"`
+		} `json:"otherData"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &tr); err != nil {
+		t.Fatal(err)
+	}
+	if tr.OtherData.Retained != 1 || tr.OtherData.Dropped != 1 {
+		t.Errorf("epochs_retained/dropped = %d/%d, want 1/1", tr.OtherData.Retained, tr.OtherData.Dropped)
 	}
 }

@@ -519,13 +519,6 @@ func (r *Recorder) droppedLocked() int64 {
 	return int64(r.total) - int64(len(r.ledger))
 }
 
-// snapshotLedger copies the ledger state for exporters.
-func (r *Recorder) snapshotLedger() (ledger []EpochRecord, procs []string, dropped int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ledgerLocked(), append([]string(nil), r.procs...), r.droppedLocked()
-}
-
 // WriteMetricsJSON writes the metrics snapshot as indented JSON. It is a
 // no-op on a nil recorder.
 func (r *Recorder) WriteMetricsJSON(w io.Writer) error {

@@ -38,7 +38,7 @@ func TestNilRecorderNoOp(t *testing.T) {
 	if err := r.WriteMetricsJSON(&sb); err != nil {
 		t.Errorf("nil WriteMetricsJSON: %v", err)
 	}
-	if err := r.WriteChromeTrace(&sb); err != nil {
+	if err := r.WriteChromeTrace(&sb, nil); err != nil {
 		t.Errorf("nil WriteChromeTrace: %v", err)
 	}
 	if sb.Len() != 0 {

@@ -192,6 +192,6 @@ func LoadConfigFile(path string) (Config, error) { return core.LoadINIFile(path)
 //		Observer:   rec,
 //	})
 //	_ = sys.Run(workload)
-//	_ = rec.WriteChromeTrace(traceFile)  // epochs as Perfetto slices
-//	_ = rec.WriteMetricsJSON(os.Stdout)  // aggregated counters
+//	_ = rec.WriteChromeTrace(traceFile, rec.Ledger()) // epochs as Perfetto slices
+//	_ = rec.WriteMetricsJSON(os.Stdout)               // aggregated counters
 func NewRecorder(ledgerLimit int) *Recorder { return obs.New(ledgerLimit) }
