@@ -12,8 +12,11 @@ all: vet test
 build:
 	$(GO) build ./...
 
+# vet also checks the tree as arm64 builds it, so the Go fallbacks for the
+# amd64 assembly (internal/cache's host prefetch) keep compiling.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 test:
 	$(GO) test -race ./...
@@ -61,7 +64,10 @@ profile-smoke:
 
 # bench-quick regenerates two representative artifacts on the parallel
 # runner — a fast smoke test of the whole stack — and runs the hot-path
-# micro-benchmarks (cache walk, core load, kernel dispatch and the simos
+# micro-benchmarks (cache walk, including BenchmarkCacheFill/20M-20w-ahead,
+# which warms each set 8 ops before its probe; the prefetcher's streaming
+# BenchmarkPrefetcherObserve and pointer-chase
+# BenchmarkPrefetcherObserveRandom; core load, kernel dispatch and the simos
 # thread handoff, emulated epoch close, ledger append), which must report 0
 # allocs/op on steady-state paths, plus the preset machine build, whose
 # B/op must stay in the tens of KB (no cache builds its lines before its

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/quartz-emu/quartz/internal/cache"
@@ -374,6 +375,35 @@ func TestPermutationCycleVisitsAll(t *testing.T) {
 	checkOrder(t, order, n, 77)
 	if again := permutationCycle(n, 77); again != order {
 		t.Error("permutationCycle rebuilt a memoized order")
+	}
+}
+
+// TestPermutationCycleBuildsOnce has goroutines released together request
+// the same fresh keys: every caller of a key must get the one memoized
+// order, so no key is built twice and no caller holds a private copy.
+func TestPermutationCycleBuildsOnce(t *testing.T) {
+	const callers, keys, n = 8, 4, 1 << 16
+	var got [callers][keys]*visitOrder
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for k := range keys {
+				got[c][k] = permutationCycle(n, -1-int64(k)) // seeds no other test uses
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for k := range keys {
+		for c := 1; c < callers; c++ {
+			if got[c][k] != got[0][k] {
+				t.Errorf("seed %d: callers 0 and %d got different orders", -1-k, c)
+			}
+		}
 	}
 }
 

@@ -54,13 +54,21 @@ func checkChainLen(field string, n int) error {
 // chain as its visit order, packed at ⌈log₂ Lines⌉ bits per slot, and reads
 // it sequentially through an orderCursor, so the host prefetcher streams the
 // next simulated address instead of the simulator missing on it once per
-// load.
+// load. A second cursor per chain runs warmAhead positions ahead and warms
+// the simulated L3 set each later load will probe.
 type MemLat struct {
 	cfg     MemLatConfig
 	bases   []uintptr
 	batch   []uintptr
 	cursors []orderCursor
+	ahead   []orderCursor
 }
+
+// warmAhead is how many chase steps ahead of its load a chase kernel warms
+// the simulated L3 set (simos.Thread.Warm): far enough that the host
+// prefetch lands before the walk, near enough that the lines are still in
+// the host caches when it comes.
+const warmAhead = 4
 
 // MemLatResult is one run's measurement.
 type MemLatResult struct {
@@ -84,6 +92,7 @@ func BuildMemLat(p *simos.Process, cfg MemLatConfig) (*MemLat, error) {
 		bases:   make([]uintptr, cfg.Chains),
 		batch:   make([]uintptr, cfg.Chains),
 		cursors: make([]orderCursor, cfg.Chains),
+		ahead:   make([]orderCursor, cfg.Chains),
 	}
 	for c := 0; c < cfg.Chains; c++ {
 		base, err := p.MallocOnNode(uintptr(cfg.Lines)*64, cfg.Node)
@@ -101,16 +110,19 @@ func BuildMemLat(p *simos.Process, cfg MemLatConfig) (*MemLat, error) {
 func (b *MemLat) Run(t *simos.Thread) MemLatResult {
 	for c := range b.cursors {
 		b.cursors[c].bit = b.cursors[c].start
+		b.ahead[c] = b.cursors[c].skip(warmAhead)
 	}
 	start := t.Now()
 	if b.cfg.Chains == 1 {
-		cur, base := b.cursors[0], b.bases[0]
+		cur, ahead, base := b.cursors[0], b.ahead[0], b.bases[0]
 		for i := 0; i < b.cfg.Iters; i++ {
+			t.Warm(base + ahead.next()*64)
 			t.Load(base + cur.next()*64)
 		}
 	} else {
 		for i := 0; i < b.cfg.Iters; i++ {
 			for c := range b.cursors {
+				t.Warm(b.bases[c] + b.ahead[c].next()*64)
 				b.batch[c] = b.bases[c] + b.cursors[c].next()*64
 			}
 			t.LoadGroup(b.batch)
@@ -129,7 +141,9 @@ func (b *MemLat) Run(t *simos.Thread) MemLatResult {
 // every sweep point of an experiment; the visit orders are treated as
 // read-only by every consumer, so trials (including parallel runner jobs)
 // can share one copy. The key space is bounded by the experiment configs.
-var permCache sync.Map // permKey -> *visitOrder
+// Each key holds a sync.OnceValue, so callers that miss on one key at once
+// build its order once and all get that one copy.
+var permCache sync.Map // permKey -> func() *visitOrder
 
 type permKey struct {
 	n    int
@@ -143,12 +157,13 @@ type permKey struct {
 // order is shared and must not be mutated.
 func permutationCycle(n int, seed int64) *visitOrder {
 	key := permKey{n, seed}
-	if v, ok := permCache.Load(key); ok {
-		return v.(*visitOrder)
+	v, ok := permCache.Load(key)
+	if !ok {
+		v, _ = permCache.LoadOrStore(key, sync.OnceValue(func() *visitOrder {
+			return buildPermutationCycle(n, seed)
+		}))
 	}
-	order := buildPermutationCycle(n, seed)
-	permCache.Store(key, order)
-	return order
+	return v.(func() *visitOrder)()
 }
 
 // buildPermutationCycle is the uncached construction. It shuffles the
@@ -227,6 +242,14 @@ func (o *visitOrder) cursor() orderCursor { return orderCursor{*o, o.start} }
 type orderCursor struct {
 	visitOrder
 	bit uint64
+}
+
+// skip returns a copy of the cursor n steps further on.
+func (c orderCursor) skip(n int) orderCursor {
+	for range n {
+		c.next()
+	}
+	return c
 }
 
 // next returns the slot at the cursor and steps past it.

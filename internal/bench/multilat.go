@@ -79,16 +79,19 @@ func BuildMultiLat(p *simos.Process, emu *core.Emulator, cfg MultiLatConfig) (*M
 // each element exactly once.
 func (b *MultiLat) Run(t *simos.Thread, dramLat, nvmLat sim.Time) MultiLatResult {
 	dram, nvm := b.orderDRAM.cursor(), b.orderNVM.cursor()
+	dramAhead, nvmAhead := dram.skip(warmAhead), nvm.skip(warmAhead)
 	leftDRAM, leftNVM := b.cfg.DRAMLines, b.cfg.NVMLines
 	start := t.Now()
 	for leftDRAM > 0 || leftNVM > 0 {
 		burst := min(b.cfg.DRAMBurst, leftDRAM)
 		for range burst {
+			t.Warm(b.baseDRAM + dramAhead.next()*64)
 			t.Load(b.baseDRAM + dram.next()*64)
 		}
 		leftDRAM -= burst
 		burst = min(b.cfg.NVMBurst, leftNVM)
 		for range burst {
+			t.Warm(b.baseNVM + nvmAhead.next()*64)
 			t.Load(b.baseNVM + nvm.next()*64)
 		}
 		leftNVM -= burst

@@ -90,8 +90,10 @@ func RunMultiThreaded(env *Env, main *simos.Thread, cfg MTConfig) (MTResult, err
 			}
 			startMu.Unlock(t)
 			cur := w.order.cursor()
+			ahead := cur.skip(warmAhead)
 			chase := func(iters int) {
 				for j := 0; j < iters; j++ {
+					t.Warm(w.base + ahead.next()*64)
 					t.Load(w.base + cur.next()*64)
 				}
 			}

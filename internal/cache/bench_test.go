@@ -66,15 +66,18 @@ func BenchmarkCacheInsertEvict(b *testing.B) {
 // of a footprint twice the capacity and fills it on a miss, the way the CPU
 // layer does (a known-absent insert after the level missed). Roughly half
 // the ops miss and evict, and the metadata touched per op is spread over
-// host memory the way a modeled L2 or L3 spreads it.
+// host memory the way a modeled L2 or L3 spreads it. The -ahead row also
+// warms the set of the address 8 ops ahead, as the chase kernels do.
 func BenchmarkCacheFill(b *testing.B) {
 	for _, sz := range []struct {
 		name        string
 		bytes, ways int
+		ahead       int
 	}{
-		{"256K-8w", 256 << 10, 8},
-		{"2M-16w", 2 << 20, 16},
-		{"20M-20w", 20 << 20, 20},
+		{"256K-8w", 256 << 10, 8, 0},
+		{"2M-16w", 2 << 20, 16, 0},
+		{"20M-20w", 20 << 20, 20, 0},
+		{"20M-20w-ahead", 20 << 20, 20, 8},
 	} {
 		b.Run(sz.name, func(b *testing.B) {
 			c, err := New(Config{Name: sz.name, SizeBytes: sz.bytes, Ways: sz.ways, LineSize: 64, LookupLat: sim.Nanosecond})
@@ -85,12 +88,22 @@ func BenchmarkCacheFill(b *testing.B) {
 			for a := uint64(0); a < lines; a++ {
 				c.Insert(uintptr(a)*64, false, 0)
 			}
+			next := func(x *uint64) uintptr {
+				*x = *x*6364136223846793005 + 1442695040888963407
+				return uintptr((*x>>33)%(2*lines)) * 64
+			}
 			x := uint64(0x9e3779b97f4a7c15)
+			ahead := x
+			for range sz.ahead {
+				next(&ahead)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				x = x*6364136223846793005 + 1442695040888963407
-				addr := uintptr((x>>33)%(2*lines)) * 64
+				if sz.ahead > 0 {
+					c.Warm(next(&ahead))
+				}
+				addr := next(&x)
 				if hit, _ := c.Lookup(addr, 0, false); !hit {
 					c.InsertAbsent(addr, false, 0)
 				}

@@ -45,6 +45,7 @@ func TestCacheOpsNoAllocs(t *testing.T) {
 				t.Fatal("never-filled Flush reported present")
 			}
 		}},
+		{"Warm", func() { fresh.Warm(64) }},
 	} {
 		if allocs := testing.AllocsPerRun(500, op.f); allocs != 0 {
 			t.Errorf("never-filled %s: %v allocs/op, want 0", op.name, allocs)
@@ -70,6 +71,7 @@ func TestCacheOpsNoAllocs(t *testing.T) {
 		{"Lookup", func() { i++; c.Lookup((next-1-i%lines)*64, 0, i%2 == 0) }},
 		{"TouchLast", func() { c.TouchLast((next-1)*64, 0, true) }},
 		{"Contains", func() { i++; c.Contains(i * 64) }},
+		{"Warm", func() { i++; c.Warm(i * 64) }},
 		{"Insert", func() { c.Insert(next*64, true, 0); next++ }},
 		{"InsertAbsent", func() { c.InsertAbsent(next*64, true, 0); next++ }},
 		{"Flush", func() { c.Flush((next - 1) * 64); c.InsertAbsent((next-1)*64, false, 0) }},

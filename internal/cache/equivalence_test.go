@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/quartz-emu/quartz/internal/sim"
@@ -282,12 +283,13 @@ var fuzzConfigs = []Config{
 // byte of each op is the address in half-line units (128 distinct lines,
 // more than any fuzz geometry holds).
 const (
-	fzLookup    = 0 // demand access (also 1-5, 14 and 15)
+	fzLookup    = 0 // demand access (also 1-5 and 15)
 	fzFill      = 6 // InsertAbsent right after a miss, else Insert (also 7)
 	fzPrefetch  = 8 // Insert with a future arrival
 	fzContains  = 9
 	fzTouchLast = 10 // TouchLast, falling back to Lookup as the CPU walk does (also 11)
 	fzFlush     = 12 // (also 13)
+	fzWarm      = 14 // Warm this op's address and the next op's, then a demand access
 )
 
 // fuzzOp encodes one fuzz op for the seed corpus.
@@ -300,12 +302,13 @@ func fuzzOp(code int, dirty bool, addr byte) []byte {
 
 // FuzzCacheMatchesReference decodes the input into an operation trace, used
 // the way the CPU walk uses a level — InsertAbsent only for the line whose
-// Lookup just missed, TouchLast with a Lookup fallback — and replays it on
-// the optimized Cache and refCache for every fuzz geometry. Every return
-// value and the final statistics must agree.
+// Lookup just missed, TouchLast with a Lookup fallback, Warm ahead of a
+// probe — and replays it on the optimized Cache and refCache for every fuzz
+// geometry. Every return value and the final statistics must agree, so a
+// Warm that changed any cache state would show.
 func FuzzCacheMatchesReference(f *testing.F) {
 	var cold []byte // probes and flushes before the first fill
-	for _, code := range []int{fzLookup, fzContains, fzTouchLast, fzFlush, fzLookup, fzFill, fzTouchLast, fzFlush} {
+	for _, code := range []int{fzLookup, fzContains, fzTouchLast, fzFlush, fzWarm, fzLookup, fzFill, fzTouchLast, fzFlush} {
 		cold = append(cold, fuzzOp(code, true, 2)...)
 	}
 	f.Add(cold)
@@ -320,6 +323,9 @@ func FuzzCacheMatchesReference(f *testing.F) {
 		mid = append(mid, fuzzOp(fzTouchLast, true, a)...)
 	}
 	f.Add(mid)
+	// A Warm whose probe misses must leave the last-hit line to TouchLast.
+	f.Add(slices.Concat(fuzzOp(fzLookup, false, 4), fuzzOp(fzFill, false, 4),
+		fuzzOp(fzWarm, false, 40), fuzzOp(fzTouchLast, false, 4)))
 	var walk []byte // a CPU-walk-like mix long enough to fill and evict every geometry
 	x := uint64(0x9e3779b97f4a7c15)
 	rnd := func(n uint64) uint64 {
@@ -334,9 +340,14 @@ func FuzzCacheMatchesReference(f *testing.F) {
 		dirty := rnd(4) == 0
 		op := func(code int) { walk = append(walk, fuzzOp(code|int(rnd(8))<<5, dirty, a)...) }
 		switch r := rnd(20); {
-		case r < 12:
+		case r < 10:
 			op(fzLookup)
 			op(fzFill)
+		case r < 11:
+			op(fzWarm)
+			op(fzFill)
+		case r < 12: // a Warm whose probe may miss with no fill after it
+			op(fzWarm)
 		case r < 14:
 			op(fzTouchLast)
 		case r < 16:
@@ -400,6 +411,12 @@ func replayFuzzTrace(t *testing.T, cfg Config, data []byte) {
 			if !ok1 {
 				missed, missAddr = lookupBoth(t, cfg, i/2, opt, ref, addr, now, dirty), addr
 			}
+		case fzWarm:
+			opt.Warm(addr)
+			if i+3 < len(data) {
+				opt.Warm(uintptr(data[i+3]) * uintptr(cfg.LineSize) / 2)
+			}
+			missed, missAddr = lookupBoth(t, cfg, i/2, opt, ref, addr, now, dirty), addr
 		case fzFlush, fzFlush + 1:
 			p1, d1 := opt.Flush(addr)
 			p2, d2 := ref.Flush(addr)

@@ -22,6 +22,13 @@ package cache
 // reference timestamp min-scan would have picked. Invalid slots fill in
 // index order — allocation only ever appends — so "first invalid way" is
 // simply the next unused index.
+//
+// cand is an exact reject filter in front of the scan. An access can only
+// continue, repeat or pair with a stream whose lastLine is within one line
+// of it, so cand counts, per low byte, the valid streams whose lastLine-1,
+// lastLine or lastLine+1 has that byte; a zero count for the access's low
+// byte proves no stream matches, and Observe goes straight to allocation.
+// A pointer chase takes that path on nearly every load.
 type Prefetcher struct {
 	depth int
 
@@ -34,6 +41,8 @@ type Prefetcher struct {
 	prev, next       [maxStreams]int8
 	lruHead, lruTail int8
 	nValid           int8
+
+	cand [256]uint8
 
 	// scratch backs the slice Observe returns, sized to depth once at
 	// construction so proposing lines never allocates on the access path.
@@ -55,9 +64,6 @@ func NewPrefetcher(depth int) *Prefetcher {
 	}
 	return p
 }
-
-// Depth reports the configured prefetch distance in lines.
-func (p *Prefetcher) Depth() int { return p.depth }
 
 // touch moves an in-list stream slot to the MRU end of the recency list.
 func (p *Prefetcher) touch(i int) {
@@ -89,6 +95,23 @@ func (p *Prefetcher) enlist(i int) {
 	p.lruTail = int8(i)
 }
 
+// window adds delta (±1) to the filter count of each low byte in the
+// window of a stream at line last, last-1 through last+1.
+func (p *Prefetcher) window(last uintptr, delta int) {
+	d := uint8(delta)
+	p.cand[uint8(last-1)] += d
+	p.cand[uint8(last)] += d
+	p.cand[uint8(last+1)] += d
+}
+
+// slide moves the filter window of a stream whose lastLine steps from last
+// by dir (±1): one byte leaves the window's trailing edge, one joins ahead.
+func (p *Prefetcher) slide(last uintptr, dir int8) {
+	d := uintptr(int(dir))
+	p.cand[uint8(last-d)]--
+	p.cand[uint8(last+2*d)]++
+}
+
 // Observe records a demand access to the given line address and returns the
 // line addresses that should be prefetched (possibly none). The returned
 // slice aliases an internal scratch buffer and is valid only until the next
@@ -100,7 +123,8 @@ func (p *Prefetcher) enlist(i int) {
 // victim allocation (first invalid slot, else LRU). One merged pass
 // collects the first continuation match (stopping there — nothing later in
 // the table can matter) and the first pairing match; the victim needs no
-// scan at all (see the recency list above). Stream-state evolution is
+// scan at all (see the recency list above), and an access the cand filter
+// rejects skips the merged pass as well. Stream-state evolution is
 // identical to the reference at a fraction of the table traffic, which
 // matters because random access patterns (pointer chases) take the
 // allocation path on every single load.
@@ -112,6 +136,9 @@ func (p *Prefetcher) Observe(lineAddr uintptr) []uintptr {
 	pair := -1 // first embryonic stream this access pairs with
 	var pairDir int8
 	n := int(p.nValid)
+	if p.cand[uint8(lineAddr)] == 0 {
+		n = 0 // no stream is within one line of the access
+	}
 	for i := 0; i < n; i++ {
 		last := p.lastLine[i]
 		if lineAddr == last+uintptr(int(p.dir[i])) || lineAddr == last {
@@ -133,6 +160,7 @@ func (p *Prefetcher) Observe(lineAddr uintptr) []uintptr {
 		if lineAddr == p.lastLine[cont] { // repeated access; refresh recency
 			return nil
 		}
+		p.slide(p.lastLine[cont], p.dir[cont])
 		p.lastLine[cont] = lineAddr
 		if p.confidence[cont] < prefetchConfidence {
 			p.confidence[cont]++
@@ -143,6 +171,7 @@ func (p *Prefetcher) Observe(lineAddr uintptr) []uintptr {
 		return nil
 	case pair != -1:
 		p.touch(pair)
+		p.slide(p.lastLine[pair], pairDir)
 		p.dir[pair] = pairDir
 		p.lastLine[pair] = lineAddr
 		p.confidence[pair] = prefetchConfidence
@@ -156,7 +185,9 @@ func (p *Prefetcher) Observe(lineAddr uintptr) []uintptr {
 		} else {
 			v = int(p.lruHead)
 			p.touch(v)
+			p.window(p.lastLine[v], -1)
 		}
+		p.window(lineAddr, 1)
 		p.lastLine[v] = lineAddr
 		p.lastPF[v] = 0
 		p.dir[v] = 1

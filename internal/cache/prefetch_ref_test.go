@@ -132,8 +132,11 @@ func fuzzStep(c, d int) byte { return byte(c<<6 | (d + 32)) }
 // FuzzPrefetcherMatchesReference replays a decoded line stream through
 // Prefetcher and refPrefetcher at the fuzzed depth. After every Observe the
 // proposed lines and every slot's lastLine, lastPF, dir and confidence must
-// agree: the merged scan and the recency list are an optimization of the
-// reference, not a different policy.
+// agree: the merged scan, the recency list and the reject filter are an
+// optimization of the reference, not a different policy. The filter's
+// counts must also equal a recount from the valid slots after every
+// Observe: a count too low breaks exactness only once some later access
+// needs that byte, and the recount catches it at once.
 func FuzzPrefetcherMatchesReference(f *testing.F) {
 	var asc, desc, inter, random []byte
 	for i := 0; i < 64; i++ {
@@ -164,6 +167,9 @@ func FuzzPrefetcherMatchesReference(f *testing.F) {
 			if err := sameStreams(opt, ref); err != nil {
 				t.Fatalf("depth %d, access %d (line %d): %v", d, k, line, err)
 			}
+			if err := sameFilter(opt); err != nil {
+				t.Fatalf("depth %d, access %d (line %d): %v", d, k, line, err)
+			}
 		}
 	})
 }
@@ -176,6 +182,24 @@ func sameStreams(p *Prefetcher, ref *refPrefetcher) error {
 		want := [4]uint64{uint64(s.lastLine), uint64(s.lastPF), uint64(s.dir), uint64(s.confidence)}
 		if got != want {
 			return fmt.Errorf("slot %d (lastLine, lastPF, dir, confidence) = %v, reference %v", i, got, want)
+		}
+	}
+	return nil
+}
+
+// sameFilter recounts p's reject filter from its valid slots, one per low
+// byte of each stream's lastLine-1, lastLine and lastLine+1, and reports
+// the first byte whose count differs.
+func sameFilter(p *Prefetcher) error {
+	var want [256]uint8
+	for _, last := range p.lastLine[:p.nValid] {
+		want[uint8(last-1)]++
+		want[uint8(last)]++
+		want[uint8(last+1)]++
+	}
+	for b := range want {
+		if p.cand[b] != want[b] {
+			return fmt.Errorf("filter count for low byte %d = %d, recount %d", b, p.cand[b], want[b])
 		}
 	}
 	return nil

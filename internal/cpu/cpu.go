@@ -92,6 +92,8 @@ type Core struct {
 
 	l1, l2 *cache.Cache // private
 	l3     *cache.Cache // shared within the socket
+	// pf is built at the core's first prefetch, so the idle cores of a
+	// simulated machine cost no stream table.
 	pf     *cache.Prefetcher
 	ctr    *perf.Counters
 	memsys MemorySystem
@@ -116,7 +118,6 @@ func NewCore(id, socket int, cfg Config, l1, l2, l3 *cache.Cache, ctr *perf.Coun
 	c := &Core{
 		socket: socket, cfg: cfg,
 		l1: l1, l2: l2, l3: l3,
-		pf:     cache.NewPrefetcher(cfg.PrefetchDepth),
 		ctr:    ctr,
 		memsys: memsys,
 		dvfs:   dvfs,
@@ -196,6 +197,12 @@ func (c *Core) loadFast(now sim.Time, addr uintptr) (sim.Time, Source) {
 	}
 	return c.loadOne(now, addr)
 }
+
+// Warm is a host-only hint that a load of addr follows soon: it has the
+// host prefetch the socket L3's state for addr's set (cache.Cache.Warm), the
+// level a missing chase walks last and whose arrays are too large to stay in
+// the host caches. It changes no simulated state, time or counter.
+func (c *Core) Warm(addr uintptr) { c.l3.Warm(addr) }
 
 // LoadGroup performs len(addrs) independent demand loads issued in parallel
 // (memory-level parallelism), bounded by the core's MSHR count. It returns
@@ -413,8 +420,11 @@ func (c *Core) insertAbsent(now sim.Time, level *cache.Cache, addr uintptr, dirt
 // prefetch feeds the stream detector and issues proposed fills into L3 (and
 // L2) with future arrival times.
 func (c *Core) prefetch(now sim.Time, addr uintptr) {
-	if c.pf.Depth() == 0 {
+	if c.cfg.PrefetchDepth == 0 {
 		return
+	}
+	if c.pf == nil {
+		c.pf = cache.NewPrefetcher(c.cfg.PrefetchDepth)
 	}
 	lineSize := uintptr(c.cfg.LineSize)
 	var line uintptr

@@ -138,6 +138,13 @@ func (t *Thread) Load(addr uintptr) {
 	t.vtCharge(vtprof.MemStall)
 }
 
+// Warm hints that the thread will load addr soon, so the host can fetch
+// the simulator state that load will probe (cpu.Core.Warm). It is not a
+// simulated operation: it checks no signal, does not synchronize, advances
+// no virtual time and charges no profiler category, so the simulated
+// timeline and thread interleaving are the same with or without it.
+func (t *Thread) Warm(addr uintptr) { t.core.Warm(addr) }
+
 // LoadGroup performs independent loads in parallel (memory-level
 // parallelism), advancing by the overlapped completion time.
 func (t *Thread) LoadGroup(addrs []uintptr) {
