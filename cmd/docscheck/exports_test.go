@@ -35,7 +35,6 @@ var keptExports = map[string]string{
 	"pmlog.Log.Pending":                  appAPI,
 	"pmlog.Log.Truncate":                 appAPI,
 	"obs.Recorder.Dropped":               checkRd,
-	"obs.Recorder.EventsDropped":         checkRd,
 	"obs.Recorder.SinkErr":               checkRd,
 	"vtprof.Profile.TotalNS":             checkRd,
 	"simos.Process.EndTime":              oracle,

@@ -1,8 +1,8 @@
 // Command quartztop is a live terminal monitor for a running emulation: it
 // polls a quartzbench/quartzrun introspection server (-serve) and renders
 // epochs/sec, the injected-delay share, histogram quantiles, throttle and
-// token-bucket activity, per-experiment job progress, and a live event feed
-// from the SSE stream — top(1) for an emulated memory system.
+// token-bucket activity, traffic-scenario progress and per-experiment job
+// progress — top(1) for an emulated memory system.
 //
 // Usage:
 //
@@ -18,7 +18,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
@@ -29,7 +28,6 @@ import (
 	"os/signal"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 )
 
@@ -209,90 +207,6 @@ func (c *client) getVTProf() (n int64, found bool, err error) {
 	return n, true, nil
 }
 
-// trafficEvent mirrors the "traffic" SSE event payload (obs.Event's traffic
-// fields): live scenario progress published by the workload engine.
-type trafficEvent struct {
-	Scenario  string  `json:"scenario"`
-	Clients   int     `json:"clients"`
-	Mix       string  `json:"mix"`
-	Done      int64   `json:"done"`
-	TotalOps  int64   `json:"total_ops"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	P99NS     float64 `json:"p99_ns"`
-}
-
-// eventCounts tallies SSE events by kind and keeps the newest traffic
-// scenario payload for the live panel.
-type eventCounts struct {
-	connected     atomic.Bool
-	epoch, inject atomic.Int64
-	throttle, job atomic.Int64
-	traffic       atomic.Int64
-	lastTraffic   atomic.Pointer[trafficEvent]
-}
-
-// watchEvents consumes the SSE stream, counting events until ctx ends. It
-// reconnects with backoff so a monitor started before the server survives.
-func watchEvents(ctx context.Context, c *client, ec *eventCounts) {
-	for ctx.Err() == nil {
-		streamEvents(ctx, c, ec)
-		ec.connected.Store(false)
-		select {
-		case <-ctx.Done():
-		case <-time.After(time.Second):
-		}
-	}
-}
-
-// streamEvents reads one SSE connection until it breaks.
-func streamEvents(ctx context.Context, c *client, ec *eventCounts) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/events", nil)
-	if err != nil {
-		return
-	}
-	resp, err := c.hc.Transport.RoundTrip(req) // no client timeout on the stream
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return
-	}
-	ec.connected.Store(true)
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), 64<<10)
-	var pendingTraffic bool // the next "data: " line belongs to a traffic event
-	for sc.Scan() {
-		line := sc.Text()
-		if pendingTraffic {
-			pendingTraffic = false
-			if data, ok := strings.CutPrefix(line, "data: "); ok {
-				var te trafficEvent
-				if json.Unmarshal([]byte(data), &te) == nil {
-					ec.lastTraffic.Store(&te)
-				}
-			}
-		}
-		kind, ok := strings.CutPrefix(line, "event: ")
-		if !ok {
-			continue
-		}
-		switch kind {
-		case "epoch":
-			ec.epoch.Add(1)
-		case "inject":
-			ec.inject.Add(1)
-		case "throttle":
-			ec.throttle.Add(1)
-		case "job":
-			ec.job.Add(1)
-		case "traffic":
-			ec.traffic.Add(1)
-			pendingTraffic = true
-		}
-	}
-}
-
 // sample is one poll of the server.
 type sample struct {
 	at      time.Time
@@ -317,11 +231,6 @@ func poll(c *client) (*sample, error) {
 func monitor(c *client, interval time.Duration, iters int, w io.Writer) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	if c.hc.Transport == nil {
-		c.hc.Transport = http.DefaultTransport
-	}
-	var ec eventCounts
-	go watchEvents(ctx, c, &ec)
 
 	var prev *sample
 	for n := 0; iters == 0 || n < iters; n++ {
@@ -334,7 +243,7 @@ func monitor(c *client, interval time.Duration, iters int, w io.Writer) error {
 			return nil
 		}
 		fmt.Fprint(w, "\x1b[2J\x1b[H") // clear screen, home cursor
-		render(w, c.base, cur, prev, &ec)
+		render(w, c.base, cur, prev)
 		prev = cur
 		select {
 		case <-ctx.Done():
@@ -346,7 +255,7 @@ func monitor(c *client, interval time.Duration, iters int, w io.Writer) error {
 }
 
 // render draws one frame.
-func render(w io.Writer, base string, cur, prev *sample, ec *eventCounts) {
+func render(w io.Writer, base string, cur, prev *sample) {
 	m := cur.metrics
 	fmt.Fprintf(w, "quartztop — %s — %s\n\n", base, cur.at.Format("15:04:05"))
 
@@ -381,14 +290,7 @@ func render(w io.Writer, base string, cur, prev *sample, ec *eventCounts) {
 		m.counter("mem.throttle.programmed.read"), m.counter("mem.throttle.programmed.write"),
 		m.counter("mem.bucket.refills.read"), m.counter("mem.bucket.refills.write"))
 
-	renderTraffic(w, cur, prev, ec)
-
-	if ec.connected.Load() {
-		fmt.Fprintf(w, "  events (SSE)    epoch %d  inject %d  throttle %d  job %d  traffic %d\n",
-			ec.epoch.Load(), ec.inject.Load(), ec.throttle.Load(), ec.job.Load(), ec.traffic.Load())
-	} else {
-		fmt.Fprintf(w, "  events (SSE)    connecting...\n")
-	}
+	renderTraffic(w, cur, prev)
 
 	if cur.runs != nil {
 		r := cur.runs
@@ -427,13 +329,13 @@ func render(w io.Writer, base string, cur, prev *sample, ec *eventCounts) {
 
 // renderTraffic draws the serving-traffic panel: cumulative op counts and
 // latency quantiles from the quartz.ops.* metric family, a wall-clock op rate
-// from the delta between polls, and the newest traffic SSE event's scenario
-// progress. Hidden until a traffic scenario has run.
-func renderTraffic(w io.Writer, cur, prev *sample, ec *eventCounts) {
+// from the delta between polls, and the running scenario's progress from the
+// quartz.traffic.* gauges. Hidden until a traffic scenario has run.
+func renderTraffic(w io.Writer, cur, prev *sample) {
 	m := cur.metrics
 	ops := m.counter("quartz.ops.count")
-	te := ec.lastTraffic.Load()
-	if ops == 0 && te == nil {
+	clients := m.counter("quartz.traffic.clients")
+	if ops == 0 && clients == 0 {
 		return
 	}
 	wallRate := 0.0
@@ -450,11 +352,11 @@ func renderTraffic(w io.Writer, cur, prev *sample, ec *eventCounts) {
 		fmtNS(m.histQ("quartz.ops.latency_ns", "p50")),
 		fmtNS(m.histQ("quartz.ops.latency_ns", "p95")),
 		fmtNS(m.histQ("quartz.ops.latency_ns", "p99")))
-	if te != nil {
-		fmt.Fprintf(w, "  scenario %-24s %s clients  %s %s/%s ops  %.0f ops/s sim  p99 %s\n",
-			te.Scenario, fmtCount(float64(te.Clients)),
-			bar(int(te.Done), int(te.TotalOps), 20), fmtCount(float64(te.Done)), fmtCount(float64(te.TotalOps)),
-			te.OpsPerSec, fmtNS(te.P99NS))
+	if clients > 0 {
+		done, total := m.counter("quartz.traffic.done"), m.counter("quartz.traffic.total_ops")
+		fmt.Fprintf(w, "  scenario        %s clients  %s %s/%s ops  %.0f ops/s sim  p99 %s\n",
+			fmtCount(clients), bar(int(done), int(total), 20), fmtCount(done), fmtCount(total),
+			m.counter("quartz.traffic.ops_per_sec"), fmtNS(m.counter("quartz.traffic.p99_ns")))
 	}
 }
 

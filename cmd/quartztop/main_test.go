@@ -2,9 +2,7 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -147,7 +145,7 @@ func trafficServer(t *testing.T) *httptest.Server {
 		reg.Histogram("quartz.ops.latency_ns").Observe(i * 100)
 	}
 	rec.EpochClosed(obs.EpochRecord{PID: 1, Reason: "max", Delay: sim.Microsecond})
-	rec.TrafficProgress("read-mostly/lat=200ns/clients=8", "read-mostly", 8, 50, 100, 123456, 9000)
+	rec.TrafficProgress(8, 50, 100, 123456, 9000)
 	srv := httptest.NewServer(obshttp.Handler(obshttp.Options{Recorder: rec}))
 	t.Cleanup(srv.Close)
 	return srv
@@ -176,48 +174,21 @@ func TestOnceNoTrafficLine(t *testing.T) {
 }
 
 // TestMonitorTrafficPanel: the TUI frame shows the traffic panel with op
-// counts and latency quantiles when a scenario has run.
+// counts and latency quantiles when a scenario has run, and the scenario
+// progress line read from the quartz.traffic.* gauges.
 func TestMonitorTrafficPanel(t *testing.T) {
 	srv := trafficServer(t)
 	code, stdout, stderr := runCLI(t, "-addr", srv.URL, "-n", "1", "-interval", "10ms")
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr: %s", code, stderr)
 	}
-	for _, want := range []string{"traffic ops", "read 70", "update 20", "scan 10", "op lat p50/p95/p99"} {
+	for _, want := range []string{
+		"traffic ops", "read 70", "update 20", "scan 10", "op lat p50/p95/p99",
+		"8 clients", "50/100 ops", "123456 ops/s sim", "p99 9.0us",
+	} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("frame missing %q:\n%s", want, stdout)
 		}
-	}
-}
-
-// TestStreamEventsTraffic: streamEvents must count traffic events and decode
-// the following data line into lastTraffic.
-func TestStreamEventsTraffic(t *testing.T) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, ": connected\n\n")
-		fmt.Fprint(w, "event: epoch\ndata: {\"kind\":\"epoch\"}\n\n")
-		fmt.Fprint(w, "event: traffic\ndata: {\"kind\":\"traffic\",\"scenario\":\"s1\",\"mix\":\"write-heavy\","+
-			"\"clients\":32,\"done\":10,\"total_ops\":64,\"ops_per_sec\":5000,\"p99_ns\":1500}\n\n")
-	})
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-	c := &client{base: srv.URL, hc: &http.Client{Transport: http.DefaultTransport}}
-	var ec eventCounts
-	streamEvents(context.Background(), c, &ec)
-	if got := ec.traffic.Load(); got != 1 {
-		t.Errorf("traffic events = %d, want 1", got)
-	}
-	if got := ec.epoch.Load(); got != 1 {
-		t.Errorf("epoch events = %d, want 1", got)
-	}
-	te := ec.lastTraffic.Load()
-	if te == nil {
-		t.Fatal("lastTraffic not captured")
-	}
-	if te.Scenario != "s1" || te.Mix != "write-heavy" || te.Clients != 32 ||
-		te.Done != 10 || te.TotalOps != 64 || te.OpsPerSec != 5000 || te.P99NS != 1500 {
-		t.Errorf("lastTraffic = %+v", *te)
 	}
 }
 

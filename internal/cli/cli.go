@@ -78,7 +78,7 @@ func (o *Obs) Register(fs *flag.FlagSet) {
 	fs.StringVar(&o.Trace, "trace", "", "write a Chrome trace-event file of every emulated run (open in chrome://tracing or Perfetto)")
 	fs.BoolVar(&o.Metrics, "metrics", false, "print a JSON metrics snapshot to stdout after the run")
 	fs.StringVar(&o.MetricsOut, "metrics-out", "", "write the JSON metrics snapshot to this file")
-	fs.StringVar(&o.Serve, "serve", "", "serve live introspection HTTP (/metrics, /ledger, /events, ...) on this address during the run (e.g. :8077)")
+	fs.StringVar(&o.Serve, "serve", "", "serve live introspection HTTP (/metrics, /ledger, /runs, ...) on this address during the run (e.g. :8077)")
 	fs.DurationVar(&o.Linger, "serve-linger", 0, "keep the introspection server up this long after the run finishes (Ctrl-C cuts it short)")
 	fs.BoolVar(&o.ServePprof, "serve-pprof", false, "mount host-side net/http/pprof under /debug/pprof/ on the -serve server")
 	fs.StringVar(&o.LedgerOut, "ledger-out", "", "stream every epoch record to this JSONL file as it closes (removes the in-memory ledger bound)")

@@ -1,6 +1,6 @@
 // Package obs is the emulator's observability layer: a low-overhead epoch
-// ledger, an aggregated metrics registry, a Chrome trace-event exporter,
-// streaming ledger sinks, and a live event stream.
+// ledger, an aggregated metrics registry, a Chrome trace-event exporter and
+// streaming ledger sinks.
 //
 // Quartz's value is explaining where emulated time goes — per-epoch stall
 // cycles, the Eq. 2/3 delay derivation, min/max-epoch truncation, and the
@@ -18,10 +18,10 @@
 //     trace-event JSON file loadable in chrome://tracing or Perfetto, with
 //     epochs as slices and delay injections as flow-connected slices;
 //   - the ledger sink (sink.go): JSONL streaming of every epoch record to
-//     disk, removing the in-memory retention bound;
-//   - the event stream (events.go): a non-blocking fan-out of epoch closes,
-//     delay injections, throttle programmings and job completions, feeding
-//     the HTTP introspection plane (internal/obs/obshttp).
+//     disk, removing the in-memory retention bound.
+//
+// The HTTP introspection plane (internal/obs/obshttp) polls the registry
+// and the in-memory ledger tail while a run is still going.
 //
 // The entry point is the Recorder. A nil *Recorder is valid and records
 // nothing: every method nil-checks its receiver, so instrumented code calls
@@ -114,9 +114,6 @@ type EpochRecord struct {
 // Len reports the epoch's length in virtual time.
 func (e EpochRecord) Len() sim.Time { return e.End - e.Start }
 
-// Recorder collects epoch records and metrics for one run (or one parallel
-// suite of runs). The zero value is not used directly; construct with New.
-// A nil *Recorder is a valid no-op sink.
 // hotMetrics caches the handles of the metrics the per-epoch paths touch.
 // Registry.Counter/Histogram take a mutex and allocate when the name is
 // built by concatenation, so the steady-state recording path resolves every
@@ -171,10 +168,12 @@ func (h *hotMetrics) reasonCounter(reg *Registry, reason string) *Counter {
 	return reg.Counter("quartz.epochs.reason." + reason)
 }
 
+// Recorder collects epoch records and metrics for one run (or one parallel
+// suite of runs). The zero value is not used directly; construct with New.
+// A nil *Recorder is a valid no-op sink.
 type Recorder struct {
 	reg *Registry
 	hot hotMetrics
-	hub eventHub
 
 	mu     sync.Mutex
 	ledger []EpochRecord
@@ -325,8 +324,6 @@ func (r *Recorder) EpochClosed(rec EpochRecord) {
 	case len(r.ledger) < r.limit:
 		r.ledger = append(r.ledger, rec)
 	}
-	// Publish under the ledger mutex so event order equals ledger order.
-	r.epochEvents(rec)
 	r.mu.Unlock()
 
 	r.hot.epochsClosed.Add(1)
@@ -390,7 +387,6 @@ func (r *Recorder) ThrottleProgrammed(path string) {
 		return
 	}
 	r.reg.Counter("mem.throttle.programmed." + path).Add(1)
-	r.hub.publish(Event{Kind: "throttle", Path: path})
 }
 
 // BucketRefill counts one token-bucket refill on the given path: the
@@ -403,26 +399,21 @@ func (r *Recorder) BucketRefill(path string) {
 	r.reg.Counter("mem.bucket.refills." + path).Add(1)
 }
 
-// JobDone records one experiment-runner job outcome. jobID names the job
-// for the event stream; it does not affect the aggregated metrics.
-func (r *Recorder) JobDone(jobID, status string, wall time.Duration) {
+// JobDone records one experiment-runner job outcome.
+func (r *Recorder) JobDone(status string, wall time.Duration) {
 	if r == nil {
 		return
 	}
 	r.reg.Counter("runner.jobs." + status).Add(1)
 	r.reg.Histogram("runner.job_wall_ms").Observe(wall.Milliseconds())
-	r.hub.publish(Event{
-		Kind: "job", Job: jobID, Status: status,
-		WallMS: float64(wall.Microseconds()) / 1e3,
-	})
 }
 
-// TrafficProgress publishes one traffic-scenario progress event and refreshes
-// the quartz.traffic.* live gauges: the scenario's measured-op progress plus
-// the measurement window's running throughput and p99 latency (simulated
-// time). The traffic engine calls it periodically during the measured phase
-// and once at scenario completion.
-func (r *Recorder) TrafficProgress(scenario, mix string, clients int, done, total int64, opsPerSec, p99NS float64) {
+// TrafficProgress refreshes the quartz.traffic.* live gauges: the running
+// scenario's client count and measured-op progress plus the measurement
+// window's running throughput and p99 latency (simulated time). The traffic
+// engine calls it periodically during the measured phase and once at
+// scenario completion.
+func (r *Recorder) TrafficProgress(clients int, done, total int64, opsPerSec, p99NS float64) {
 	if r == nil {
 		return
 	}
@@ -431,10 +422,6 @@ func (r *Recorder) TrafficProgress(scenario, mix string, clients int, done, tota
 	r.reg.Gauge("quartz.traffic.total_ops").Set(float64(total))
 	r.reg.Gauge("quartz.traffic.ops_per_sec").Set(opsPerSec)
 	r.reg.Gauge("quartz.traffic.p99_ns").Set(p99NS)
-	r.hub.publish(Event{
-		Kind: "traffic", Scenario: scenario, Mix: mix, Clients: clients,
-		Done: done, TotalOps: total, OpsPerSec: opsPerSec, P99NS: p99NS,
-	})
 }
 
 // ledgerLocked returns the retained records in Seq order. Caller holds r.mu.
@@ -519,12 +506,9 @@ func (r *Recorder) droppedLocked() int64 {
 	return int64(r.total) - int64(len(r.ledger))
 }
 
-// WriteMetricsJSON writes the metrics snapshot as indented JSON. It is a
-// no-op on a nil recorder.
-func (r *Recorder) WriteMetricsJSON(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
+// refreshLedgerGauges sets the obs.ledger.* gauges from the ledger's current
+// state, so every metrics export describes the ledger as of that export.
+func (r *Recorder) refreshLedgerGauges() {
 	r.mu.Lock()
 	dropped := r.droppedLocked()
 	retained := len(r.ledger)
@@ -533,7 +517,15 @@ func (r *Recorder) WriteMetricsJSON(w io.Writer) error {
 	r.reg.Gauge("obs.ledger.retained").Set(float64(retained))
 	r.reg.Gauge("obs.ledger.dropped").Set(float64(dropped))
 	r.reg.Gauge("obs.ledger.total").Set(float64(total))
-	r.reg.Gauge("obs.events.dropped").Set(float64(r.hub.dropped.Load()))
+}
+
+// WriteMetricsJSON writes the metrics snapshot as indented JSON. It is a
+// no-op on a nil recorder.
+func (r *Recorder) WriteMetricsJSON(w io.Writer) error {
+	if r == nil {
+		return nil
+	}
+	r.refreshLedgerGauges()
 	return r.reg.WriteJSON(w)
 }
 

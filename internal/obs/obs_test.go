@@ -27,7 +27,10 @@ func TestNilRecorderNoOp(t *testing.T) {
 	r.EpochSuppressed("sync")
 	r.ContendedWait()
 	r.KernelRun(sim.KernelStats{Spawned: 3})
-	r.JobDone("job", "ok", time.Second)
+	r.ThrottleProgrammed("read")
+	r.BucketRefill("read")
+	r.JobDone("ok", time.Second)
+	r.TrafficProgress(8, 50, 100, 123456, 9000)
 	if got := r.Ledger(); got != nil {
 		t.Errorf("nil Ledger = %v, want nil", got)
 	}
@@ -153,9 +156,9 @@ func TestDefaultRecorder(t *testing.T) {
 // TestJobDoneMetrics covers the runner-facing aggregation.
 func TestJobDoneMetrics(t *testing.T) {
 	r := New(0)
-	r.JobDone("a", "ok", 10*time.Millisecond)
-	r.JobDone("b", "ok", 20*time.Millisecond)
-	r.JobDone("c", "failed", 5*time.Millisecond)
+	r.JobDone("ok", 10*time.Millisecond)
+	r.JobDone("ok", 20*time.Millisecond)
+	r.JobDone("failed", 5*time.Millisecond)
 	reg := r.Registry()
 	if got := reg.Counter("runner.jobs.ok").Value(); got != 2 {
 		t.Errorf("jobs.ok = %d, want 2", got)
@@ -166,5 +169,21 @@ func TestJobDoneMetrics(t *testing.T) {
 	h := reg.Histogram("runner.job_wall_ms").Snapshot()
 	if h.Count != 3 || h.Sum != 35 {
 		t.Errorf("job_wall_ms count=%d sum=%d, want 3/35", h.Count, h.Sum)
+	}
+}
+
+// TestThrottleProgrammedMetrics: each throttle-register write counts on its
+// own path's counter, the one /metrics and quartztop read.
+func TestThrottleProgrammedMetrics(t *testing.T) {
+	r := New(0)
+	r.ThrottleProgrammed("read")
+	r.ThrottleProgrammed("write")
+	r.ThrottleProgrammed("write")
+	reg := r.Registry()
+	if got := reg.Counter("mem.throttle.programmed.read").Value(); got != 1 {
+		t.Errorf("throttle.programmed.read = %d, want 1", got)
+	}
+	if got := reg.Counter("mem.throttle.programmed.write").Value(); got != 2 {
+		t.Errorf("throttle.programmed.write = %d, want 2", got)
 	}
 }

@@ -15,8 +15,6 @@
 //	               ?since=N  first sequence number wanted (default 0)
 //	               ?limit=M  max records per page (default 1000, cap 10000)
 //	GET /runs      experiment-runner suite/job status (404 without a board)
-//	GET /events    Server-Sent Events stream of live Events:
-//	               ?kinds=epoch,job  optional kind filter
 //	GET /vtprof    virtual-time profile, pprof protobuf (gzipped; 404 when
 //	               no profiler is attached)
 //
@@ -35,7 +33,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"strings"
 	"time"
 
 	"github.com/quartz-emu/quartz/internal/obs"
@@ -44,7 +41,7 @@ import (
 
 // Options configures the handler's data sources.
 type Options struct {
-	// Recorder feeds /metrics, /ledger and /events. Required.
+	// Recorder feeds /metrics and /ledger. Required.
 	Recorder *obs.Recorder
 	// Status feeds /runs; nil makes /runs respond 404 (quartzrun has no
 	// experiment runner).
@@ -133,9 +130,6 @@ func Handler(o Options) http.Handler {
 		}
 		writeJSON(w, o.Status.Snapshot())
 	})
-	mux.HandleFunc("GET /events", func(w http.ResponseWriter, r *http.Request) {
-		events(o.Recorder, w, r)
-	})
 	return mux
 }
 
@@ -146,7 +140,6 @@ func index(w http.ResponseWriter, r *http.Request) {
   /metrics          metrics-registry snapshot (JSON; ?format=prometheus for text exposition)
   /ledger?since=N   incremental epoch-ledger cursor (JSON)
   /runs             experiment-runner suite status (JSON)
-  /events           live event stream (SSE; ?kinds=epoch,inject,throttle,job)
   /vtprof           virtual-time profile (pprof protobuf, gzipped)
   /healthz          liveness probe
 `)
@@ -207,63 +200,6 @@ func queryUint(r *http.Request, name string, def uint64) (uint64, error) {
 	return v, nil
 }
 
-// events streams recorder events as Server-Sent Events until the client
-// disconnects. Each event is "event: <kind>\ndata: <json>\n\n"; a comment
-// line is sent first so clients know the subscription is active.
-func events(rec *obs.Recorder, w http.ResponseWriter, r *http.Request) {
-	if rec == nil {
-		http.Error(w, "no recorder attached", http.StatusServiceUnavailable)
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	var kinds map[string]bool
-	if q := r.URL.Query().Get("kinds"); q != "" {
-		kinds = make(map[string]bool)
-		for _, k := range strings.Split(q, ",") {
-			kinds[strings.TrimSpace(k)] = true
-		}
-	}
-
-	ch, cancel := rec.Events(0)
-	defer cancel()
-
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	// The open comment doubles as the subscribed-and-ready signal: events
-	// recorded after the client reads it are guaranteed to be delivered (or
-	// counted as dropped), never silently predate the subscription.
-	fmt.Fprint(w, ": stream open\n\n")
-	fl.Flush()
-
-	heartbeat := time.NewTicker(15 * time.Second)
-	defer heartbeat.Stop()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-heartbeat.C:
-			fmt.Fprint(w, ": ping\n\n")
-			fl.Flush()
-		case ev := <-ch:
-			if kinds != nil && !kinds[ev.Kind] {
-				continue
-			}
-			data, err := json.Marshal(ev)
-			if err != nil {
-				continue
-			}
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Kind, data)
-			fl.Flush()
-		}
-	}
-}
-
 // Server is a started introspection server bound to a listener.
 type Server struct {
 	ln  net.Listener
@@ -302,5 +238,5 @@ func (s *Server) URL() string {
 	return "http://" + net.JoinHostPort(host, port)
 }
 
-// Close immediately shuts the server down, cutting open SSE streams.
+// Close immediately shuts the server down, cutting open connections.
 func (s *Server) Close() error { return s.srv.Close() }

@@ -115,21 +115,13 @@ func writePromHistogram(bw *bufio.Writer, name string, h *Histogram) {
 }
 
 // WritePrometheus writes the recorder's metrics in the Prometheus text
-// exposition format, refreshing the same ledger/event gauges
-// WriteMetricsJSON refreshes so both exports describe identical state. It is
-// a no-op on a nil recorder.
+// exposition format, refreshing the same ledger gauges WriteMetricsJSON
+// refreshes so both exports describe identical state. It is a no-op on a
+// nil recorder.
 func (r *Recorder) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	dropped := r.droppedLocked()
-	retained := len(r.ledger)
-	total := r.total
-	r.mu.Unlock()
-	r.reg.Gauge("obs.ledger.retained").Set(float64(retained))
-	r.reg.Gauge("obs.ledger.dropped").Set(float64(dropped))
-	r.reg.Gauge("obs.ledger.total").Set(float64(total))
-	r.reg.Gauge("obs.events.dropped").Set(float64(r.hub.dropped.Load()))
+	r.refreshLedgerGauges()
 	return r.reg.WritePrometheus(w)
 }

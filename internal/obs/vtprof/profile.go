@@ -85,12 +85,6 @@ func (p *Profile) TotalNS() int64 {
 	return sum
 }
 
-// InjectedNS is the profile's total injected delay (read + write terms).
-func (p *Profile) InjectedNS() int64 {
-	t := p.Totals()
-	return t[InjectRead] + t[InjectWrite]
-}
-
 // WriteFolded emits the profile in folded-stacks form, one line per
 // (stack, category) with a nonzero value:
 //

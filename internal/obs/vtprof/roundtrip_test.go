@@ -385,9 +385,10 @@ func TestPprofEmulatedReconciles(t *testing.T) {
 
 	// And the exporter-side totals agree with the decoder's view.
 	snap := prof.Snapshot()
-	if snap.TotalNS() != dec.total(0, "") || snap.InjectedNS() != wantInjected {
+	tot := snap.Totals()
+	if injected := tot[vtprof.InjectRead] + tot[vtprof.InjectWrite]; snap.TotalNS() != dec.total(0, "") || injected != wantInjected {
 		t.Errorf("snapshot totals %d/%d disagree with decoded %d/%d",
-			snap.TotalNS(), snap.InjectedNS(), dec.total(0, ""), wantInjected)
+			snap.TotalNS(), injected, dec.total(0, ""), wantInjected)
 	}
 }
 

@@ -165,8 +165,8 @@ func TestChargeInjected(t *testing.T) {
 	if tot[InjectWrite] != 20 || tot[InjectRead] != 40 || tot[SchedWait] != 40 {
 		t.Errorf("totals = %v, want inject_write=20 inject_read=40 sched_wait=40", tot)
 	}
-	if prof.InjectedNS() != 60 {
-		t.Errorf("InjectedNS = %d, want 60", prof.InjectedNS())
+	if got := tot[InjectRead] + tot[InjectWrite]; got != 60 {
+		t.Errorf("injected total = %d, want 60", got)
 	}
 }
 

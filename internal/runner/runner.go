@@ -129,7 +129,7 @@ func run(ctx context.Context, cfg Config, jobs []job) ([]Result, error) {
 		if r.Status != StatusOK {
 			failed++
 		}
-		cfg.Recorder.JobDone(r.JobID, string(r.Status), r.Wall)
+		cfg.Recorder.JobDone(string(r.Status), r.Wall)
 		cfg.Status.JobFinished(r)
 		if cfg.Sink != nil {
 			if err := cfg.Sink.Write(r); err != nil && sinkErr == nil {

@@ -156,7 +156,7 @@ func BenchmarkWorkloadClientAdvance(b *testing.B) {
 // BenchmarkWorkloadRecord measures recording one measured op into the
 // worker-local histogram and tally (the per-op cost), and the periodic
 // delta-flush into the shared result and registry histograms (paid once per
-// EventEvery ops).
+// flushEvery measured ops).
 func BenchmarkWorkloadRecord(b *testing.B) {
 	b.Run("observe", func(b *testing.B) {
 		var lat obs.LocalHistogram

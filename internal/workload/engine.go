@@ -42,7 +42,7 @@ type Target interface {
 // ScenarioConfig describes one traffic scenario: who the clients are, what
 // they ask for, and how they arrive.
 type ScenarioConfig struct {
-	// Name labels the scenario in reports, metrics and events.
+	// Name labels the scenario in reports and metrics.
 	Name string
 	// Clients is the number of simulated clients. Client state is flat
 	// struct-of-arrays (a due time, an inline generator, a done count per
@@ -76,23 +76,19 @@ type ScenarioConfig struct {
 	// workload.
 	CloseEpoch func(*simos.Thread)
 	// Obs, when non-nil, feeds the live introspection plane: per-op-kind
-	// quartz.ops.* counters and latency histograms, and "traffic" progress
-	// events. It never influences the measured result.
+	// quartz.ops.* counters and latency histograms, and the quartz.traffic.*
+	// progress gauges. It never influences the measured result.
 	Obs *obs.Recorder
-	// EventEvery is the number of measured ops between traffic progress
-	// events — and between refreshes of the live quartz.ops.* metrics,
-	// which the measured-op path batches in per-worker plain histograms
-	// (0 selects a default; negative disables progress events).
-	EventEvery int
 
 	// sched forces a specific next-due picker for the scheduler
 	// equivalence tests; the zero value selects automatically.
 	sched schedMode
 }
 
-// defaultEventEvery spaces traffic progress events (and live-metric
-// refreshes) when EventEvery is 0.
-const defaultEventEvery = 4096
+// flushEvery is the number of measured ops between refreshes of the live
+// quartz.ops.* metrics — which the measured-op path batches in per-worker
+// plain histograms — and of the quartz.traffic.* progress gauges.
+const flushEvery = 4096
 
 // Validate reports configuration errors.
 func (c ScenarioConfig) Validate() error {
@@ -184,10 +180,9 @@ type scenario struct {
 	// readMax/updMax are the mix's cumulative per-mille thresholds, hoisted
 	// so the per-op kind draw is two compares.
 	readMax, updMax int
-	eventEvery      int64
 	totalOps        int64
-	// measured counts measured ops across workers; it times progress
-	// events and live-metric flushes only, never the result.
+	// measured counts measured ops across workers; it times live-metric
+	// flushes and progress-gauge refreshes only, never the result.
 	measured int64
 	firstErr error
 }
@@ -209,7 +204,7 @@ type worker struct {
 	fifo fifoRing
 
 	record bool
-	mStart sim.Time // measurement-phase start, for progress events
+	mStart sim.Time // measurement-phase start, for the progress gauges
 
 	// Measured-op tallies, recorded plain (no atomics) on the op path and
 	// merged positionally into the scenario result after the join; the
@@ -289,9 +284,9 @@ func (wk *worker) runOne(t *simos.Thread, i int32) bool {
 		wk.lat.kind[op.Kind].Observe(lat)
 		wk.counts[op.Kind]++
 		sc.measured++
-		if sc.eventEvery > 0 && sc.measured%sc.eventEvery == 0 {
+		if sc.measured%flushEvery == 0 {
 			wk.flush()
-			publishProgress(*cfg, sc.measured, sc.totalOps, end-wk.mStart, sc.lat.All.Quantile(0.99))
+			publishProgress(cfg, sc.measured, sc.totalOps, end-wk.mStart, sc.lat.All.Quantile(0.99))
 		}
 	}
 	wk.done[i]++
@@ -503,20 +498,15 @@ func RunScenario(main *simos.Thread, target Target, cfg ScenarioConfig) (Scenari
 		return ScenarioResult{}, err
 	}
 
-	eventEvery := cfg.EventEvery
-	if eventEvery == 0 {
-		eventEvery = defaultEventEvery
-	}
 	sc := &scenario{
-		cfg:        &cfg,
-		target:     target,
-		lm:         newLiveMetrics(cfg.Obs),
-		lat:        res.Lat,
-		pool:       pool,
-		readMax:    cfg.Mix.Read,
-		updMax:     cfg.Mix.Read + cfg.Mix.Update,
-		eventEvery: int64(eventEvery),
-		totalOps:   int64(cfg.Clients) * int64(cfg.MeasureOps),
+		cfg:      &cfg,
+		target:   target,
+		lm:       newLiveMetrics(cfg.Obs),
+		lat:      res.Lat,
+		pool:     pool,
+		readMax:  cfg.Mix.Read,
+		updMax:   cfg.Mix.Read + cfg.Mix.Update,
+		totalOps: int64(cfg.Clients) * int64(cfg.MeasureOps),
 	}
 
 	// Per-worker state, merged by position after the join so the result
@@ -582,7 +572,7 @@ func RunScenario(main *simos.Thread, target Target, cfg ScenarioConfig) (Scenari
 	if secs := res.CT.Seconds(); secs > 0 {
 		res.OpsPerSec = float64(res.Ops) / secs
 	}
-	publishProgress(cfg, res.Ops, sc.totalOps, res.CT, res.Lat.All.Quantile(0.99))
+	publishProgress(&cfg, res.Ops, sc.totalOps, res.CT, res.Lat.All.Quantile(0.99))
 	return res, nil
 }
 
@@ -600,16 +590,15 @@ func applyOp(t *simos.Thread, target Target, op Op, scanLen int, val uint64) err
 	}
 }
 
-// publishProgress emits one "traffic" event (and refreshes the live traffic
-// gauges) when a recorder is attached.
-func publishProgress(cfg ScenarioConfig, done, total int64, elapsed sim.Time, p99 float64) {
-	if cfg.Obs == nil || cfg.EventEvery < 0 {
+// publishProgress refreshes the live traffic gauges when a recorder is
+// attached.
+func publishProgress(cfg *ScenarioConfig, done, total int64, elapsed sim.Time, p99 float64) {
+	if cfg.Obs == nil {
 		return
 	}
 	opsPerSec := 0.0
 	if secs := elapsed.Seconds(); secs > 0 {
 		opsPerSec = float64(done) / secs
 	}
-	cfg.Obs.TrafficProgress(cfg.Name, cfg.Mix.Name, cfg.Clients, done, total,
-		opsPerSec, p99)
+	cfg.Obs.TrafficProgress(cfg.Clients, done, total, opsPerSec, p99)
 }

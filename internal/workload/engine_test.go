@@ -71,7 +71,6 @@ func baseConfig(name string) ScenarioConfig {
 		Keys:        Uniform{Keys: 64},
 		Mix:         Mix{Name: "t", Read: 700, Update: 200, Scan: 100, ScanLen: 4},
 		Seed:        2026,
-		EventEvery:  -1,
 	}
 }
 
@@ -139,7 +138,6 @@ func TestWarmupExclusion(t *testing.T) {
 	rec := obs.New(0)
 	cfg := baseConfig("warm")
 	cfg.Obs = rec
-	cfg.EventEvery = 0
 	res, ops := runStub(t, cfg)
 	total := cfg.Clients * (cfg.WarmupOps + cfg.MeasureOps)
 	measured := int64(cfg.Clients * cfg.MeasureOps)
@@ -173,40 +171,36 @@ func TestWarmupExclusion(t *testing.T) {
 	}
 }
 
-// TestTrafficEvents verifies the engine publishes "traffic" progress events
-// carrying the scenario identity and final op count.
-func TestTrafficEvents(t *testing.T) {
+// TestTrafficGauges verifies the live quartz.ops.* counters and the
+// quartz.traffic.* progress gauges a recorded scenario leaves behind. The
+// scenario runs more than two flush periods of measured ops, so the
+// mid-run flush path feeds the counters as well as the final flush.
+func TestTrafficGauges(t *testing.T) {
 	rec := obs.New(0)
-	ch, cancel := rec.Events(256)
-	defer cancel()
-	cfg := baseConfig("events")
+	cfg := baseConfig("gauges")
 	cfg.Obs = rec
-	cfg.EventEvery = 8
+	cfg.MeasureOps = 2*flushEvery/cfg.Clients + 100
 	res, _ := runStub(t, cfg)
-	cancel()
-	var events []obs.Event
-	for drain := true; drain; {
-		select {
-		case ev := <-ch:
-			if ev.Kind == "traffic" {
-				events = append(events, ev)
-			}
-		default:
-			drain = false
+	if res.Ops <= 2*flushEvery {
+		t.Fatalf("measured %d ops, want > %d", res.Ops, 2*flushEvery)
+	}
+	reg := rec.Registry()
+	if got := reg.Counter("quartz.ops.count").Value(); got != res.Ops {
+		t.Errorf("quartz.ops.count = %d, want %d", got, res.Ops)
+	}
+	for name, want := range map[string]float64{
+		"quartz.traffic.clients":   float64(cfg.Clients),
+		"quartz.traffic.done":      float64(res.Ops),
+		"quartz.traffic.total_ops": float64(res.Ops),
+	} {
+		if got := reg.Gauge(name).Value(); got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
 		}
 	}
-	if len(events) == 0 {
-		t.Fatal("no traffic events published")
-	}
-	last := events[len(events)-1]
-	if last.Scenario != "events" || last.Mix != cfg.Mix.Name || last.Clients != cfg.Clients {
-		t.Errorf("final event identity = %+v", last)
-	}
-	if last.Done != res.Ops || last.TotalOps != res.Ops {
-		t.Errorf("final event progress %d/%d, want %d/%d", last.Done, last.TotalOps, res.Ops, res.Ops)
-	}
-	if last.OpsPerSec <= 0 || last.P99NS <= 0 {
-		t.Errorf("final event rates = %+v", last)
+	for _, name := range []string{"quartz.traffic.ops_per_sec", "quartz.traffic.p99_ns"} {
+		if got := reg.Gauge(name).Value(); got <= 0 {
+			t.Errorf("%s = %v, want > 0", name, got)
+		}
 	}
 }
 
