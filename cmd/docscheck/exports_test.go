@@ -25,30 +25,27 @@ const (
 // names but that stay on purpose, each with the reason. Keys are
 // package.Func or package.Type.Method.
 var keptExports = map[string]string{
-	"quartz.NewRecorder":                 facade,
-	"quartz.LoadConfigFile":              facade,
-	"core.Emulator.PFree":                appAPI,
-	"core.Emulator.IsNVM":                appAPI,
-	"core.Emulator.NVMNode":              appAPI,
-	"kvstore.Store.Delete":               appAPI,
-	"pmlog.Log.DurableBytes":             appAPI,
-	"pmlog.Log.Pending":                  appAPI,
-	"pmlog.Log.Truncate":                 appAPI,
-	"obs.Recorder.Dropped":               checkRd,
-	"obs.Recorder.SinkErr":               checkRd,
-	"vtprof.Profile.TotalNS":             checkRd,
-	"simos.Process.EndTime":              oracle,
-	"simos.Thread.ComputeFor":            oracle,
-	"sim.Coro.Sleep":                     oracle,
-	"sim.Coro.Yield":                     oracle,
-	"mem.Controller.EffectiveBandwidth":  oracle,
-	"mem.Controller.Throttle":            oracle,
-	"mem.Controller.WriteThrottle":       oracle,
-	"perf.Counters.TrueStallCycles":      oracle,
-	"kmod.Module.Programmed":             oracle,
-	"kmod.Module.UserRDPMCEnabled":       oracle,
-	"kmod.CalibrationTable.MaxBandwidth": oracle,
-	"golden.Check":                       testAid,
+	"quartz.NewRecorder":                facade,
+	"quartz.LoadConfigFile":             facade,
+	"core.Emulator.PFree":               appAPI,
+	"core.Emulator.IsNVM":               appAPI,
+	"core.Emulator.NVMNode":             appAPI,
+	"kvstore.Store.Delete":              appAPI,
+	"pmlog.Log.DurableBytes":            appAPI,
+	"pmlog.Log.Pending":                 appAPI,
+	"pmlog.Log.Truncate":                appAPI,
+	"obs.Recorder.Dropped":              checkRd,
+	"obs.Recorder.SinkErr":              checkRd,
+	"vtprof.Profile.TotalNS":            checkRd,
+	"simos.Process.EndTime":             oracle,
+	"simos.Thread.ComputeFor":           oracle,
+	"sim.Coro.Sleep":                    oracle,
+	"sim.Coro.Yield":                    oracle,
+	"mem.Controller.EffectiveBandwidth": oracle,
+	"mem.Controller.Throttle":           oracle,
+	"mem.Controller.WriteThrottle":      oracle,
+	"perf.Counters.TrueStallCycles":     oracle,
+	"golden.Check":                      testAid,
 }
 
 // TestNoUnusedExports fails on an exported func or method, declared in

@@ -1,17 +1,17 @@
 package main
 
 import (
-	"bufio"
 	"os"
 	"slices"
 	"strings"
 	"testing"
 )
 
-// TestReadmeTreeListsInternalPackages fails unless the README's
-// architecture tree lists exactly the top-level directories under
-// internal/, so a deleted package cannot linger there and a new one cannot
-// go unlisted.
+// TestReadmeTreeListsInternalPackages fails unless every module map — the
+// README's architecture tree and the module tables of doc/architecture.md
+// and DESIGN.md — names exactly the top-level directories under internal/,
+// so a deleted package cannot linger in one and a new one cannot go
+// unlisted.
 func TestReadmeTreeListsInternalPackages(t *testing.T) {
 	entries, err := os.ReadDir("../../internal")
 	if err != nil {
@@ -24,18 +24,35 @@ func TestReadmeTreeListsInternalPackages(t *testing.T) {
 		}
 	}
 
-	f, err := os.Open("../../README.md")
-	if err != nil {
-		t.Fatal(err)
+	for _, m := range []struct {
+		file  string
+		names func(lines []string) []string
+	}{
+		{"README.md", readmeTreePackages},
+		{"doc/architecture.md", moduleTablePackages},
+		{"DESIGN.md", moduleTablePackages},
+	} {
+		data, err := os.ReadFile("../../" + m.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := m.names(strings.Split(string(data), "\n"))
+		slices.Sort(got)
+		if len(got) == 0 {
+			t.Errorf("%s has no module map", m.file)
+		} else if !slices.Equal(got, want) {
+			t.Errorf("%s module map lists %v, want the directories %v", m.file, got, want)
+		}
 	}
-	defer f.Close()
-	// The tree opens with an "internal/" line; its packages are the
-	// two-space-indented "name/" lines up to the next unindented line.
+}
+
+// readmeTreePackages reads the README's tree. It opens with an "internal/"
+// line; its packages are the two-space-indented "name/" lines up to the
+// next unindented line.
+func readmeTreePackages(lines []string) []string {
 	var got []string
 	inTree := false
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := sc.Text()
+	for _, line := range lines {
 		switch {
 		case line == "internal/":
 			inTree = true
@@ -46,14 +63,19 @@ func TestReadmeTreeListsInternalPackages(t *testing.T) {
 			got = append(got, strings.TrimSuffix(name, "/"))
 		}
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
+	return got
+}
+
+// moduleTablePackages reads the rows of a Markdown module table whose
+// first cell names an internal package: "| `internal/obs` |" gives obs and
+// "| `internal/apps/*` |" gives apps.
+func moduleTablePackages(lines []string) []string {
+	const prefix = "| `internal/"
+	var got []string
+	for _, line := range lines {
+		if rest, ok := strings.CutPrefix(line, prefix); ok {
+			got = append(got, rest[:strings.IndexAny(rest, "/`")])
+		}
 	}
-	slices.Sort(got)
-	if len(got) == 0 {
-		t.Fatal("README.md has no internal/ tree")
-	}
-	if !slices.Equal(got, want) {
-		t.Errorf("README internal/ tree lists %v, want the directories %v", got, want)
-	}
+	return got
 }

@@ -10,13 +10,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
 	"github.com/quartz-emu/quartz/internal/bench"
-	"github.com/quartz-emu/quartz/internal/kmod"
 	"github.com/quartz-emu/quartz/internal/machine"
 	"github.com/quartz-emu/quartz/internal/mem"
 	"github.com/quartz-emu/quartz/internal/sim"
@@ -66,10 +66,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "# bandwidth calibration for %v\n", preset)
 	fmt.Fprintf(stdout, "# register  bytes/sec\n")
 	for _, p := range table {
-		fmt.Fprintf(stdout, "%6d  %.4g\n", p.Register, p.Bandwidth)
+		fmt.Fprintf(stdout, "%6d  %.4g\n", p.register, p.bandwidth)
 	}
 	for _, target := range []float64{1e9, 5e9, 10e9, 20e9} {
-		reg, err := table.RegisterFor(target)
+		reg, err := table.registerFor(target)
 		if err != nil {
 			fmt.Fprintf(stderr, "quartzcal: %v\n", err)
 			return 1
@@ -82,8 +82,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 // calibrate measures attainable bandwidth per register value, each on a
 // fresh machine (cold caches), exactly as the paper's helper program does.
 // points must be in [2, RegisterMax+1], so the register step is at least 1.
-func calibrate(preset machine.Preset, points, lines, threads int) (kmod.CalibrationTable, error) {
-	var table kmod.CalibrationTable
+func calibrate(preset machine.Preset, points, lines, threads int) (calTable, error) {
+	var table calTable
 	step := (mem.RegisterMax + 1) / points
 	for reg := step; reg <= mem.RegisterMax+1; reg += step {
 		r := uint16(min(reg, mem.RegisterMax))
@@ -93,12 +93,10 @@ func calibrate(preset machine.Preset, points, lines, threads int) (kmod.Calibrat
 		if err != nil {
 			return nil, err
 		}
-		km, err := kmod.Open(env.Mach)
-		if err != nil {
-			return nil, err
-		}
-		if err := km.SetThrottleAll(r); err != nil {
-			return nil, err
+		for _, sock := range env.Mach.Sockets() {
+			if err := sock.Ctrl.SetThrottle(r); err != nil {
+				return nil, err
+			}
 		}
 		var res bench.StreamResult
 		err = env.Run(func(e *bench.Env, th *simos.Thread) {
@@ -113,7 +111,42 @@ func calibrate(preset machine.Preset, points, lines, threads int) (kmod.Calibrat
 		if err != nil {
 			return nil, err
 		}
-		table = append(table, kmod.CalPoint{Register: r, Bandwidth: res.BytesPerSec})
+		table = append(table, calPoint{register: r, bandwidth: res.BytesPerSec})
 	}
 	return table, nil
+}
+
+// calPoint is one row of the calibration table: the measured attainable
+// bandwidth (bytes/sec) at a throttle-register setting.
+type calPoint struct {
+	register  uint16
+	bandwidth float64
+}
+
+// calTable maps throttle-register values to measured bandwidth, in
+// ascending register order (the order calibrate measures them in).
+type calTable []calPoint
+
+// registerFor returns the smallest register value whose measured bandwidth
+// reaches target, interpolating linearly between calibration points and
+// clamping to the table's ends.
+func (t calTable) registerFor(target float64) (uint16, error) {
+	if len(t) == 0 {
+		return 0, errors.New("empty calibration table")
+	}
+	if target <= t[0].bandwidth {
+		return t[0].register, nil
+	}
+	for i := 1; i < len(t); i++ {
+		lo, hi := t[i-1], t[i]
+		if target <= hi.bandwidth {
+			span := hi.bandwidth - lo.bandwidth
+			if span <= 0 {
+				return hi.register, nil
+			}
+			frac := (target - lo.bandwidth) / span
+			return lo.register + uint16(frac*float64(hi.register-lo.register)+0.5), nil
+		}
+	}
+	return t[len(t)-1].register, nil
 }

@@ -286,9 +286,8 @@ func render(w io.Writer, base string, cur, prev *sample) {
 		fmtNS(m.histQ("quartz.epoch.delay_ns", "p50")),
 		fmtNS(m.histQ("quartz.epoch.delay_ns", "p95")),
 		fmtNS(m.histQ("quartz.epoch.delay_ns", "p99")))
-	fmt.Fprintf(w, "  throttle writes %.0f read / %.0f write   bucket refills %.0f read / %.0f write\n",
-		m.counter("mem.throttle.programmed.read"), m.counter("mem.throttle.programmed.write"),
-		m.counter("mem.bucket.refills.read"), m.counter("mem.bucket.refills.write"))
+	fmt.Fprintf(w, "  throttle writes %.0f read / %.0f write\n",
+		m.counter("mem.throttle.programmed.read"), m.counter("mem.throttle.programmed.write"))
 
 	renderTraffic(w, cur, prev)
 

@@ -1,11 +1,11 @@
 // Package core implements Quartz itself: the epoch-based persistent-memory
 // latency emulator of §2–§3. It attaches to a simulated process the way the
-// real library attaches via LD_PRELOAD, programs the hardware through the
-// kernel module, runs a monitor thread that interrupts application threads
-// at maximum-epoch boundaries with an epoch signal, hooks the simulated
-// synchronization calls to propagate delays at inter-thread communication
-// points, and injects model-derived delays by spinning on the timestamp
-// counter.
+// real library attaches via LD_PRELOAD, programs the PMCs and the memory
+// controllers' bandwidth throttles, runs a monitor thread that interrupts
+// application threads at maximum-epoch boundaries with an epoch signal,
+// hooks the simulated synchronization calls to propagate delays at
+// inter-thread communication points, and injects model-derived delays by
+// spinning on the timestamp counter.
 //
 // Epoch model: an epoch is the unit of delay accounting — it opens when the
 // previous one closes, accumulates PMC deltas, and closes at a monitor

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"github.com/quartz-emu/quartz/internal/kmod"
 	"github.com/quartz-emu/quartz/internal/machine"
 	"github.com/quartz-emu/quartz/internal/obs"
 	"github.com/quartz-emu/quartz/internal/perf"
@@ -63,7 +62,6 @@ type Emulator struct {
 	proc *simos.Process
 	mach *machine.Machine
 	cfg  Config
-	km   *kmod.Module
 
 	params   modelParams
 	nvmNode  int
@@ -97,10 +95,10 @@ type Emulator struct {
 }
 
 // Attach prepares emulation of proc under cfg: it verifies the platform
-// (DVFS off; counter support), programs the hardware via the kernel module
-// (bandwidth throttle, PMC events, user rdpmc), and installs its hooks on
-// the process's thread-start, synchronization and epoch-signal points. Call
-// Run afterwards.
+// (DVFS off; counter support), programs the hardware (every core's PMC
+// bank, the memory controllers' bandwidth throttles), and installs its
+// hooks on the process's thread-start, synchronization and epoch-signal
+// points. Call Run afterwards.
 func Attach(proc *simos.Process, cfg Config) (*Emulator, error) {
 	if proc == nil {
 		return nil, errors.New("core: nil process")
@@ -146,14 +144,9 @@ func Attach(proc *simos.Process, cfg Config) (*Emulator, error) {
 		return nil, fmt.Errorf("core: NVM latency %v below DRAM baseline %v; DRAM cannot be sped up", cfg.NVMLatency, dramLat)
 	}
 
-	km, err := kmod.Open(mach)
-	if err != nil {
-		return nil, err
+	for _, c := range mach.Cores() {
+		c.Counters().SetEnabled(true)
 	}
-	if err := km.ProgramCounters(); err != nil {
-		return nil, err
-	}
-	km.EnableUserRDPMC()
 
 	// Sockets whose controllers the bandwidth throttles target: the NVM
 	// node in two-memory mode, every socket otherwise. The write-collapse
@@ -174,22 +167,15 @@ func Attach(proc *simos.Process, cfg Config) (*Emulator, error) {
 			writeBW = readBW // symmetric throttling by default
 		}
 		for _, s := range bwSockets {
+			ctrl := mach.Socket(s).Ctrl
 			if readBW > 0 {
-				reg, err := km.ThrottleForBandwidth(s, readBW)
-				if err != nil {
-					return nil, err
-				}
-				if err := km.SetReadThrottle(s, reg); err != nil {
-					return nil, err
+				if err := ctrl.SetReadThrottle(ctrl.RegisterForBandwidth(readBW)); err != nil {
+					return nil, fmt.Errorf("core: socket %d: %w", s, err)
 				}
 			}
 			if writeBW > 0 {
-				reg, err := km.ThrottleForBandwidth(s, writeBW)
-				if err != nil {
-					return nil, err
-				}
-				if err := km.SetWriteThrottle(s, reg); err != nil {
-					return nil, err
+				if err := ctrl.SetWriteThrottle(ctrl.RegisterForBandwidth(writeBW)); err != nil {
+					return nil, fmt.Errorf("core: socket %d: %w", s, err)
 				}
 			}
 		}
@@ -214,7 +200,6 @@ func Attach(proc *simos.Process, cfg Config) (*Emulator, error) {
 		proc: proc,
 		mach: mach,
 		cfg:  cfg,
-		km:   km,
 		params: modelParams{
 			model:       cfg.Model,
 			nvmLat:      cfg.NVMLatency,
@@ -339,11 +324,8 @@ func (e *Emulator) reprogramWriteThrottle(t *simos.Thread, writers int) {
 	}
 	target := curve[writers-1]
 	for _, s := range e.bwSockets {
-		reg, err := e.km.ThrottleForBandwidth(s, target)
-		if err != nil {
-			t.Failf("core: write-collapse throttle for socket %d: %v", s, err)
-		}
-		if err := e.km.SetWriteThrottle(s, reg); err != nil {
+		ctrl := e.mach.Socket(s).Ctrl
+		if err := ctrl.SetWriteThrottle(ctrl.RegisterForBandwidth(target)); err != nil {
 			t.Failf("core: programming write throttle on socket %d: %v", s, err)
 		}
 	}

@@ -127,7 +127,7 @@ func New(cfg Config) (*Machine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("machine %q: socket %d L3: %w", cfg.Name, s, err)
 		}
-		ctrl, err := mem.NewController(s, cfg.Mem)
+		ctrl, err := mem.NewController(cfg.Mem)
 		if err != nil {
 			return nil, fmt.Errorf("machine %q: socket %d controller: %w", cfg.Name, s, err)
 		}

@@ -111,7 +111,6 @@ type Stats struct {
 // but found them non-functional on its testbeds. The simulated controller
 // implements them as specified.
 type Controller struct {
-	node          int
 	cfg           Config
 	throttleRead  uint16
 	throttleWrite uint16
@@ -126,14 +125,13 @@ type Controller struct {
 	linePow2          bool
 }
 
-// NewController builds a controller for NUMA node with the given config.
-// The throttle registers start at their maximum (no throttling).
-func NewController(node int, cfg Config) (*Controller, error) {
+// NewController builds a controller with the given config. The throttle
+// registers start at their maximum (no throttling).
+func NewController(cfg Config) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	c := &Controller{
-		node:          node,
 		cfg:           cfg,
 		throttleRead:  RegisterMax,
 		throttleWrite: RegisterMax,
@@ -169,12 +167,6 @@ func (c *Controller) refillWrite() {
 	c.occWrite = sim.Time(c.granularityBytes() / c.ChannelWriteBandwidth() * float64(sim.Second))
 }
 
-// Node reports the controller's NUMA node id.
-func (c *Controller) Node() int { return c.node }
-
-// Config reports the controller's configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
 // Stats returns a copy of the accumulated traffic statistics.
 func (c *Controller) Stats() Stats { return c.stats }
 
@@ -195,9 +187,7 @@ func (c *Controller) SetReadThrottle(v uint16) error {
 	}
 	c.throttleRead = v
 	c.refillRead()
-	r := obs.Default()
-	r.ThrottleProgrammed("read")
-	r.BucketRefill("read")
+	obs.Default().ThrottleProgrammed("read")
 	return nil
 }
 
@@ -208,9 +198,7 @@ func (c *Controller) SetWriteThrottle(v uint16) error {
 	}
 	c.throttleWrite = v
 	c.refillWrite()
-	r := obs.Default()
-	r.ThrottleProgrammed("write")
-	r.BucketRefill("write")
+	obs.Default().ThrottleProgrammed("write")
 	return nil
 }
 

@@ -203,9 +203,6 @@ func New(limit int) *Recorder {
 	return &Recorder{reg: reg, hot: newHotMetrics(reg), limit: limit}
 }
 
-// Enabled reports whether r actually records (false for nil).
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // Registry returns the metrics registry (nil for a nil recorder).
 func (r *Recorder) Registry() *Registry {
 	if r == nil {
@@ -387,16 +384,6 @@ func (r *Recorder) ThrottleProgrammed(path string) {
 		return
 	}
 	r.reg.Counter("mem.throttle.programmed." + path).Add(1)
-}
-
-// BucketRefill counts one token-bucket refill on the given path: the
-// recomputation of a controller's per-access channel occupancy that a
-// throttle-register write triggers.
-func (r *Recorder) BucketRefill(path string) {
-	if r == nil {
-		return
-	}
-	r.reg.Counter("mem.bucket.refills." + path).Add(1)
 }
 
 // JobDone records one experiment-runner job outcome.

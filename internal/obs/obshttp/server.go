@@ -221,9 +221,6 @@ func Start(addr string, o Options) (*Server, error) {
 	return &Server{ln: ln, srv: srv}, nil
 }
 
-// Addr is the bound listen address (resolves ":0" to the real port).
-func (s *Server) Addr() net.Addr { return s.ln.Addr() }
-
 // URL is the server's base URL with a dialable host (wildcard listen
 // addresses render as 127.0.0.1).
 func (s *Server) URL() string {

@@ -70,12 +70,9 @@ func NewCounters(f Family, fid Fidelity) *Counters {
 // Family reports the counter bank's processor family.
 func (c *Counters) Family() Family { return c.family }
 
-// SetEnabled turns event counting on or off (the kernel module enables
-// counting after programming the events).
+// SetEnabled turns event counting on or off (core.Attach enables every
+// core's bank).
 func (c *Counters) SetEnabled(on bool) { c.enabled = on }
-
-// Enabled reports whether events are being counted.
-func (c *Counters) Enabled() bool { return c.enabled }
 
 // AddStallCycles accumulates memory stall cycles (loads pending beyond L2).
 // The family fidelity distortion — a multiplicative bias plus bounded

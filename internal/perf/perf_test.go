@@ -71,6 +71,20 @@ func TestEventsForCounts(t *testing.T) {
 	}
 }
 
+// TestProgrammedEventsHaveNames: every event the emulator programs — the
+// Table 1 set and the store-side set of the asymmetric model — has a
+// mnemonic on all three families, so attaching never asks a bank for an
+// event it cannot count.
+func TestProgrammedEventsHaveNames(t *testing.T) {
+	for _, f := range []Family{SandyBridge, IvyBridge, Haswell} {
+		for _, e := range append(EventsFor(f), StoreEventsFor(f)...) {
+			if _, ok := EventName(f, e); !ok {
+				t.Errorf("%v programs %v but has no name for it", f, e)
+			}
+		}
+	}
+}
+
 func TestReadCostCycles(t *testing.T) {
 	// §3.2: reading all counters via PAPI is about 8x the rdpmc cost.
 	r := ReadCostCycles(RDPMC, 4)

@@ -143,8 +143,8 @@ func NewCustomSystem(mcfg MachineConfig, cfg Config) (*System, error) {
 
 // newSystem creates the socket-0 process on m and attaches the emulator to
 // it, exactly as loading the real library via LD_PRELOAD would: counters and
-// throttle registers are programmed through the kernel-module layer and the
-// emulator's hooks are installed on the process's pthread entry points.
+// throttle registers are programmed and the emulator's hooks are installed
+// on the process's pthread entry points.
 func newSystem(m *Machine, cfg Config) (*System, error) {
 	opts := simos.DefaultOptions()
 	opts.AllowedSockets = []int{0}
