@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -247,5 +248,30 @@ func TestSmallerL3MissesMore(t *testing.T) {
 	big := run(8 << 20)
 	if small <= big {
 		t.Errorf("256KiB L3 misses (%d) not above 8MiB L3 misses (%d)", small, big)
+	}
+}
+
+// TestRegisterForBandwidthInvertsLinearRamp: on every preset's socket
+// controllers, the register RegisterForBandwidth picks for a target below
+// the peak programs an effective bandwidth within 2% of that target.
+func TestRegisterForBandwidthInvertsLinearRamp(t *testing.T) {
+	for _, p := range Presets() {
+		m, err := NewPreset(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s, sock := range m.Sockets() {
+			ctrl := sock.Ctrl
+			for _, frac := range []float64{0.05, 0.25, 0.6} {
+				target := frac * ctrl.PeakBandwidth()
+				reg := ctrl.RegisterForBandwidth(target)
+				if err := ctrl.SetThrottle(reg); err != nil {
+					t.Fatal(err)
+				}
+				if got := ctrl.EffectiveBandwidth(); math.Abs(got-target)/target > 0.02 {
+					t.Errorf("%v socket %d: target %g -> register %d -> %g", p, s, target, reg, got)
+				}
+			}
+		}
 	}
 }
