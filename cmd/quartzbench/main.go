@@ -148,8 +148,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Observability: one shared recorder collects the whole suite — runner
 	// job outcomes directly, and per-epoch ledger records from every
-	// emulator the experiment jobs attach (via the process-global default,
-	// since jobs construct their environments internally). -progress also
+	// emulator the experiment jobs attach (runner.Suite hands cfg.Recorder
+	// to the jobs as it decomposes them). -progress also
 	// attaches one so its lines can report live emulation rates. The
 	// virtual-time profiler attaches per job through the scale; nil (the
 	// default) keeps every simulation byte-identical to an unprofiled run.

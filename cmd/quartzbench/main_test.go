@@ -167,6 +167,54 @@ func TestVTProfWritesProfiles(t *testing.T) {
 	}
 }
 
+// TestTrafficOpsReachRecorder: the traffic experiment reports to the run's
+// recorder, so the served-op counter of the metrics snapshot equals the sum
+// of the reads, updates and scans the job records report.
+func TestTrafficOpsReachRecorder(t *testing.T) {
+	dir := t.TempDir()
+	jsonPath, metricsPath := filepath.Join(dir, "r.jsonl"), filepath.Join(dir, "m.json")
+	code, _, stderr := runCLI(t, "-exp", "traffic-sweep", "-scale", "quick",
+		"-traffic-clients", "8,16", "-traffic-mixes", "scan-blend", "-traffic-lats", "600",
+		"-json", jsonPath, "-metrics-out", metricsPath)
+	if code != 0 {
+		t.Fatalf("exit = %d, stderr: %s", code, stderr)
+	}
+	raw, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served float64
+	jobs := 0
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		var rec struct {
+			Status  string             `json:"status"`
+			Metrics map[string]float64 `json:"metrics"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("bad JSONL line %q: %v", line, err)
+		}
+		if rec.Status != "ok" {
+			t.Fatalf("job not ok: %s", line)
+		}
+		served += rec.Metrics["reads"] + rec.Metrics["updates"] + rec.Metrics["scans"]
+		jobs++
+	}
+	if jobs != 2 || served == 0 {
+		t.Fatalf("%d jobs served %v ops, want 2 jobs serving some", jobs, served)
+	}
+	metricsRaw, err := os.ReadFile(metricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var metrics map[string]any
+	if err := json.Unmarshal(metricsRaw, &metrics); err != nil {
+		t.Fatalf("metrics snapshot is not valid JSON: %v", err)
+	}
+	if got, _ := metrics["quartz.ops.count"].(float64); got != served {
+		t.Errorf("quartz.ops.count = %v, want %v (the jobs' reads+updates+scans)", got, served)
+	}
+}
+
 // TestRunWritesTableAndJSONL exercises the full CLI path on the job-less
 // table1 artifact (no simulation, so the test stays fast).
 func TestRunWritesTableAndJSONL(t *testing.T) {
@@ -250,8 +298,8 @@ func TestTraceAndMetricsExports(t *testing.T) {
 	}
 }
 
-// TestNoObservabilityFlagsWritesNothing: without -trace/-metrics the global
-// recorder stays uninstalled and no observability output appears.
+// TestNoObservabilityFlagsWritesNothing: without -trace/-metrics the run
+// has no recorder and no observability output appears.
 func TestNoObservabilityFlagsWritesNothing(t *testing.T) {
 	code, stdout, stderr := runCLI(t, "-exp", "table1")
 	if code != 0 {

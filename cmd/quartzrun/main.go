@@ -243,6 +243,7 @@ func execute(f *flags, stdout io.Writer) error {
 	if f.nvmWriteNS > 0 {
 		q.NVMWriteLatency = sim.FromNanos(f.nvmWriteNS)
 	}
+	q.Observer = f.obs.Recorder()
 
 	env, err := bench.NewEnv(bench.EnvConfig{
 		Preset: f.preset, Machine: mc, Mode: f.mode, Quartz: q,

@@ -99,15 +99,14 @@ func (o *Obs) Validate() error {
 	return nil
 }
 
-// Start wires up what the flags ask for: a recorder installed as the
-// process-global default (emulators attached anywhere in the run report to
-// it), the ledger sink and the introspection server. An error is a usage
-// error (exit 2). Defer Close whatever Start returns.
+// Start wires up what the flags ask for: the run's recorder (the command
+// hands Recorder down to every emulator it attaches), the ledger sink and
+// the introspection server. An error is a usage error (exit 2). Defer Close
+// whatever Start returns.
 func (o *Obs) Start(stderr io.Writer, src Sources) error {
 	o.stderr, o.profiles = stderr, src.Profiles
 	if src.Recorder || o.Trace != "" || o.Metrics || o.MetricsOut != "" || o.Serve != "" || o.LedgerOut != "" {
 		o.rec = obs.New(0)
-		obs.SetDefault(o.rec)
 	}
 	if o.LedgerOut != "" {
 		sink, err := obs.NewFileSink(o.LedgerOut)
@@ -203,17 +202,14 @@ func (o *Obs) export(stdout io.Writer, fromFile bool) error {
 	return nil
 }
 
-// Close releases what Start set up: it stops the server, seals the ledger
-// sink if Finish did not, and uninstalls the default recorder.
+// Close releases what Start set up: it stops the server and seals the
+// ledger sink if Finish did not.
 func (o *Obs) Close() {
 	if o.srv != nil {
 		o.srv.Close()
 	}
 	if err := o.rec.CloseSink(); err != nil {
 		fmt.Fprintf(o.stderr, "%s: closing ledger sink: %v\n", o.cmd, err)
-	}
-	if o.rec != nil {
-		obs.SetDefault(nil)
 	}
 }
 

@@ -129,10 +129,10 @@ type Config struct {
 	// DisableAmortization turns off the overhead carry-over discounting of
 	// §3.2 (ablation knob).
 	DisableAmortization bool
-	// Observer receives the per-epoch ledger records and aggregate metrics
-	// (see internal/obs). Nil falls back to the process-global default
-	// recorder (obs.Default), which is itself nil unless a CLI installed
-	// one — the fully disabled path costs one branch per epoch.
+	// Observer receives the per-epoch ledger records, the throttle-register
+	// writes and the aggregate metrics of this emulator (see internal/obs).
+	// Nil disables observation; the disabled path costs one branch per
+	// epoch.
 	Observer *obs.Recorder
 }
 

@@ -172,11 +172,13 @@ func Attach(proc *simos.Process, cfg Config) (*Emulator, error) {
 				if err := ctrl.SetReadThrottle(ctrl.RegisterForBandwidth(readBW)); err != nil {
 					return nil, fmt.Errorf("core: socket %d: %w", s, err)
 				}
+				cfg.Observer.ThrottleProgrammed("read")
 			}
 			if writeBW > 0 {
 				if err := ctrl.SetWriteThrottle(ctrl.RegisterForBandwidth(writeBW)); err != nil {
 					return nil, fmt.Errorf("core: socket %d: %w", s, err)
 				}
+				cfg.Observer.ThrottleProgrammed("write")
 			}
 		}
 	}
@@ -220,15 +222,9 @@ func Attach(proc *simos.Process, cfg Config) (*Emulator, error) {
 		byThread: make(map[*simos.Thread]*threadState),
 	}
 
-	// Observability: an explicitly configured recorder wins; otherwise the
-	// process-global default (installed by -trace/-metrics CLI flags) is
-	// picked up, so emulators assembled deep inside experiment jobs report
-	// without plumbing. Both are usually nil — the disabled path is one
-	// branch per epoch event.
+	// Observability: the configured recorder, usually nil — the disabled
+	// path is one branch per epoch event.
 	e.rec = cfg.Observer
-	if e.rec == nil {
-		e.rec = obs.Default()
-	}
 	if e.rec != nil {
 		e.obsPID = e.rec.RegisterProcess(fmt.Sprintf("quartz %s (NVM %v)", mcfg.Name, cfg.NVMLatency))
 		proc.SetRecorder(e.rec)
@@ -328,6 +324,7 @@ func (e *Emulator) reprogramWriteThrottle(t *simos.Thread, writers int) {
 		if err := ctrl.SetWriteThrottle(ctrl.RegisterForBandwidth(target)); err != nil {
 			t.Failf("core: programming write throttle on socket %d: %v", s, err)
 		}
+		e.rec.ThrottleProgrammed("write")
 	}
 }
 

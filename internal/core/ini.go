@@ -15,7 +15,8 @@ import (
 
 // ParseINI reads a Quartz configuration in the nvmemul.ini format the real
 // project ships. Supported schema (all sections and keys optional; unknown
-// keys are rejected so typos fail loudly):
+// keys are rejected so typos fail loudly; an empty [general] section is
+// accepted for compatibility):
 //
 //	[latency]
 //	enable = true      ; false leaves read latency unemulated
@@ -28,7 +29,6 @@ import (
 //	enable = true
 //	read   = 5000      ; NVM read bandwidth, MB/s
 //	write  = 2000      ; NVM write bandwidth, MB/s (0 = same as read)
-//	model  = 5000      ; legacy symmetric knob, MB/s
 //
 //	[epochs]
 //	min = 0.1          ; minimum epoch, ms
@@ -115,7 +115,7 @@ func ParseINI(r io.Reader) (Config, error) {
 			switch key {
 			case "enable":
 				bandwidthEnabled, err = parseBool(value)
-			case "read", "model":
+			case "read":
 				bwReadMB, err = parseNonNeg(value)
 			case "write":
 				bwWriteMB, err = parseNonNeg(value)
@@ -207,7 +207,7 @@ func ParseINI(r io.Reader) (Config, error) {
 				return fail(fmt.Errorf("unknown key"))
 			}
 		case "general":
-			// Accepted for compatibility; no knobs yet.
+			return fail(fmt.Errorf("unknown key"))
 		default:
 			return Config{}, fmt.Errorf("core: ini line %d: key %q outside any section", lineNo, key)
 		}

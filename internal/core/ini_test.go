@@ -86,7 +86,7 @@ read = 500
 nvm_write = 680
 [bandwidth]
 enable = no
-model = 9000
+read = 9000
 `))
 	if err != nil {
 		t.Fatal(err)
@@ -165,6 +165,8 @@ var badINI = []struct {
 	{"negative-bandwidth", "[bandwidth]\nwrite = -1\n"},
 	{"negative-epoch", "[epochs]\nmin = -1\n"},
 	{"inf-epoch", "[epochs]\nmax = +Inf\n"},
+	{"general-key", "[general]\nlatency_read = 900\n"},
+	{"bandwidth-model-alias", "[bandwidth]\nread = 100\nmodel = 9000\n"},
 }
 
 func TestParseINIErrors(t *testing.T) {

@@ -136,16 +136,18 @@ func TestRecorderDoesNotPerturbVirtualTime(t *testing.T) {
 	}
 }
 
-// TestAttachFallsBackToDefaultRecorder: with no Config.Observer, Attach must
-// pick up the process-global recorder the CLIs install — the mechanism that
-// lets experiment jobs report without plumbing.
-func TestAttachFallsBackToDefaultRecorder(t *testing.T) {
+// TestAttachReportsToObserver: the configured Observer is the only recorder
+// an emulator reports to, and it sees the epochs, the kernel, and every
+// throttle-register write Attach makes — one read and one write per
+// programmed socket.
+func TestAttachReportsToObserver(t *testing.T) {
 	rec := obs.New(0)
-	obs.SetDefault(rec)
-	defer obs.SetDefault(nil)
-
-	_, p := newMachineProc(t, machine.XeonE5_2660v2, simosOptsSocket0())
-	e, err := Attach(p, fastCfg(500))
+	m, p := newMachineProc(t, machine.XeonE5_2660v2, simosOptsSocket0())
+	cfg := fastCfg(500)
+	cfg.NVMBandwidth = 5e9
+	cfg.NVMWriteBandwidth = 2e9
+	cfg.Observer = rec
+	e, err := Attach(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,9 +158,15 @@ func TestAttachFallsBackToDefaultRecorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(rec.Ledger()) == 0 {
-		t.Error("default recorder captured no epochs")
+		t.Error("observer captured no epochs")
 	}
-	if got := rec.Registry().Counter("sim.kernels").Value(); got != 1 {
+	reg := rec.Registry()
+	if got := reg.Counter("sim.kernels").Value(); got != 1 {
 		t.Errorf("sim.kernels = %d, want 1", got)
+	}
+	for _, path := range []string{"read", "write"} {
+		if got, want := reg.Counter("mem.throttle.programmed."+path).Value(), int64(len(m.Sockets())); got != want {
+			t.Errorf("mem.throttle.programmed.%s = %d, want %d (one per programmed socket)", path, got, want)
+		}
 	}
 }

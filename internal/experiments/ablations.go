@@ -6,6 +6,7 @@ import (
 	"github.com/quartz-emu/quartz/internal/bench"
 	"github.com/quartz-emu/quartz/internal/core"
 	"github.com/quartz-emu/quartz/internal/machine"
+	"github.com/quartz-emu/quartz/internal/obs"
 	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/simos"
 	"github.com/quartz-emu/quartz/internal/stats"
@@ -16,7 +17,7 @@ var modelAblationChains = []int{1, 4, 8}
 
 // modelAblationJobs decomposes the latency-model ablation into one job per
 // chain count; each runs the physical reference and both model variants.
-func modelAblationJobs(s Scale) JobSet {
+func modelAblationJobs(s Scale, rec *obs.Recorder) JobSet {
 	js := JobSet{ID: "model-ablation"}
 	for _, chains := range modelAblationChains {
 		js.Jobs = append(js.Jobs, Job{
@@ -27,7 +28,7 @@ func modelAblationJobs(s Scale) JobSet {
 					Lines: s.Lines / 2, Chains: chains, Iters: s.MemLatIters, Seed: 21,
 				}
 				runModel := func(m core.Model) (sim.Time, error) {
-					q := quartzConfig(bench.RemoteLatNS(machine.XeonE5_2660v2))
+					q := quartzConfig(bench.RemoteLatNS(machine.XeonE5_2660v2), rec)
 					q.Model = m
 					res, err := runMemLat(bench.EnvConfig{
 						Preset: machine.XeonE5_2660v2, Mode: bench.Emulated, Quartz: q,
@@ -91,7 +92,7 @@ var pcommitFieldCounts = []int{2, 4, 8, 16}
 
 // pcommitAblationJobs decomposes the write-model ablation into one job per
 // field count; each runs the serialized-pflush and pcommit variants.
-func pcommitAblationJobs(s Scale) JobSet {
+func pcommitAblationJobs(s Scale, rec *obs.Recorder) JobSet {
 	js := JobSet{ID: "pcommit"}
 	objects := s.KVOps // reuse the scale knob: one "object" per op
 	for _, fields := range pcommitFieldCounts {
@@ -100,7 +101,7 @@ func pcommitAblationJobs(s Scale) JobSet {
 			Params: map[string]string{"fields": strconv.Itoa(fields)},
 			Run: func() (Metrics, error) {
 				run := func(usePCommit bool) (sim.Time, error) {
-					q := quartzConfig(500)
+					q := quartzConfig(500, rec)
 					q.WriteLatency = sim.FromNanos(500)
 					env, err := bench.NewEnv(bench.EnvConfig{
 						Preset: machine.XeonE5_2660v2, Mode: bench.Emulated, Quartz: q,
@@ -179,7 +180,7 @@ const amortizationTarget = 300.0
 
 // amortizationAblationJobs decomposes the carry-over ablation into one job
 // per amortization setting (on/off).
-func amortizationAblationJobs(s Scale) JobSet {
+func amortizationAblationJobs(s Scale, rec *obs.Recorder) JobSet {
 	js := JobSet{ID: "amortization"}
 	for _, disabled := range []bool{false, true} {
 		name := "on"
@@ -190,7 +191,7 @@ func amortizationAblationJobs(s Scale) JobSet {
 			Name:   "amortization=" + name,
 			Params: map[string]string{"amortization": name},
 			Run: func() (Metrics, error) {
-				q := quartzConfig(amortizationTarget)
+				q := quartzConfig(amortizationTarget, rec)
 				q.DisableAmortization = disabled
 				q.MaxEpoch = 500 * sim.Microsecond // frequent epochs make overhead visible
 				lats := make([]sim.Time, s.Trials)

@@ -9,6 +9,7 @@ import (
 	"github.com/quartz-emu/quartz/internal/bench"
 	"github.com/quartz-emu/quartz/internal/core"
 	"github.com/quartz-emu/quartz/internal/machine"
+	"github.com/quartz-emu/quartz/internal/obs"
 	"github.com/quartz-emu/quartz/internal/obs/vtprof"
 	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/stats"
@@ -59,7 +60,7 @@ var fig15Threads = []int{1, 2, 4, 8}
 // fig15Jobs decomposes Figure 15 into one job per (thread count, trial):
 // each runs the paired physically-remote and emulated workloads with the
 // same seed and reports the per-trial throughput errors.
-func fig15Jobs(s Scale) JobSet {
+func fig15Jobs(s Scale, rec *obs.Recorder) JobSet {
 	js := JobSet{ID: "fig15"}
 	preset := machine.XeonE5_2450
 	for _, threads := range fig15Threads {
@@ -84,7 +85,7 @@ func fig15Jobs(s Scale) JobSet {
 							return nil
 						}
 						e, err := kvRun(s, preset, bench.Emulated,
-							quartzConfig(bench.RemoteLatNS(preset)), threads, seed, prof)
+							quartzConfig(bench.RemoteLatNS(preset), rec), threads, seed, prof)
 						if err != nil {
 							return trialErr("fig15 emulated", trial, err)
 						}
@@ -166,7 +167,7 @@ func prRun(s Scale, mode bench.Mode, q core.Config, seed uint64, prof *vtprof.Pr
 // pageRankValidationJobs decomposes the §4.7 validation into one job per
 // trial, each running the paired Conf_2/Conf_1 executions with the same
 // seed.
-func pageRankValidationJobs(s Scale) JobSet {
+func pageRankValidationJobs(s Scale, rec *obs.Recorder) JobSet {
 	js := JobSet{ID: "pagerank-validate"}
 	for trial := 0; trial < s.Trials; trial++ {
 		name := fmt.Sprintf("trial=%d", trial)
@@ -188,7 +189,7 @@ func pageRankValidationJobs(s Scale) JobSet {
 						phys = p
 						return nil
 					}
-					e, err := prRun(s, bench.Emulated, quartzConfig(bench.RemoteLatNS(machine.XeonE5_2450)), seed, prof)
+					e, err := prRun(s, bench.Emulated, quartzConfig(bench.RemoteLatNS(machine.XeonE5_2450), rec), seed, prof)
 					if err != nil {
 						return trialErr("pagerank emulated", trial, err)
 					}
@@ -234,7 +235,7 @@ type fig16Point struct {
 }
 
 // fig16Points builds the Figure 16 sweep grid at scale s, baseline first.
-func fig16Points(s Scale) []fig16Point {
+func fig16Points(s Scale, rec *obs.Recorder) []fig16Point {
 	localNS := machine.PresetConfig(machine.XeonE5_2450).LocalLat.Nanoseconds()
 
 	latPoints := []float64{100, 200, 300, 500, 1000, 2000}
@@ -244,14 +245,14 @@ func fig16Points(s Scale) []fig16Point {
 		bwPoints = []float64{5e9, 1.5e9, 0.5e9}
 	}
 
-	points := []fig16Point{{sweep: "baseline", setting: "DRAM", q: quartzConfig(localNS)}}
+	points := []fig16Point{{sweep: "baseline", setting: "DRAM", q: quartzConfig(localNS, rec)}}
 	for _, lat := range latPoints {
 		points = append(points, fig16Point{
-			sweep: "latency", setting: fmt.Sprintf("%.0fns", lat), q: quartzConfig(lat),
+			sweep: "latency", setting: fmt.Sprintf("%.0fns", lat), q: quartzConfig(lat, rec),
 		})
 	}
 	for _, bw := range bwPoints {
-		q := quartzConfig(localNS)
+		q := quartzConfig(localNS, rec)
 		q.NVMBandwidth = bw
 		points = append(points, fig16Point{
 			sweep: "bandwidth", setting: fmt.Sprintf("%.1fGB/s", bw/1e9), q: q,
@@ -264,9 +265,9 @@ func fig16Points(s Scale) []fig16Point {
 // PageRank run and the KV-store run — so both applications sweep
 // concurrently; the assembler normalizes every point against the baseline
 // jobs.
-func fig16Jobs(s Scale) JobSet {
+func fig16Jobs(s Scale, rec *obs.Recorder) JobSet {
 	js := JobSet{ID: "fig16"}
-	points := fig16Points(s)
+	points := fig16Points(s, rec)
 	for _, pt := range points {
 		prName := pt.sweep + "=" + pt.setting + "/pagerank"
 		kvName := pt.sweep + "=" + pt.setting + "/kvstore"

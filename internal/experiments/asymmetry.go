@@ -7,6 +7,7 @@ import (
 	"github.com/quartz-emu/quartz/internal/bench"
 	"github.com/quartz-emu/quartz/internal/core"
 	"github.com/quartz-emu/quartz/internal/machine"
+	"github.com/quartz-emu/quartz/internal/obs"
 	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/simos"
 	"github.com/quartz-emu/quartz/internal/stats"
@@ -49,8 +50,8 @@ func errorJobSet(id string, err error) JobSet {
 // the profile's read latency drives the stall model and its write latency the
 // store-side model. Bandwidth caps are deliberately left off — fig12-asym is
 // a latency validation, and keeping it latency-bound isolates the two knobs.
-func asymQuartz(p machine.NVMProfile) core.Config {
-	cfg := quartzConfig(p.ReadLatency.Nanoseconds())
+func asymQuartz(p machine.NVMProfile, rec *obs.Recorder) core.Config {
+	cfg := quartzConfig(p.ReadLatency.Nanoseconds(), rec)
 	cfg.NVMWriteLatency = p.WriteLatency
 	return cfg
 }
@@ -97,7 +98,7 @@ func runStoreLat(envCfg bench.EnvConfig, slCfg bench.StoreLatConfig) (bench.Stor
 // means. The emulated store latency is recovered from the pair as
 // DRAM + (CT_asym - CT_base) / store_misses: stores are posted, so the whole
 // write term arrives through the per-epoch injection the pair isolates.
-func fig12AsymJobs(s Scale) JobSet {
+func fig12AsymJobs(s Scale, rec *obs.Recorder) JobSet {
 	const id = "fig12-asym"
 	profiles, perr := asymProfileList(s)
 	if perr != nil {
@@ -129,7 +130,7 @@ func fig12AsymJobs(s Scale) JobSet {
 						case 0:
 							res, err := runMemLat(bench.EnvConfig{
 								Preset: pr.preset, Mode: bench.Emulated,
-								Quartz: asymQuartz(prof),
+								Quartz: asymQuartz(prof, rec),
 							}, bench.MemLatConfig{
 								Lines: s.Lines / 4, Chains: 1, Iters: s.MemLatIters,
 								Seed: int64(trial*17 + 3),
@@ -139,7 +140,7 @@ func fig12AsymJobs(s Scale) JobSet {
 							}
 							reads[trial] = res.PerIteration
 						case 1:
-							q := asymQuartz(prof)
+							q := asymQuartz(prof, rec)
 							q.NVMWriteLatency = 0 // store model off: the subtraction baseline
 							res, err := runStoreLat(bench.EnvConfig{
 								Preset: pr.preset, Mode: bench.Emulated, Quartz: q,
@@ -150,7 +151,7 @@ func fig12AsymJobs(s Scale) JobSet {
 							base[trial] = res.CT
 						default:
 							res, err := runStoreLat(bench.EnvConfig{
-								Preset: pr.preset, Mode: bench.Emulated, Quartz: asymQuartz(prof),
+								Preset: pr.preset, Mode: bench.Emulated, Quartz: asymQuartz(prof, rec),
 							}, bench.StoreLatConfig{Lines: s.AsymLines})
 							if err != nil {
 								return trialErr("fig12-asym write asym", trial, err)
@@ -220,7 +221,7 @@ var fig11AsymPreset = presetRow{machine.XeonE5_2660v2, "Ivy Bridge"}
 // access-granularity amplification, and the write-bandwidth-by-threads curve
 // reprogramming the throttle as writers register — and reports the aggregate
 // application-visible write throughput.
-func fig11AsymJobs(s Scale) JobSet {
+func fig11AsymJobs(s Scale, rec *obs.Recorder) JobSet {
 	const id = "fig11-asym"
 	profiles, perr := asymProfileList(s)
 	if perr != nil {
@@ -240,7 +241,7 @@ func fig11AsymJobs(s Scale) JobSet {
 					err := runUnits(s.Trials, func(trial int) error {
 						mc := machine.PresetConfig(pr.preset)
 						prof.ApplyToMem(&mc)
-						q := asymQuartz(prof)
+						q := asymQuartz(prof, rec)
 						q.NVMBandwidth = prof.ReadBandwidth
 						q.NVMWriteBandwidth = prof.WriteBandwidth
 						if curve := prof.WriteBandwidthByThreads; len(curve) > 0 {

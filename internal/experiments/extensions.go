@@ -9,6 +9,7 @@ import (
 	"github.com/quartz-emu/quartz/internal/bench"
 	"github.com/quartz-emu/quartz/internal/core"
 	"github.com/quartz-emu/quartz/internal/machine"
+	"github.com/quartz-emu/quartz/internal/obs"
 	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/stats"
 )
@@ -48,7 +49,7 @@ func graph500Run(s Scale, mode bench.Mode, q core.Config, seed uint64) (graph500
 // graph500ValidationJobs decomposes the §7 validation into one job per
 // trial, each running the paired Conf_2/Conf_1 executions with the same
 // seed.
-func graph500ValidationJobs(s Scale) JobSet {
+func graph500ValidationJobs(s Scale, rec *obs.Recorder) JobSet {
 	js := JobSet{ID: "graph500-validate"}
 	for trial := 0; trial < s.Trials; trial++ {
 		js.Jobs = append(js.Jobs, Job{
@@ -67,7 +68,7 @@ func graph500ValidationJobs(s Scale) JobSet {
 						phys = p
 						return nil
 					}
-					e, err := graph500Run(s, bench.Emulated, quartzConfig(bench.RemoteLatNS(machine.XeonE5_2660v2)), seed)
+					e, err := graph500Run(s, bench.Emulated, quartzConfig(bench.RemoteLatNS(machine.XeonE5_2660v2), rec), seed)
 					if err != nil {
 						return trialErr("graph500 emulated", trial, err)
 					}
@@ -131,7 +132,7 @@ var asymKernels = []struct {
 
 // asymmetricBandwidthJobs decomposes the asymmetric-throttling study into
 // one job per (throttle setting, kernel).
-func asymmetricBandwidthJobs(s Scale) JobSet {
+func asymmetricBandwidthJobs(s Scale, _ *obs.Recorder) JobSet {
 	js := JobSet{ID: "ext-asym-bw"}
 	for _, cfgRow := range asymSettings {
 		for _, kern := range asymKernels {

@@ -6,6 +6,7 @@ import (
 	"github.com/quartz-emu/quartz/internal/bench"
 	"github.com/quartz-emu/quartz/internal/core"
 	"github.com/quartz-emu/quartz/internal/machine"
+	"github.com/quartz-emu/quartz/internal/obs"
 	"github.com/quartz-emu/quartz/internal/obs/vtprof"
 	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/simos"
@@ -14,13 +15,14 @@ import (
 // quartzConfig is the baseline emulator configuration experiments use: the
 // paper's 10 ms maximum epoch with a small minimum epoch, and the library
 // init cost suppressed (experiments time the workload region, and the init
-// cost is measured separately by the overhead experiment).
-func quartzConfig(nvmNS float64) core.Config {
+// cost is measured separately by the overhead experiment), reporting to rec.
+func quartzConfig(nvmNS float64, rec *obs.Recorder) core.Config {
 	return core.Config{
 		NVMLatency: sim.FromNanos(nvmNS),
 		MaxEpoch:   2 * sim.Millisecond,
 		MinEpoch:   10 * sim.Microsecond,
 		InitCycles: 1,
+		Observer:   rec,
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"github.com/quartz-emu/quartz/internal/bench"
 	"github.com/quartz-emu/quartz/internal/core"
+	"github.com/quartz-emu/quartz/internal/obs"
 	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/stats"
 )
@@ -16,7 +17,7 @@ var fig11Chains = []int{1, 2, 3, 4, 5, 8}
 // fig11Jobs decomposes Figure 11 into one job per (family, chain count):
 // each runs the paired Conf_2 (physically remote) and Conf_1 (emulated)
 // trials and reports the mean completion times.
-func fig11Jobs(s Scale) JobSet {
+func fig11Jobs(s Scale, rec *obs.Recorder) JobSet {
 	js := JobSet{ID: "fig11"}
 	prs := presetRows()
 	for _, pr := range prs {
@@ -53,7 +54,7 @@ func fig11Jobs(s Scale) JobSet {
 						}
 						e, err := runMemLat(bench.EnvConfig{
 							Preset: pr.preset, Mode: bench.Emulated,
-							Quartz:   quartzConfig(bench.RemoteLatNS(pr.preset)),
+							Quartz:   quartzConfig(bench.RemoteLatNS(pr.preset), rec),
 							Profiler: prof,
 						}, mlCfg)
 						if err != nil {
@@ -102,7 +103,7 @@ var fig12Targets = []float64{200, 300, 400, 500, 600, 700, 800, 900, 1000}
 // fig12Jobs decomposes Figure 12 into one job per (family, target latency):
 // each runs the MemLat trials at that emulated latency and reports the
 // per-iteration latency summary.
-func fig12Jobs(s Scale) JobSet {
+func fig12Jobs(s Scale, rec *obs.Recorder) JobSet {
 	js := JobSet{ID: "fig12"}
 	prs := presetRows()
 	for _, pr := range prs {
@@ -117,7 +118,7 @@ func fig12Jobs(s Scale) JobSet {
 					err := runUnits(s.Trials, func(trial int) error {
 						res, err := runMemLat(bench.EnvConfig{
 							Preset: pr.preset, Mode: bench.Emulated,
-							Quartz:   quartzConfig(target),
+							Quartz:   quartzConfig(target, rec),
 							Profiler: prof,
 						}, bench.MemLatConfig{
 							Lines: s.Lines, Chains: 1, Iters: s.MemLatIters,
@@ -187,7 +188,7 @@ var fig13Threads = []int{2, 4, 8}
 // (physically remote) reference and settings 1..4 the four minimum epochs.
 // Each job runs the Multi-Threaded trials and reports the mean completion
 // time.
-func fig13Jobs(s Scale) JobSet {
+func fig13Jobs(s Scale, rec *obs.Recorder) JobSet {
 	js := JobSet{ID: "fig13"}
 	families := presetRows()[:2] // Sandy Bridge, Ivy Bridge (as in the paper)
 	type setting struct {
@@ -210,7 +211,7 @@ func fig13Jobs(s Scale) JobSet {
 					mode, q := bench.PhysicalRemote, core.Config{}
 					if st.emulated {
 						mode = bench.Emulated
-						q = quartzConfig(bench.RemoteLatNS(pr.preset))
+						q = quartzConfig(bench.RemoteLatNS(pr.preset), rec)
 						q.MinEpoch = st.minEpoch
 						q.MaxEpoch = 10 * sim.Millisecond
 					}

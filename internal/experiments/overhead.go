@@ -6,6 +6,7 @@ import (
 	"github.com/quartz-emu/quartz/internal/bench"
 	"github.com/quartz-emu/quartz/internal/core"
 	"github.com/quartz-emu/quartz/internal/machine"
+	"github.com/quartz-emu/quartz/internal/obs"
 	"github.com/quartz-emu/quartz/internal/perf"
 	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/stats"
@@ -24,12 +25,12 @@ var overheadModes = []struct {
 // overheadJobs decomposes the §3.2 overhead accounting into one job per
 // measured execution (the static cycle-cost rows come from constants and
 // need no job).
-func overheadJobs(s Scale) JobSet {
+func overheadJobs(s Scale, rec *obs.Recorder) JobSet {
 	js := JobSet{ID: "overhead"}
 	for _, m := range overheadModes {
 		var q core.Config
 		if m.mode == bench.Emulated {
-			q = quartzConfig(800)
+			q = quartzConfig(800, rec)
 			q.InjectionOff = true
 		}
 		js.Jobs = append(js.Jobs, Job{
@@ -88,7 +89,7 @@ const epochSizeTarget = 500.0
 
 // epochSizeJobs decomposes the footnote 4 study into one job per maximum
 // epoch setting.
-func epochSizeJobs(s Scale) JobSet {
+func epochSizeJobs(s Scale, rec *obs.Recorder) JobSet {
 	js := JobSet{ID: "epoch-size"}
 	for _, maxEpoch := range epochSizeMaxEpochs {
 		js.Jobs = append(js.Jobs, Job{
@@ -97,7 +98,7 @@ func epochSizeJobs(s Scale) JobSet {
 			Run: func() (Metrics, error) {
 				lats := make([]sim.Time, s.Trials)
 				err := runUnits(s.Trials, func(trial int) error {
-					q := quartzConfig(epochSizeTarget)
+					q := quartzConfig(epochSizeTarget, rec)
 					q.MaxEpoch = maxEpoch
 					q.MonitorInterval = maxEpoch / 2
 					res, err := runMemLatNoFinalClose(bench.EnvConfig{

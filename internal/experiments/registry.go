@@ -3,12 +3,14 @@ package experiments
 import (
 	"fmt"
 	"sort"
+
+	"github.com/quartz-emu/quartz/internal/obs"
 )
 
 // entry couples an experiment's job decomposition with its one-line
 // description for `quartzbench -list`.
 type entry struct {
-	jobs        func(Scale) JobSet
+	jobs        func(Scale, *obs.Recorder) JobSet
 	description string
 }
 
@@ -65,13 +67,18 @@ func Describe(id string) (string, error) {
 }
 
 // Jobs decomposes experiment id at scale s into its independent sweep-point
-// jobs and the deterministic assembler that merges their results.
-func Jobs(id string, s Scale) (JobSet, error) {
+// jobs and the deterministic assembler that merges their results. Its
+// emulators observe nothing; ObservedJobs hands them a recorder.
+func Jobs(id string, s Scale) (JobSet, error) { return ObservedJobs(id, s, nil) }
+
+// ObservedJobs is Jobs whose emulators report to rec, the run's recorder:
+// every emulator a job attaches carries it as its core.Config.Observer.
+func ObservedJobs(id string, s Scale, rec *obs.Recorder) (JobSet, error) {
 	e, ok := registry[id]
 	if !ok {
 		return JobSet{}, unknownErr(id)
 	}
-	return e.jobs(s), nil
+	return e.jobs(s, rec), nil
 }
 
 // Run regenerates experiment id at scale s by running its jobs serially in

@@ -5,6 +5,7 @@ import (
 
 	"github.com/quartz-emu/quartz/internal/bench"
 	"github.com/quartz-emu/quartz/internal/machine"
+	"github.com/quartz-emu/quartz/internal/obs"
 	"github.com/quartz-emu/quartz/internal/perf"
 	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/simos"
@@ -30,7 +31,7 @@ func Table1() Table {
 
 // table1Jobs: Table 1 is a static inventory, so the set has no jobs and the
 // assembler renders it directly.
-func table1Jobs(Scale) JobSet {
+func table1Jobs(Scale, *obs.Recorder) JobSet {
 	return JobSet{
 		ID:       "table1",
 		Assemble: func([]Metrics) (Table, error) { return Table1(), nil },
@@ -49,7 +50,7 @@ var table2Modes = []struct {
 // table2Jobs decomposes Table 2 into one job per (family, local/remote)
 // cell; each runs the single-chain MemLat trials (the Intel MLC methodology)
 // and reports the per-iteration latency summary.
-func table2Jobs(s Scale) JobSet {
+func table2Jobs(s Scale, _ *obs.Recorder) JobSet {
 	js := JobSet{ID: "table2"}
 	prs := presetRows()
 	for _, pr := range prs {
@@ -105,7 +106,7 @@ var fig8Registers = []uint16{64, 128, 256, 512, 1024, 1536, 2048, 3072, 4095}
 
 // fig8Jobs decomposes Figure 8 into one job per register setting; each runs
 // the STREAM trials and reports the mean copy bandwidth.
-func fig8Jobs(s Scale) JobSet {
+func fig8Jobs(s Scale, _ *obs.Recorder) JobSet {
 	js := JobSet{ID: "fig8"}
 	for _, reg := range fig8Registers {
 		js.Jobs = append(js.Jobs, Job{

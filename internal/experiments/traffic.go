@@ -36,14 +36,15 @@ func trafficSeed(mixIdx, latIdx, clients int) uint64 {
 // trafficRun executes one traffic scenario in a fresh emulated environment:
 // a zipfian-keyed, preloaded KV store served by a bounded pool under the
 // given mix and client count. Epoch tuning matches kvRun (raised minimum
-// epoch per §3.2 so sub-microsecond critical sections amortize).
-func trafficRun(s Scale, mixName string, latNS float64, clients int, seed uint64, prof *vtprof.Profiler) (workload.ScenarioResult, error) {
+// epoch per §3.2 so sub-microsecond critical sections amortize). The
+// emulator and the scenario both report to rec.
+func trafficRun(s Scale, mixName string, latNS float64, clients int, seed uint64, prof *vtprof.Profiler, rec *obs.Recorder) (workload.ScenarioResult, error) {
 	mix, ok := workload.MixByName(mixName)
 	if !ok {
 		return workload.ScenarioResult{}, fmt.Errorf("experiments: unknown traffic mix %q (known: %v)",
 			mixName, workload.PresetNames())
 	}
-	q := quartzConfig(latNS)
+	q := quartzConfig(latNS, rec)
 	if q.MinEpoch < 50*sim.Microsecond {
 		q.MinEpoch = 50 * sim.Microsecond
 	}
@@ -88,7 +89,7 @@ func trafficRun(s Scale, mixName string, latNS float64, clients int, seed uint64
 			Mix:         mix,
 			Seed:        seed,
 			CloseEpoch:  e.CloseEpoch,
-			Obs:         obs.Default(),
+			Obs:         rec,
 		})
 		if rerr != nil {
 			th.Failf("%v", rerr)
@@ -116,7 +117,7 @@ func trafficMetrics(res workload.ScenarioResult) Metrics {
 // (mix, NVM latency, client count) cell. The assembler rebuilds each
 // (mix, latency) series positionally and runs knee/SLO-breach detection over
 // its client sweep, so the table is byte-identical for any worker count.
-func trafficSweepJobs(s Scale) JobSet {
+func trafficSweepJobs(s Scale, rec *obs.Recorder) JobSet {
 	js := JobSet{ID: "traffic-sweep"}
 	for mi, mixName := range s.TrafficMixes {
 		for li, latNS := range s.TrafficLatsNS {
@@ -130,7 +131,7 @@ func trafficSweepJobs(s Scale) JobSet {
 						"clients": strconv.Itoa(clients),
 					},
 					Run: func() (Metrics, error) {
-						res, err := trafficRun(s, mixName, latNS, clients, seed, s.profiler(js.ID, name))
+						res, err := trafficRun(s, mixName, latNS, clients, seed, s.profiler(js.ID, name), rec)
 						if err != nil {
 							return nil, fmt.Errorf("traffic-sweep %s lat=%.0f clients=%d: %w",
 								mixName, latNS, clients, err)
@@ -186,7 +187,7 @@ func trafficSweepJobs(s Scale) JobSet {
 // trafficSLOJobs decomposes traffic-slo: one job per mix at the sweep's
 // largest client count and lowest NVM latency, reporting the per-op-kind
 // breakdown (counts and p99) behind the aggregate SLO.
-func trafficSLOJobs(s Scale) JobSet {
+func trafficSLOJobs(s Scale, rec *obs.Recorder) JobSet {
 	js := JobSet{ID: "traffic-slo"}
 	clients := s.TrafficClients[len(s.TrafficClients)-1]
 	latNS := s.TrafficLatsNS[0]
@@ -200,7 +201,7 @@ func trafficSLOJobs(s Scale) JobSet {
 				"clients": strconv.Itoa(clients),
 			},
 			Run: func() (Metrics, error) {
-				res, err := trafficRun(s, mixName, latNS, clients, seed, s.profiler(js.ID, name))
+				res, err := trafficRun(s, mixName, latNS, clients, seed, s.profiler(js.ID, name), rec)
 				if err != nil {
 					return nil, fmt.Errorf("traffic-slo %s: %w", mixName, err)
 				}
@@ -246,7 +247,7 @@ func trafficSLOJobs(s Scale) JobSet {
 // engine itself: a client count where a linear next-due scan would spend
 // ~owned/2 comparisons per op is served at O(1) per pick by the FIFO ring
 // (see internal/workload/sched.go).
-func trafficMegaJobs(s Scale) JobSet {
+func trafficMegaJobs(s Scale, rec *obs.Recorder) JobSet {
 	js := JobSet{ID: "traffic-mega"}
 	const mixName = "read-mostly"
 	latNS := s.TrafficLatsNS[0]
@@ -266,7 +267,7 @@ func trafficMegaJobs(s Scale) JobSet {
 				"clients": strconv.Itoa(clients),
 			},
 			Run: func() (Metrics, error) {
-				res, err := trafficRun(ms, mixName, latNS, clients, seed, s.profiler(js.ID, name))
+				res, err := trafficRun(ms, mixName, latNS, clients, seed, s.profiler(js.ID, name), rec)
 				if err != nil {
 					return nil, fmt.Errorf("traffic-mega clients=%d: %w", clients, err)
 				}

@@ -79,7 +79,7 @@ func TestTrafficSLOStructure(t *testing.T) {
 }
 
 func TestTrafficUnknownMix(t *testing.T) {
-	if _, err := trafficRun(tiny, "nope", 300, 4, 1, nil); err == nil {
+	if _, err := trafficRun(tiny, "nope", 300, 4, 1, nil, nil); err == nil {
 		t.Error("unknown mix accepted")
 	}
 }
@@ -97,11 +97,11 @@ func TestTrafficLatencyDegradesThroughput(t *testing.T) {
 	s.TrafficPreload = 32_000
 	s.TrafficOps = 20
 	s.TrafficWarmup = 4
-	fast, err := trafficRun(s, "read-mostly", 200, 8, 42, nil)
+	fast, err := trafficRun(s, "read-mostly", 200, 8, 42, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := trafficRun(s, "read-mostly", 2000, 8, 42, nil)
+	slow, err := trafficRun(s, "read-mostly", 2000, 8, 42, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"github.com/quartz-emu/quartz/internal/bench"
 	"github.com/quartz-emu/quartz/internal/machine"
+	"github.com/quartz-emu/quartz/internal/obs"
 	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/stats"
 )
@@ -53,7 +54,7 @@ func fig14Grid(s Scale) (lats []float64, patterns []fig14Pattern, families []pre
 // NVM latency) cell; each runs the MultiLat trials under the two-memory
 // topology and reports the measured and analytically expected completion
 // times.
-func fig14Jobs(s Scale) JobSet {
+func fig14Jobs(s Scale, rec *obs.Recorder) JobSet {
 	js := JobSet{ID: "fig14"}
 	lats, patterns, families := fig14Grid(s)
 	for _, pr := range families {
@@ -70,7 +71,7 @@ func fig14Jobs(s Scale) JobSet {
 							cts := make([]sim.Time, s.Trials)
 							exps := make([]sim.Time, s.Trials)
 							err := runUnits(s.Trials, func(trial int) error {
-								q := quartzConfig(nvmNS)
+								q := quartzConfig(nvmNS, rec)
 								q.TwoMemory = true
 								env, err := bench.NewEnv(bench.EnvConfig{
 									Preset: pr.preset, Mode: bench.Emulated, Quartz: q,

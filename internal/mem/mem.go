@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"github.com/quartz-emu/quartz/internal/obs"
 	"github.com/quartz-emu/quartz/internal/sim"
 )
 
@@ -187,7 +186,6 @@ func (c *Controller) SetReadThrottle(v uint16) error {
 	}
 	c.throttleRead = v
 	c.refillRead()
-	obs.Default().ThrottleProgrammed("read")
 	return nil
 }
 
@@ -198,7 +196,6 @@ func (c *Controller) SetWriteThrottle(v uint16) error {
 	}
 	c.throttleWrite = v
 	c.refillWrite()
-	obs.Default().ThrottleProgrammed("write")
 	return nil
 }
 

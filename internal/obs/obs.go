@@ -34,7 +34,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/quartz-emu/quartz/internal/sim"
@@ -518,15 +517,3 @@ func (r *Recorder) WriteMetricsJSON(w io.Writer) error {
 
 // ns converts virtual time to integer nanoseconds for metric accumulation.
 func ns(t sim.Time) int64 { return int64(t / sim.Nanosecond) }
-
-// defaultRecorder is the process-global recorder CLIs install so that
-// emulators assembled deep inside experiment jobs attach to it without
-// threading a handle through every constructor.
-var defaultRecorder atomic.Pointer[Recorder]
-
-// SetDefault installs (or, with nil, clears) the global default recorder
-// that core.Attach falls back to when its Config carries no Observer.
-func SetDefault(r *Recorder) { defaultRecorder.Store(r) }
-
-// Default returns the global default recorder, or nil when none is set.
-func Default() *Recorder { return defaultRecorder.Load() }

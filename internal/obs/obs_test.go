@@ -133,22 +133,6 @@ func TestLedgerLimit(t *testing.T) {
 	}
 }
 
-// TestDefaultRecorder: the process-global default used by the CLIs.
-func TestDefaultRecorder(t *testing.T) {
-	if Default() != nil {
-		t.Fatal("default recorder set at test start")
-	}
-	r := New(0)
-	SetDefault(r)
-	if Default() != r {
-		t.Error("Default() did not return the installed recorder")
-	}
-	SetDefault(nil)
-	if Default() != nil {
-		t.Error("SetDefault(nil) did not clear")
-	}
-}
-
 // TestJobDoneMetrics covers the runner-facing aggregation.
 func TestJobDoneMetrics(t *testing.T) {
 	r := New(0)

@@ -64,7 +64,8 @@ type Config struct {
 	// are serialized; keep the work cheap.
 	OnProgress func(Progress)
 	// Recorder, when non-nil, aggregates job outcomes and wall times into
-	// its metrics registry (internal/obs). A nil recorder is a no-op.
+	// its metrics registry (internal/obs); Suite also decomposes the jobs
+	// with it, so their emulators report to it. A nil recorder is a no-op.
 	Recorder *obs.Recorder
 	// Status, when non-nil, tracks live per-experiment job progress for the
 	// HTTP introspection plane (/runs). A nil board is a no-op.

@@ -23,12 +23,13 @@ type ExperimentRun struct {
 	Wall time.Duration
 }
 
-// Suite resolves ids against the experiment registry and runs them as one
-// scheduled workload via SuiteSets.
+// Suite resolves ids against the experiment registry, handing cfg.Recorder
+// to every emulator the jobs attach, and runs them as one scheduled
+// workload via SuiteSets.
 func Suite(ctx context.Context, ids []string, s experiments.Scale, cfg Config) ([]ExperimentRun, error) {
 	sets := make([]experiments.JobSet, 0, len(ids))
 	for _, id := range ids {
-		js, err := experiments.Jobs(id, s)
+		js, err := experiments.ObservedJobs(id, s, cfg.Recorder)
 		if err != nil {
 			return nil, err
 		}
