@@ -65,8 +65,9 @@ profile-smoke:
 # bench-quick regenerates two representative artifacts on the parallel
 # runner — a fast smoke test of the whole stack — and runs the hot-path
 # micro-benchmarks (cache walk, including BenchmarkCacheFill/20M-20w-ahead,
-# which warms each set 8 ops before its probe; the prefetcher's streaming
-# BenchmarkPrefetcherObserve and pointer-chase
+# which warms each set 8 ops before its probe, and BenchmarkCacheContains,
+# the presence probe of the core's prefetch filter; the prefetcher's
+# streaming BenchmarkPrefetcherObserve and pointer-chase
 # BenchmarkPrefetcherObserveRandom; core load, kernel dispatch and the simos
 # thread handoff, emulated epoch close, ledger append), which must report 0
 # allocs/op on steady-state paths, plus the preset machine build, whose
@@ -97,16 +98,17 @@ bench-alloc:
 # fuzz-smoke runs each native fuzz target for 5 s past its seed corpus (the
 # seeds alone run under `go test ./...`): the cache and the stream
 # prefetcher against their reference models, the packed MemLat visit order
-# against a successor chase, the nvmemul.ini parser and the JSONL ledger
-# codec. Minimizing a newly interesting input is capped at 100 runs so the
-# 5 s go to fuzzing; a failing input is still written to the package's
-# testdata/fuzz.
+# against a successor chase, the nvmemul.ini parser, the JSONL ledger
+# codec and quartzbench's -traffic-clients/-mixes/-lats lists. Minimizing
+# a newly interesting input is capped at 100 runs so the 5 s go to
+# fuzzing; a failing input is still written to the package's testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheMatchesReference$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzPrefetcherMatchesReference$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzPermutationOrder$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/bench
 	$(GO) test -run '^$$' -fuzz '^FuzzParseINI$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzLedgerJSONL$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzTrafficOverrides$$' -fuzztime 5s -fuzzminimizetime 100x ./cmd/quartzbench
 
 # perf-smoke drives the repository benchmark (cmd/quartzperf) once over all
 # five workloads at a tenth of a second each. It builds through the same

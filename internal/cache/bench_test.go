@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/quartz-emu/quartz/internal/sim"
@@ -16,7 +17,7 @@ func benchCache(b *testing.B) *Cache {
 }
 
 // BenchmarkCacheLookupHit measures the repeat-hit walk — the single hottest
-// loop in the simulator (the MRU probe's best case).
+// loop in the simulator. Each set holds one line, so every hit is on way 0.
 func BenchmarkCacheLookupHit(b *testing.B) {
 	c := benchCache(b)
 	for a := uintptr(0); a < 64; a++ {
@@ -37,6 +38,53 @@ func BenchmarkCacheLookupMiss(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Lookup(uintptr(1<<30)+uintptr(i)*64, 0, false)
+	}
+}
+
+// BenchmarkCacheContains measures the presence probe behind the core's
+// prefetch filter, which asks L2 and L3 whether each proposed line is
+// already there before it issues the fill. A 256-set level is filled with
+// lines with pseudo-random tags, so the way signatures differ as
+// they do in a large modeled L3. A hit probes the filled lines in turn, so
+// the matching way is spread evenly over the set; a miss probes absent tags
+// of the same sets. The arrays stay in host L2, so the rows price the set
+// scan rather than host memory.
+func BenchmarkCacheContains(b *testing.B) {
+	const sets = 256
+	for _, ways := range []int{16, 20} {
+		c, err := New(Config{Name: "contains", SizeBytes: sets * ways * 64, Ways: ways, LineSize: 64, LookupLat: sim.Nanosecond})
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Line k of the fill goes to set k%sets with a tag drawn below 1<<24;
+		// the absent lines set bit 24.
+		present := make([]uintptr, sets*ways)
+		absent := make([]uintptr, sets*ways)
+		x := uint64(0x9e3779b97f4a7c15)
+		for k := range present {
+			x = x*6364136223846793005 + 1442695040888963407
+			line := uintptr(x>>40)&^(sets-1) | uintptr(k%sets)
+			present[k] = line * 64
+			absent[k] = (line | 1<<24) * 64
+			c.Insert(present[k], false, 0)
+		}
+		for _, bc := range []struct {
+			name  string
+			addrs []uintptr
+			want  bool
+		}{{"hit", present, true}, {"miss", absent, false}} {
+			b.Run(fmt.Sprintf("%dw-%s", ways, bc.name), func(b *testing.B) {
+				k := 0
+				for i := 0; i < b.N; i++ {
+					if c.Contains(bc.addrs[k]) != bc.want {
+						b.Fatal("Contains answered wrong")
+					}
+					if k++; k == len(bc.addrs) {
+						k = 0
+					}
+				}
+			})
+		}
 	}
 }
 

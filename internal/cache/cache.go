@@ -16,22 +16,30 @@
 // time live in one 16-byte record so a hit verifies and reads one metadata
 // line.
 //
+// The walk is word-at-a-time: one 64-bit load matches eight signatures with
+// a zero-byte test, and only the flagged ways are verified against their
+// tags, lowest first. A set that is not a multiple of 8 ways long ends with
+// a reload of its last 8 signatures, masked to the ways not yet checked;
+// sets of fewer than 8 ways are walked a byte at a time. Placement finds a
+// set's first invalid way with the same match, on signature 0.
+//
 // Recency is an intrusive doubly-linked list per set (one-byte prev/next
 // links per way, plus a per-set head/tail/count record), the scheme the
 // Prefetcher uses for its stream table: every touch moves the way to the
 // tail, so the LRU victim of a full set is the list head, found without a
 // scan. Touch order is exactly the order of the reference model's
 // increasing LRU clock, so the head is always the way its min-scan picks.
-// The tail doubles as the per-set MRU hint that resolves the common
-// repeat-hit in one probe, and a cache-global last-hit fast path
-// (TouchLast) lets the CPU layer skip the walk entirely for consecutive
-// accesses to the same line; that line is always its set's tail, so the
-// fast path needs no list operation. InsertAbsent serves fills the caller
-// already knows miss (the level was just probed), skipping the presence
-// walk. Every fast path performs bit-identical bookkeeping to the plain
-// walk: hit/miss outcomes, victims, statistics and in-flight arrival
-// accounting are unchanged, so simulated virtual time is unaffected (the
-// determinism gate the equivalence tests pin down).
+// The tail is not probed ahead of the walk: such a probe costs every walk
+// that it does not resolve, and the word match covers a 20-way set in
+// three loads. A cache-global last-hit fast path (TouchLast) lets the CPU
+// layer skip the walk entirely for consecutive accesses to the same line;
+// that line is always its set's tail, so the fast path needs no list
+// operation. InsertAbsent serves fills the caller already knows miss (the
+// level was just probed), skipping the presence walk. Every fast path
+// performs bit-identical bookkeeping to the plain walk: hit/miss outcomes,
+// victims, statistics and in-flight arrival accounting are unchanged, so
+// simulated virtual time is unaffected (the determinism gate the
+// equivalence tests pin down).
 //
 // No-allocation contract: a level allocates once, at its first fill, and
 // never again. New only records the geometry, and a probe of a level
@@ -45,7 +53,7 @@
 package cache
 
 import (
-	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"unsafe"
@@ -120,9 +128,7 @@ type wayLink struct {
 
 // setList is a set's recency list over its valid ways: head is the LRU way,
 // tail the MRU way, n the number of valid ways. head and tail are
-// meaningful only while n > 0, but like every link they always hold an
-// in-range way index, so probing the tail is safe on an empty set (an
-// invalid way's zero signature matches nothing).
+// meaningful only while n > 0.
 type setList struct {
 	head, tail uint8
 	n          uint16
@@ -160,11 +166,16 @@ type Cache struct {
 }
 
 // sigOf hashes a stored tag value (tag+1, never zero) to its one-byte walk
-// signature. Zero is reserved for invalid ways, so a valid signature is
-// remapped away from it; any deterministic mixing works — a false match
-// only costs one exact tag compare.
+// signature: the top byte of a multiply by 2^64/φ, which every bit of the
+// tag reaches. The tags of one set share their set-index bits, so a hash
+// of a few fixed bit ranges would give many of a set's ways one signature
+// (a fold of bits 0–7, 13–20 and 27–34 gives all eight ways of a 512-set
+// L2 the same one when they hold lines of one aligned 256 KiB region), and
+// the walk would verify every such way. Zero is reserved for invalid ways,
+// so a valid signature is remapped away from it. Outcomes never depend on
+// the hash: a false match only costs one exact tag compare.
 func sigOf(want uintptr) uint8 {
-	s := uint8(want ^ want>>13 ^ want>>27)
+	s := uint8(uint64(want) * 0x9e3779b97f4a7c15 >> 56)
 	if s == 0 {
 		return 0xa5
 	}
@@ -238,15 +249,76 @@ func (c *Cache) setOf(tag uintptr) int {
 	return int(tag % uintptr(c.numSets))
 }
 
+// lsb and msb hold the low and the high bit of each byte of a word.
+const (
+	lsb = 0x0101010101010101
+	msb = 0x8080808080808080
+)
+
+// zeroBytes sets the high bit of each zero byte of x. A byte above a zero
+// byte may be flagged falsely too, because the subtraction borrows across
+// bytes; the lowest flag is always a zero byte.
+func zeroBytes(x uint64) uint64 { return (x - lsb) &^ x & msb }
+
+// sigWord matches a set's signatures sigs (at least 8 ways) against the
+// signature byte repeated in pat, eight ways per 64-bit load. It returns
+// one flag per way i+k, bit 8k+7, for the ways i..i+7 below len(sigs):
+// every way holding the signature is flagged, the lowest flag is always
+// such a way, and callers verify the flags above it. When fewer than 8
+// ways are left, the word is reloaded from the set's last 8 bytes; its
+// ways below i, already checked, are masked so they neither flag nor
+// borrow, and shifted out.
+func sigWord(sigs []uint8, i int, pat uint64) uint64 {
+	if i+8 <= len(sigs) {
+		return zeroBytes(binary.LittleEndian.Uint64(sigs[i:]) ^ pat)
+	}
+	t := len(sigs) - 8
+	sh := uint(i-t) * 8 & 63
+	return zeroBytes(binary.LittleEndian.Uint64(sigs[t:])^pat|(1<<sh-1)) >> sh
+}
+
 // find returns the way within the set at base holding the stored tag want
-// (with signature sig), or -1 when the line is absent.
+// (with signature sig), or -1 when the line is absent. A tag is unique
+// within its set, so checking the flagged ways lowest first returns what a
+// byte-by-byte walk would.
 func (c *Cache) find(base int, want uintptr, sig uint8) int {
-	for i, s := range c.sigs[base : base+c.ways] {
-		if s == sig && c.meta[base+i].tag == want {
-			return i
+	sigs := c.sigs[base : base+c.ways]
+	if len(sigs) < 8 {
+		for i, s := range sigs {
+			if s == sig && c.meta[base+i].tag == want {
+				return i
+			}
+		}
+		return -1
+	}
+	meta := c.meta[base : base+len(sigs)]
+	pat := lsb * uint64(sig)
+	for i := 0; i < len(sigs); i += 8 {
+		for m := sigWord(sigs, i, pat); m != 0; m &= m - 1 {
+			if w := i + bits.TrailingZeros64(m)>>3; meta[w].tag == want {
+				return w
+			}
 		}
 	}
 	return -1
+}
+
+// firstInvalid returns the lowest way of a set's signatures sigs that is
+// invalid (signature 0); the set must have one. The lowest flag of
+// sigWord needs no verification.
+func firstInvalid(sigs []uint8) int {
+	if len(sigs) < 8 {
+		for i, s := range sigs {
+			if s == 0 {
+				return i
+			}
+		}
+	}
+	for i := 0; ; i += 8 {
+		if m := sigWord(sigs, i, 0); m != 0 {
+			return i + bits.TrailingZeros64(m)>>3
+		}
+	}
 }
 
 // touch moves valid way w of the set at base to the MRU end of its list.
@@ -268,8 +340,8 @@ func (c *Cache) touch(l *setList, base, w int) {
 
 // hitAt performs the bookkeeping of a hit on the way at index idx, which
 // must already be its set's MRU way, and returns the residual in-flight
-// wait. It is the single shared hit path, so the MRU probe, the walk and
-// TouchLast are bit-identical by construction.
+// wait. It is the single shared hit path, so the walk and TouchLast are
+// bit-identical by construction.
 func (c *Cache) hitAt(idx int, now sim.Time, markDirty bool) (wait sim.Time) {
 	if markDirty {
 		c.dirty[idx] = true
@@ -294,14 +366,8 @@ func (c *Cache) Lookup(addr uintptr, now sim.Time, markDirty bool) (hit bool, wa
 	set := c.setOf(tag)
 	base := set * c.ways
 	want := tag + 1
-	sig := sigOf(want)
-	l := &c.lists[set]
-	// MRU probe: the set's most recently touched way.
-	if m := base + int(l.tail); c.sigs[m] == sig && c.meta[m].tag == want {
-		return true, c.hitAt(m, now, markDirty)
-	}
-	if w := c.find(base, want, sig); w >= 0 {
-		c.touch(l, base, w)
+	if w := c.find(base, want, sigOf(want)); w >= 0 {
+		c.touch(&c.lists[set], base, w)
 		return true, c.hitAt(base+w, now, markDirty)
 	}
 	c.stats.Misses++
@@ -328,14 +394,8 @@ func (c *Cache) Contains(addr uintptr) bool {
 		return false
 	}
 	tag := c.tagOf(addr)
-	set := c.setOf(tag)
-	base := set * c.ways
 	want := tag + 1
-	sig := sigOf(want)
-	if m := base + int(c.lists[set].tail); c.sigs[m] == sig && c.meta[m].tag == want {
-		return true
-	}
-	return c.find(base, want, sig) >= 0
+	return c.find(c.setOf(tag)*c.ways, want, sigOf(want)) >= 0
 }
 
 // Insert fills the line holding addr, evicting the LRU victim if the set is
@@ -397,7 +457,7 @@ func (c *Cache) place(set, base int, want uintptr, sig uint8, dirty bool, arriva
 		evicted = true
 		c.touch(l, base, w)
 	} else {
-		w = bytes.IndexByte(c.sigs[base:base+c.ways], 0)
+		w = firstInvalid(c.sigs[base : base+c.ways])
 		if l.n == 0 {
 			l.head = uint8(w)
 		} else {
