@@ -13,7 +13,9 @@ build:
 	$(GO) build ./...
 
 # vet also checks the tree as arm64 builds it, so the Go fallbacks for the
-# amd64 assembly (internal/cache's host prefetch) keep compiling.
+# amd64 assembly (internal/cache's host prefetch) keep compiling. Both are
+# 64-bit: the tree is 64-bit only (internal/machine's NodeShift guard stops
+# a 32-bit build), so there is no 32-bit target to vet.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...

@@ -346,7 +346,7 @@ func dispatch(env *bench.Env, f *flags, stdout io.Writer) error {
 		return env.Run(func(e *bench.Env, th *simos.Thread) {
 			res, err := kvstore.RunWorkload(store, th, kvstore.WorkloadConfig{
 				Preload: f.iters / 2, Threads: max(1, f.threads),
-				OpsPerThread: f.iters, GetFraction: 0.5, Seed: uint64(f.seed),
+				OpsPerThread: f.iters, Seed: uint64(f.seed),
 			}, e.CloseEpoch)
 			if err != nil {
 				th.Failf("%v", err)

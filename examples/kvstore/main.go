@@ -76,7 +76,6 @@ func throughputAt(targetNS float64) (kvstore.WorkloadResult, error) {
 			Preload:      8_000,
 			Threads:      4,
 			OpsPerThread: 2_000,
-			GetFraction:  0.5,
 			ValueBytes:   1024,
 			ValueAlloc:   sys.PMalloc,
 			Seed:         7,

@@ -16,6 +16,7 @@ package kvstore
 import (
 	"fmt"
 
+	"github.com/quartz-emu/quartz/internal/mem"
 	"github.com/quartz-emu/quartz/internal/simos"
 )
 
@@ -127,7 +128,7 @@ func (s *Store) Len() int {
 func touchNode(t *simos.Thread, n *node, batch []uintptr) {
 	batch = batch[:0]
 	for l := 0; l <= keyLines; l++ {
-		batch = append(batch, n.simAddr+uintptr(l*64))
+		batch = append(batch, n.simAddr+uintptr(l*mem.LineSize))
 	}
 	t.LoadGroup(batch)
 }
@@ -159,7 +160,7 @@ func (s *Store) Get(t *simos.Thread, key uint64) (uint64, bool) {
 	for i, k := range n.keys {
 		if k == key {
 			// Load the value's line.
-			t.Load(n.simAddr + uintptr((keyLines+1+i/8)*64))
+			t.Load(n.simAddr + uintptr((keyLines+1+i/8)*mem.LineSize))
 			return n.values[i], true
 		}
 	}
@@ -190,7 +191,7 @@ func (s *Store) Put(t *simos.Thread, key, value uint64) error {
 	for i, k := range n.keys {
 		if k == key {
 			n.values[i] = value
-			t.Store(n.simAddr + uintptr((keyLines+1+i/8)*64))
+			t.Store(n.simAddr + uintptr((keyLines+1+i/8)*mem.LineSize))
 			return nil
 		}
 	}
@@ -199,9 +200,9 @@ func (s *Store) Put(t *simos.Thread, key, value uint64) error {
 	idx := childIndex(n.keys, key)
 	n.keys = insertU64(n.keys, idx, key)
 	n.values = insertU64(n.values, idx, value)
-	t.Store(n.simAddr)       // header/count line
-	t.Store(n.simAddr + 64)  // shifted key area
-	t.Store(n.simAddr + 192) // shifted value area
+	t.Store(n.simAddr)                // header/count line
+	t.Store(n.simAddr + mem.LineSize) // shifted key area
+	t.Store(n.simAddr + 192)          // shifted value area
 	p.size++
 
 	// Split upward while overfull.
@@ -228,7 +229,7 @@ func (s *Store) Put(t *simos.Thread, key, value uint64) error {
 		parent.keys = insertU64(parent.keys, pidx, sep)
 		parent.children = insertNode(parent.children, pidx+1, right)
 		t.Store(parent.simAddr)
-		t.Store(parent.simAddr + 64)
+		t.Store(parent.simAddr + mem.LineSize)
 		child = parent
 	}
 	return nil
@@ -259,7 +260,7 @@ func (s *Store) split(t *simos.Thread, n *node) (sep uint64, right *node, err er
 	}
 	t.Store(n.simAddr)
 	t.Store(right.simAddr)
-	t.Store(right.simAddr + 64)
+	t.Store(right.simAddr + mem.LineSize)
 	t.Compute(200) // memmove bookkeeping
 	return sep, right, nil
 }
@@ -287,7 +288,7 @@ func (s *Store) Delete(t *simos.Thread, key uint64) bool {
 			n.keys = append(n.keys[:i], n.keys[i+1:]...)
 			n.values = append(n.values[:i], n.values[i+1:]...)
 			t.Store(n.simAddr)
-			t.Store(n.simAddr + 64)
+			t.Store(n.simAddr + mem.LineSize)
 			p.size--
 			return true
 		}

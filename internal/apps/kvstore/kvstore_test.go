@@ -202,8 +202,7 @@ func TestWorkloadThroughputScalesWithThreads(t *testing.T) {
 		err := p.Run(func(th *simos.Thread) {
 			var rerr error
 			res, rerr = RunWorkload(s, th, WorkloadConfig{
-				Preload: 2000, Threads: threads, OpsPerThread: 1500,
-				GetFraction: 0.5, Seed: 7,
+				Preload: 2000, Threads: threads, OpsPerThread: 1500, Seed: 7,
 			}, nil)
 			if rerr != nil {
 				th.Failf("workload: %v", rerr)
@@ -231,9 +230,6 @@ func TestWorkloadValidation(t *testing.T) {
 	if err := (WorkloadConfig{}).Validate(); err == nil {
 		t.Error("empty workload config accepted")
 	}
-	if err := (WorkloadConfig{Threads: 1, OpsPerThread: 1, GetFraction: 1.5}).Validate(); err == nil {
-		t.Error("GetFraction > 1 accepted")
-	}
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
@@ -242,7 +238,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		s := newStore(t, p, 8)
 		err := p.Run(func(th *simos.Thread) {
 			if _, err := RunWorkload(s, th, WorkloadConfig{
-				Preload: 500, Threads: 2, OpsPerThread: 500, GetFraction: 0.5, Seed: 3,
+				Preload: 500, Threads: 2, OpsPerThread: 500, Seed: 3,
 			}, nil); err != nil {
 				th.Failf("workload: %v", err)
 			}

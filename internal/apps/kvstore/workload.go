@@ -3,6 +3,7 @@ package kvstore
 import (
 	"fmt"
 
+	"github.com/quartz-emu/quartz/internal/mem"
 	"github.com/quartz-emu/quartz/internal/obs/vtprof"
 	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/simos"
@@ -16,6 +17,9 @@ var (
 	phaseOps     = vtprof.Intern("kv-ops")
 )
 
+// getFraction is the share of gets in the §4.7 op mix: the usual 50/50.
+const getFraction = 0.5
+
 // WorkloadConfig drives the §4.7 put/get experiment.
 type WorkloadConfig struct {
 	// Preload is the number of keys loaded before measurement.
@@ -24,10 +28,6 @@ type WorkloadConfig struct {
 	Threads int
 	// OpsPerThread is the measured operation count per thread.
 	OpsPerThread int
-	// GetFraction in [0,1] splits the op mix (0.5 = the usual 50/50).
-	GetFraction float64
-	// KeySpace bounds generated keys; 0 defaults to 4x Preload.
-	KeySpace uint64
 	// ValueBytes, when positive, attaches a payload of that size to every
 	// key in a separate arena: gets read it, puts write it. This is what
 	// makes the workload memory-bound the way a production store's values
@@ -43,9 +43,6 @@ type WorkloadConfig struct {
 func (c WorkloadConfig) Validate() error {
 	if c.Preload < 0 || c.Threads <= 0 || c.OpsPerThread <= 0 {
 		return fmt.Errorf("kvstore: bad workload %+v", c)
-	}
-	if c.GetFraction < 0 || c.GetFraction > 1 {
-		return fmt.Errorf("kvstore: GetFraction %g outside [0,1]", c.GetFraction)
 	}
 	if c.ValueBytes > 0 && c.ValueAlloc == nil {
 		return fmt.Errorf("kvstore: ValueBytes set without ValueAlloc")
@@ -94,12 +91,12 @@ func (p payload) touch(t *simos.Thread, key uint64, write bool) {
 		return
 	}
 	addr := p.arena + uintptr(key)*uintptr(p.valueBytes)
-	lines := min((p.valueBytes+63)/64, 2) // ops touch the head of large values
+	lines := min((p.valueBytes+mem.LineSize-1)/mem.LineSize, 2) // ops touch the head of large values
 	for l := 0; l < lines; l++ {
 		if write {
-			t.Store(addr + uintptr(l*64))
+			t.Store(addr + uintptr(l*mem.LineSize))
 		} else {
-			t.Load(addr + uintptr(l*64))
+			t.Load(addr + uintptr(l*mem.LineSize))
 		}
 	}
 }
@@ -112,10 +109,7 @@ func RunWorkload(s *Store, main *simos.Thread, cfg WorkloadConfig, closeEpoch fu
 	if err := cfg.Validate(); err != nil {
 		return WorkloadResult{}, err
 	}
-	keySpace := cfg.KeySpace
-	if keySpace == 0 {
-		keySpace = uint64(4*cfg.Preload + 16)
-	}
+	keySpace := uint64(4*cfg.Preload + 16) // generated keys fall in [0, keySpace)
 	values, err := newPayload(keySpace, cfg.ValueBytes, cfg.ValueAlloc)
 	if err != nil {
 		return WorkloadResult{}, err
@@ -165,7 +159,7 @@ func RunWorkload(s *Store, main *simos.Thread, cfg WorkloadConfig, closeEpoch fu
 			defer t.PopPhase()
 			for i := 0; i < cfg.OpsPerThread; i++ {
 				key := dist.Key(&r)
-				if workload.GetDraw(&r, cfg.GetFraction) {
+				if workload.GetDraw(&r, getFraction) {
 					if _, ok := s.Get(t, key); ok {
 						values.touch(t, key, false)
 					}

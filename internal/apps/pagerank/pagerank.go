@@ -12,18 +12,24 @@ import (
 // phaseRun frames the whole power-iteration kernel in vtprof output.
 var phaseRun = vtprof.Intern("pagerank")
 
+// damping is the PageRank damping factor. It is a typed constant so that
+// 1-damping is the float64 difference 0.15000000000000002, as it was when
+// the factor was a run-time value; an untyped 1-0.85 folds to 0.15 and
+// would move every rank.
+const damping float64 = 0.85
+
+// epsilon is the L1 convergence threshold.
+const epsilon = 1e-7
+
+// gatherWidth is the number of rank gathers issued in parallel per step:
+// the memory-level parallelism an out-of-order core extracts from
+// independent x[src] reads.
+const gatherWidth = 8
+
 // Config parameterizes a PageRank computation.
 type Config struct {
-	// Damping is the PageRank damping factor (0.85 conventionally).
-	Damping float64
-	// Epsilon is the L1 convergence threshold.
-	Epsilon float64
 	// MaxIters bounds the iteration count.
 	MaxIters int
-	// GatherWidth is the number of rank gathers issued in parallel per
-	// step — the memory-level parallelism an out-of-order core extracts
-	// from independent x[src] reads.
-	GatherWidth int
 	// RankAlloc places the rank vectors; nil falls back to the graph
 	// allocator passed to Run. Separating them is how the two-memory
 	// example keeps hot vectors in DRAM while the large graph sits in NVM.
@@ -32,7 +38,7 @@ type Config struct {
 
 // DefaultConfig returns the standard §4.7 setup.
 func DefaultConfig() Config {
-	return Config{Damping: 0.85, Epsilon: 1e-7, MaxIters: 64, GatherWidth: 8}
+	return Config{MaxIters: 64}
 }
 
 // Result reports one computation's outcome.
@@ -49,14 +55,8 @@ type Result struct {
 // friendly) while gathering source ranks at random (latency-bound) — the
 // mix that produces Fig. 16's non-linear latency sensitivity.
 func Run(g *Graph, t *simos.Thread, cfg Config, alloc Alloc) (Result, error) {
-	if cfg.Damping <= 0 || cfg.Damping >= 1 {
-		return Result{}, fmt.Errorf("pagerank: damping %g outside (0,1)", cfg.Damping)
-	}
 	if cfg.MaxIters <= 0 {
 		return Result{}, fmt.Errorf("pagerank: MaxIters %d, must be positive", cfg.MaxIters)
-	}
-	if cfg.GatherWidth <= 0 {
-		cfg.GatherWidth = 8
 	}
 	rankAlloc := cfg.RankAlloc
 	if rankAlloc == nil {
@@ -81,8 +81,8 @@ func Run(g *Graph, t *simos.Thread, cfg Config, alloc Alloc) (Result, error) {
 		x[i] = 1 / float64(n)
 	}
 
-	batch := make([]uintptr, 0, cfg.GatherWidth)
-	srcs := make([]int32, 0, cfg.GatherWidth)
+	batch := make([]uintptr, 0, gatherWidth)
+	srcs := make([]int32, 0, gatherWidth)
 	t.PushPhase(phaseRun)
 	defer t.PopPhase()
 	start := t.Now()
@@ -97,14 +97,14 @@ func Run(g *Graph, t *simos.Thread, cfg Config, alloc Alloc) (Result, error) {
 			}
 		}
 		t.Compute(int64(n)) // dangling scan
-		base := (1-cfg.Damping)/float64(n) + cfg.Damping*dangling/float64(n)
+		base := (1-damping)/float64(n) + damping*dangling/float64(n)
 		for v := 0; v < n; v++ {
 			s := 0.0
 			lo, hi := int(g.Offsets[v]), int(g.Offsets[v+1])
 			for e := lo; e < hi; {
 				batch = batch[:0]
 				srcs = srcs[:0]
-				for ; e < hi && len(batch) < cfg.GatherWidth; e++ {
+				for ; e < hi && len(batch) < gatherWidth; e++ {
 					if e%16 == 0 {
 						g.loadEdgesLine(t, e) // streaming edge-array line
 					}
@@ -118,7 +118,7 @@ func Run(g *Graph, t *simos.Thread, cfg Config, alloc Alloc) (Result, error) {
 					s += x[src] / float64(g.OutDeg[src])
 				}
 			}
-			y[v] = base + cfg.Damping*s
+			y[v] = base + damping*s
 			if v%8 == 0 {
 				t.Store(simY + uintptr(v)*8) // streaming result line
 			}
@@ -136,7 +136,7 @@ func Run(g *Graph, t *simos.Thread, cfg Config, alloc Alloc) (Result, error) {
 		simX, simY = simY, simX
 		res.Iterations = iter + 1
 		res.Error = delta
-		if delta < cfg.Epsilon {
+		if delta < epsilon {
 			break
 		}
 	}

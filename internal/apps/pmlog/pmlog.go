@@ -20,16 +20,14 @@ import (
 	"fmt"
 
 	"github.com/quartz-emu/quartz/internal/core"
+	"github.com/quartz-emu/quartz/internal/mem"
 	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/simos"
 )
 
 // headerBytes reserves the first line of the arena for the durable tail
 // pointer (and epoch/CRC metadata in a real implementation).
-const headerBytes = 64
-
-// lineSize is the flush granularity.
-const lineSize = 64
+const headerBytes = mem.LineSize
 
 // Config parameterizes a log.
 type Config struct {
@@ -42,8 +40,8 @@ type Config struct {
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if c.Capacity < 4*lineSize {
-		return fmt.Errorf("pmlog: capacity %d too small (min %d)", c.Capacity, 4*lineSize)
+	if c.Capacity < 4*mem.LineSize {
+		return fmt.Errorf("pmlog: capacity %d too small (min %d)", c.Capacity, 4*mem.LineSize)
 	}
 	return nil
 }
@@ -120,12 +118,12 @@ func (l *Log) Append(t *simos.Thread, size int) error {
 	if size <= 0 {
 		return fmt.Errorf("pmlog: record size %d", size)
 	}
-	total := uintptr(size+8+lineSize-1) &^ (lineSize - 1) // 8-byte length prefix, line-rounded
+	total := uintptr(size+8+mem.LineSize-1) &^ (mem.LineSize - 1) // 8-byte length prefix, line-rounded
 	if l.head+total > l.cfg.Capacity {
 		return fmt.Errorf("pmlog: log full (%d free, %d needed); truncate first", l.Free(), total)
 	}
 	start := l.arena + l.head
-	for off := uintptr(0); off < total; off += lineSize {
+	for off := uintptr(0); off < total; off += mem.LineSize {
 		t.Store(start + off)
 		if l.cfg.UsePCommit {
 			l.emu.PFlushOpt(t, start+off)

@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"sync"
 
+	"github.com/quartz-emu/quartz/internal/mem"
 	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/simos"
 )
@@ -95,7 +96,7 @@ func BuildMemLat(p *simos.Process, cfg MemLatConfig) (*MemLat, error) {
 		ahead:   make([]orderCursor, cfg.Chains),
 	}
 	for c := 0; c < cfg.Chains; c++ {
-		base, err := p.MallocOnNode(uintptr(cfg.Lines)*64, cfg.Node)
+		base, err := p.MallocOnNode(uintptr(cfg.Lines)*mem.LineSize, cfg.Node)
 		if err != nil {
 			return nil, fmt.Errorf("bench: MemLat chain %d: %w", c, err)
 		}
@@ -116,14 +117,14 @@ func (b *MemLat) Run(t *simos.Thread) MemLatResult {
 	if b.cfg.Chains == 1 {
 		cur, ahead, base := b.cursors[0], b.ahead[0], b.bases[0]
 		for i := 0; i < b.cfg.Iters; i++ {
-			t.Warm(base + ahead.next()*64)
-			t.Load(base + cur.next()*64)
+			t.Warm(base + ahead.next()*mem.LineSize)
+			t.Load(base + cur.next()*mem.LineSize)
 		}
 	} else {
 		for i := 0; i < b.cfg.Iters; i++ {
 			for c := range b.cursors {
-				t.Warm(b.bases[c] + b.ahead[c].next()*64)
-				b.batch[c] = b.bases[c] + b.cursors[c].next()*64
+				t.Warm(b.bases[c] + b.ahead[c].next()*mem.LineSize)
+				b.batch[c] = b.bases[c] + b.cursors[c].next()*mem.LineSize
 			}
 			t.LoadGroup(b.batch)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/quartz-emu/quartz/internal/core"
+	"github.com/quartz-emu/quartz/internal/mem"
 	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/simos"
 )
@@ -58,11 +59,11 @@ func BuildMultiLat(p *simos.Process, emu *core.Emulator, cfg MultiLatConfig) (*M
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	baseDRAM, err := p.Malloc(uintptr(cfg.DRAMLines) * 64)
+	baseDRAM, err := p.Malloc(uintptr(cfg.DRAMLines) * mem.LineSize)
 	if err != nil {
 		return nil, fmt.Errorf("bench: MultiLat DRAM array: %w", err)
 	}
-	baseNVM, err := emu.PMalloc(uintptr(cfg.NVMLines) * 64)
+	baseNVM, err := emu.PMalloc(uintptr(cfg.NVMLines) * mem.LineSize)
 	if err != nil {
 		return nil, fmt.Errorf("bench: MultiLat NVM array: %w", err)
 	}
@@ -85,14 +86,14 @@ func (b *MultiLat) Run(t *simos.Thread, dramLat, nvmLat sim.Time) MultiLatResult
 	for leftDRAM > 0 || leftNVM > 0 {
 		burst := min(b.cfg.DRAMBurst, leftDRAM)
 		for range burst {
-			t.Warm(b.baseDRAM + dramAhead.next()*64)
-			t.Load(b.baseDRAM + dram.next()*64)
+			t.Warm(b.baseDRAM + dramAhead.next()*mem.LineSize)
+			t.Load(b.baseDRAM + dram.next()*mem.LineSize)
 		}
 		leftDRAM -= burst
 		burst = min(b.cfg.NVMBurst, leftNVM)
 		for range burst {
-			t.Warm(b.baseNVM + nvmAhead.next()*64)
-			t.Load(b.baseNVM + nvm.next()*64)
+			t.Warm(b.baseNVM + nvmAhead.next()*mem.LineSize)
+			t.Load(b.baseNVM + nvm.next()*mem.LineSize)
 		}
 		leftNVM -= burst
 	}

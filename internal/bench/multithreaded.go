@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"github.com/quartz-emu/quartz/internal/mem"
 	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/simos"
 )
@@ -58,7 +59,7 @@ func RunMultiThreaded(env *Env, main *simos.Thread, cfg MTConfig) (MTResult, err
 	}
 	workers := make([]worker, cfg.Threads)
 	for i := range workers {
-		base, err := env.Proc.MallocOnNode(uintptr(cfg.Lines)*64, cfg.Node)
+		base, err := env.Proc.MallocOnNode(uintptr(cfg.Lines)*mem.LineSize, cfg.Node)
 		if err != nil {
 			return MTResult{}, fmt.Errorf("bench: MT chain %d: %w", i, err)
 		}
@@ -93,8 +94,8 @@ func RunMultiThreaded(env *Env, main *simos.Thread, cfg MTConfig) (MTResult, err
 			ahead := cur.skip(warmAhead)
 			chase := func(iters int) {
 				for j := 0; j < iters; j++ {
-					t.Warm(w.base + ahead.next()*64)
-					t.Load(w.base + cur.next()*64)
+					t.Warm(w.base + ahead.next()*mem.LineSize)
+					t.Load(w.base + cur.next()*mem.LineSize)
 				}
 			}
 			for k := 0; k < cfg.Sections; k++ {

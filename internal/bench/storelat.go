@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"github.com/quartz-emu/quartz/internal/mem"
 	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/simos"
 )
@@ -47,7 +48,7 @@ func BuildStoreLat(p *simos.Process, cfg StoreLatConfig) (*StoreLat, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	base, err := p.MallocOnNode(uintptr(cfg.Lines)*64, cfg.Node)
+	base, err := p.MallocOnNode(uintptr(cfg.Lines)*mem.LineSize, cfg.Node)
 	if err != nil {
 		return nil, fmt.Errorf("bench: StoreLat buffer: %w", err)
 	}
@@ -61,7 +62,7 @@ func BuildStoreLat(p *simos.Process, cfg StoreLatConfig) (*StoreLat, error) {
 // the fig12-asym sweep extracts.
 func (b *StoreLat) Run(t *simos.Thread) StoreLatResult {
 	start := t.Now()
-	t.StoreRun(b.base, 64, b.cfg.Lines)
+	t.StoreRun(b.base, mem.LineSize, b.cfg.Lines)
 	return StoreLatResult{
 		CT:     t.Now() - start,
 		Stores: int64(b.cfg.Lines),
@@ -80,20 +81,18 @@ type StoreBWConfig struct {
 	Writers int
 	// Lines is the number of cache lines each writer stores and flushes.
 	Lines int
-	// Batch is the number of clflushopt writebacks kept in flight between
-	// fences (0 defaults to 8).
-	Batch int
 	// Node is where the buffers are allocated.
 	Node int
 }
+
+// storeBWBatch is the number of clflushopt writebacks a StoreBW writer keeps
+// in flight between fences.
+const storeBWBatch = 8
 
 // Validate reports configuration errors.
 func (c StoreBWConfig) Validate() error {
 	if c.Writers <= 0 || c.Lines <= 0 {
 		return fmt.Errorf("bench: StoreBW needs positive writers/lines (got %d/%d)", c.Writers, c.Lines)
-	}
-	if c.Batch < 0 {
-		return fmt.Errorf("bench: StoreBW batch %d negative", c.Batch)
 	}
 	return nil
 }
@@ -103,9 +102,9 @@ type StoreBWResult struct {
 	// CT is the wall completion time from the post-rendezvous start to the
 	// last writer's finish.
 	CT sim.Time
-	// Bytes is the total application payload written (lines x 64 B across
-	// all writers; the device may move more per line under a configured
-	// access granularity).
+	// Bytes is the total application payload written (lines x mem.LineSize
+	// across all writers; the device may move more per line under a
+	// configured access granularity).
 	Bytes int64
 }
 
@@ -130,7 +129,7 @@ func RunStoreBW(env *Env, main *simos.Thread, cfg StoreBWConfig) (StoreBWResult,
 	}
 	bases := make([]uintptr, cfg.Writers)
 	for i := range bases {
-		base, err := env.Proc.MallocOnNode(uintptr(cfg.Lines)*64, cfg.Node)
+		base, err := env.Proc.MallocOnNode(uintptr(cfg.Lines)*mem.LineSize, cfg.Node)
 		if err != nil {
 			return StoreBWResult{}, fmt.Errorf("bench: StoreBW buffer %d: %w", i, err)
 		}
@@ -157,14 +156,10 @@ func RunStoreBW(env *Env, main *simos.Thread, cfg StoreBWConfig) (StoreBWResult,
 				goCv.Wait(t, startMu)
 			}
 			startMu.Unlock(t)
-			batch := cfg.Batch
-			if batch <= 0 {
-				batch = 8
-			}
 			for l := 0; l < cfg.Lines; {
 				var fence sim.Time
-				for b := 0; b < batch && l < cfg.Lines; b, l = b+1, l+1 {
-					addr := base + uintptr(l)*64
+				for b := 0; b < storeBWBatch && l < cfg.Lines; b, l = b+1, l+1 {
+					addr := base + uintptr(l)*mem.LineSize
 					t.Store(addr)
 					if done := t.FlushOpt(addr); done > fence {
 						fence = done
@@ -199,6 +194,6 @@ func RunStoreBW(env *Env, main *simos.Thread, cfg StoreBWConfig) (StoreBWResult,
 	}
 	return StoreBWResult{
 		CT:    end - start,
-		Bytes: int64(cfg.Writers) * int64(cfg.Lines) * 64,
+		Bytes: int64(cfg.Writers) * int64(cfg.Lines) * mem.LineSize,
 	}, nil
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"github.com/quartz-emu/quartz/internal/mem"
 	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/simos"
 )
@@ -18,10 +19,11 @@ type StreamConfig struct {
 	Threads int
 	// Node is where both arrays live.
 	Node int
-	// Batch is the number of parallel line loads issued per step
-	// (the streaming-load pipeline depth).
-	Batch int
 }
+
+// streamBatch is the number of parallel line loads a STREAM worker issues
+// per step (the streaming-load pipeline depth).
+const streamBatch = 8
 
 // Validate reports configuration errors.
 func (c StreamConfig) Validate() error {
@@ -35,7 +37,7 @@ func (c StreamConfig) Validate() error {
 type StreamResult struct {
 	CT sim.Time
 	// BytesPerSec is the achieved copy bandwidth, counted STREAM-style as
-	// bytes read plus bytes written (2 x 64 per copied line).
+	// bytes read plus bytes written (2 x mem.LineSize per copied line).
 	BytesPerSec float64
 }
 
@@ -45,14 +47,11 @@ func RunStream(env *Env, main *simos.Thread, cfg StreamConfig) (StreamResult, er
 	if err := cfg.Validate(); err != nil {
 		return StreamResult{}, err
 	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = 8
-	}
-	src, err := env.Proc.MallocOnNode(uintptr(cfg.Lines)*64, cfg.Node)
+	src, err := env.Proc.MallocOnNode(uintptr(cfg.Lines)*mem.LineSize, cfg.Node)
 	if err != nil {
 		return StreamResult{}, fmt.Errorf("bench: stream src: %w", err)
 	}
-	dst, err := env.Proc.MallocOnNode(uintptr(cfg.Lines)*64, cfg.Node)
+	dst, err := env.Proc.MallocOnNode(uintptr(cfg.Lines)*mem.LineSize, cfg.Node)
 	if err != nil {
 		return StreamResult{}, fmt.Errorf("bench: stream dst: %w", err)
 	}
@@ -67,13 +66,10 @@ func RunStream(env *Env, main *simos.Thread, cfg StreamConfig) (StreamResult, er
 			hi = cfg.Lines
 		}
 		th, err := main.CreateThread(fmt.Sprintf("stream-%d", w), func(t *simos.Thread) {
-			for i := lo; i < hi; i += cfg.Batch {
-				n := cfg.Batch
-				if i+n > hi {
-					n = hi - i
-				}
-				t.LoadGroupRun(src+uintptr(i)*64, 64, n)
-				t.StoreRun(dst+uintptr(i)*64, 64, n)
+			for i := lo; i < hi; i += streamBatch {
+				n := min(streamBatch, hi-i)
+				t.LoadGroupRun(src+uintptr(i)*mem.LineSize, mem.LineSize, n)
+				t.StoreRun(dst+uintptr(i)*mem.LineSize, mem.LineSize, n)
 			}
 		})
 		if err != nil {
@@ -92,6 +88,6 @@ func RunStream(env *Env, main *simos.Thread, cfg StreamConfig) (StreamResult, er
 	if ct <= 0 {
 		return StreamResult{}, fmt.Errorf("bench: stream finished in non-positive time %v", ct)
 	}
-	moved := float64(cfg.Lines) * 64 * 2
+	moved := float64(cfg.Lines) * mem.LineSize * 2
 	return StreamResult{CT: ct, BytesPerSec: moved / ct.Seconds()}, nil
 }

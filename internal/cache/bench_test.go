@@ -9,7 +9,7 @@ import (
 
 func benchCache(b *testing.B) *Cache {
 	b.Helper()
-	c, err := New(Config{Name: "bench", SizeBytes: 32 << 10, Ways: 8, LineSize: 64, LookupLat: sim.Nanosecond})
+	c, err := New(Config{Name: "bench", SizeBytes: 32 << 10, Ways: 8, LookupLat: sim.Nanosecond})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func BenchmarkCacheLookupMiss(b *testing.B) {
 func BenchmarkCacheContains(b *testing.B) {
 	const sets = 256
 	for _, ways := range []int{16, 20} {
-		c, err := New(Config{Name: "contains", SizeBytes: sets * ways * 64, Ways: ways, LineSize: 64, LookupLat: sim.Nanosecond})
+		c, err := New(Config{Name: "contains", SizeBytes: sets * ways * 64, Ways: ways, LookupLat: sim.Nanosecond})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func BenchmarkCacheFill(b *testing.B) {
 		{"20M-20w-ahead", 20 << 20, 20, 8},
 	} {
 		b.Run(sz.name, func(b *testing.B) {
-			c, err := New(Config{Name: sz.name, SizeBytes: sz.bytes, Ways: sz.ways, LineSize: 64, LookupLat: sim.Nanosecond})
+			c, err := New(Config{Name: sz.name, SizeBytes: sz.bytes, Ways: sz.ways, LookupLat: sim.Nanosecond})
 			if err != nil {
 				b.Fatal(err)
 			}

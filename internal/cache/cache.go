@@ -50,6 +50,11 @@
 // Lookup, TouchLast, Insert, InsertAbsent, Flush, Contains, Warm and the
 // prefetcher's Observe — never allocate. `make bench-alloc` gates this
 // with testing.AllocsPerRun.
+//
+// Every level tags by the one simulated line, mem.LineSize: a tag is the
+// address shifted right by mem.LineShift, and an evicted line's address is
+// its tag shifted back. Only the set count may be any size (a 25 MiB 20-way
+// L3 has 20 480 sets), so only the set index keeps a modulo path.
 package cache
 
 import (
@@ -58,6 +63,7 @@ import (
 	"math/bits"
 	"unsafe"
 
+	"github.com/quartz-emu/quartz/internal/mem"
 	"github.com/quartz-emu/quartz/internal/sim"
 )
 
@@ -73,22 +79,20 @@ type Config struct {
 	SizeBytes int
 	// Ways is the associativity (at most maxWays).
 	Ways int
-	// LineSize is the line size in bytes.
-	LineSize int
 	// LookupLat is the latency contribution of probing this level.
 	LookupLat sim.Time
 }
 
 // Validate reports whether the configuration describes a buildable cache.
 func (c Config) Validate() error {
-	if c.SizeBytes <= 0 || c.Ways <= 0 || c.LineSize <= 0 {
-		return fmt.Errorf("cache %q: size/ways/linesize must be positive (got %d/%d/%d)",
-			c.Name, c.SizeBytes, c.Ways, c.LineSize)
+	if c.SizeBytes <= 0 || c.Ways <= 0 {
+		return fmt.Errorf("cache %q: size/ways must be positive (got %d/%d)",
+			c.Name, c.SizeBytes, c.Ways)
 	}
 	if c.Ways > maxWays {
 		return fmt.Errorf("cache %q: %d ways exceeds the maximum of %d", c.Name, c.Ways, maxWays)
 	}
-	lines := c.SizeBytes / c.LineSize
+	lines := c.SizeBytes / mem.LineSize
 	if lines%c.Ways != 0 {
 		return fmt.Errorf("cache %q: %d lines not divisible by %d ways", c.Name, lines, c.Ways)
 	}
@@ -151,11 +155,9 @@ type Cache struct {
 	dirty []bool    // per way
 	lists []setList // per set
 
-	numSets   int
-	ways      int
-	setMask   int  // numSets-1 when numSets is a power of two, else 0
-	lineShift uint // log2(LineSize) when it is a power of two
-	linePow2  bool
+	numSets int
+	ways    int
+	setMask int // numSets-1 when numSets is a power of two, else 0
 
 	// lastIdx remembers the most recently hit (or inserted) line for the
 	// TouchLast fast path; it is -1 when no such line is valid. That line
@@ -188,7 +190,7 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	numSets := cfg.SizeBytes / cfg.LineSize / cfg.Ways
+	numSets := cfg.SizeBytes / mem.LineSize / cfg.Ways
 	mask := 0
 	if numSets&(numSets-1) == 0 {
 		mask = numSets - 1
@@ -199,10 +201,6 @@ func New(cfg Config) (*Cache, error) {
 		ways:    cfg.Ways,
 		setMask: mask,
 		lastIdx: -1,
-	}
-	if cfg.LineSize&(cfg.LineSize-1) == 0 {
-		c.lineShift = uint(bits.TrailingZeros(uint(cfg.LineSize)))
-		c.linePow2 = true
 	}
 	return c, nil
 }
@@ -232,14 +230,8 @@ func (c *Cache) LookupLat() sim.Time { return c.cfg.LookupLat }
 // Stats returns a copy of the accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// tagOf maps an address to its line tag (addr / LineSize; a shift when the
-// line size is a power of two — unsigned division and shift agree exactly).
-func (c *Cache) tagOf(addr uintptr) uintptr {
-	if c.linePow2 {
-		return addr >> c.lineShift
-	}
-	return addr / uintptr(c.cfg.LineSize)
-}
+// tagOf maps an address to its line tag.
+func (c *Cache) tagOf(addr uintptr) uintptr { return addr >> mem.LineShift }
 
 // setOf maps a tag to its set index.
 func (c *Cache) setOf(tag uintptr) int {
@@ -453,7 +445,7 @@ func (c *Cache) place(set, base int, want uintptr, sig uint8, dirty bool, arriva
 		if c.dirty[idx] {
 			c.stats.DirtyEvictions++
 		}
-		ev = Eviction{Addr: (c.meta[idx].tag - 1) * uintptr(c.cfg.LineSize), Dirty: c.dirty[idx]}
+		ev = Eviction{Addr: (c.meta[idx].tag - 1) << mem.LineShift, Dirty: c.dirty[idx]}
 		evicted = true
 		c.touch(l, base, w)
 	} else {

@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 
+	"github.com/quartz-emu/quartz/internal/mem"
 	"github.com/quartz-emu/quartz/internal/sim"
 )
 
@@ -15,8 +16,8 @@ func TestCacheOpsNoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
 	}
-	cfg := Config{Name: "alloc", SizeBytes: 32 << 10, Ways: 8, LineSize: 64, LookupLat: sim.Nanosecond}
-	lines := uintptr(cfg.SizeBytes / cfg.LineSize)
+	cfg := Config{Name: "alloc", SizeBytes: 32 << 10, Ways: 8, LookupLat: sim.Nanosecond}
+	lines := uintptr(cfg.SizeBytes / mem.LineSize)
 
 	fresh := mustCache(t, cfg)
 	var lookups int64

@@ -5,11 +5,12 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/quartz-emu/quartz/internal/mem"
 	"github.com/quartz-emu/quartz/internal/sim"
 )
 
 func smallConfig() Config {
-	return Config{Name: "test", SizeBytes: 4096, Ways: 4, LineSize: 64, LookupLat: sim.Nanosecond}
+	return Config{Name: "test", SizeBytes: 4096, Ways: 4, LookupLat: sim.Nanosecond}
 }
 
 func mustCache(t *testing.T, cfg Config) *Cache {
@@ -78,8 +79,8 @@ func TestSameLineDifferentOffsetsHit(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	cfg := smallConfig() // 16 sets, 4 ways
 	c := mustCache(t, cfg)
-	numSets := cfg.SizeBytes / cfg.LineSize / cfg.Ways
-	setStride := uintptr(numSets * cfg.LineSize)
+	numSets := cfg.SizeBytes / mem.LineSize / cfg.Ways
+	setStride := uintptr(numSets * mem.LineSize)
 
 	// Fill one set with 4 lines mapping to the same set.
 	for i := uintptr(0); i < 4; i++ {
@@ -101,8 +102,8 @@ func TestLRUEviction(t *testing.T) {
 func TestDirtyEvictionReported(t *testing.T) {
 	cfg := smallConfig()
 	c := mustCache(t, cfg)
-	numSets := cfg.SizeBytes / cfg.LineSize / cfg.Ways
-	setStride := uintptr(numSets * cfg.LineSize)
+	numSets := cfg.SizeBytes / mem.LineSize / cfg.Ways
+	setStride := uintptr(numSets * mem.LineSize)
 	c.Insert(0, true, 0) // dirty line
 	for i := uintptr(1); i <= 4; i++ {
 		ev, evicted := c.Insert(i*setStride, false, 0)
@@ -187,8 +188,8 @@ func TestCapacityProperty(t *testing.T) {
 			return false
 		}
 		// Working set: exactly the 4 ways of set 0.
-		numSets := cfg.SizeBytes / cfg.LineSize / cfg.Ways
-		stride := uintptr(numSets * cfg.LineSize)
+		numSets := cfg.SizeBytes / mem.LineSize / cfg.Ways
+		stride := uintptr(numSets * mem.LineSize)
 		addrs := []uintptr{0, stride, 2 * stride, 3 * stride}
 		for _, a := range addrs {
 			c.Insert(a, false, 0)

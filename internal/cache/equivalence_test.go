@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/quartz-emu/quartz/internal/mem"
 	"github.com/quartz-emu/quartz/internal/sim"
 )
 
@@ -32,18 +33,18 @@ type refLine struct {
 }
 
 func newRefCache(cfg Config) *refCache {
-	lines := cfg.SizeBytes / cfg.LineSize
+	lines := cfg.SizeBytes / mem.LineSize
 	return &refCache{cfg: cfg, lines: make([]refLine, lines), numSets: lines / cfg.Ways}
 }
 
 func (c *refCache) set(addr uintptr) []refLine {
-	tag := addr / uintptr(c.cfg.LineSize)
+	tag := addr / mem.LineSize
 	base := int(tag%uintptr(c.numSets)) * c.cfg.Ways
 	return c.lines[base : base+c.cfg.Ways]
 }
 
 func (c *refCache) Lookup(addr uintptr, now sim.Time, markDirty bool) (bool, sim.Time) {
-	tag := addr / uintptr(c.cfg.LineSize)
+	tag := addr / mem.LineSize
 	for i := range c.set(addr) {
 		ln := &c.set(addr)[i]
 		if ln.valid && ln.tag == tag {
@@ -65,7 +66,7 @@ func (c *refCache) Lookup(addr uintptr, now sim.Time, markDirty bool) (bool, sim
 }
 
 func (c *refCache) Insert(addr uintptr, dirty bool, arrival sim.Time) (Eviction, bool) {
-	tag := addr / uintptr(c.cfg.LineSize)
+	tag := addr / mem.LineSize
 	set := c.set(addr)
 	victim := -1
 	for i := range set {
@@ -99,7 +100,7 @@ func (c *refCache) Insert(addr uintptr, dirty bool, arrival sim.Time) (Eviction,
 		if set[victim].dirty {
 			c.stats.DirtyEvictions++
 		}
-		ev = Eviction{Addr: set[victim].tag * uintptr(c.cfg.LineSize), Dirty: set[victim].dirty}
+		ev = Eviction{Addr: set[victim].tag * mem.LineSize, Dirty: set[victim].dirty}
 		evicted = true
 	}
 	c.useClk++
@@ -111,7 +112,7 @@ func (c *refCache) Insert(addr uintptr, dirty bool, arrival sim.Time) (Eviction,
 // TouchLast is a Lookup of the most recently hit or filled line, and a no-op
 // for any other address.
 func (c *refCache) TouchLast(addr uintptr, now sim.Time, markDirty bool) (sim.Time, bool) {
-	if c.last == 0 || c.last != addr/uintptr(c.cfg.LineSize)+1 {
+	if c.last == 0 || c.last != addr/mem.LineSize+1 {
 		return 0, false
 	}
 	_, wait := c.Lookup(addr, now, markDirty)
@@ -119,7 +120,7 @@ func (c *refCache) TouchLast(addr uintptr, now sim.Time, markDirty bool) (sim.Ti
 }
 
 func (c *refCache) Contains(addr uintptr) bool {
-	tag := addr / uintptr(c.cfg.LineSize)
+	tag := addr / mem.LineSize
 	for _, ln := range c.set(addr) {
 		if ln.valid && ln.tag == tag {
 			return true
@@ -129,7 +130,7 @@ func (c *refCache) Contains(addr uintptr) bool {
 }
 
 func (c *refCache) Flush(addr uintptr) (present, dirty bool) {
-	tag := addr / uintptr(c.cfg.LineSize)
+	tag := addr / mem.LineSize
 	for i := range c.set(addr) {
 		ln := &c.set(addr)[i]
 		if ln.valid && ln.tag == tag {
@@ -161,13 +162,12 @@ func TestOptimizedMatchesReferenceTrace(t *testing.T) {
 		flushPct uint64
 	}{
 		{smallConfig(), 50_000, 10},
-		{Config{Name: "np2-sets", SizeBytes: 4096 * 3 / 2, Ways: 4, LineSize: 64, LookupLat: sim.Nanosecond}, 50_000, 10},
-		{Config{Name: "np2-line", SizeBytes: 48 * 96, Ways: 4, LineSize: 48, LookupLat: sim.Nanosecond}, 50_000, 10},
-		{Config{Name: "8-way", SizeBytes: 64 * 8 * 16, Ways: 8, LineSize: 64, LookupLat: sim.Nanosecond}, 50_000, 10},
-		{Config{Name: "16-way", SizeBytes: 64 * 16 * 8, Ways: 16, LineSize: 64, LookupLat: sim.Nanosecond}, 50_000, 10},
-		{Config{Name: "20-way", SizeBytes: 64 * 20 * 12, Ways: 20, LineSize: 64, LookupLat: sim.Nanosecond}, 50_000, 10},
-		{Config{Name: "256-way", SizeBytes: 64 * 256 * 2, Ways: 256, LineSize: 64, LookupLat: sim.Nanosecond}, 50_000, 10},
-		{Config{Name: "flush-heavy-16-way", SizeBytes: 64 * 16 * 4, Ways: 16, LineSize: 64, LookupLat: sim.Nanosecond}, 400_000, 35},
+		{Config{Name: "np2-sets", SizeBytes: 4096 * 3 / 2, Ways: 4, LookupLat: sim.Nanosecond}, 50_000, 10},
+		{Config{Name: "8-way", SizeBytes: 64 * 8 * 16, Ways: 8, LookupLat: sim.Nanosecond}, 50_000, 10},
+		{Config{Name: "16-way", SizeBytes: 64 * 16 * 8, Ways: 16, LookupLat: sim.Nanosecond}, 50_000, 10},
+		{Config{Name: "20-way", SizeBytes: 64 * 20 * 12, Ways: 20, LookupLat: sim.Nanosecond}, 50_000, 10},
+		{Config{Name: "256-way", SizeBytes: 64 * 256 * 2, Ways: 256, LookupLat: sim.Nanosecond}, 50_000, 10},
+		{Config{Name: "flush-heavy-16-way", SizeBytes: 64 * 16 * 4, Ways: 16, LookupLat: sim.Nanosecond}, 400_000, 35},
 	} {
 		cfg := tc.cfg
 		t.Run(cfg.Name, func(t *testing.T) {
@@ -180,9 +180,9 @@ func TestOptimizedMatchesReferenceTrace(t *testing.T) {
 			}
 			// Half-line addresses over twice the capacity, so sets conflict
 			// and evict heavily and offsets within a line vary.
-			pool := 4 * uint64(cfg.SizeBytes/cfg.LineSize)
+			pool := 4 * uint64(cfg.SizeBytes/mem.LineSize)
 			for op := 0; op < tc.ops; op++ {
-				addr := uintptr(rnd(pool)) * uintptr(cfg.LineSize) / 2
+				addr := uintptr(rnd(pool)) * mem.LineSize / 2
 				now := sim.Time(rnd(1000)) * sim.Nanosecond
 				switch r := rnd(100); {
 				case r < tc.flushPct:
@@ -242,7 +242,7 @@ func TestTouchLastEquivalentToLookup(t *testing.T) {
 		// Heavy same-line repetition so TouchLast actually exercises.
 		addr := uintptr(rnd(32)) * 8
 		if rnd(8) == 0 {
-			addr += uintptr(rnd(64)) * uintptr(cfg.LineSize)
+			addr += uintptr(rnd(64)) * mem.LineSize
 		}
 		now := sim.Time(op) * sim.Nanosecond
 		markDirty := rnd(4) == 0
@@ -272,10 +272,10 @@ func TestTouchLastEquivalentToLookup(t *testing.T) {
 // trace on: the presets' associativities, with few sets so short traces
 // fill and evict, and a non-power-of-two set count at both ends.
 var fuzzConfigs = []Config{
-	{Name: "4-way-3-sets", SizeBytes: 64 * 4 * 3, Ways: 4, LineSize: 64, LookupLat: sim.Nanosecond},
-	{Name: "8-way", SizeBytes: 64 * 8 * 2, Ways: 8, LineSize: 64, LookupLat: sim.Nanosecond},
-	{Name: "16-way", SizeBytes: 64 * 16 * 2, Ways: 16, LineSize: 64, LookupLat: sim.Nanosecond},
-	{Name: "20-way-3-sets", SizeBytes: 64 * 20 * 3, Ways: 20, LineSize: 64, LookupLat: sim.Nanosecond},
+	{Name: "4-way-3-sets", SizeBytes: 64 * 4 * 3, Ways: 4, LookupLat: sim.Nanosecond},
+	{Name: "8-way", SizeBytes: 64 * 8 * 2, Ways: 8, LookupLat: sim.Nanosecond},
+	{Name: "16-way", SizeBytes: 64 * 16 * 2, Ways: 16, LookupLat: sim.Nanosecond},
+	{Name: "20-way-3-sets", SizeBytes: 64 * 20 * 3, Ways: 20, LookupLat: sim.Nanosecond},
 }
 
 // Fuzz op codes: the low nibble of an op byte picks the operation, bit 4
@@ -373,7 +373,7 @@ func replayFuzzTrace(t *testing.T, cfg Config, data []byte) {
 	ref := newRefCache(cfg)
 	missed, missAddr := false, uintptr(0) // the previous op was a Lookup miss on missAddr
 	for i := 0; i+1 < len(data); i += 2 {
-		code, addr := data[i], uintptr(data[i+1])*uintptr(cfg.LineSize)/2
+		code, addr := data[i], uintptr(data[i+1])*mem.LineSize/2
 		dirty := code&(1<<4) != 0
 		now := sim.Time(code>>5) * 10 * sim.Nanosecond
 		prevMissed := missed
@@ -414,7 +414,7 @@ func replayFuzzTrace(t *testing.T, cfg Config, data []byte) {
 		case fzWarm:
 			opt.Warm(addr)
 			if i+3 < len(data) {
-				opt.Warm(uintptr(data[i+3]) * uintptr(cfg.LineSize) / 2)
+				opt.Warm(uintptr(data[i+3]) * mem.LineSize / 2)
 			}
 			missed, missAddr = lookupBoth(t, cfg, i/2, opt, ref, addr, now, dirty), addr
 		case fzFlush, fzFlush + 1:

@@ -3,11 +3,14 @@
 // attribution to performance counters, the invariant timestamp counter
 // (rdtscp), and an optional DVFS governor whose frequency wobble breaks the
 // cycles-to-nanoseconds translation exactly as §6 of the paper warns.
+//
+// A core works in mem.LineSize lines: the stream prefetcher sees line
+// numbers (the address shifted right by mem.LineShift) and its proposals
+// become line addresses by the inverse shift.
 package cpu
 
 import (
 	"fmt"
-	"math/bits"
 
 	"github.com/quartz-emu/quartz/internal/cache"
 	"github.com/quartz-emu/quartz/internal/mem"
@@ -61,8 +64,6 @@ type Config struct {
 	// MSHRs bounds outstanding parallel demand misses (memory-level
 	// parallelism). Modern Xeons have 10 line-fill buffers per core.
 	MSHRs int
-	// LineSize is the cache line size in bytes.
-	LineSize int
 	// PrefetchDepth is the stream prefetcher's look-ahead distance in
 	// lines (0 disables prefetching).
 	PrefetchDepth int
@@ -75,9 +76,6 @@ func (c Config) Validate() error {
 	}
 	if c.MSHRs <= 0 {
 		return fmt.Errorf("cpu: MSHRs = %d, must be positive", c.MSHRs)
-	}
-	if c.LineSize <= 0 {
-		return fmt.Errorf("cpu: LineSize = %d, must be positive", c.LineSize)
 	}
 	if c.PrefetchDepth < 0 {
 		return fmt.Errorf("cpu: PrefetchDepth = %d, must be non-negative", c.PrefetchDepth)
@@ -99,11 +97,9 @@ type Core struct {
 	memsys MemorySystem
 	dvfs   *DVFS
 
-	// Hot-path caches: the per-level probe latencies (so the walk does not
-	// copy a Config struct per probe) and the line-address shift.
+	// Hot-path caches: the per-level probe latencies, so the walk does not
+	// copy a Config struct per probe.
 	l1Lat, l2Lat, l3Lat sim.Time
-	lineShift           uint
-	linePow2            bool
 }
 
 // NewCore assembles a core. l3 is the socket-shared last-level cache; ctr is
@@ -124,10 +120,6 @@ func NewCore(id, socket int, cfg Config, l1, l2, l3 *cache.Cache, ctr *perf.Coun
 		l1Lat:  l1.LookupLat(),
 		l2Lat:  l2.LookupLat(),
 		l3Lat:  l3.LookupLat(),
-	}
-	if cfg.LineSize&(cfg.LineSize-1) == 0 {
-		c.lineShift = uint(bits.TrailingZeros(uint(cfg.LineSize)))
-		c.linePow2 = true
 	}
 	return c, nil
 }
@@ -426,15 +418,8 @@ func (c *Core) prefetch(now sim.Time, addr uintptr) {
 	if c.pf == nil {
 		c.pf = cache.NewPrefetcher(c.cfg.PrefetchDepth)
 	}
-	lineSize := uintptr(c.cfg.LineSize)
-	var line uintptr
-	if c.linePow2 {
-		line = addr >> c.lineShift
-	} else {
-		line = addr / lineSize
-	}
-	for _, line := range c.pf.Observe(line) {
-		pAddr := line * lineSize
+	for _, line := range c.pf.Observe(addr >> mem.LineShift) {
+		pAddr := line << mem.LineShift
 		if c.l3.Contains(pAddr) || c.l2.Contains(pAddr) {
 			continue
 		}

@@ -38,7 +38,7 @@ func (f *fakeMem) Access(now sim.Time, addr uintptr, kind mem.AccessKind, fromSo
 func testCore(t testing.TB, prefetchDepth int) (*Core, *fakeMem) {
 	t.Helper()
 	mk := func(name string, size, ways int, lat sim.Time) *cache.Cache {
-		c, err := cache.New(cache.Config{Name: name, SizeBytes: size, Ways: ways, LineSize: 64, LookupLat: lat})
+		c, err := cache.New(cache.Config{Name: name, SizeBytes: size, Ways: ways, LookupLat: lat})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func testCore(t testing.TB, prefetchDepth int) (*Core, *fakeMem) {
 	fm := &fakeMem{localLat: 80 * sim.Nanosecond, remoteLat: 145 * sim.Nanosecond, remoteBase: 1 << 40}
 	ctr := perf.NewCounters(perf.Haswell, perf.Fidelity{StallBias: 1})
 	ctr.SetEnabled(true)
-	core, err := NewCore(0, 0, Config{FreqHz: 2e9, MSHRs: 10, LineSize: 64, PrefetchDepth: prefetchDepth}, l1, l2, l3, ctr, fm, nil)
+	core, err := NewCore(0, 0, Config{FreqHz: 2e9, MSHRs: 10, PrefetchDepth: prefetchDepth}, l1, l2, l3, ctr, fm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,10 +63,10 @@ func TestConfigValidate(t *testing.T) {
 		cfg     Config
 		wantErr bool
 	}{
-		{"valid", Config{FreqHz: 2e9, MSHRs: 10, LineSize: 64}, false},
-		{"zero-freq", Config{MSHRs: 10, LineSize: 64}, true},
-		{"zero-mshr", Config{FreqHz: 2e9, LineSize: 64}, true},
-		{"neg-prefetch", Config{FreqHz: 2e9, MSHRs: 10, LineSize: 64, PrefetchDepth: -1}, true},
+		{"valid", Config{FreqHz: 2e9, MSHRs: 10}, false},
+		{"zero-freq", Config{MSHRs: 10}, true},
+		{"zero-mshr", Config{FreqHz: 2e9}, true},
+		{"neg-prefetch", Config{FreqHz: 2e9, MSHRs: 10, PrefetchDepth: -1}, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -299,7 +299,7 @@ func TestDVFSOscillates(t *testing.T) {
 }
 
 func TestNewCoreRejectsNilComponents(t *testing.T) {
-	if _, err := NewCore(0, 0, Config{FreqHz: 1e9, MSHRs: 1, LineSize: 64}, nil, nil, nil, nil, nil, nil); err == nil {
+	if _, err := NewCore(0, 0, Config{FreqHz: 1e9, MSHRs: 1}, nil, nil, nil, nil, nil, nil); err == nil {
 		t.Error("NewCore with nil components succeeded")
 	}
 }

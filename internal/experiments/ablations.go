@@ -6,6 +6,7 @@ import (
 	"github.com/quartz-emu/quartz/internal/bench"
 	"github.com/quartz-emu/quartz/internal/core"
 	"github.com/quartz-emu/quartz/internal/machine"
+	"github.com/quartz-emu/quartz/internal/mem"
 	"github.com/quartz-emu/quartz/internal/obs"
 	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/simos"
@@ -111,15 +112,15 @@ func pcommitAblationJobs(s Scale, rec *obs.Recorder) JobSet {
 					}
 					var ct sim.Time
 					err = env.Run(func(e *bench.Env, th *simos.Thread) {
-						base, err := e.Emu.PMalloc(uintptr(objects*fields) * 64)
+						base, err := e.Emu.PMalloc(uintptr(objects*fields) * mem.LineSize)
 						if err != nil {
 							th.Failf("pmalloc: %v", err)
 						}
 						start := th.Now()
 						for o := 0; o < objects; o++ {
-							objBase := base + uintptr(o*fields)*64
+							objBase := base + uintptr(o*fields)*mem.LineSize
 							for f := 0; f < fields; f++ {
-								addr := objBase + uintptr(f)*64
+								addr := objBase + uintptr(f)*mem.LineSize
 								th.Store(addr)
 								if usePCommit {
 									e.Emu.PFlushOpt(th, addr)

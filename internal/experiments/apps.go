@@ -44,8 +44,7 @@ func kvRun(s Scale, preset machine.Preset, mode bench.Mode, q core.Config, threa
 		var rerr error
 		res, rerr = kvstore.RunWorkload(store, th, kvstore.WorkloadConfig{
 			Preload: s.KVPreload, Threads: threads, OpsPerThread: s.KVOps,
-			GetFraction: 0.5, Seed: seed,
-			ValueBytes: 1024, ValueAlloc: alloc,
+			Seed: seed, ValueBytes: 1024, ValueAlloc: alloc,
 		}, e.CloseEpoch)
 		if rerr != nil {
 			th.Failf("%v", rerr)

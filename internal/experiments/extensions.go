@@ -9,6 +9,7 @@ import (
 	"github.com/quartz-emu/quartz/internal/bench"
 	"github.com/quartz-emu/quartz/internal/core"
 	"github.com/quartz-emu/quartz/internal/machine"
+	"github.com/quartz-emu/quartz/internal/mem"
 	"github.com/quartz-emu/quartz/internal/obs"
 	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/stats"
@@ -199,7 +200,7 @@ func asymMeasure(s Scale, read, write uint16, copyKernel bool) (float64, error) 
 			return
 		}
 		// Read-only stream: batched loads over a large region.
-		base, aerr := e.Proc.Malloc(uintptr(s.StreamLines) * 64)
+		base, aerr := e.Proc.Malloc(uintptr(s.StreamLines) * mem.LineSize)
 		if aerr != nil {
 			th.Failf("%v", aerr)
 		}
@@ -208,12 +209,12 @@ func asymMeasure(s Scale, read, write uint16, copyKernel bool) (float64, error) 
 		for i := 0; i < s.StreamLines; i += 8 {
 			batch = batch[:0]
 			for j := i; j < i+8 && j < s.StreamLines; j++ {
-				batch = append(batch, base+uintptr(j)*64)
+				batch = append(batch, base+uintptr(j)*mem.LineSize)
 			}
 			th.LoadGroup(batch)
 		}
 		ct := th.Now() - start
-		bw = float64(s.StreamLines) * 64 / ct.Seconds()
+		bw = float64(s.StreamLines) * mem.LineSize / ct.Seconds()
 	})
 	return bw, err
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/quartz-emu/quartz/internal/cache"
+	"github.com/quartz-emu/quartz/internal/mem"
 )
 
 // presetNames gives each preset a short sub-test name.
@@ -28,7 +29,7 @@ func totalAlloc() uint64 {
 // way a 1-byte signature, a 16-byte tag+arrival record, a 2-byte recency
 // link and a dirty flag; per set a 4-byte list record.
 func lineArrayBytes(cc cache.Config) uint64 {
-	lines := uint64(cc.SizeBytes / cc.LineSize)
+	lines := uint64(cc.SizeBytes / mem.LineSize)
 	return lines*(1+16+2+1) + lines/uint64(cc.Ways)*4
 }
 

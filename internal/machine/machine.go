@@ -20,6 +20,11 @@ import (
 // node n owns addresses [n<<NodeShift, (n+1)<<NodeShift).
 const NodeShift = 40
 
+// The simulator is 64-bit only: node 1 starts at 1<<NodeShift, past the
+// end of a 32-bit address space. This declaration overflows uintptr on a
+// 32-bit target, so such a build stops here instead of deep in simos.
+const _ = uintptr(1) << NodeShift
+
 // Config describes a machine to assemble.
 type Config struct {
 	// Name labels the machine (e.g. "Intel Xeon E5-2660 v2").
@@ -64,17 +69,6 @@ func (c Config) Validate() error {
 	}
 	if err := c.Mem.Validate(); err != nil {
 		return fmt.Errorf("machine %q: %w", c.Name, err)
-	}
-	// The prefetcher forms line addresses with the core's line size, each
-	// cache tags with its own and the controller picks channels with its
-	// own, so they must agree.
-	for _, l := range []struct {
-		name string
-		size int
-	}{{"L1", c.L1.LineSize}, {"L2", c.L2.LineSize}, {"L3", c.L3.LineSize}, {"memory", c.Mem.LineSize}} {
-		if l.size != c.Core.LineSize {
-			return fmt.Errorf("machine %q: %s line size %d differs from the core's %d", c.Name, l.name, l.size, c.Core.LineSize)
-		}
 	}
 	walk := c.L1.LookupLat + c.L2.LookupLat + c.L3.LookupLat
 	if c.LocalLat <= walk {

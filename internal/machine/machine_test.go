@@ -159,33 +159,6 @@ func TestConfigValidateRejectsBadLatencies(t *testing.T) {
 	}
 }
 
-func TestConfigValidateRejectsMismatchedLineSizes(t *testing.T) {
-	for _, tc := range []struct {
-		level string
-		set   func(*Config)
-	}{
-		{"L1", func(c *Config) { c.L1.LineSize = 128; c.L1.SizeBytes *= 2 }},
-		{"L2", func(c *Config) { c.L2.LineSize = 32 }},
-		{"L3", func(c *Config) { c.L3.LineSize = 128 }},
-		{"memory", func(c *Config) { c.Mem.LineSize = 256 }},
-	} {
-		t.Run(tc.level, func(t *testing.T) {
-			cfg := PresetConfig(XeonE5_2660v2)
-			tc.set(&cfg)
-			_, err := New(cfg)
-			if err == nil {
-				t.Fatalf("New accepted a %s line size that differs from the core's", tc.level)
-			}
-			// The error names the machine, the level and both sizes.
-			for _, want := range []string{cfg.Name, tc.level + " line size", "the core's 64"} {
-				if !strings.Contains(err.Error(), want) {
-					t.Errorf("error %q does not mention %q", err, want)
-				}
-			}
-		})
-	}
-}
-
 func TestCountersPerCoreIndependent(t *testing.T) {
 	m, err := NewPreset(XeonE5_2450)
 	if err != nil {

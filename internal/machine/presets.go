@@ -63,15 +63,13 @@ func baseConfig() Config {
 		Sockets: 2,
 		Core: cpu.Config{
 			MSHRs:         10,
-			LineSize:      64,
 			PrefetchDepth: 16,
 		},
-		L1: cache.Config{Name: "L1d", SizeBytes: 32 << 10, Ways: 8, LineSize: 64,
+		L1: cache.Config{Name: "L1d", SizeBytes: 32 << 10, Ways: 8,
 			LookupLat: sim.FromNanos(1.5)},
-		L2: cache.Config{Name: "L2", SizeBytes: 256 << 10, Ways: 8, LineSize: 64,
+		L2: cache.Config{Name: "L2", SizeBytes: 256 << 10, Ways: 8,
 			LookupLat: sim.FromNanos(4.0)},
 		Mem: mem.Config{
-			LineSize:          64,
 			ThrottleFullScale: 2048,
 		},
 		DVFSLowFactor:  0.8,
@@ -88,7 +86,7 @@ func PresetConfig(p Preset) Config {
 		cfg.Family = perf.SandyBridge
 		cfg.CoresPerSocket = 8
 		cfg.Core.FreqHz = 2.1e9
-		cfg.L3 = cache.Config{Name: "L3", SizeBytes: 20 << 20, Ways: 20, LineSize: 64,
+		cfg.L3 = cache.Config{Name: "L3", SizeBytes: 20 << 20, Ways: 20,
 			LookupLat: sim.FromNanos(11.0)}
 		// E5-2400 series: 3 DDR3-1600 channels per socket.
 		cfg.Mem.Channels = 3
@@ -100,7 +98,7 @@ func PresetConfig(p Preset) Config {
 		cfg.Family = perf.IvyBridge
 		cfg.CoresPerSocket = 10
 		cfg.Core.FreqHz = 2.2e9
-		cfg.L3 = cache.Config{Name: "L3", SizeBytes: 25 << 20, Ways: 20, LineSize: 64,
+		cfg.L3 = cache.Config{Name: "L3", SizeBytes: 25 << 20, Ways: 20,
 			LookupLat: sim.FromNanos(12.0)}
 		cfg.Mem.Channels = 4
 		cfg.Mem.ChannelBandwidth = 12.8e9
@@ -111,7 +109,7 @@ func PresetConfig(p Preset) Config {
 		cfg.Family = perf.Haswell
 		cfg.CoresPerSocket = 10
 		cfg.Core.FreqHz = 2.3e9
-		cfg.L3 = cache.Config{Name: "L3", SizeBytes: 25 << 20, Ways: 20, LineSize: 64,
+		cfg.L3 = cache.Config{Name: "L3", SizeBytes: 25 << 20, Ways: 20,
 			LookupLat: sim.FromNanos(13.0)}
 		// DDR4-2133.
 		cfg.Mem.Channels = 4

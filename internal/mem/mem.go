@@ -12,14 +12,26 @@
 // at construction, and token-bucket occupancy is recomputed only on
 // throttle-register writes. The no-allocation contract is enforced by the
 // gates behind `make bench-alloc`; see doc/performance.md.
+//
+// The simulated cache line is one constant, LineSize: the unit the
+// controller moves and the caches and cores tag, prefetch and flush by.
+// All three Xeon testbeds of the paper have 64-byte lines, so it is not a
+// configuration value. The device's internal access size, which does vary
+// (the 256 B Optane XPLine), is Config.AccessGranularity.
 package mem
 
 import (
 	"fmt"
-	"math/bits"
 
 	"github.com/quartz-emu/quartz/internal/sim"
 )
+
+// LineShift is log2 of LineSize.
+const LineShift = 6
+
+// LineSize is the simulated cache line in bytes: the transfer unit of a
+// controller and the tag granularity of every cache level and core.
+const LineSize = 1 << LineShift
 
 // AccessKind distinguishes the traffic classes a controller serves.
 type AccessKind int
@@ -57,8 +69,6 @@ type Config struct {
 	// ChannelBandwidth is the peak bandwidth of one channel in bytes per
 	// second at full throttle.
 	ChannelBandwidth float64
-	// LineSize is the transfer granularity in bytes (a cache line).
-	LineSize int
 	// AccessGranularity is the device's internal access granularity in
 	// bytes: every line transfer occupies a channel for this many bytes of
 	// device bandwidth. Optane DC PMM reads and writes 256 B XPLines
@@ -77,9 +87,6 @@ func (c Config) Validate() error {
 	}
 	if c.ChannelBandwidth <= 0 {
 		return fmt.Errorf("mem: ChannelBandwidth = %g, must be positive", c.ChannelBandwidth)
-	}
-	if c.LineSize <= 0 {
-		return fmt.Errorf("mem: LineSize = %d, must be positive", c.LineSize)
 	}
 	if c.AccessGranularity < 0 {
 		return fmt.Errorf("mem: AccessGranularity = %d, must be non-negative", c.AccessGranularity)
@@ -120,8 +127,6 @@ type Controller struct {
 	// bucket's drain per line) so Access does one lookup instead of a float
 	// division; they are refilled whenever a throttle register is written.
 	occRead, occWrite sim.Time
-	lineShift         uint
-	linePow2          bool
 }
 
 // NewController builds a controller with the given config. The throttle
@@ -136,10 +141,6 @@ func NewController(cfg Config) (*Controller, error) {
 		throttleWrite: RegisterMax,
 		nextFree:      make([]sim.Time, cfg.Channels),
 	}
-	if cfg.LineSize&(cfg.LineSize-1) == 0 {
-		c.lineShift = uint(bits.TrailingZeros(uint(cfg.LineSize)))
-		c.linePow2 = true
-	}
 	c.refillRead()
 	c.refillWrite()
 	return c, nil
@@ -152,7 +153,7 @@ func (c *Controller) granularityBytes() float64 {
 	if c.cfg.AccessGranularity > 0 {
 		return float64(c.cfg.AccessGranularity)
 	}
-	return float64(c.cfg.LineSize)
+	return LineSize
 }
 
 // refillRead recomputes the cached read-path occupancy (the exact
@@ -274,13 +275,7 @@ func (c *Controller) RegisterForBandwidth(target float64) uint16 {
 // virtual-time profiler sees it: the simos memory operations charge the
 // whole interval (device latency plus throttle stall) to vtprof.MemStall.
 func (c *Controller) Access(now sim.Time, addr uintptr, kind AccessKind, serviceLat sim.Time) sim.Time {
-	var lineIdx uintptr
-	if c.linePow2 {
-		lineIdx = addr >> c.lineShift
-	} else {
-		lineIdx = addr / uintptr(c.cfg.LineSize)
-	}
-	ch := int(lineIdx) % c.cfg.Channels
+	ch := int(addr>>LineShift) % c.cfg.Channels
 	occupancy := c.occRead
 	if kind.isWrite() {
 		occupancy = c.occWrite
@@ -292,20 +287,19 @@ func (c *Controller) Access(now sim.Time, addr uintptr, kind AccessKind, service
 	c.nextFree[ch] = start + occupancy
 	c.stats.QueueTime += start - now
 
-	line := int64(c.cfg.LineSize)
 	switch kind {
 	case Read:
 		c.stats.Reads++
-		c.stats.BytesRead += line
+		c.stats.BytesRead += LineSize
 	case Write:
 		c.stats.Writes++
-		c.stats.BytesRead += line // write-allocate fills read the line first
+		c.stats.BytesRead += LineSize // write-allocate fills read the line first
 	case Writeback:
 		c.stats.Writebacks++
-		c.stats.BytesWritten += line
+		c.stats.BytesWritten += LineSize
 	case Prefetch:
 		c.stats.Prefetches++
-		c.stats.BytesRead += line
+		c.stats.BytesRead += LineSize
 	}
 	return start + serviceLat
 }

@@ -12,7 +12,6 @@ func testConfig() Config {
 	return Config{
 		Channels:          4,
 		ChannelBandwidth:  12.8e9,
-		LineSize:          64,
 		ThrottleFullScale: 2048,
 	}
 }
@@ -35,7 +34,6 @@ func TestConfigValidate(t *testing.T) {
 		{"valid", func(c *Config) {}, false},
 		{"zero-channels", func(c *Config) { c.Channels = 0 }, true},
 		{"negative-bandwidth", func(c *Config) { c.ChannelBandwidth = -1 }, true},
-		{"zero-linesize", func(c *Config) { c.LineSize = 0 }, true},
 		{"zero-fullscale", func(c *Config) { c.ThrottleFullScale = 0 }, true},
 		{"fullscale-too-big", func(c *Config) { c.ThrottleFullScale = RegisterMax + 1 }, true},
 	}
@@ -184,9 +182,8 @@ func TestAccessSameChannelQueues(t *testing.T) {
 func TestAccessDifferentChannelsOverlap(t *testing.T) {
 	c := mustController(t)
 	service := 100 * sim.Nanosecond
-	lineSize := uintptr(testConfig().LineSize)
-	d0 := c.Access(0, 0*lineSize, Read, service)
-	d1 := c.Access(0, 1*lineSize, Read, service)
+	d0 := c.Access(0, 0*LineSize, Read, service)
+	d1 := c.Access(0, 1*LineSize, Read, service)
 	if d0 != service || d1 != service {
 		t.Errorf("parallel accesses done at %v, %v; want both %v", d0, d1, service)
 	}

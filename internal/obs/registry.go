@@ -55,21 +55,7 @@ func (h *Histogram) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.once.Do(func() { h.min.Store(v) })
-	h.count.Add(1)
-	h.sum.Add(v)
-	for {
-		cur := h.min.Load()
-		if v >= cur || h.min.CompareAndSwap(cur, v) {
-			break
-		}
-	}
-	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			break
-		}
-	}
+	h.merge(1, v, v, v, nil)
 	h.bkt[bucketOf(v)].Add(1)
 }
 
@@ -209,12 +195,9 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	} else {
 		s.Min = 0
 	}
-	var counts [histBuckets]int64
-	var total int64
-	for k := range h.bkt {
-		if n := h.bkt[k].Load(); n > 0 {
-			counts[k] = n
-			total += n
+	counts, total := h.buckets()
+	for k, n := range counts {
+		if n > 0 {
 			if s.Buckets == nil {
 				s.Buckets = make(map[string]int64)
 			}
@@ -239,18 +222,22 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if h.count.Load() == 0 {
 		return 0
 	}
-	var counts [histBuckets]int64
-	var total int64
-	for k := range h.bkt {
-		if n := h.bkt[k].Load(); n > 0 {
-			counts[k] = n
-			total += n
-		}
-	}
+	counts, total := h.buckets()
 	if total == 0 {
 		return 0
 	}
 	return quantile(counts[:], total, q, h.min.Load(), h.max.Load())
+}
+
+// buckets copies the atomic bucket counts and returns them with their
+// total.
+func (h *Histogram) buckets() (counts [histBuckets]int64, total int64) {
+	for k := range h.bkt {
+		n := h.bkt[k].Load()
+		counts[k] = n
+		total += n
+	}
+	return counts, total
 }
 
 // quantile walks the cumulative bucket counts to the bucket holding the
