@@ -36,32 +36,22 @@ func modelAblationJobs(s Scale, rec *obs.Recorder) JobSet {
 					}, mlCfg)
 					return res.CT, err
 				}
-				// The physical reference and the two model variants are three
-				// independent simulations.
-				var cts [3]sim.Time
-				err := runUnits(3, func(u int) error {
-					switch u {
-					case 0:
-						phys, err := runMemLat(bench.EnvConfig{Preset: machine.XeonE5_2660v2, Mode: bench.PhysicalRemote}, mlCfg)
-						cts[0] = phys.CT
-						return err
-					case 1:
-						eq2, err := runModel(core.ModelStall)
-						cts[1] = eq2
-						return err
-					default:
-						eq1, err := runModel(core.ModelSimple)
-						cts[2] = eq1
-						return err
-					}
-				})
+				phys, err := runMemLat(bench.EnvConfig{Preset: machine.XeonE5_2660v2, Mode: bench.PhysicalRemote}, mlCfg)
+				if err != nil {
+					return nil, err
+				}
+				eq2, err := runModel(core.ModelStall)
+				if err != nil {
+					return nil, err
+				}
+				eq1, err := runModel(core.ModelSimple)
 				if err != nil {
 					return nil, err
 				}
 				return Metrics{
-					"phys_ct_ns": cts[0].Nanoseconds(),
-					"eq2_ct_ns":  cts[1].Nanoseconds(),
-					"eq1_ct_ns":  cts[2].Nanoseconds(),
+					"phys_ct_ns": phys.CT.Nanoseconds(),
+					"eq2_ct_ns":  eq2.Nanoseconds(),
+					"eq1_ct_ns":  eq1.Nanoseconds(),
 				}, nil
 			},
 		})
@@ -137,20 +127,17 @@ func pcommitAblationJobs(s Scale, rec *obs.Recorder) JobSet {
 					})
 					return ct, err
 				}
-				// The serialized and pcommit variants are independent
-				// simulations.
-				var cts [2]sim.Time
-				err := runUnits(2, func(u int) error {
-					ct, err := run(u == 1)
-					cts[u] = ct
-					return err
-				})
+				serialized, err := run(false)
+				if err != nil {
+					return nil, err
+				}
+				batched, err := run(true)
 				if err != nil {
 					return nil, err
 				}
 				return Metrics{
-					"pflush_ct_ns":  cts[0].Nanoseconds(),
-					"pcommit_ct_ns": cts[1].Nanoseconds(),
+					"pflush_ct_ns":  serialized.Nanoseconds(),
+					"pcommit_ct_ns": batched.Nanoseconds(),
 				}, nil
 			},
 		})
@@ -196,20 +183,16 @@ func amortizationAblationJobs(s Scale, rec *obs.Recorder) JobSet {
 				q.DisableAmortization = disabled
 				q.MaxEpoch = 500 * sim.Microsecond // frequent epochs make overhead visible
 				lats := make([]sim.Time, s.Trials)
-				err := runUnits(s.Trials, func(trial int) error {
+				for trial := range s.Trials {
 					res, err := runMemLat(bench.EnvConfig{
 						Preset: machine.XeonE5_2660v2, Mode: bench.Emulated, Quartz: q,
 					}, bench.MemLatConfig{
 						Lines: s.Lines, Chains: 1, Iters: s.MemLatIters, Seed: int64(trial + 31),
 					})
 					if err != nil {
-						return trialErr("amortization", trial, err)
+						return nil, trialErr("amortization", trial, err)
 					}
 					lats[trial] = res.PerIteration
-					return nil
-				})
-				if err != nil {
-					return nil, err
 				}
 				return Metrics{"mean_ns": stats.Summarize(nanos(lats)).Mean}, nil
 			},

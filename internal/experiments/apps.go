@@ -71,28 +71,14 @@ func fig15Jobs(s Scale, rec *obs.Recorder) JobSet {
 				Run: func() (Metrics, error) {
 					seed := uint64(trial*101 + threads)
 					prof := s.profiler(js.ID, name)
-					// The Conf_2 and Conf_1 runs are independent simulations;
-					// both fold into the job's profiler.
-					var phys, emu kvstore.WorkloadResult
-					err := runUnits(2, func(u int) error {
-						if u == 0 {
-							p, err := kvRun(s, preset, bench.PhysicalRemote, core.Config{}, threads, seed, prof)
-							if err != nil {
-								return trialErr("fig15 physical", trial, err)
-							}
-							phys = p
-							return nil
-						}
-						e, err := kvRun(s, preset, bench.Emulated,
-							quartzConfig(bench.RemoteLatNS(preset), rec), threads, seed, prof)
-						if err != nil {
-							return trialErr("fig15 emulated", trial, err)
-						}
-						emu = e
-						return nil
-					})
+					phys, err := kvRun(s, preset, bench.PhysicalRemote, core.Config{}, threads, seed, prof)
 					if err != nil {
-						return nil, err
+						return nil, trialErr("fig15 physical", trial, err)
+					}
+					emu, err := kvRun(s, preset, bench.Emulated,
+						quartzConfig(bench.RemoteLatNS(preset), rec), threads, seed, prof)
+					if err != nil {
+						return nil, trialErr("fig15 emulated", trial, err)
 					}
 					return Metrics{
 						"put_err": stats.RelErr(emu.PutsPerS, phys.PutsPerS),
@@ -108,18 +94,12 @@ func fig15Jobs(s Scale, rec *obs.Recorder) JobSet {
 			Title:  "KV store (MassTree stand-in) validation errors (Fig. 15, Sandy Bridge)",
 			Header: []string{"Threads", "put/s error", "get/s error"},
 		}
-		i := 0
-		for _, threads := range fig15Threads {
-			var putErrs, getErrs stats.Accumulator
-			for trial := 0; trial < s.Trials; trial++ {
-				putErrs.Add(points[i]["put_err"])
-				getErrs.Add(points[i]["get_err"])
-				i++
-			}
+		for i, threads := range fig15Threads {
+			trials := points[i*s.Trials : (i+1)*s.Trials]
 			t.Rows = append(t.Rows, []string{
 				strconv.Itoa(threads),
-				pct(putErrs.Summary().Mean),
-				pct(getErrs.Summary().Mean),
+				pct(meanOf(trials, "put_err")),
+				pct(meanOf(trials, "get_err")),
 			})
 		}
 		t.Notes = append(t.Notes, "paper: 2-8% across 1-8 threads")
@@ -176,27 +156,13 @@ func pageRankValidationJobs(s Scale, rec *obs.Recorder) JobSet {
 			Run: func() (Metrics, error) {
 				seed := uint64(trial + 5)
 				prof := s.profiler(js.ID, name)
-				// The Conf_2 and Conf_1 runs are independent simulations;
-				// both fold into the job's profiler.
-				var phys, emu pagerank.Result
-				err := runUnits(2, func(u int) error {
-					if u == 0 {
-						p, err := prRun(s, bench.PhysicalRemote, core.Config{}, seed, prof)
-						if err != nil {
-							return trialErr("pagerank physical", trial, err)
-						}
-						phys = p
-						return nil
-					}
-					e, err := prRun(s, bench.Emulated, quartzConfig(bench.RemoteLatNS(machine.XeonE5_2450), rec), seed, prof)
-					if err != nil {
-						return trialErr("pagerank emulated", trial, err)
-					}
-					emu = e
-					return nil
-				})
+				phys, err := prRun(s, bench.PhysicalRemote, core.Config{}, seed, prof)
 				if err != nil {
-					return nil, err
+					return nil, trialErr("pagerank physical", trial, err)
+				}
+				emu, err := prRun(s, bench.Emulated, quartzConfig(bench.RemoteLatNS(machine.XeonE5_2450), rec), seed, prof)
+				if err != nil {
+					return nil, trialErr("pagerank emulated", trial, err)
 				}
 				return Metrics{
 					"phys_ct_ns": phys.CT.Nanoseconds(),
@@ -211,13 +177,7 @@ func pageRankValidationJobs(s Scale, rec *obs.Recorder) JobSet {
 			Title:  "PageRank validation, Conf_1 vs Conf_2 (§4.7, Sandy Bridge)",
 			Header: []string{"Conf_2 CT ms", "Conf_1 CT ms", "Error"},
 		}
-		var physs, emus stats.Accumulator
-		for _, p := range points {
-			physs.Add(p["phys_ct_ns"])
-			emus.Add(p["emu_ct_ns"])
-		}
-		pm := physs.Summary().Mean
-		em := emus.Summary().Mean
+		pm, em := meanOf(points, "phys_ct_ns"), meanOf(points, "emu_ct_ns")
 		t.Rows = append(t.Rows, []string{f2(pm / 1e6), f2(em / 1e6), pct(stats.RelErr(em, pm))})
 		t.Notes = append(t.Notes, "paper: 2.9% on Sandy Bridge")
 		return t, nil

@@ -91,10 +91,10 @@ func runStoreLat(envCfg bench.EnvConfig, slCfg bench.StoreLatConfig) (bench.Stor
 }
 
 // fig12AsymJobs decomposes the asymmetric-latency validation into one job per
-// (family, NVM profile). Each job measures three quantities from independent
-// units — the read latency via a single-chain MemLat chase under the full
-// asymmetric configuration, and the store latency via a paired streaming-store
-// kernel run with the store model off (baseline) and on — and reports the
+// (family, NVM profile). Each trial runs three simulations — the read
+// latency via a single-chain MemLat chase under the full asymmetric
+// configuration, and the store latency via a paired streaming-store kernel
+// run with the store model off (baseline) and on — and the job reports the
 // means. The emulated store latency is recovered from the pair as
 // DRAM + (CT_asym - CT_base) / store_misses: stores are posted, so the whole
 // write term arrives through the per-epoch injection the pair isolates.
@@ -116,57 +116,36 @@ func fig12AsymJobs(s Scale, rec *obs.Recorder) JobSet {
 					"write_ns": fmt.Sprintf("%.0f", prof.WriteLatency.Nanoseconds()),
 				},
 				Run: func() (Metrics, error) {
-					// Unit u is trial u/3; kind u%3 selects the read chase
-					// (0), the write baseline (1) or the asymmetric write
-					// run (2). All are independent simulations writing to
-					// positional slots.
 					reads := make([]sim.Time, s.Trials)
-					base := make([]sim.Time, s.Trials)
-					asym := make([]sim.Time, s.Trials)
-					stores := int64(s.AsymLines)
-					err := runUnits(3*s.Trials, func(u int) error {
-						trial := u / 3
-						switch u % 3 {
-						case 0:
-							res, err := runMemLat(bench.EnvConfig{
-								Preset: pr.preset, Mode: bench.Emulated,
-								Quartz: asymQuartz(prof, rec),
-							}, bench.MemLatConfig{
-								Lines: s.Lines / 4, Chains: 1, Iters: s.MemLatIters,
-								Seed: int64(trial*17 + 3),
-							})
-							if err != nil {
-								return trialErr("fig12-asym read", trial, err)
-							}
-							reads[trial] = res.PerIteration
-						case 1:
-							q := asymQuartz(prof, rec)
-							q.NVMWriteLatency = 0 // store model off: the subtraction baseline
-							res, err := runStoreLat(bench.EnvConfig{
-								Preset: pr.preset, Mode: bench.Emulated, Quartz: q,
-							}, bench.StoreLatConfig{Lines: s.AsymLines})
-							if err != nil {
-								return trialErr("fig12-asym write base", trial, err)
-							}
-							base[trial] = res.CT
-						default:
-							res, err := runStoreLat(bench.EnvConfig{
-								Preset: pr.preset, Mode: bench.Emulated, Quartz: asymQuartz(prof, rec),
-							}, bench.StoreLatConfig{Lines: s.AsymLines})
-							if err != nil {
-								return trialErr("fig12-asym write asym", trial, err)
-							}
-							asym[trial] = res.CT
-						}
-						return nil
-					})
-					if err != nil {
-						return nil, err
-					}
-					dram := machine.PresetConfig(pr.preset).LocalLat.Nanoseconds()
 					writes := make([]float64, s.Trials)
-					for t := 0; t < s.Trials; t++ {
-						writes[t] = dram + (asym[t]-base[t]).Nanoseconds()/float64(stores)
+					dram := machine.PresetConfig(pr.preset).LocalLat.Nanoseconds()
+					for trial := range s.Trials {
+						read, err := runMemLat(bench.EnvConfig{
+							Preset: pr.preset, Mode: bench.Emulated,
+							Quartz: asymQuartz(prof, rec),
+						}, bench.MemLatConfig{
+							Lines: s.Lines / 4, Chains: 1, Iters: s.MemLatIters,
+							Seed: int64(trial*17 + 3),
+						})
+						if err != nil {
+							return nil, trialErr("fig12-asym read", trial, err)
+						}
+						q := asymQuartz(prof, rec)
+						q.NVMWriteLatency = 0 // store model off: the subtraction baseline
+						base, err := runStoreLat(bench.EnvConfig{
+							Preset: pr.preset, Mode: bench.Emulated, Quartz: q,
+						}, bench.StoreLatConfig{Lines: s.AsymLines})
+						if err != nil {
+							return nil, trialErr("fig12-asym write base", trial, err)
+						}
+						asym, err := runStoreLat(bench.EnvConfig{
+							Preset: pr.preset, Mode: bench.Emulated, Quartz: asymQuartz(prof, rec),
+						}, bench.StoreLatConfig{Lines: s.AsymLines})
+						if err != nil {
+							return nil, trialErr("fig12-asym write asym", trial, err)
+						}
+						reads[trial] = read.PerIteration
+						writes[trial] = dram + (asym.CT-base.CT).Nanoseconds()/float64(s.AsymLines)
 					}
 					return Metrics{
 						"read_ns":  stats.Summarize(nanos(reads)).Mean,
@@ -238,7 +217,7 @@ func fig11AsymJobs(s Scale, rec *obs.Recorder) JobSet {
 				},
 				Run: func() (Metrics, error) {
 					bps := make([]float64, s.Trials)
-					err := runUnits(s.Trials, func(trial int) error {
+					for trial := range s.Trials {
 						mc := machine.PresetConfig(pr.preset)
 						prof.ApplyToMem(&mc)
 						q := asymQuartz(prof, rec)
@@ -259,7 +238,7 @@ func fig11AsymJobs(s Scale, rec *obs.Recorder) JobSet {
 							Quartz: q, Lookahead: 2 * sim.Microsecond,
 						})
 						if err != nil {
-							return trialErr("fig11-asym", trial, err)
+							return nil, trialErr("fig11-asym", trial, err)
 						}
 						var res bench.StoreBWResult
 						if err := env.Run(func(e *bench.Env, th *simosThread) {
@@ -271,13 +250,9 @@ func fig11AsymJobs(s Scale, rec *obs.Recorder) JobSet {
 								th.Failf("%v", rerr)
 							}
 						}); err != nil {
-							return trialErr("fig11-asym", trial, err)
+							return nil, trialErr("fig11-asym", trial, err)
 						}
 						bps[trial] = res.AggBytesPerSec()
-						return nil
-					})
-					if err != nil {
-						return nil, err
 					}
 					return Metrics{"agg_bps": stats.Summarize(bps).Mean}, nil
 				},

@@ -117,30 +117,16 @@ func nanos(ts []sim.Time) []float64 {
 	return out
 }
 
+// meanOf is the mean of metric key over points, summed in point order.
+func meanOf(points []Metrics, key string) float64 {
+	var sum float64
+	for _, p := range points {
+		sum += p[key]
+	}
+	return sum / float64(len(points))
+}
+
 // trialErr wraps an experiment trial failure with context.
 func trialErr(what string, trial int, err error) error {
 	return fmt.Errorf("experiments: %s trial %d: %w", what, trial, err)
-}
-
-// runUnits executes body(0..n-1) in order — a job's independent units:
-// repeated trials, or the paired/variant simulations of one sweep point. Each
-// unit builds its own environment, seeds its own simulation, and writes
-// results only to its own position-indexed slots, so assembly reads the slots
-// in index order with a fixed floating-point reduction order. It returns the
-// first error.
-//
-// It stays out of line: inlined, it pulls every unit closure into its job
-// function, which un-inlines small sim/simos helpers into copies linked ahead
-// of internal/cache and shifts the cache walk's hot code off its 64-byte
-// alignment (+13% host CPU on the quartzperf paper-quick workload, measured
-// on a 2-vCPU Intel Xeon VM).
-//
-//go:noinline
-func runUnits(n int, body func(unit int) error) error {
-	for u := 0; u < n; u++ {
-		if err := body(u); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -28,29 +28,19 @@ func fig11Jobs(s Scale, rec *obs.Recorder) JobSet {
 				Params: map[string]string{"family": pr.label, "chains": strconv.Itoa(chains)},
 				Run: func() (Metrics, error) {
 					prof := s.profiler(js.ID, name)
-					// Each trial's Conf_2 and Conf_1 runs are independent
-					// simulations, so they form 2*Trials units: unit u is
-					// trial u/2, physical on even u, emulated on odd.
-					// Results land positionally, keeping the mean's
-					// summation order fixed.
 					phys := make([]sim.Time, s.Trials)
 					emu := make([]sim.Time, s.Trials)
-					err := runUnits(2*s.Trials, func(u int) error {
-						trial := u / 2
+					for trial := range s.Trials {
 						mlCfg := bench.MemLatConfig{
 							Lines: s.Lines / 2, Chains: chains, Iters: s.MemLatIters,
 							Seed: int64(trial*31 + chains),
 						}
-						if u%2 == 0 {
-							p, err := runMemLat(bench.EnvConfig{
-								Preset: pr.preset, Mode: bench.PhysicalRemote,
-								Profiler: prof,
-							}, mlCfg)
-							if err != nil {
-								return trialErr("fig11 physical", trial, err)
-							}
-							phys[trial] = p.CT
-							return nil
+						p, err := runMemLat(bench.EnvConfig{
+							Preset: pr.preset, Mode: bench.PhysicalRemote,
+							Profiler: prof,
+						}, mlCfg)
+						if err != nil {
+							return nil, trialErr("fig11 physical", trial, err)
 						}
 						e, err := runMemLat(bench.EnvConfig{
 							Preset: pr.preset, Mode: bench.Emulated,
@@ -58,13 +48,9 @@ func fig11Jobs(s Scale, rec *obs.Recorder) JobSet {
 							Profiler: prof,
 						}, mlCfg)
 						if err != nil {
-							return trialErr("fig11 emulated", trial, err)
+							return nil, trialErr("fig11 emulated", trial, err)
 						}
-						emu[trial] = e.CT
-						return nil
-					})
-					if err != nil {
-						return nil, err
+						phys[trial], emu[trial] = p.CT, e.CT
 					}
 					return Metrics{
 						"phys_ct_ns": stats.Summarize(nanos(phys)).Mean,
@@ -115,7 +101,7 @@ func fig12Jobs(s Scale, rec *obs.Recorder) JobSet {
 				Run: func() (Metrics, error) {
 					prof := s.profiler(js.ID, name)
 					lats := make([]sim.Time, s.Trials)
-					err := runUnits(s.Trials, func(trial int) error {
+					for trial := range s.Trials {
 						res, err := runMemLat(bench.EnvConfig{
 							Preset: pr.preset, Mode: bench.Emulated,
 							Quartz:   quartzConfig(target, rec),
@@ -125,13 +111,9 @@ func fig12Jobs(s Scale, rec *obs.Recorder) JobSet {
 							Seed: int64(trial*13 + int(target)),
 						})
 						if err != nil {
-							return trialErr("fig12", trial, err)
+							return nil, trialErr("fig12", trial, err)
 						}
 						lats[trial] = res.PerIteration
-						return nil
-					})
-					if err != nil {
-						return nil, err
 					}
 					sum := stats.Summarize(nanos(lats))
 					return Metrics{"mean_ns": sum.Mean, "min_ns": sum.Min, "max_ns": sum.Max}, nil
@@ -225,14 +207,14 @@ func fig13Jobs(s Scale, rec *obs.Recorder) JobSet {
 						Run: func() (Metrics, error) {
 							prof := s.profiler(js.ID, name)
 							cts := make([]sim.Time, s.Trials)
-							err := runUnits(s.Trials, func(trial int) error {
+							for trial := range s.Trials {
 								env, err := bench.NewEnv(bench.EnvConfig{
 									Preset: pr.preset, Mode: mode, Quartz: q,
 									Lookahead: 2 * sim.Microsecond,
 									Profiler:  prof,
 								})
 								if err != nil {
-									return trialErr("fig13", trial, err)
+									return nil, trialErr("fig13", trial, err)
 								}
 								cfg := mtCfg
 								cfg.Node = env.AllocNode()
@@ -245,13 +227,9 @@ func fig13Jobs(s Scale, rec *obs.Recorder) JobSet {
 										th.Failf("%v", rerr)
 									}
 								}); err != nil {
-									return trialErr("fig13", trial, err)
+									return nil, trialErr("fig13", trial, err)
 								}
 								cts[trial] = res.CT
-								return nil
-							})
-							if err != nil {
-								return nil, err
 							}
 							return Metrics{"ct_ns": stats.Summarize(nanos(cts)).Mean}, nil
 						},

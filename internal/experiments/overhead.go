@@ -38,20 +38,16 @@ func overheadJobs(s Scale, rec *obs.Recorder) JobSet {
 			Params: map[string]string{"mode": m.name},
 			Run: func() (Metrics, error) {
 				cts := make([]sim.Time, s.Trials)
-				err := runUnits(s.Trials, func(trial int) error {
+				for trial := range s.Trials {
 					res, err := runMemLat(bench.EnvConfig{
 						Preset: machine.XeonE5_2660v2, Mode: m.mode, Quartz: q,
 					}, bench.MemLatConfig{
 						Lines: s.Lines, Chains: 1, Iters: s.MemLatIters, Seed: int64(trial + 9),
 					})
 					if err != nil {
-						return trialErr("overhead", trial, err)
+						return nil, trialErr("overhead", trial, err)
 					}
 					cts[trial] = res.CT
-					return nil
-				})
-				if err != nil {
-					return nil, err
 				}
 				return Metrics{"ct_ns": stats.Summarize(nanos(cts)).Mean}, nil
 			},
@@ -97,23 +93,18 @@ func epochSizeJobs(s Scale, rec *obs.Recorder) JobSet {
 			Params: map[string]string{"max_epoch": maxEpoch.String()},
 			Run: func() (Metrics, error) {
 				lats := make([]sim.Time, s.Trials)
-				err := runUnits(s.Trials, func(trial int) error {
+				for trial := range s.Trials {
 					q := quartzConfig(epochSizeTarget, rec)
 					q.MaxEpoch = maxEpoch
-					q.MonitorInterval = maxEpoch / 2
 					res, err := runMemLatNoFinalClose(bench.EnvConfig{
 						Preset: machine.XeonE5_2660v2, Mode: bench.Emulated, Quartz: q,
 					}, bench.MemLatConfig{
 						Lines: s.Lines, Chains: 1, Iters: s.MemLatIters, Seed: int64(trial + 3),
 					})
 					if err != nil {
-						return trialErr("epoch-size", trial, err)
+						return nil, trialErr("epoch-size", trial, err)
 					}
 					lats[trial] = res.PerIteration
-					return nil
-				})
-				if err != nil {
-					return nil, err
 				}
 				return Metrics{"mean_ns": stats.Summarize(nanos(lats)).Mean}, nil
 			},

@@ -60,19 +60,15 @@ func table2Jobs(s Scale, _ *obs.Recorder) JobSet {
 				Params: map[string]string{"family": pr.label, "mode": m.name},
 				Run: func() (Metrics, error) {
 					lats := make([]sim.Time, s.Trials)
-					err := runUnits(s.Trials, func(trial int) error {
+					for trial := range s.Trials {
 						res, err := runMemLat(
 							bench.EnvConfig{Preset: pr.preset, Mode: m.mode},
 							bench.MemLatConfig{Lines: s.Lines, Chains: 1, Iters: s.MemLatIters, Seed: int64(100 + trial)},
 						)
 						if err != nil {
-							return trialErr("table2", trial, err)
+							return nil, trialErr("table2", trial, err)
 						}
 						lats[trial] = res.PerIteration
-						return nil
-					})
-					if err != nil {
-						return nil, err
 					}
 					sum := stats.Summarize(nanos(lats))
 					return Metrics{"min_ns": sum.Min, "mean_ns": sum.Mean, "max_ns": sum.Max}, nil
@@ -114,17 +110,17 @@ func fig8Jobs(s Scale, _ *obs.Recorder) JobSet {
 			Params: map[string]string{"register": strconv.Itoa(int(reg))},
 			Run: func() (Metrics, error) {
 				bws := make([]float64, s.Trials)
-				err := runUnits(s.Trials, func(trial int) error {
+				for trial := range s.Trials {
 					env, err := bench.NewEnv(bench.EnvConfig{
 						Preset: machine.XeonE5_2450, Mode: bench.Native,
 						Lookahead: 5 * sim.Microsecond,
 					})
 					if err != nil {
-						return trialErr("fig8", trial, err)
+						return nil, trialErr("fig8", trial, err)
 					}
 					for _, sock := range env.Mach.Sockets() {
 						if err := sock.Ctrl.SetThrottle(reg); err != nil {
-							return trialErr("fig8", trial, err)
+							return nil, trialErr("fig8", trial, err)
 						}
 					}
 					var res bench.StreamResult
@@ -138,13 +134,9 @@ func fig8Jobs(s Scale, _ *obs.Recorder) JobSet {
 						}
 					})
 					if err != nil {
-						return trialErr("fig8", trial, err)
+						return nil, trialErr("fig8", trial, err)
 					}
 					bws[trial] = res.BytesPerSec / 1e9
-					return nil
-				})
-				if err != nil {
-					return nil, err
 				}
 				return Metrics{"copy_gbps": stats.Summarize(bws).Mean}, nil
 			},

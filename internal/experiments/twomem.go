@@ -70,14 +70,14 @@ func fig14Jobs(s Scale, rec *obs.Recorder) JobSet {
 						Run: func() (Metrics, error) {
 							cts := make([]sim.Time, s.Trials)
 							exps := make([]sim.Time, s.Trials)
-							err := runUnits(s.Trials, func(trial int) error {
+							for trial := range s.Trials {
 								q := quartzConfig(nvmNS, rec)
 								q.TwoMemory = true
 								env, err := bench.NewEnv(bench.EnvConfig{
 									Preset: pr.preset, Mode: bench.Emulated, Quartz: q,
 								})
 								if err != nil {
-									return trialErr("fig14", trial, err)
+									return nil, trialErr("fig14", trial, err)
 								}
 								ml, err := bench.BuildMultiLat(env.Proc, env.Emu, bench.MultiLatConfig{
 									DRAMLines: s.MultiLatLines * cfgRow.mul,
@@ -86,7 +86,7 @@ func fig14Jobs(s Scale, rec *obs.Recorder) JobSet {
 									Seed: int64(trial*7 + 1),
 								})
 								if err != nil {
-									return trialErr("fig14", trial, err)
+									return nil, trialErr("fig14", trial, err)
 								}
 								var res bench.MultiLatResult
 								if err := env.Run(func(e *bench.Env, th *simosThread) {
@@ -96,14 +96,10 @@ func fig14Jobs(s Scale, rec *obs.Recorder) JobSet {
 									r.CT = th.Now() - start
 									res = r
 								}); err != nil {
-									return trialErr("fig14", trial, err)
+									return nil, trialErr("fig14", trial, err)
 								}
 								cts[trial] = res.CT
 								exps[trial] = res.ExpectedCT
-								return nil
-							})
-							if err != nil {
-								return nil, err
 							}
 							return Metrics{
 								"ct_ns":       stats.Summarize(nanos(cts)).Mean,

@@ -378,8 +378,8 @@ func (s *Suite) JobProfile(name string) *Profile {
 }
 
 // Merged snapshots every job and merges them into the suite profile. The
-// merge is a commutative per-key sum (the stats.Accumulator pattern), so the
-// result is byte-identical however jobs were scheduled.
+// merge is a commutative per-key sum, so the result is byte-identical
+// however jobs were scheduled.
 func (s *Suite) Merged() *Profile {
 	if s == nil {
 		return &Profile{}
