@@ -26,8 +26,6 @@ type Result struct {
 	EdgesTraversed int64
 	// CT is the kernel completion time.
 	CT sim.Time
-	// TEPS is traversed edges per simulated second.
-	TEPS float64
 	// Depth is the BFS tree height.
 	Depth int
 }
@@ -92,8 +90,5 @@ func BFS(g *pagerank.Graph, t *simos.Thread, root int, alloc pagerank.Alloc) (Re
 		frontier = next
 	}
 	res.CT = t.Now() - start
-	if secs := res.CT.Seconds(); secs > 0 {
-		res.TEPS = float64(res.EdgesTraversed) / secs
-	}
 	return res, nil
 }

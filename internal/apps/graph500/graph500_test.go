@@ -43,7 +43,7 @@ func TestBFSVisitsReachableVertices(t *testing.T) {
 	if res.Visited < g.N/4 {
 		t.Errorf("visited %d of %d vertices; expected a large component from a hub root", res.Visited, g.N)
 	}
-	if res.EdgesTraversed == 0 || res.TEPS <= 0 || res.Depth == 0 {
+	if res.EdgesTraversed == 0 || res.CT <= 0 || res.Depth == 0 {
 		t.Errorf("degenerate result %+v", res)
 	}
 }
