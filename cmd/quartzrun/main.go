@@ -210,6 +210,35 @@ func parseMode(s string) (bench.Mode, error) {
 // execute builds the environment the validated flags describe and runs the
 // workload on it.
 func execute(f *flags, stdout io.Writer) error {
+	env, err := newEnv(f)
+	if err != nil {
+		return err
+	}
+
+	fmt.Fprintf(stdout, "machine: %s  mode: %s  workload: %s\n", env.Mach.Config().Name, f.mode, f.workload)
+	if f.mode == bench.Emulated {
+		fmt.Fprintf(stdout, "emulator: %s\n", env.Emu)
+	}
+
+	if err := dispatch(env, f, stdout); err != nil {
+		return err
+	}
+
+	if env.Emu != nil {
+		st := env.Emu.Stats()
+		fmt.Fprintf(stdout, "\nemulator stats: epochs=%d (max=%d sync=%d) injected=%v overhead=%v\n",
+			st.Epochs, st.MaxEpochs, st.SyncEpochs, st.Injected, st.Overhead)
+		if env.Emu.Config().NVMWriteLatency > 0 {
+			fmt.Fprintf(stdout, "store model: store-misses=%d write-delay=%v\n", st.StoreMisses, st.WriteDelay)
+		}
+		fmt.Fprintf(stdout, "feedback: %s\n", st.Suggestion())
+	}
+	return nil
+}
+
+// newEnv builds the simulated machine and emulator the validated flags
+// describe.
+func newEnv(f *flags) (*bench.Env, error) {
 	q := core.Config{
 		NVMLatency:   sim.FromNanos(f.nvmLatNS),
 		NVMBandwidth: f.nvmBW,
@@ -235,7 +264,7 @@ func execute(f *flags, stdout io.Writer) error {
 		q.NVMWriteLatency = prof.WriteLatency
 		q.NVMBandwidth = prof.ReadBandwidth
 		q.NVMWriteBandwidth = prof.WriteBandwidth
-		q.WriteBandwidthByThreads = prof.WriteBandwidthByThreads
+		q.WriteBandwidthByThreads = prof.EmulatorWriteCurve()
 		c := machine.PresetConfig(f.preset)
 		prof.ApplyToMem(&c)
 		mc = &c
@@ -245,33 +274,10 @@ func execute(f *flags, stdout io.Writer) error {
 	}
 	q.Observer = f.obs.Recorder()
 
-	env, err := bench.NewEnv(bench.EnvConfig{
+	return bench.NewEnv(bench.EnvConfig{
 		Preset: f.preset, Machine: mc, Mode: f.mode, Quartz: q,
 		Lookahead: 2 * sim.Microsecond, Profiler: f.prof,
 	})
-	if err != nil {
-		return err
-	}
-
-	fmt.Fprintf(stdout, "machine: %s  mode: %s  workload: %s\n", env.Mach.Config().Name, f.mode, f.workload)
-	if f.mode == bench.Emulated {
-		fmt.Fprintf(stdout, "emulator: %s\n", env.Emu)
-	}
-
-	if err := dispatch(env, f, stdout); err != nil {
-		return err
-	}
-
-	if env.Emu != nil {
-		st := env.Emu.Stats()
-		fmt.Fprintf(stdout, "\nemulator stats: epochs=%d (max=%d sync=%d) injected=%v overhead=%v\n",
-			st.Epochs, st.MaxEpochs, st.SyncEpochs, st.Injected, st.Overhead)
-		if env.Emu.Config().NVMWriteLatency > 0 {
-			fmt.Fprintf(stdout, "store model: store-misses=%d write-delay=%v\n", st.StoreMisses, st.WriteDelay)
-		}
-		fmt.Fprintf(stdout, "feedback: %s\n", st.Suggestion())
-	}
-	return nil
 }
 
 func dispatch(env *bench.Env, f *flags, stdout io.Writer) error {

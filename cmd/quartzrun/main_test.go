@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -327,5 +328,34 @@ func TestExecuteAsymProfileRun(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "store model: ") {
 		t.Errorf("no store-model line:\n%s", stdout)
+	}
+}
+
+// TestNVMProfileWriteCurveSkipsMainThread: the emulator indexes the
+// write-collapse curve by registered threads, and the non-writing main
+// thread is one of them. Under -nvm-profile optane-dcpmm, -threads 4 workers
+// must end on the profile's 4-writer entry (its 13.9 GB/s peak), not the
+// 5-writer one.
+func TestNVMProfileWriteCurveSkipsMainThread(t *testing.T) {
+	f := flags{presetName: "ivybridge", modeName: "emulated", modelName: "stall",
+		workload: "multithreaded", nvmLatNS: 500, nvmProfile: "optane-dcpmm",
+		threads: 4, iters: 200, lines: 4096, minEpoch: 0.1, maxEpoch: 10, seed: 42}
+	if err := f.validate(); err != nil {
+		t.Fatal(err)
+	}
+	env, err := newEnv(&f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dispatch(env, &f, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	prof, _ := machine.NVMProfileByName("optane-dcpmm")
+	fourWriters := prof.WriteBandwidthByThreads[3]
+	for s, sock := range env.Mach.Sockets() {
+		if got, want := sock.Ctrl.WriteThrottle(), sock.Ctrl.RegisterForBandwidth(fourWriters); got != want {
+			t.Errorf("socket %d write register = %d, want %d (the 4-writer %.1f GB/s entry)",
+				s, got, want, fourWriters/1e9)
+		}
 	}
 }

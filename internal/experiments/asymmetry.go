@@ -223,16 +223,7 @@ func fig11AsymJobs(s Scale, rec *obs.Recorder) JobSet {
 						q := asymQuartz(prof, rec)
 						q.NVMBandwidth = prof.ReadBandwidth
 						q.NVMWriteBandwidth = prof.WriteBandwidth
-						if curve := prof.WriteBandwidthByThreads; len(curve) > 0 {
-							// The emulator's curve is indexed by registered
-							// threads, which include the non-writing main
-							// thread; prepend the 1-writer entry so T writer
-							// threads (T+1 registered) land on curve[T-1].
-							shifted := make([]float64, 0, len(curve)+1)
-							shifted = append(shifted, curve[0])
-							shifted = append(shifted, curve...)
-							q.WriteBandwidthByThreads = shifted
-						}
+						q.WriteBandwidthByThreads = prof.EmulatorWriteCurve()
 						env, err := bench.NewEnv(bench.EnvConfig{
 							Preset: pr.preset, Machine: &mc, Mode: bench.Emulated,
 							Quartz: q, Lookahead: 2 * sim.Microsecond,

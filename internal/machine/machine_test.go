@@ -248,3 +248,23 @@ func TestRegisterForBandwidthInvertsLinearRamp(t *testing.T) {
 		}
 	}
 }
+
+// TestEmulatorWriteCurve: the emulator's curve repeats the 1-writer entry
+// in front, so registered thread T+1 (T writers plus main) reads the
+// T-writer entry; a profile without a curve yields none.
+func TestEmulatorWriteCurve(t *testing.T) {
+	optane, _ := NVMProfileByName("optane-dcpmm")
+	curve := optane.WriteBandwidthByThreads
+	got := optane.EmulatorWriteCurve()
+	if len(got) != len(curve)+1 || got[0] != curve[0] {
+		t.Fatalf("emulator curve = %v for profile curve %v", got, curve)
+	}
+	for writers := 1; writers <= len(curve); writers++ {
+		if registered := writers + 1; got[registered-1] != curve[writers-1] {
+			t.Errorf("%d writers: emulator entry %g, want %g", writers, got[registered-1], curve[writers-1])
+		}
+	}
+	if c := (NVMProfile{}).EmulatorWriteCurve(); c != nil {
+		t.Errorf("profile without a curve: EmulatorWriteCurve = %v", c)
+	}
+}

@@ -54,6 +54,19 @@ func (p NVMProfile) ApplyToMem(mc *Config) {
 	}
 }
 
+// EmulatorWriteCurve returns WriteBandwidthByThreads indexed the way
+// core.Config.WriteBandwidthByThreads is: by registered threads, which
+// include the application's non-writing main thread. The 1-writer entry is
+// repeated in front, so T writer threads (T+1 registered) land on the
+// T-writer entry. A profile without a curve yields nil.
+func (p NVMProfile) EmulatorWriteCurve() []float64 {
+	curve := p.WriteBandwidthByThreads
+	if len(curve) == 0 {
+		return nil
+	}
+	return append([]float64{curve[0]}, curve...)
+}
+
 // Calibrated NVM profiles. Numbers follow the measured characterizations in
 // PAPERS.md — "An Empirical Guide to the Behavior and Use of Scalable
 // Persistent Memory" (Optane DC PMM, 6 interleaved DIMMs) — and the PCM
