@@ -78,15 +78,15 @@ func initObjects(usePFlush, usePCommit bool) (ctMS float64, err error) {
 		return 0, err
 	}
 	err = sys.Run(func(t *quartz.Thread) {
-		base, perr := sys.PMalloc(objects * fieldsPerObj * 64)
+		base, perr := sys.PMalloc(objects * fieldsPerObj * quartz.LineSize)
 		if perr != nil {
 			t.Failf("pmalloc: %v", perr)
 		}
 		start := t.Now()
 		for o := 0; o < objects; o++ {
-			objBase := base + uintptr(o*fieldsPerObj*64)
+			objBase := base + uintptr(o*fieldsPerObj*quartz.LineSize)
 			for f := 0; f < fieldsPerObj; f++ {
-				addr := objBase + uintptr(f*64)
+				addr := objBase + uintptr(f*quartz.LineSize)
 				t.Store(addr)
 				switch {
 				case usePFlush:

@@ -71,14 +71,14 @@ func chaseAt(targetNS float64) (float64, error) {
 
 	var perAccessNS float64
 	err = sys.Run(func(t *quartz.Thread) {
-		buf, err := sys.PMalloc(lines * 64)
+		buf, err := sys.PMalloc(lines * quartz.LineSize)
 		if err != nil {
 			t.Failf("pmalloc: %v", err)
 		}
 		cur := int32(0)
 		start := t.Now()
 		for i := 0; i < iters; i++ {
-			t.Load(buf + uintptr(cur)*64)
+			t.Load(buf + uintptr(cur)*quartz.LineSize)
 			cur = next[cur]
 		}
 		sys.Emulator.CloseEpoch(t)

@@ -35,6 +35,7 @@ import (
 
 	"github.com/quartz-emu/quartz/internal/core"
 	"github.com/quartz-emu/quartz/internal/machine"
+	"github.com/quartz-emu/quartz/internal/mem"
 	"github.com/quartz-emu/quartz/internal/obs"
 	"github.com/quartz-emu/quartz/internal/perf"
 	"github.com/quartz-emu/quartz/internal/sim"
@@ -96,6 +97,10 @@ const (
 	// ModelSimple is the naive Eq. 1 baseline.
 	ModelSimple = core.ModelSimple
 )
+
+// LineSize is the simulated cache line in bytes: the unit loads, stores,
+// flushes and the memory controllers move.
+const LineSize = mem.LineSize
 
 // Nanoseconds converts nanoseconds to simulated Time.
 func Nanoseconds(ns float64) Time { return sim.FromNanos(ns) }
