@@ -74,13 +74,49 @@ func TestNoUnusedExports(t *testing.T) {
 	}
 }
 
-// scanExports parses the non-test Go under root. It returns the exported
-// funcs and methods of non-main packages, keyed as in keptExports, with
-// their positions, and counts every other identifier by name.
-func scanExports(root string) (decls map[string]string, uses map[string]int, err error) {
-	decls, uses = map[string]string{}, map[string]int{}
+// closeEpochCallers are the only places non-test Go may name CloseEpoch:
+// the emulator's own epoch code and the callback API that cmd/quartzperf
+// still calls (bench.Env.CloseEpoch, workload.ScenarioConfig.CloseEpoch).
+// Everything else ends a measured window with simos.Thread.SettledNow.
+var closeEpochCallers = []string{
+	"internal/core/",
+	"internal/bench/env.go",
+	"internal/workload/engine.go",
+	"internal/experiments/traffic.go",
+	"cmd/quartzperf/",
+}
+
+// TestNoHandMadeEpochCloses fails when non-test Go outside
+// closeEpochCallers names CloseEpoch: a window that closes the trailing
+// epoch by hand, where a settled clock read does it by construction.
+func TestNoHandMadeEpochCloses(t *testing.T) {
+	root := "../.."
+	err := walkGo(root, func(fset *token.FileSet, path string, f *ast.File) {
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel = filepath.ToSlash(rel)
+		if slices.ContainsFunc(closeEpochCallers, func(p string) bool { return strings.HasPrefix(rel, p) }) {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && id.Name == "CloseEpoch" {
+				t.Errorf("%s: CloseEpoch closes an epoch by hand; end the window with simos.Thread.SettledNow", fset.Position(id.Pos()))
+			}
+			return true
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// walkGo parses every non-test Go file under root, skipping hidden and
+// testdata directories, and hands each to fn.
+func walkGo(root string, fn func(fset *token.FileSet, path string, f *ast.File)) error {
 	fset := token.NewFileSet()
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -97,6 +133,17 @@ func scanExports(root string) (decls map[string]string, uses map[string]int, err
 		if err != nil {
 			return err
 		}
+		fn(fset, path, f)
+		return nil
+	})
+}
+
+// scanExports parses the non-test Go under root. It returns the exported
+// funcs and methods of non-main packages, keyed as in keptExports, with
+// their positions, and counts every other identifier by name.
+func scanExports(root string) (decls map[string]string, uses map[string]int, err error) {
+	decls, uses = map[string]string{}, map[string]int{}
+	err = walkGo(root, func(fset *token.FileSet, path string, f *ast.File) {
 		declared := map[*ast.Ident]bool{}
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -116,7 +163,6 @@ func scanExports(root string) (decls map[string]string, uses map[string]int, err
 			}
 			return true
 		})
-		return nil
 	})
 	return decls, uses, err
 }

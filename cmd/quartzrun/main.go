@@ -292,11 +292,10 @@ func dispatch(env *bench.Env, f *flags, stdout io.Writer) error {
 		}
 		return env.Run(func(e *bench.Env, th *simos.Thread) {
 			start := th.Now()
-			res := ml.Run(th)
-			e.CloseEpoch(th)
-			ct := th.Now() - start
+			ml.Run(th)
+			ct := th.SettledNow() - start
 			fmt.Fprintf(stdout, "memlat: CT=%v  per-iteration=%.1fns  accesses=%d\n",
-				ct, (ct / sim.Time(f.iters)).Nanoseconds(), res.Accesses)
+				ct, (ct / sim.Time(f.iters)).Nanoseconds(), f.iters*f.threads)
 		})
 	case "stream":
 		return env.Run(func(e *bench.Env, th *simos.Thread) {
@@ -333,12 +332,10 @@ func dispatch(env *bench.Env, f *flags, stdout io.Writer) error {
 		}
 		return env.Run(func(e *bench.Env, th *simos.Thread) {
 			start := th.Now()
-			res := ml.Run(th, env.Mach.Config().LocalLat, env.Emu.Config().NVMLatency)
-			e.CloseEpoch(th)
-			res.CT = th.Now() - start
+			want := ml.Run(th, env.Mach.Config().LocalLat, env.Emu.Config().NVMLatency).ExpectedCT
+			ct := th.SettledNow() - start
 			fmt.Fprintf(stdout, "multilat: CT=%v  expected=%v  error=%.2f%%\n",
-				res.CT, res.ExpectedCT,
-				100*float64(res.CT-res.ExpectedCT)/float64(res.ExpectedCT))
+				ct, want, 100*float64(ct-want)/float64(want))
 		})
 	case "kvstore":
 		alloc := env.Proc.Malloc
@@ -353,7 +350,7 @@ func dispatch(env *bench.Env, f *flags, stdout io.Writer) error {
 			res, err := kvstore.RunWorkload(store, th, kvstore.WorkloadConfig{
 				Preload: f.iters / 2, Threads: max(1, f.threads),
 				OpsPerThread: f.iters, Seed: uint64(f.seed),
-			}, e.CloseEpoch)
+			})
 			if err != nil {
 				th.Failf("%v", err)
 			}
@@ -372,8 +369,6 @@ func dispatch(env *bench.Env, f *flags, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		// Both apps stamp CT before the trailing epoch closes; time the
-		// window through the close so the emulated delay lands inside it.
 		return env.Run(func(e *bench.Env, th *simos.Thread) {
 			start := th.Now()
 			if f.workload == "bfs" {
@@ -381,20 +376,18 @@ func dispatch(env *bench.Env, f *flags, stdout io.Writer) error {
 				if err != nil {
 					th.Failf("%v", err)
 				}
-				e.CloseEpoch(th)
-				res.CT = th.Now() - start
+				ct := th.SettledNow() - start
 				fmt.Fprintf(stdout, "bfs: CT=%v  visited=%d  edges=%d  TEPS=%.3g\n",
-					res.CT, res.Visited, res.EdgesTraversed, float64(res.EdgesTraversed)/res.CT.Seconds())
+					ct, res.Visited, res.EdgesTraversed, float64(res.EdgesTraversed)/ct.Seconds())
 				return
 			}
 			res, err := pagerank.Run(g, th, pagerank.DefaultConfig(), alloc)
 			if err != nil {
 				th.Failf("%v", err)
 			}
-			e.CloseEpoch(th)
-			res.CT = th.Now() - start
+			ct := th.SettledNow() - start
 			fmt.Fprintf(stdout, "pagerank: CT=%v  iterations=%d  residual=%.3g\n",
-				res.CT, res.Iterations, res.Error)
+				ct, res.Iterations, res.Error)
 		})
 	default:
 		return fmt.Errorf("unknown workload %q", f.workload)

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -138,19 +139,19 @@ func TestSmallestSizesRun(t *testing.T) {
 	}
 }
 
-// TestGraphCTIncludesTrailingEpoch: pagerank and bfs time their window
-// through the trailing epoch close, so the emulated completion time carries
-// the injected NVM delay instead of equalling the native one.
+// TestGraphCTIncludesTrailingEpoch: pagerank, bfs and stream end their
+// window with settled clock reads, so the emulated completion time carries
+// the injected NVM delay of every trailing epoch instead of dropping it.
 func TestGraphCTIncludesTrailingEpoch(t *testing.T) {
-	ct := func(workload, mode string) time.Duration {
+	ct := func(workload string, args ...string) time.Duration {
 		t.Helper()
-		code, stdout, stderr := runCLI(t, "-workload", workload, "-mode", mode, "-iters", "1", "-nvm-lat", "1000")
+		code, stdout, stderr := runCLI(t, append([]string{"-workload", workload}, args...)...)
 		if code != 0 {
-			t.Fatalf("%s -mode %s: exit = %d, stderr: %s", workload, mode, code, stderr)
+			t.Fatalf("%s %v: exit = %d, stderr: %s", workload, args, code, stderr)
 		}
 		m := regexp.MustCompile(workload + `: CT=(\S+)`).FindStringSubmatch(stdout)
 		if m == nil {
-			t.Fatalf("%s -mode %s: no CT in output:\n%s", workload, mode, stdout)
+			t.Fatalf("%s %v: no CT in output:\n%s", workload, args, stdout)
 		}
 		d, err := time.ParseDuration(m[1])
 		if err != nil {
@@ -158,9 +159,24 @@ func TestGraphCTIncludesTrailingEpoch(t *testing.T) {
 		}
 		return d
 	}
-	for _, w := range []string{"pagerank", "bfs"} {
-		if native, emulated := ct(w, "native"), ct(w, "emulated"); emulated <= native {
-			t.Errorf("%s: emulated CT %v does not exceed native CT %v at -nvm-lat 1000", w, emulated, native)
+	local := strconv.FormatFloat(machine.PresetConfig(machine.XeonE5_2660v2).LocalLat.Nanoseconds(), 'f', -1, 64)
+	emulated := []string{"-mode", "emulated", "-nvm-lat", "1000"}
+	for _, c := range []struct {
+		workload string
+		args     []string // the workload's shape, the same in both runs
+		baseline []string // a run the emulated one must be slower than
+	}{
+		{"pagerank", []string{"-iters", "1"}, []string{"-mode", "native"}},
+		{"bfs", []string{"-iters", "1"}, []string{"-mode", "native"}},
+		// Each STREAM worker runs inside one epoch, so its settled trailing
+		// epoch carries all of its delay; at the default preset's local
+		// latency there is none.
+		{"stream", []string{"-lines", "65536", "-threads", "4"}, []string{"-mode", "emulated", "-nvm-lat", local}},
+	} {
+		base := ct(c.workload, append(c.args, c.baseline...)...)
+		emu := ct(c.workload, append(c.args, emulated...)...)
+		if emu <= base {
+			t.Errorf("%s: emulated CT %v at -nvm-lat 1000 does not exceed %v with %v", c.workload, emu, base, c.baseline)
 		}
 	}
 }

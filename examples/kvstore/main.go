@@ -79,7 +79,7 @@ func throughputAt(targetNS float64) (kvstore.WorkloadResult, error) {
 			ValueBytes:   1024,
 			ValueAlloc:   sys.PMalloc,
 			Seed:         7,
-		}, sys.Emulator.CloseEpoch)
+		})
 		if rerr != nil {
 			t.Failf("workload: %v", rerr)
 		}

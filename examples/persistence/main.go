@@ -99,8 +99,7 @@ func initObjects(usePFlush, usePCommit bool) (ctMS float64, err error) {
 				sys.Emulator.PCommit(t) // object becomes durable here
 			}
 		}
-		sys.Emulator.CloseEpoch(t)
-		ctMS = (t.Now() - start).Milliseconds()
+		ctMS = (t.SettledNow() - start).Milliseconds()
 	})
 	return ctMS, err
 }

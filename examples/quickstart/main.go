@@ -81,8 +81,7 @@ func chaseAt(targetNS float64) (float64, error) {
 			t.Load(buf + uintptr(cur)*quartz.LineSize)
 			cur = next[cur]
 		}
-		sys.Emulator.CloseEpoch(t)
-		perAccessNS = (t.Now() - start).Nanoseconds() / iters
+		perAccessNS = (t.SettledNow() - start).Nanoseconds() / iters
 	})
 	return perAccessNS, err
 }

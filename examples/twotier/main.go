@@ -102,8 +102,7 @@ func runPlacement(nvmLatNS float64, graphInNVM, ranksInNVM bool) (float64, error
 		if _, rerr := pagerank.Run(g, t, cfg, graphAlloc); rerr != nil {
 			t.Failf("pagerank: %v", rerr)
 		}
-		sys.Emulator.CloseEpoch(t)
-		ctMS = (t.Now() - start).Milliseconds()
+		ctMS = (t.SettledNow() - start).Milliseconds()
 	})
 	return ctMS, err
 }

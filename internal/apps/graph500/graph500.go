@@ -11,7 +11,6 @@ import (
 
 	"github.com/quartz-emu/quartz/internal/apps/pagerank"
 	"github.com/quartz-emu/quartz/internal/obs/vtprof"
-	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/simos"
 )
 
@@ -24,8 +23,6 @@ type Result struct {
 	Visited int
 	// EdgesTraversed counts scanned edges.
 	EdgesTraversed int64
-	// CT is the kernel completion time.
-	CT sim.Time
 	// Depth is the BFS tree height.
 	Depth int
 }
@@ -62,7 +59,6 @@ func BFS(g *pagerank.Graph, t *simos.Thread, root int, alloc pagerank.Alloc) (Re
 
 	var res Result
 	res.Visited = 1
-	start := t.Now()
 	for len(frontier) > 0 {
 		res.Depth++
 		var next []int32
@@ -89,6 +85,5 @@ func BFS(g *pagerank.Graph, t *simos.Thread, root int, alloc pagerank.Alloc) (Re
 		}
 		frontier = next
 	}
-	res.CT = t.Now() - start
 	return res, nil
 }

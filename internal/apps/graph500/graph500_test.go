@@ -5,6 +5,7 @@ import (
 
 	"github.com/quartz-emu/quartz/internal/apps/pagerank"
 	"github.com/quartz-emu/quartz/internal/machine"
+	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/simos"
 )
 
@@ -28,12 +29,15 @@ func TestBFSVisitsReachableVertices(t *testing.T) {
 		t.Fatal(err)
 	}
 	var res Result
+	var ct sim.Time
 	err = p.Run(func(th *simos.Thread) {
+		start := th.Now()
 		var rerr error
 		res, rerr = BFS(g, th, 0, p.Malloc)
 		if rerr != nil {
 			th.Failf("bfs: %v", rerr)
 		}
+		ct = th.Now() - start
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -43,8 +47,8 @@ func TestBFSVisitsReachableVertices(t *testing.T) {
 	if res.Visited < g.N/4 {
 		t.Errorf("visited %d of %d vertices; expected a large component from a hub root", res.Visited, g.N)
 	}
-	if res.EdgesTraversed == 0 || res.CT <= 0 || res.Depth == 0 {
-		t.Errorf("degenerate result %+v", res)
+	if res.EdgesTraversed == 0 || ct <= 0 || res.Depth == 0 {
+		t.Errorf("degenerate result %+v in %v", res, ct)
 	}
 }
 
@@ -91,25 +95,26 @@ func TestBFSDeterministic(t *testing.T) {
 func TestBFSSlowerOnRemoteMemory(t *testing.T) {
 	// The BFS kernel is latency-bound: physically remote placement must
 	// slow it down by roughly the latency ratio.
-	run := func(node int) Result {
+	run := func(node int) (res Result, ct sim.Time) {
 		p := newProc(t)
 		alloc := func(size uintptr) (uintptr, error) { return p.MallocOnNode(size, node) }
 		g, err := pagerank.Generate(pagerank.GenerateConfig{Vertices: 2000, EdgesPerVertex: 6, Seed: 8}, alloc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var res Result
 		if err := p.Run(func(th *simos.Thread) {
+			start := th.Now()
 			res, _ = BFS(g, th, 0, alloc)
+			ct = th.Now() - start
 		}); err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res, ct
 	}
-	local := run(0)
-	remote := run(1)
-	if remote.CT <= local.CT {
-		t.Errorf("remote BFS %v not slower than local %v", remote.CT, local.CT)
+	local, localCT := run(0)
+	remote, remoteCT := run(1)
+	if remoteCT <= localCT {
+		t.Errorf("remote BFS %v not slower than local %v", remoteCT, localCT)
 	}
 	if local.Visited != remote.Visited {
 		t.Errorf("placement changed traversal: %d vs %d visited", local.Visited, remote.Visited)

@@ -203,7 +203,7 @@ func TestWorkloadThroughputScalesWithThreads(t *testing.T) {
 			var rerr error
 			res, rerr = RunWorkload(s, th, WorkloadConfig{
 				Preload: 2000, Threads: threads, OpsPerThread: 1500, Seed: 7,
-			}, nil)
+			})
 			if rerr != nil {
 				th.Failf("workload: %v", rerr)
 			}
@@ -239,7 +239,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		err := p.Run(func(th *simos.Thread) {
 			if _, err := RunWorkload(s, th, WorkloadConfig{
 				Preload: 500, Threads: 2, OpsPerThread: 500, Seed: 3,
-			}, nil); err != nil {
+			}); err != nil {
 				th.Failf("workload: %v", err)
 			}
 		})

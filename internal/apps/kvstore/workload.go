@@ -102,10 +102,10 @@ func (p payload) touch(t *simos.Thread, key uint64, write bool) {
 }
 
 // RunWorkload preloads the store and drives the put/get mix from Threads
-// client threads spawned off main. closeEpoch, when non-nil, is invoked per
-// worker before its final timestamp (the emulator's CloseEpoch) so trailing
-// epoch delays land inside the measured window.
-func RunWorkload(s *Store, main *simos.Thread, cfg WorkloadConfig, closeEpoch func(*simos.Thread)) (WorkloadResult, error) {
+// client threads spawned off main. Each worker settles its trailing epoch
+// (simos.Thread.SettledNow) before it exits, so every injected delay lands
+// inside the measured window.
+func RunWorkload(s *Store, main *simos.Thread, cfg WorkloadConfig) (WorkloadResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return WorkloadResult{}, err
 	}
@@ -173,25 +173,20 @@ func RunWorkload(s *Store, main *simos.Thread, cfg WorkloadConfig, closeEpoch fu
 					putCounts[w]++
 				}
 			}
-			if closeEpoch != nil {
-				closeEpoch(t)
-			}
+			t.SettledNow()
 		})
 		if err != nil {
 			return WorkloadResult{}, fmt.Errorf("kvstore: spawning client %d: %w", w, err)
 		}
 		workers = append(workers, th)
 	}
-	// Wait for all workers to check in, flush main's pending epoch delay
+	// Wait for all workers to check in, settle main's pending epoch delay
 	// (from the preload), then open the window and release the workers.
 	startMu.Lock(main)
 	for arrived < cfg.Threads {
 		arrivedCv.Wait(main, startMu)
 	}
-	if closeEpoch != nil {
-		closeEpoch(main)
-	}
-	start := main.Now()
+	start := main.SettledNow()
 	started = true
 	goCv.Broadcast(main)
 	startMu.Unlock(main)

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"github.com/quartz-emu/quartz/internal/obs/vtprof"
-	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/simos"
 )
 
@@ -45,7 +44,6 @@ func DefaultConfig() Config {
 type Result struct {
 	Iterations int
 	Error      float64 // final L1 delta
-	CT         sim.Time
 	Ranks      []float64
 }
 
@@ -85,7 +83,6 @@ func Run(g *Graph, t *simos.Thread, cfg Config, alloc Alloc) (Result, error) {
 	srcs := make([]int32, 0, gatherWidth)
 	t.PushPhase(phaseRun)
 	defer t.PopPhase()
-	start := t.Now()
 	var res Result
 	for iter := 0; iter < cfg.MaxIters; iter++ {
 		// Dangling vertices (no out-links) distribute their rank uniformly
@@ -140,7 +137,6 @@ func Run(g *Graph, t *simos.Thread, cfg Config, alloc Alloc) (Result, error) {
 			break
 		}
 	}
-	res.CT = t.Now() - start
 	res.Ranks = x
 	return res, nil
 }

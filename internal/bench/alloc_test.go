@@ -34,7 +34,7 @@ func TestEmulatedHotPathNoAllocs(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			th.LoadRun(base, 64, lines)
 			th.StoreRun(base, 64, lines)
-			e.CloseEpoch(th)
+			th.SettledNow()
 		}
 
 		if allocs := testing.AllocsPerRun(20, func() {
@@ -49,7 +49,7 @@ func TestEmulatedHotPathNoAllocs(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(50, func() {
 			th.LoadRun(base, 64, 512) // accrue stall cycles so the close injects
-			e.CloseEpoch(th)
+			th.SettledNow()
 		}); allocs != 0 {
 			t.Errorf("steady-state epoch close: %v allocs/op, want 0", allocs)
 		}
@@ -82,7 +82,7 @@ func TestAsymStorePathNoAllocs(t *testing.T) {
 	if err := env.Run(func(e *Env, th *simos.Thread) {
 		for i := 0; i < 8; i++ {
 			th.StoreRun(base, 64, lines)
-			e.CloseEpoch(th)
+			th.SettledNow()
 		}
 		if allocs := testing.AllocsPerRun(20, func() {
 			th.StoreRun(base, 64, lines)
@@ -91,7 +91,7 @@ func TestAsymStorePathNoAllocs(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(50, func() {
 			th.StoreRun(base, 64, 512) // accrue store misses so the close injects Δw
-			e.CloseEpoch(th)
+			th.SettledNow()
 		}); allocs != 0 {
 			t.Errorf("steady-state asymmetric epoch close: %v allocs/op, want 0", allocs)
 		}
@@ -209,12 +209,12 @@ func BenchmarkEmulatedEpochClose(b *testing.B) {
 	}
 	if err := env.Run(func(e *Env, th *simos.Thread) {
 		th.LoadRun(base, 64, lines)
-		e.CloseEpoch(th)
+		th.SettledNow()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			th.LoadRun(base, 64, 512)
-			e.CloseEpoch(th)
+			th.SettledNow()
 		}
 	}); err != nil {
 		b.Fatal(err)

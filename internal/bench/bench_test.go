@@ -38,19 +38,35 @@ func TestMemLatMeasuresNativeLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var res MemLatResult
+	per := timeMemLat(t, env, ml) / 50_000
+	local := machine.PresetConfig(machine.XeonE5_2660v2).LocalLat
+	if rel := stats.RelErr(per.Nanoseconds(), local.Nanoseconds()); rel > 0.02 {
+		t.Errorf("native MemLat latency %v, want ~%v (%.2f%% off)", per, local, rel*100)
+	}
+	var loads int64
+	for _, s := range env.Mach.Sockets() {
+		for _, c := range s.Cores {
+			st := c.L1().Stats()
+			loads += st.Hits + st.Misses
+		}
+	}
+	if loads != 50_000 {
+		t.Errorf("L1 accesses = %d, want 50000", loads)
+	}
+}
+
+// timeMemLat runs ml on env's main thread and reports the settled window.
+func timeMemLat(t *testing.T, env *Env, ml *MemLat) sim.Time {
+	t.Helper()
+	var ct sim.Time
 	if err := env.Run(func(e *Env, th *simos.Thread) {
-		res = ml.Run(th)
+		start := th.Now()
+		ml.Run(th)
+		ct = th.SettledNow() - start
 	}); err != nil {
 		t.Fatal(err)
 	}
-	local := machine.PresetConfig(machine.XeonE5_2660v2).LocalLat
-	if rel := stats.RelErr(res.PerIteration.Nanoseconds(), local.Nanoseconds()); rel > 0.02 {
-		t.Errorf("native MemLat latency %v, want ~%v (%.2f%% off)", res.PerIteration, local, rel*100)
-	}
-	if res.Accesses != 50_000 {
-		t.Errorf("accesses = %d, want 50000", res.Accesses)
-	}
+	return ct
 }
 
 func TestMemLatMeasuresPhysicalRemoteLatency(t *testing.T) {
@@ -62,15 +78,10 @@ func TestMemLatMeasuresPhysicalRemoteLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var res MemLatResult
-	if err := env.Run(func(e *Env, th *simos.Thread) {
-		res = ml.Run(th)
-	}); err != nil {
-		t.Fatal(err)
-	}
+	per := timeMemLat(t, env, ml) / 50_000
 	remote := machine.PresetConfig(machine.XeonE5_2660v2).RemoteLat
-	if rel := stats.RelErr(res.PerIteration.Nanoseconds(), remote.Nanoseconds()); rel > 0.02 {
-		t.Errorf("remote MemLat latency %v, want ~%v (%.2f%% off)", res.PerIteration, remote, rel*100)
+	if rel := stats.RelErr(per.Nanoseconds(), remote.Nanoseconds()); rel > 0.02 {
+		t.Errorf("remote MemLat latency %v, want ~%v (%.2f%% off)", per, remote, rel*100)
 	}
 }
 
@@ -86,13 +97,7 @@ func TestMemLatChainsOverlap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var res MemLatResult
-		if err := env.Run(func(e *Env, th *simos.Thread) {
-			res = ml.Run(th)
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return res.PerIteration
+		return timeMemLat(t, env, ml) / 30_000
 	}
 	one := runChains(1)
 	four := runChains(4)
@@ -121,12 +126,7 @@ func TestMemLatEmulationErrorAcrossMLP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var ctPhys sim.Time
-		if err := phys.Run(func(e *Env, th *simos.Thread) {
-			ctPhys = mlP.Run(th).CT
-		}); err != nil {
-			t.Fatal(err)
-		}
+		ctPhys := timeMemLat(t, phys, mlP)
 
 		emu, err := NewEnv(EnvConfig{
 			Preset: machine.XeonE5_2660v2, Mode: Emulated,
@@ -140,15 +140,7 @@ func TestMemLatEmulationErrorAcrossMLP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var ctEmu sim.Time
-		if err := emu.Run(func(e *Env, th *simos.Thread) {
-			start := th.Now()
-			mlE.Run(th)
-			e.CloseEpoch(th)
-			ctEmu = th.Now() - start
-		}); err != nil {
-			t.Fatal(err)
-		}
+		ctEmu := timeMemLat(t, emu, mlE)
 
 		rel := stats.RelErr(float64(ctEmu), float64(ctPhys))
 		t.Logf("chains=%d: physical %v, emulated %v, error %.2f%%", chains, ctPhys, ctEmu, rel*100)
@@ -247,17 +239,16 @@ func TestMultiLatPatternInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		var res MultiLatResult
+		var ct sim.Time
 		if err := env.Run(func(e *Env, th *simos.Thread) {
 			start := th.Now()
-			r := ml.Run(th, machine.PresetConfig(machine.XeonE5_2650v3).LocalLat, sim.FromNanos(nvmNS))
-			e.CloseEpoch(th)
-			r.CT = th.Now() - start
-			res = r
+			res = ml.Run(th, machine.PresetConfig(machine.XeonE5_2650v3).LocalLat, sim.FromNanos(nvmNS))
+			ct = th.SettledNow() - start
 		}); err != nil {
 			t.Fatal(err)
 		}
-		rel := stats.RelErr(float64(res.CT), float64(res.ExpectedCT))
-		t.Logf("pattern %d:%d CT %v expected %v error %.2f%%", burst.d, burst.n, res.CT, res.ExpectedCT, rel*100)
+		rel := stats.RelErr(float64(ct), float64(res.ExpectedCT))
+		t.Logf("pattern %d:%d CT %v expected %v error %.2f%%", burst.d, burst.n, ct, res.ExpectedCT, rel*100)
 		if rel > 0.05 {
 			t.Errorf("pattern %d:%d error %.2f%% > 5%% (paper: <1.2%%)", burst.d, burst.n, rel*100)
 		}
@@ -588,7 +579,7 @@ func TestChaseKernelsMatchSuccessorChase(t *testing.T) {
 		var ct sim.Time
 		if err := env.Run(func(e *Env, th *simos.Thread) {
 			ct = body(th)
-			e.CloseEpoch(th)
+			th.SettledNow()
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -602,7 +593,11 @@ func TestChaseKernelsMatchSuccessorChase(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := measure(env, func(th *simos.Thread) sim.Time { return ml.Run(th).CT })
+		got := measure(env, func(th *simos.Thread) sim.Time {
+			start := th.Now()
+			ml.Run(th)
+			return th.Now() - start
+		})
 
 		ref := newEnv(false)
 		rl, err := BuildMemLat(ref.Proc, cfg)
@@ -656,7 +651,11 @@ func TestChaseKernelsMatchSuccessorChase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = measure(env, func(th *simos.Thread) sim.Time { return mlat.Run(th, 0, 0).CT })
+	got = measure(env, func(th *simos.Thread) sim.Time {
+		start := th.Now()
+		mlat.Run(th, 0, 0)
+		return th.Now() - start
+	})
 	ref = newEnv(true)
 	rlat, err := BuildMultiLat(ref.Proc, ref.Emu, mlCfg)
 	if err != nil {
@@ -740,8 +739,7 @@ func referenceMultiThreaded(env *Env, main *simos.Thread, cfg MTConfig) sim.Time
 	for arrived < cfg.Threads {
 		arrivedCv.Wait(main, startMu)
 	}
-	env.CloseEpoch(main)
-	start := main.Now()
+	start := main.SettledNow()
 	started = true
 	goCv.Broadcast(main)
 	startMu.Unlock(main)
@@ -772,7 +770,7 @@ func TestMemLatInjectionMetamorphic(t *testing.T) {
 		}
 		if err := env.Run(func(e *Env, th *simos.Thread) {
 			ml.Run(th)
-			e.CloseEpoch(th)
+			th.SettledNow()
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -128,13 +128,9 @@ func (e *Env) Run(fn func(*Env, *simos.Thread)) error {
 	return e.Proc.Run(body)
 }
 
-// CloseEpoch flushes the thread's pending epoch delay in Emulated mode so
-// the caller's next timestamp includes it; a no-op otherwise.
-func (e *Env) CloseEpoch(t *simos.Thread) {
-	if e.Emu != nil {
-		e.Emu.CloseEpoch(t)
-	}
-}
+// CloseEpoch is t.SettledNow without its value: it closes t's open epoch.
+// cmd/quartzperf still calls it; new code calls SettledNow.
+func (e *Env) CloseEpoch(t *simos.Thread) { t.SettledNow() }
 
 // AllocNode reports the NUMA node workload data should live on in this mode.
 func (e *Env) AllocNode() int {

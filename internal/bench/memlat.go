@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"github.com/quartz-emu/quartz/internal/mem"
-	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/simos"
 )
 
@@ -71,18 +70,6 @@ type MemLat struct {
 // the host caches when it comes.
 const warmAhead = 4
 
-// MemLatResult is one run's measurement.
-type MemLatResult struct {
-	// CT is the completion time of the chase loop.
-	CT sim.Time
-	// PerIteration is CT divided by iterations: with one chain this is the
-	// measured memory access latency (the Intel MLC-style measurement the
-	// paper exploits in Fig. 12).
-	PerIteration sim.Time
-	// Accesses is the total number of loads issued.
-	Accesses int64
-}
-
 // BuildMemLat allocates and links the chains inside p's address space.
 func BuildMemLat(p *simos.Process, cfg MemLatConfig) (*MemLat, error) {
 	if err := cfg.Validate(); err != nil {
@@ -107,13 +94,15 @@ func BuildMemLat(p *simos.Process, cfg MemLatConfig) (*MemLat, error) {
 }
 
 // Run chases the chains for the configured iterations from thread t, each
-// from its slot 0.
-func (b *MemLat) Run(t *simos.Thread) MemLatResult {
+// from its slot 0, issuing Iters x Chains loads. The caller times the
+// window: with one chain, its length over Iters is the measured memory
+// access latency (the Intel MLC-style measurement the paper exploits in
+// Fig. 12).
+func (b *MemLat) Run(t *simos.Thread) {
 	for c := range b.cursors {
 		b.cursors[c].bit = b.cursors[c].start
 		b.ahead[c] = b.cursors[c].skip(warmAhead)
 	}
-	start := t.Now()
 	if b.cfg.Chains == 1 {
 		cur, ahead, base := b.cursors[0], b.ahead[0], b.bases[0]
 		for i := 0; i < b.cfg.Iters; i++ {
@@ -128,12 +117,6 @@ func (b *MemLat) Run(t *simos.Thread) MemLatResult {
 			}
 			t.LoadGroup(b.batch)
 		}
-	}
-	ct := t.Now() - start
-	return MemLatResult{
-		CT:           ct,
-		PerIteration: ct / sim.Time(b.cfg.Iters),
-		Accesses:     int64(b.cfg.Iters) * int64(b.cfg.Chains),
 	}
 }
 

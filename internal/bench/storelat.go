@@ -27,16 +27,6 @@ func (c StoreLatConfig) Validate() error {
 	return nil
 }
 
-// StoreLatResult is one run's measurement.
-type StoreLatResult struct {
-	// CT is the completion time of the store pass (trailing epoch delay
-	// flushed by the caller via Env.CloseEpoch before timestamping).
-	CT sim.Time
-	// Stores is the number of stores issued (== expected store misses: the
-	// buffer is cold and every store touches a fresh line).
-	Stores int64
-}
-
 // StoreLat is a built instance of the kernel.
 type StoreLat struct {
 	cfg  StoreLatConfig
@@ -55,18 +45,14 @@ func BuildStoreLat(p *simos.Process, cfg StoreLatConfig) (*StoreLat, error) {
 	return &StoreLat{cfg: cfg, base: base}, nil
 }
 
-// Run streams one store per line from thread t. Stores are posted — the
-// pipeline pays only the L1 latency — so the baseline completion time is
-// nearly flat; under the asymmetric store model the per-epoch write-stall
-// injection stretches CT by storeMisses x (NVM_write - DRAM), which is what
-// the fig12-asym sweep extracts.
-func (b *StoreLat) Run(t *simos.Thread) StoreLatResult {
-	start := t.Now()
+// Run streams one store per line from thread t; the buffer is cold, so each
+// of the Lines stores misses. Stores are posted — the pipeline pays only the
+// L1 latency — so the baseline completion time is nearly flat; under the
+// asymmetric store model the per-epoch write-stall injection stretches the
+// caller's window by storeMisses x (NVM_write - DRAM), which is what the
+// fig12-asym sweep extracts.
+func (b *StoreLat) Run(t *simos.Thread) {
 	t.StoreRun(b.base, mem.LineSize, b.cfg.Lines)
-	return StoreLatResult{
-		CT:     t.Now() - start,
-		Stores: int64(b.cfg.Lines),
-	}
 }
 
 // StoreBWConfig parameterizes the multi-writer persistent-store kernel of
@@ -123,6 +109,11 @@ func (r StoreBWResult) AggBytesPerSec() float64 {
 // process's ThreadStarted hook — under the emulator, each writer
 // registration reprograms the write throttle when a
 // write-bandwidth collapse curve is configured.
+//
+// As in RunMultiThreaded, the writers' trailing epochs stay open: their
+// last write stalls are not in CT. Settling them would move fig11-asym's
+// table and the paper-quick benchmark digests, so it waits for the
+// exit-time accounting of unclosed epochs.
 func RunStoreBW(env *Env, main *simos.Thread, cfg StoreBWConfig) (StoreBWResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return StoreBWResult{}, err
@@ -177,8 +168,7 @@ func RunStoreBW(env *Env, main *simos.Thread, cfg StoreBWConfig) (StoreBWResult,
 	for arrived < cfg.Writers {
 		arrivedCv.Wait(main, startMu)
 	}
-	env.CloseEpoch(main)
-	start := main.Now()
+	start := main.SettledNow()
 	started = true
 	goCv.Broadcast(main)
 	startMu.Unlock(main)

@@ -42,7 +42,9 @@ type StreamResult struct {
 }
 
 // RunStream copies src to dst with Threads workers from the given main
-// thread and reports achieved bandwidth.
+// thread and reports achieved bandwidth. Each worker settles its trailing
+// epoch before it exits, so the completion time includes every injected
+// delay.
 func RunStream(env *Env, main *simos.Thread, cfg StreamConfig) (StreamResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return StreamResult{}, err
@@ -71,6 +73,7 @@ func RunStream(env *Env, main *simos.Thread, cfg StreamConfig) (StreamResult, er
 				t.LoadGroupRun(src+uintptr(i)*mem.LineSize, mem.LineSize, n)
 				t.StoreRun(dst+uintptr(i)*mem.LineSize, mem.LineSize, n)
 			}
+			t.SettledNow() // the worker's trailing delay lands before main reads its clock
 		})
 		if err != nil {
 			return StreamResult{}, fmt.Errorf("bench: spawning stream worker %d: %w", w, err)

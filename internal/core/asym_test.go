@@ -142,7 +142,7 @@ func TestAsymWriteDelayMatchesModel(t *testing.T) {
 // epoch-by-epoch store-counter deltas must reconcile exactly with the number
 // of stores the workload issued: no double counting across epoch boundaries,
 // no drops at thread registration. Each thread flushes its trailing epoch
-// with an explicit CloseEpoch before exiting: like the real library, the
+// with a settled clock read before exiting: like the real library, the
 // emulator closes only the main thread's final epoch at the end of Run, so
 // an exited worker's partial trailing epoch is otherwise unaccounted (this
 // test found exactly that gap). Run with -race this also gates the
@@ -180,10 +180,10 @@ func TestStoreDeltaAccountingProperty(t *testing.T) {
 					th.StoreRun(addr, 64, n)
 					issued += int64(n)
 				default:
-					e.CloseEpoch(th) // epoch boundary mid-stream
+					th.SettledNow() // epoch boundary mid-stream
 				}
 			}
-			e.CloseEpoch(th) // flush the trailing epoch's deltas
+			th.SettledNow() // flush the trailing epoch's deltas
 			return issued
 		}
 		var mainIssued, workerIssued int64

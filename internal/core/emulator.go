@@ -17,7 +17,7 @@ type epochReason int
 const (
 	reasonMax  epochReason = iota + 1 // monitor signal: maximum epoch length
 	reasonSync                        // inter-thread communication event
-	reasonEnd                         // thread exit / emulator shutdown
+	reasonEnd                         // settled clock read / emulator shutdown
 )
 
 func (r epochReason) String() string {
@@ -234,6 +234,7 @@ func Attach(proc *simos.Process, cfg Config) (*Emulator, error) {
 		ThreadStarted: e.onThreadStarted,
 		BeforeSync:    e.onSyncEvent,
 		OnEpochSignal: e.onSigEpoch,
+		Settle:        e.settle,
 	})
 	e.attached = true
 	return e, nil
@@ -274,9 +275,7 @@ func (e *Emulator) Run(fn simos.ThreadFunc) error {
 
 		// Close the main thread's final epoch so trailing stalls are
 		// accounted, then stop the monitor.
-		if ts := e.byThread[t]; ts != nil {
-			e.endEpoch(ts, reasonEnd)
-		}
+		e.settle(t)
 		e.stopMonitor = true
 		t.Kill(mon)
 		t.Join(mon)
@@ -358,11 +357,11 @@ func (e *Emulator) onSigEpoch(t *simos.Thread) {
 	e.endEpoch(ts, reasonMax)
 }
 
-// CloseEpoch force-closes t's current epoch, injecting any accrued delay
-// immediately. Measurement harnesses call it before reading timestamps so a
-// partial trailing epoch does not escape the measured window; long-running
-// applications do not need it.
-func (e *Emulator) CloseEpoch(t *simos.Thread) {
+// settle is the Settle hook behind simos.Thread.SettledNow: it closes t's
+// current epoch, injecting any accrued delay before the clock is read, so a
+// partial trailing epoch does not escape a measured window. The monitor and
+// unregistered threads have no epoch to close.
+func (e *Emulator) settle(t *simos.Thread) {
 	ts := e.byThread[t]
 	if ts == nil || ts.inEpochEnd {
 		return

@@ -74,8 +74,7 @@ func TestDVFSBreaksAccuracy(t *testing.T) {
 				cur = ch.next[cur]
 				th.Compute(40) // compute between accesses is what DVFS stretches
 			}
-			e.CloseEpoch(th)
-			per = (th.Now() - start) / iters
+			per = (th.SettledNow() - start) / iters
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -184,8 +183,7 @@ func TestMonitorDriftTolerated(t *testing.T) {
 				th.Load(ch.base + uintptr(cur)*64)
 				cur = ch.next[cur]
 			}
-			e.CloseEpoch(th)
-			per = (th.Now() - start) / iters
+			per = (th.SettledNow() - start) / iters
 		}); err != nil {
 			t.Fatal(err)
 		}

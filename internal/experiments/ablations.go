@@ -31,12 +31,11 @@ func modelAblationJobs(s Scale, rec *obs.Recorder) JobSet {
 				runModel := func(m core.Model) (sim.Time, error) {
 					q := quartzConfig(bench.RemoteLatNS(machine.XeonE5_2660v2), rec)
 					q.Model = m
-					res, err := runMemLat(bench.EnvConfig{
+					return runMemLat(bench.EnvConfig{
 						Preset: machine.XeonE5_2660v2, Mode: bench.Emulated, Quartz: q,
-					}, mlCfg)
-					return res.CT, err
+					}, mlCfg, (*simos.Thread).SettledNow)
 				}
-				phys, err := runMemLat(bench.EnvConfig{Preset: machine.XeonE5_2660v2, Mode: bench.PhysicalRemote}, mlCfg)
+				phys, err := runMemLat(bench.EnvConfig{Preset: machine.XeonE5_2660v2, Mode: bench.PhysicalRemote}, mlCfg, (*simos.Thread).SettledNow)
 				if err != nil {
 					return nil, err
 				}
@@ -49,7 +48,7 @@ func modelAblationJobs(s Scale, rec *obs.Recorder) JobSet {
 					return nil, err
 				}
 				return Metrics{
-					"phys_ct_ns": phys.CT.Nanoseconds(),
+					"phys_ct_ns": phys.Nanoseconds(),
 					"eq2_ct_ns":  eq2.Nanoseconds(),
 					"eq1_ct_ns":  eq1.Nanoseconds(),
 				}, nil
@@ -122,8 +121,7 @@ func pcommitAblationJobs(s Scale, rec *obs.Recorder) JobSet {
 								e.Emu.PCommit(th)
 							}
 						}
-						e.CloseEpoch(th)
-						ct = th.Now() - start
+						ct = th.SettledNow() - start
 					})
 					return ct, err
 				}
@@ -184,15 +182,15 @@ func amortizationAblationJobs(s Scale, rec *obs.Recorder) JobSet {
 				q.MaxEpoch = 500 * sim.Microsecond // frequent epochs make overhead visible
 				lats := make([]sim.Time, s.Trials)
 				for trial := range s.Trials {
-					res, err := runMemLat(bench.EnvConfig{
+					ct, err := runMemLat(bench.EnvConfig{
 						Preset: machine.XeonE5_2660v2, Mode: bench.Emulated, Quartz: q,
 					}, bench.MemLatConfig{
 						Lines: s.Lines, Chains: 1, Iters: s.MemLatIters, Seed: int64(trial + 31),
-					})
+					}, (*simos.Thread).SettledNow)
 					if err != nil {
 						return nil, trialErr("amortization", trial, err)
 					}
-					lats[trial] = res.PerIteration
+					lats[trial] = ct / sim.Time(s.MemLatIters)
 				}
 				return Metrics{"mean_ns": stats.Summarize(nanos(lats)).Mean}, nil
 			},

@@ -45,7 +45,7 @@ func kvRun(s Scale, preset machine.Preset, mode bench.Mode, q core.Config, threa
 		res, rerr = kvstore.RunWorkload(store, th, kvstore.WorkloadConfig{
 			Preload: s.KVPreload, Threads: threads, OpsPerThread: s.KVOps,
 			Seed: seed, ValueBytes: 1024, ValueAlloc: alloc,
-		}, e.CloseEpoch)
+		})
 		if rerr != nil {
 			th.Failf("%v", rerr)
 		}
@@ -108,15 +108,16 @@ func fig15Jobs(s Scale, rec *obs.Recorder) JobSet {
 	return js
 }
 
-// prRun runs PageRank once in a fresh environment, reporting the kernel CT.
-func prRun(s Scale, mode bench.Mode, q core.Config, seed uint64, prof *vtprof.Profiler) (pagerank.Result, error) {
+// prRun runs PageRank once in a fresh environment, reporting the kernel's
+// settled completion time.
+func prRun(s Scale, mode bench.Mode, q core.Config, seed uint64, prof *vtprof.Profiler) (sim.Time, error) {
 	env, err := bench.NewEnv(bench.EnvConfig{
 		Preset: machine.XeonE5_2450, Machine: appMachine(machine.XeonE5_2450, prL3Bytes),
 		Mode: mode, Quartz: q,
 		Profiler: prof,
 	})
 	if err != nil {
-		return pagerank.Result{}, err
+		return 0, err
 	}
 	alloc := func(size uintptr) (uintptr, error) {
 		return env.Proc.MallocOnNode(size, env.AllocNode())
@@ -125,22 +126,19 @@ func prRun(s Scale, mode bench.Mode, q core.Config, seed uint64, prof *vtprof.Pr
 		Vertices: s.PRVertices, EdgesPerVertex: s.PREdgesPerVertex, Seed: seed,
 	}, alloc)
 	if err != nil {
-		return pagerank.Result{}, err
+		return 0, err
 	}
-	var res pagerank.Result
+	var ct sim.Time
 	err = env.Run(func(e *bench.Env, th *simosThread) {
 		cfg := pagerank.DefaultConfig()
 		cfg.MaxIters = s.PRIters
 		start := th.Now()
-		r, rerr := pagerank.Run(g, th, cfg, alloc)
-		if rerr != nil {
+		if _, rerr := pagerank.Run(g, th, cfg, alloc); rerr != nil {
 			th.Failf("%v", rerr)
 		}
-		e.CloseEpoch(th)
-		r.CT = th.Now() - start
-		res = r
+		ct = th.SettledNow() - start
 	})
-	return res, err
+	return ct, err
 }
 
 // pageRankValidationJobs decomposes the §4.7 validation into one job per
@@ -165,8 +163,8 @@ func pageRankValidationJobs(s Scale, rec *obs.Recorder) JobSet {
 					return nil, trialErr("pagerank emulated", trial, err)
 				}
 				return Metrics{
-					"phys_ct_ns": phys.CT.Nanoseconds(),
-					"emu_ct_ns":  emu.CT.Nanoseconds(),
+					"phys_ct_ns": phys.Nanoseconds(),
+					"emu_ct_ns":  emu.Nanoseconds(),
 				}, nil
 			},
 		})
@@ -239,7 +237,7 @@ func fig16Jobs(s Scale, rec *obs.Recorder) JobSet {
 					if err != nil {
 						return nil, fmt.Errorf("fig16 %s %s: %w", pt.sweep, pt.setting, err)
 					}
-					return Metrics{"pr_ct_ms": pr.CT.Milliseconds()}, nil
+					return Metrics{"pr_ct_ms": pr.Milliseconds()}, nil
 				},
 			},
 			Job{

@@ -68,26 +68,24 @@ func writeFloorNS(pr presetRow, p machine.NVMProfile) float64 {
 }
 
 // runStoreLat builds and runs one streaming-store trial in a fresh emulated
-// environment, flushing the trailing epoch delay into the completion time.
-func runStoreLat(envCfg bench.EnvConfig, slCfg bench.StoreLatConfig) (bench.StoreLatResult, error) {
+// environment and reports its settled completion time.
+func runStoreLat(envCfg bench.EnvConfig, slCfg bench.StoreLatConfig) (sim.Time, error) {
 	env, err := bench.NewEnv(envCfg)
 	if err != nil {
-		return bench.StoreLatResult{}, err
+		return 0, err
 	}
 	slCfg.Node = env.AllocNode()
 	sl, err := bench.BuildStoreLat(env.Proc, slCfg)
 	if err != nil {
-		return bench.StoreLatResult{}, err
+		return 0, err
 	}
-	var res bench.StoreLatResult
+	var ct sim.Time
 	err = env.Run(func(e *bench.Env, th *simos.Thread) {
 		start := th.Now()
-		r := sl.Run(th)
-		e.CloseEpoch(th)
-		r.CT = th.Now() - start
-		res = r
+		sl.Run(th)
+		ct = th.SettledNow() - start
 	})
-	return res, err
+	return ct, err
 }
 
 // fig12AsymJobs decomposes the asymmetric-latency validation into one job per
@@ -126,7 +124,7 @@ func fig12AsymJobs(s Scale, rec *obs.Recorder) JobSet {
 						}, bench.MemLatConfig{
 							Lines: s.Lines / 4, Chains: 1, Iters: s.MemLatIters,
 							Seed: int64(trial*17 + 3),
-						})
+						}, (*simos.Thread).SettledNow)
 						if err != nil {
 							return nil, trialErr("fig12-asym read", trial, err)
 						}
@@ -144,8 +142,8 @@ func fig12AsymJobs(s Scale, rec *obs.Recorder) JobSet {
 						if err != nil {
 							return nil, trialErr("fig12-asym write asym", trial, err)
 						}
-						reads[trial] = read.PerIteration
-						writes[trial] = dram + (asym.CT-base.CT).Nanoseconds()/float64(s.AsymLines)
+						reads[trial] = read / sim.Time(s.MemLatIters)
+						writes[trial] = dram + (asym-base).Nanoseconds()/float64(s.AsymLines)
 					}
 					return Metrics{
 						"read_ns":  stats.Summarize(nanos(reads)).Mean,

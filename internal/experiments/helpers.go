@@ -34,30 +34,28 @@ func (s Scale) profiler(setID, jobName string) *vtprof.Profiler {
 	return s.Profiles.Job(setID + "/" + jobName)
 }
 
-// runMemLat builds and runs one MemLat trial in a fresh environment,
-// reporting the chase's completion time and per-iteration latency with any
-// trailing epoch delay flushed into the window.
-func runMemLat(envCfg bench.EnvConfig, mlCfg bench.MemLatConfig) (bench.MemLatResult, error) {
+// runMemLat builds and runs one MemLat trial in a fresh environment and
+// reports the chase's completion time, the window that end closes. Every
+// experiment but epoch-size ends it with (*simos.Thread).SettledNow, so the
+// trailing epoch's delay lands inside; epoch-size ends it with the plain
+// Now, as an uninstrumented application measures itself.
+func runMemLat(envCfg bench.EnvConfig, mlCfg bench.MemLatConfig, end func(*simos.Thread) sim.Time) (sim.Time, error) {
 	env, err := bench.NewEnv(envCfg)
 	if err != nil {
-		return bench.MemLatResult{}, err
+		return 0, err
 	}
 	mlCfg.Node = env.AllocNode()
 	ml, err := bench.BuildMemLat(env.Proc, mlCfg)
 	if err != nil {
-		return bench.MemLatResult{}, err
+		return 0, err
 	}
-	var res bench.MemLatResult
+	var ct sim.Time
 	err = env.Run(func(e *bench.Env, th *simos.Thread) {
 		start := th.Now()
-		r := ml.Run(th)
-		e.CloseEpoch(th)
-		ct := th.Now() - start
-		r.CT = ct
-		r.PerIteration = ct / sim.Time(mlCfg.Iters)
-		res = r
+		ml.Run(th)
+		ct = end(th) - start
 	})
-	return res, err
+	return ct, err
 }
 
 // simosThread shortens closure signatures in the sweep code.

@@ -8,6 +8,7 @@ import (
 	"github.com/quartz-emu/quartz/internal/core"
 	"github.com/quartz-emu/quartz/internal/obs"
 	"github.com/quartz-emu/quartz/internal/sim"
+	"github.com/quartz-emu/quartz/internal/simos"
 	"github.com/quartz-emu/quartz/internal/stats"
 )
 
@@ -38,7 +39,7 @@ func fig11Jobs(s Scale, rec *obs.Recorder) JobSet {
 						p, err := runMemLat(bench.EnvConfig{
 							Preset: pr.preset, Mode: bench.PhysicalRemote,
 							Profiler: prof,
-						}, mlCfg)
+						}, mlCfg, (*simos.Thread).SettledNow)
 						if err != nil {
 							return nil, trialErr("fig11 physical", trial, err)
 						}
@@ -46,11 +47,11 @@ func fig11Jobs(s Scale, rec *obs.Recorder) JobSet {
 							Preset: pr.preset, Mode: bench.Emulated,
 							Quartz:   quartzConfig(bench.RemoteLatNS(pr.preset), rec),
 							Profiler: prof,
-						}, mlCfg)
+						}, mlCfg, (*simos.Thread).SettledNow)
 						if err != nil {
 							return nil, trialErr("fig11 emulated", trial, err)
 						}
-						phys[trial], emu[trial] = p.CT, e.CT
+						phys[trial], emu[trial] = p, e
 					}
 					return Metrics{
 						"phys_ct_ns": stats.Summarize(nanos(phys)).Mean,
@@ -102,18 +103,18 @@ func fig12Jobs(s Scale, rec *obs.Recorder) JobSet {
 					prof := s.profiler(js.ID, name)
 					lats := make([]sim.Time, s.Trials)
 					for trial := range s.Trials {
-						res, err := runMemLat(bench.EnvConfig{
+						ct, err := runMemLat(bench.EnvConfig{
 							Preset: pr.preset, Mode: bench.Emulated,
 							Quartz:   quartzConfig(target, rec),
 							Profiler: prof,
 						}, bench.MemLatConfig{
 							Lines: s.Lines, Chains: 1, Iters: s.MemLatIters,
 							Seed: int64(trial*13 + int(target)),
-						})
+						}, (*simos.Thread).SettledNow)
 						if err != nil {
 							return nil, trialErr("fig12", trial, err)
 						}
-						lats[trial] = res.PerIteration
+						lats[trial] = ct / sim.Time(s.MemLatIters)
 					}
 					sum := stats.Summarize(nanos(lats))
 					return Metrics{"mean_ns": sum.Mean, "min_ns": sum.Min, "max_ns": sum.Max}, nil

@@ -9,6 +9,7 @@ import (
 	"github.com/quartz-emu/quartz/internal/obs"
 	"github.com/quartz-emu/quartz/internal/perf"
 	"github.com/quartz-emu/quartz/internal/sim"
+	"github.com/quartz-emu/quartz/internal/simos"
 	"github.com/quartz-emu/quartz/internal/stats"
 )
 
@@ -39,15 +40,15 @@ func overheadJobs(s Scale, rec *obs.Recorder) JobSet {
 			Run: func() (Metrics, error) {
 				cts := make([]sim.Time, s.Trials)
 				for trial := range s.Trials {
-					res, err := runMemLat(bench.EnvConfig{
+					ct, err := runMemLat(bench.EnvConfig{
 						Preset: machine.XeonE5_2660v2, Mode: m.mode, Quartz: q,
 					}, bench.MemLatConfig{
 						Lines: s.Lines, Chains: 1, Iters: s.MemLatIters, Seed: int64(trial + 9),
-					})
+					}, (*simos.Thread).SettledNow)
 					if err != nil {
 						return nil, trialErr("overhead", trial, err)
 					}
-					cts[trial] = res.CT
+					cts[trial] = ct
 				}
 				return Metrics{"ct_ns": stats.Summarize(nanos(cts)).Mean}, nil
 			},
@@ -96,15 +97,15 @@ func epochSizeJobs(s Scale, rec *obs.Recorder) JobSet {
 				for trial := range s.Trials {
 					q := quartzConfig(epochSizeTarget, rec)
 					q.MaxEpoch = maxEpoch
-					res, err := runMemLatNoFinalClose(bench.EnvConfig{
+					ct, err := runMemLat(bench.EnvConfig{
 						Preset: machine.XeonE5_2660v2, Mode: bench.Emulated, Quartz: q,
 					}, bench.MemLatConfig{
 						Lines: s.Lines, Chains: 1, Iters: s.MemLatIters, Seed: int64(trial + 3),
-					})
+					}, (*simos.Thread).Now)
 					if err != nil {
 						return nil, trialErr("epoch-size", trial, err)
 					}
-					lats[trial] = res.PerIteration
+					lats[trial] = ct / sim.Time(s.MemLatIters)
 				}
 				return Metrics{"mean_ns": stats.Summarize(nanos(lats)).Mean}, nil
 			},
@@ -128,24 +129,4 @@ func epochSizeJobs(s Scale, rec *obs.Recorder) JobSet {
 		return t, nil
 	}
 	return js
-}
-
-// runMemLatNoFinalClose is runMemLat without the final CloseEpoch: it
-// measures the way an uninstrumented application would, which is exactly
-// what makes oversized epochs inaccurate.
-func runMemLatNoFinalClose(envCfg bench.EnvConfig, mlCfg bench.MemLatConfig) (bench.MemLatResult, error) {
-	env, err := bench.NewEnv(envCfg)
-	if err != nil {
-		return bench.MemLatResult{}, err
-	}
-	mlCfg.Node = env.AllocNode()
-	ml, err := bench.BuildMemLat(env.Proc, mlCfg)
-	if err != nil {
-		return bench.MemLatResult{}, err
-	}
-	var res bench.MemLatResult
-	err = env.Run(func(e *bench.Env, th *simosThread) {
-		res = ml.Run(th)
-	})
-	return res, err
 }

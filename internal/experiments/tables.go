@@ -61,14 +61,15 @@ func table2Jobs(s Scale, _ *obs.Recorder) JobSet {
 				Run: func() (Metrics, error) {
 					lats := make([]sim.Time, s.Trials)
 					for trial := range s.Trials {
-						res, err := runMemLat(
+						ct, err := runMemLat(
 							bench.EnvConfig{Preset: pr.preset, Mode: m.mode},
 							bench.MemLatConfig{Lines: s.Lines, Chains: 1, Iters: s.MemLatIters, Seed: int64(100 + trial)},
+							(*simos.Thread).SettledNow,
 						)
 						if err != nil {
 							return nil, trialErr("table2", trial, err)
 						}
-						lats[trial] = res.PerIteration
+						lats[trial] = ct / sim.Time(s.MemLatIters)
 					}
 					sum := stats.Summarize(nanos(lats))
 					return Metrics{"min_ns": sum.Min, "mean_ns": sum.Mean, "max_ns": sum.Max}, nil

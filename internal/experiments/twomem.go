@@ -88,18 +88,13 @@ func fig14Jobs(s Scale, rec *obs.Recorder) JobSet {
 								if err != nil {
 									return nil, trialErr("fig14", trial, err)
 								}
-								var res bench.MultiLatResult
 								if err := env.Run(func(e *bench.Env, th *simosThread) {
 									start := th.Now()
-									r := ml.Run(th, machine.PresetConfig(pr.preset).LocalLat, sim.FromNanos(nvmNS))
-									e.CloseEpoch(th)
-									r.CT = th.Now() - start
-									res = r
+									exps[trial] = ml.Run(th, machine.PresetConfig(pr.preset).LocalLat, sim.FromNanos(nvmNS)).ExpectedCT
+									cts[trial] = th.SettledNow() - start
 								}); err != nil {
 									return nil, trialErr("fig14", trial, err)
 								}
-								cts[trial] = res.CT
-								exps[trial] = res.ExpectedCT
 							}
 							return Metrics{
 								"ct_ns":       stats.Summarize(nanos(cts)).Mean,

@@ -334,7 +334,7 @@ func TestPprofEmulatedReconciles(t *testing.T) {
 	}
 	if err := env.Run(func(e *bench.Env, th *simos.Thread) {
 		ml.Run(th)
-		e.CloseEpoch(th)
+		th.SettledNow()
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +419,7 @@ func TestProfilerDoesNotPerturbVirtualTime(t *testing.T) {
 		}
 		if err := env.Run(func(e *bench.Env, th *simos.Thread) {
 			ml.Run(th)
-			e.CloseEpoch(th)
+			th.SettledNow()
 		}); err != nil {
 			t.Fatal(err)
 		}

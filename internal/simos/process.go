@@ -75,6 +75,10 @@ type Hooks struct {
 	// real implementation). It runs in the interrupted thread's context,
 	// like a POSIX handler on the target thread's stack.
 	OnEpochSignal func(*Thread)
+	// Settle runs in Thread.SettledNow before the clock is read: it closes
+	// the thread's open epoch, so the delay that epoch accrued is injected
+	// before a measured window ends.
+	Settle func(*Thread)
 }
 
 // Process is one simulated application: a set of threads sharing a machine

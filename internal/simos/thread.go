@@ -45,6 +45,17 @@ func (t *Thread) Core() *cpu.Core { return t.core }
 // Now reports the thread's local virtual time (CLOCK_MONOTONIC).
 func (t *Thread) Now() sim.Time { return t.coro.Clock() }
 
+// SettledNow runs the Settle hook, which closes the thread's open epoch and
+// injects its delay, then reports Now. A clock read that ends a measured
+// window uses it, so the trailing epoch's delay lands inside the window;
+// without a Settle hook it equals Now.
+func (t *Thread) SettledNow() sim.Time {
+	if h := t.proc.hooks.Settle; h != nil {
+		h(t)
+	}
+	return t.Now()
+}
+
 // Done reports whether the thread body has returned.
 func (t *Thread) Done() bool { return t.done }
 

@@ -71,9 +71,9 @@ type ScenarioConfig struct {
 	// the closed loop.
 	ArrivalPeriod sim.Time
 	// CloseEpoch, when non-nil, is invoked per pool thread before its final
-	// timestamp (the emulator's CloseEpoch) so trailing epoch delays land
-	// inside the measured window — the same contract as the validation
-	// workload.
+	// timestamp, and on main before the window opens, so trailing epoch
+	// delays land inside the measured window. Pass bench.Env.CloseEpoch,
+	// which settles the thread's epoch as simos.Thread.SettledNow does.
 	CloseEpoch func(*simos.Thread)
 	// Obs, when non-nil, feeds the live introspection plane: per-op-kind
 	// quartz.ops.* counters and latency histograms, and the quartz.traffic.*

@@ -29,8 +29,7 @@ func TestNewSystemAndRun(t *testing.T) {
 			th.Load(buf + cur*64)
 			cur = (cur*1103515245 + 12345) % n
 		}
-		sys.Emulator.CloseEpoch(th)
-		measured = float64(th.Now()-start) / iters / 1e6 // ns per access
+		measured = float64(th.SettledNow()-start) / iters / 1e6 // ns per access
 	})
 	if err != nil {
 		t.Fatal(err)
