@@ -112,6 +112,36 @@ func TestNoHandMadeEpochCloses(t *testing.T) {
 	}
 }
 
+// TestExperimentEnvsAttachObservers fails when non-test Go in
+// internal/experiments names bench.NewEnv outside Scale.env, the one
+// constructor that attaches the run's recorder and the job's profiler to
+// every experiment simulation; a simulation built anywhere else would run
+// unobserved.
+func TestExperimentEnvsAttachObservers(t *testing.T) {
+	root := "../.."
+	dir := filepath.Join(root, "internal", "experiments")
+	err := walkGo(dir, func(fset *token.FileSet, path string, f *ast.File) {
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.Name == "env" && fn.Recv != nil {
+				continue
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok || sel.Sel.Name != "NewEnv" {
+					return true
+				}
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "bench" {
+					t.Errorf("%s: bench.NewEnv builds an experiment simulation without its observers; build it with Scale.env", fset.Position(sel.Pos()))
+				}
+				return true
+			})
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // walkGo parses every non-test Go file under root, skipping hidden and
 // testdata directories, and hands each to fn.
 func walkGo(root string, fn func(fset *token.FileSet, path string, f *ast.File)) error {

@@ -148,11 +148,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Observability: one shared recorder collects the whole suite — runner
 	// job outcomes directly, and per-epoch ledger records from every
-	// emulator the experiment jobs attach (runner.Suite hands cfg.Recorder
-	// to the jobs as it decomposes them). -progress also
-	// attaches one so its lines can report live emulation rates. The
-	// virtual-time profiler attaches per job through the scale; nil (the
-	// default) keeps every simulation byte-identical to an unprofiled run.
+	// emulator the experiment jobs attach (runner.Suite sets cfg.Recorder as
+	// the scale's Observer). -progress also attaches one so its lines can
+	// report live emulation rates. -vtprof sets the scale's Profiles, one
+	// virtual-time profiler per job. The experiments attach both observers
+	// to every simulation they build; neither moves a simulated clock.
 	src := cli.Sources{Recorder: *progressFlag}
 	if o.Serve != "" {
 		cfg.Status = runner.NewStatusBoard()

@@ -82,7 +82,7 @@ func measure(writeNS float64, usePCommit bool, batch int) (appendsPerSec float64
 			}
 		}
 		log.Commit(t)
-		elapsed := t.Now() - start
+		elapsed := t.SettledNow() - start
 		if log.DurableRecords() != records {
 			t.Failf("only %d of %d records durable", log.DurableRecords(), records)
 		}

@@ -7,7 +7,6 @@ import (
 	"github.com/quartz-emu/quartz/internal/core"
 	"github.com/quartz-emu/quartz/internal/machine"
 	"github.com/quartz-emu/quartz/internal/mem"
-	"github.com/quartz-emu/quartz/internal/obs"
 	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/simos"
 	"github.com/quartz-emu/quartz/internal/stats"
@@ -18,24 +17,26 @@ var modelAblationChains = []int{1, 4, 8}
 
 // modelAblationJobs decomposes the latency-model ablation into one job per
 // chain count; each runs the physical reference and both model variants.
-func modelAblationJobs(s Scale, rec *obs.Recorder) JobSet {
-	js := JobSet{ID: "model-ablation"}
+func modelAblationJobs(s Scale) JobSet {
+	const id = "model-ablation"
+	js := JobSet{ID: id}
 	for _, chains := range modelAblationChains {
+		name := "chains=" + strconv.Itoa(chains)
 		js.Jobs = append(js.Jobs, Job{
-			Name:   "chains=" + strconv.Itoa(chains),
+			Name:   name,
 			Params: map[string]string{"chains": strconv.Itoa(chains)},
 			Run: func() (Metrics, error) {
 				mlCfg := bench.MemLatConfig{
 					Lines: s.Lines / 2, Chains: chains, Iters: s.MemLatIters, Seed: 21,
 				}
 				runModel := func(m core.Model) (sim.Time, error) {
-					q := quartzConfig(bench.RemoteLatNS(machine.XeonE5_2660v2), rec)
+					q := quartzConfig(bench.RemoteLatNS(machine.XeonE5_2660v2))
 					q.Model = m
-					return runMemLat(bench.EnvConfig{
+					return runMemLat(s, id, name, bench.EnvConfig{
 						Preset: machine.XeonE5_2660v2, Mode: bench.Emulated, Quartz: q,
 					}, mlCfg, (*simos.Thread).SettledNow)
 				}
-				phys, err := runMemLat(bench.EnvConfig{Preset: machine.XeonE5_2660v2, Mode: bench.PhysicalRemote}, mlCfg, (*simos.Thread).SettledNow)
+				phys, err := runMemLat(s, id, name, bench.EnvConfig{Preset: machine.XeonE5_2660v2, Mode: bench.PhysicalRemote}, mlCfg, (*simos.Thread).SettledNow)
 				if err != nil {
 					return nil, err
 				}
@@ -82,18 +83,20 @@ var pcommitFieldCounts = []int{2, 4, 8, 16}
 
 // pcommitAblationJobs decomposes the write-model ablation into one job per
 // field count; each runs the serialized-pflush and pcommit variants.
-func pcommitAblationJobs(s Scale, rec *obs.Recorder) JobSet {
-	js := JobSet{ID: "pcommit"}
+func pcommitAblationJobs(s Scale) JobSet {
+	const id = "pcommit"
+	js := JobSet{ID: id}
 	objects := s.KVOps // reuse the scale knob: one "object" per op
 	for _, fields := range pcommitFieldCounts {
+		name := "fields=" + strconv.Itoa(fields)
 		js.Jobs = append(js.Jobs, Job{
-			Name:   "fields=" + strconv.Itoa(fields),
+			Name:   name,
 			Params: map[string]string{"fields": strconv.Itoa(fields)},
 			Run: func() (Metrics, error) {
 				run := func(usePCommit bool) (sim.Time, error) {
-					q := quartzConfig(500, rec)
+					q := quartzConfig(500)
 					q.WriteLatency = sim.FromNanos(500)
-					env, err := bench.NewEnv(bench.EnvConfig{
+					env, err := s.env(id, name, bench.EnvConfig{
 						Preset: machine.XeonE5_2660v2, Mode: bench.Emulated, Quartz: q,
 					})
 					if err != nil {
@@ -166,23 +169,25 @@ const amortizationTarget = 300.0
 
 // amortizationAblationJobs decomposes the carry-over ablation into one job
 // per amortization setting (on/off).
-func amortizationAblationJobs(s Scale, rec *obs.Recorder) JobSet {
-	js := JobSet{ID: "amortization"}
+func amortizationAblationJobs(s Scale) JobSet {
+	const id = "amortization"
+	js := JobSet{ID: id}
 	for _, disabled := range []bool{false, true} {
-		name := "on"
+		setting := "on"
 		if disabled {
-			name = "off"
+			setting = "off"
 		}
+		name := "amortization=" + setting
 		js.Jobs = append(js.Jobs, Job{
-			Name:   "amortization=" + name,
-			Params: map[string]string{"amortization": name},
+			Name:   name,
+			Params: map[string]string{"amortization": setting},
 			Run: func() (Metrics, error) {
-				q := quartzConfig(amortizationTarget, rec)
+				q := quartzConfig(amortizationTarget)
 				q.DisableAmortization = disabled
 				q.MaxEpoch = 500 * sim.Microsecond // frequent epochs make overhead visible
 				lats := make([]sim.Time, s.Trials)
 				for trial := range s.Trials {
-					ct, err := runMemLat(bench.EnvConfig{
+					ct, err := runMemLat(s, id, name, bench.EnvConfig{
 						Preset: machine.XeonE5_2660v2, Mode: bench.Emulated, Quartz: q,
 					}, bench.MemLatConfig{
 						Lines: s.Lines, Chains: 1, Iters: s.MemLatIters, Seed: int64(trial + 31),

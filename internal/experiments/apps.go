@@ -9,8 +9,6 @@ import (
 	"github.com/quartz-emu/quartz/internal/bench"
 	"github.com/quartz-emu/quartz/internal/core"
 	"github.com/quartz-emu/quartz/internal/machine"
-	"github.com/quartz-emu/quartz/internal/obs"
-	"github.com/quartz-emu/quartz/internal/obs/vtprof"
 	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/stats"
 )
@@ -20,14 +18,13 @@ import (
 // few operations at the default minimum epoch; per §3.2's tuning guidance
 // the minimum epoch is raised until the epoch-creation overhead is
 // amortizable (<4%), which the emulator's statistics feedback confirms.
-func kvRun(s Scale, preset machine.Preset, mode bench.Mode, q core.Config, threads int, seed uint64, prof *vtprof.Profiler) (kvstore.WorkloadResult, error) {
+func kvRun(s Scale, id, name string, preset machine.Preset, mode bench.Mode, q core.Config, threads int, seed uint64) (kvstore.WorkloadResult, error) {
 	if q.MinEpoch != 0 && q.MinEpoch < 50*sim.Microsecond {
 		q.MinEpoch = 50 * sim.Microsecond
 	}
-	env, err := bench.NewEnv(bench.EnvConfig{
+	env, err := s.env(id, name, bench.EnvConfig{
 		Preset: preset, Machine: appMachine(preset, kvL3Bytes), Mode: mode, Quartz: q,
 		Lookahead: 2 * sim.Microsecond,
-		Profiler:  prof,
 	})
 	if err != nil {
 		return kvstore.WorkloadResult{}, err
@@ -59,7 +56,7 @@ var fig15Threads = []int{1, 2, 4, 8}
 // fig15Jobs decomposes Figure 15 into one job per (thread count, trial):
 // each runs the paired physically-remote and emulated workloads with the
 // same seed and reports the per-trial throughput errors.
-func fig15Jobs(s Scale, rec *obs.Recorder) JobSet {
+func fig15Jobs(s Scale) JobSet {
 	js := JobSet{ID: "fig15"}
 	preset := machine.XeonE5_2450
 	for _, threads := range fig15Threads {
@@ -70,13 +67,12 @@ func fig15Jobs(s Scale, rec *obs.Recorder) JobSet {
 				Params: map[string]string{"threads": strconv.Itoa(threads), "trial": strconv.Itoa(trial)},
 				Run: func() (Metrics, error) {
 					seed := uint64(trial*101 + threads)
-					prof := s.profiler(js.ID, name)
-					phys, err := kvRun(s, preset, bench.PhysicalRemote, core.Config{}, threads, seed, prof)
+					phys, err := kvRun(s, js.ID, name, preset, bench.PhysicalRemote, core.Config{}, threads, seed)
 					if err != nil {
 						return nil, trialErr("fig15 physical", trial, err)
 					}
-					emu, err := kvRun(s, preset, bench.Emulated,
-						quartzConfig(bench.RemoteLatNS(preset), rec), threads, seed, prof)
+					emu, err := kvRun(s, js.ID, name, preset, bench.Emulated,
+						quartzConfig(bench.RemoteLatNS(preset)), threads, seed)
 					if err != nil {
 						return nil, trialErr("fig15 emulated", trial, err)
 					}
@@ -110,11 +106,10 @@ func fig15Jobs(s Scale, rec *obs.Recorder) JobSet {
 
 // prRun runs PageRank once in a fresh environment, reporting the kernel's
 // settled completion time.
-func prRun(s Scale, mode bench.Mode, q core.Config, seed uint64, prof *vtprof.Profiler) (sim.Time, error) {
-	env, err := bench.NewEnv(bench.EnvConfig{
+func prRun(s Scale, id, name string, mode bench.Mode, q core.Config, seed uint64) (sim.Time, error) {
+	env, err := s.env(id, name, bench.EnvConfig{
 		Preset: machine.XeonE5_2450, Machine: appMachine(machine.XeonE5_2450, prL3Bytes),
 		Mode: mode, Quartz: q,
-		Profiler: prof,
 	})
 	if err != nil {
 		return 0, err
@@ -144,7 +139,7 @@ func prRun(s Scale, mode bench.Mode, q core.Config, seed uint64, prof *vtprof.Pr
 // pageRankValidationJobs decomposes the §4.7 validation into one job per
 // trial, each running the paired Conf_2/Conf_1 executions with the same
 // seed.
-func pageRankValidationJobs(s Scale, rec *obs.Recorder) JobSet {
+func pageRankValidationJobs(s Scale) JobSet {
 	js := JobSet{ID: "pagerank-validate"}
 	for trial := 0; trial < s.Trials; trial++ {
 		name := fmt.Sprintf("trial=%d", trial)
@@ -153,12 +148,11 @@ func pageRankValidationJobs(s Scale, rec *obs.Recorder) JobSet {
 			Params: map[string]string{"trial": strconv.Itoa(trial)},
 			Run: func() (Metrics, error) {
 				seed := uint64(trial + 5)
-				prof := s.profiler(js.ID, name)
-				phys, err := prRun(s, bench.PhysicalRemote, core.Config{}, seed, prof)
+				phys, err := prRun(s, js.ID, name, bench.PhysicalRemote, core.Config{}, seed)
 				if err != nil {
 					return nil, trialErr("pagerank physical", trial, err)
 				}
-				emu, err := prRun(s, bench.Emulated, quartzConfig(bench.RemoteLatNS(machine.XeonE5_2450), rec), seed, prof)
+				emu, err := prRun(s, js.ID, name, bench.Emulated, quartzConfig(bench.RemoteLatNS(machine.XeonE5_2450)), seed)
 				if err != nil {
 					return nil, trialErr("pagerank emulated", trial, err)
 				}
@@ -192,7 +186,7 @@ type fig16Point struct {
 }
 
 // fig16Points builds the Figure 16 sweep grid at scale s, baseline first.
-func fig16Points(s Scale, rec *obs.Recorder) []fig16Point {
+func fig16Points(s Scale) []fig16Point {
 	localNS := machine.PresetConfig(machine.XeonE5_2450).LocalLat.Nanoseconds()
 
 	latPoints := []float64{100, 200, 300, 500, 1000, 2000}
@@ -202,14 +196,14 @@ func fig16Points(s Scale, rec *obs.Recorder) []fig16Point {
 		bwPoints = []float64{5e9, 1.5e9, 0.5e9}
 	}
 
-	points := []fig16Point{{sweep: "baseline", setting: "DRAM", q: quartzConfig(localNS, rec)}}
+	points := []fig16Point{{sweep: "baseline", setting: "DRAM", q: quartzConfig(localNS)}}
 	for _, lat := range latPoints {
 		points = append(points, fig16Point{
-			sweep: "latency", setting: fmt.Sprintf("%.0fns", lat), q: quartzConfig(lat, rec),
+			sweep: "latency", setting: fmt.Sprintf("%.0fns", lat), q: quartzConfig(lat),
 		})
 	}
 	for _, bw := range bwPoints {
-		q := quartzConfig(localNS, rec)
+		q := quartzConfig(localNS)
 		q.NVMBandwidth = bw
 		points = append(points, fig16Point{
 			sweep: "bandwidth", setting: fmt.Sprintf("%.1fGB/s", bw/1e9), q: q,
@@ -222,9 +216,9 @@ func fig16Points(s Scale, rec *obs.Recorder) []fig16Point {
 // PageRank run and the KV-store run — so both applications sweep
 // concurrently; the assembler normalizes every point against the baseline
 // jobs.
-func fig16Jobs(s Scale, rec *obs.Recorder) JobSet {
+func fig16Jobs(s Scale) JobSet {
 	js := JobSet{ID: "fig16"}
-	points := fig16Points(s, rec)
+	points := fig16Points(s)
 	for _, pt := range points {
 		prName := pt.sweep + "=" + pt.setting + "/pagerank"
 		kvName := pt.sweep + "=" + pt.setting + "/kvstore"
@@ -233,7 +227,7 @@ func fig16Jobs(s Scale, rec *obs.Recorder) JobSet {
 				Name:   prName,
 				Params: map[string]string{"sweep": pt.sweep, "setting": pt.setting, "app": "pagerank"},
 				Run: func() (Metrics, error) {
-					pr, err := prRun(s, bench.Emulated, pt.q, 5, s.profiler(js.ID, prName))
+					pr, err := prRun(s, js.ID, prName, bench.Emulated, pt.q, 5)
 					if err != nil {
 						return nil, fmt.Errorf("fig16 %s %s: %w", pt.sweep, pt.setting, err)
 					}
@@ -244,7 +238,7 @@ func fig16Jobs(s Scale, rec *obs.Recorder) JobSet {
 				Name:   kvName,
 				Params: map[string]string{"sweep": pt.sweep, "setting": pt.setting, "app": "kvstore"},
 				Run: func() (Metrics, error) {
-					kv, err := kvRun(s, machine.XeonE5_2450, bench.Emulated, pt.q, 4, 5, s.profiler(js.ID, kvName))
+					kv, err := kvRun(s, js.ID, kvName, machine.XeonE5_2450, bench.Emulated, pt.q, 4, 5)
 					if err != nil {
 						return nil, fmt.Errorf("fig16 %s %s: %w", pt.sweep, pt.setting, err)
 					}

@@ -7,7 +7,6 @@ import (
 	"github.com/quartz-emu/quartz/internal/bench"
 	"github.com/quartz-emu/quartz/internal/core"
 	"github.com/quartz-emu/quartz/internal/machine"
-	"github.com/quartz-emu/quartz/internal/obs"
 	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/simos"
 	"github.com/quartz-emu/quartz/internal/stats"
@@ -50,8 +49,8 @@ func errorJobSet(id string, err error) JobSet {
 // the profile's read latency drives the stall model and its write latency the
 // store-side model. Bandwidth caps are deliberately left off — fig12-asym is
 // a latency validation, and keeping it latency-bound isolates the two knobs.
-func asymQuartz(p machine.NVMProfile, rec *obs.Recorder) core.Config {
-	cfg := quartzConfig(p.ReadLatency.Nanoseconds(), rec)
+func asymQuartz(p machine.NVMProfile) core.Config {
+	cfg := quartzConfig(p.ReadLatency.Nanoseconds())
 	cfg.NVMWriteLatency = p.WriteLatency
 	return cfg
 }
@@ -69,8 +68,8 @@ func writeFloorNS(pr presetRow, p machine.NVMProfile) float64 {
 
 // runStoreLat builds and runs one streaming-store trial in a fresh emulated
 // environment and reports its settled completion time.
-func runStoreLat(envCfg bench.EnvConfig, slCfg bench.StoreLatConfig) (sim.Time, error) {
-	env, err := bench.NewEnv(envCfg)
+func runStoreLat(s Scale, id, name string, envCfg bench.EnvConfig, slCfg bench.StoreLatConfig) (sim.Time, error) {
+	env, err := s.env(id, name, envCfg)
 	if err != nil {
 		return 0, err
 	}
@@ -96,7 +95,7 @@ func runStoreLat(envCfg bench.EnvConfig, slCfg bench.StoreLatConfig) (sim.Time, 
 // means. The emulated store latency is recovered from the pair as
 // DRAM + (CT_asym - CT_base) / store_misses: stores are posted, so the whole
 // write term arrives through the per-epoch injection the pair isolates.
-func fig12AsymJobs(s Scale, rec *obs.Recorder) JobSet {
+func fig12AsymJobs(s Scale) JobSet {
 	const id = "fig12-asym"
 	profiles, perr := asymProfileList(s)
 	if perr != nil {
@@ -106,8 +105,9 @@ func fig12AsymJobs(s Scale, rec *obs.Recorder) JobSet {
 	prs := presetRows()
 	for _, pr := range prs {
 		for _, prof := range profiles {
+			name := fmt.Sprintf("%s/%s", pr.label, prof.Name)
 			js.Jobs = append(js.Jobs, Job{
-				Name: fmt.Sprintf("%s/%s", pr.label, prof.Name),
+				Name: name,
 				Params: map[string]string{
 					"family": pr.label, "profile": prof.Name,
 					"read_ns":  fmt.Sprintf("%.0f", prof.ReadLatency.Nanoseconds()),
@@ -118,9 +118,9 @@ func fig12AsymJobs(s Scale, rec *obs.Recorder) JobSet {
 					writes := make([]float64, s.Trials)
 					dram := machine.PresetConfig(pr.preset).LocalLat.Nanoseconds()
 					for trial := range s.Trials {
-						read, err := runMemLat(bench.EnvConfig{
+						read, err := runMemLat(s, id, name, bench.EnvConfig{
 							Preset: pr.preset, Mode: bench.Emulated,
-							Quartz: asymQuartz(prof, rec),
+							Quartz: asymQuartz(prof),
 						}, bench.MemLatConfig{
 							Lines: s.Lines / 4, Chains: 1, Iters: s.MemLatIters,
 							Seed: int64(trial*17 + 3),
@@ -128,16 +128,16 @@ func fig12AsymJobs(s Scale, rec *obs.Recorder) JobSet {
 						if err != nil {
 							return nil, trialErr("fig12-asym read", trial, err)
 						}
-						q := asymQuartz(prof, rec)
+						q := asymQuartz(prof)
 						q.NVMWriteLatency = 0 // store model off: the subtraction baseline
-						base, err := runStoreLat(bench.EnvConfig{
+						base, err := runStoreLat(s, id, name, bench.EnvConfig{
 							Preset: pr.preset, Mode: bench.Emulated, Quartz: q,
 						}, bench.StoreLatConfig{Lines: s.AsymLines})
 						if err != nil {
 							return nil, trialErr("fig12-asym write base", trial, err)
 						}
-						asym, err := runStoreLat(bench.EnvConfig{
-							Preset: pr.preset, Mode: bench.Emulated, Quartz: asymQuartz(prof, rec),
+						asym, err := runStoreLat(s, id, name, bench.EnvConfig{
+							Preset: pr.preset, Mode: bench.Emulated, Quartz: asymQuartz(prof),
 						}, bench.StoreLatConfig{Lines: s.AsymLines})
 						if err != nil {
 							return nil, trialErr("fig12-asym write asym", trial, err)
@@ -198,7 +198,7 @@ var fig11AsymPreset = presetRow{machine.XeonE5_2660v2, "Ivy Bridge"}
 // access-granularity amplification, and the write-bandwidth-by-threads curve
 // reprogramming the throttle as writers register — and reports the aggregate
 // application-visible write throughput.
-func fig11AsymJobs(s Scale, rec *obs.Recorder) JobSet {
+func fig11AsymJobs(s Scale) JobSet {
 	const id = "fig11-asym"
 	profiles, perr := asymProfileList(s)
 	if perr != nil {
@@ -208,8 +208,9 @@ func fig11AsymJobs(s Scale, rec *obs.Recorder) JobSet {
 	pr := fig11AsymPreset
 	for _, prof := range profiles {
 		for _, writers := range s.AsymWriters {
+			name := fmt.Sprintf("%s/writers=%d", prof.Name, writers)
 			js.Jobs = append(js.Jobs, Job{
-				Name: fmt.Sprintf("%s/writers=%d", prof.Name, writers),
+				Name: name,
 				Params: map[string]string{
 					"profile": prof.Name, "writers": strconv.Itoa(writers),
 				},
@@ -218,11 +219,11 @@ func fig11AsymJobs(s Scale, rec *obs.Recorder) JobSet {
 					for trial := range s.Trials {
 						mc := machine.PresetConfig(pr.preset)
 						prof.ApplyToMem(&mc)
-						q := asymQuartz(prof, rec)
+						q := asymQuartz(prof)
 						q.NVMBandwidth = prof.ReadBandwidth
 						q.NVMWriteBandwidth = prof.WriteBandwidth
 						q.WriteBandwidthByThreads = prof.EmulatorWriteCurve()
-						env, err := bench.NewEnv(bench.EnvConfig{
+						env, err := s.env(id, name, bench.EnvConfig{
 							Preset: pr.preset, Machine: &mc, Mode: bench.Emulated,
 							Quartz: q, Lookahead: 2 * sim.Microsecond,
 						})

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/quartz-emu/quartz/internal/obs"
 	"github.com/quartz-emu/quartz/internal/obs/vtprof"
 )
 
@@ -80,12 +81,14 @@ type Scale struct {
 	// Sparse trims sweep grids (fewer latency points / patterns) for
 	// quick runs; Full uses the paper's complete grids.
 	Sparse bool
+	// Observer is the run's recorder, the core.Config.Observer of every
+	// emulator a job attaches. Nil (the default) records nothing.
+	Observer *obs.Recorder
 	// Profiles, when non-nil, attaches a virtual-time profiler per job
-	// (keyed "setID/jobName"): the instrumented experiments pass it into
-	// their environments so every simulated nanosecond is attributed by
-	// (thread, phase stack, category). quartzbench exposes it as -vtprof.
-	// Nil (the default) keeps every simulation byte-identical to an
-	// unprofiled run. The paired units of one job share its profiler;
+	// (keyed "setID/jobName") to every simulation of the job, so every
+	// simulated nanosecond is attributed by (thread, phase stack,
+	// category). quartzbench exposes it as -vtprof. Neither observer moves
+	// a simulated clock. The simulations of one job share its profiler;
 	// the fold is commutative, so profiles are identical for any
 	// -parallel worker count.
 	Profiles *vtprof.Suite

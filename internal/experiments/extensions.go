@@ -10,15 +10,14 @@ import (
 	"github.com/quartz-emu/quartz/internal/core"
 	"github.com/quartz-emu/quartz/internal/machine"
 	"github.com/quartz-emu/quartz/internal/mem"
-	"github.com/quartz-emu/quartz/internal/obs"
 	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/stats"
 )
 
 // graph500Run runs one BFS execution in a fresh environment, reporting the
 // kernel's result and its settled completion time.
-func graph500Run(s Scale, mode bench.Mode, q core.Config, seed uint64) (graph500.Result, sim.Time, error) {
-	env, err := bench.NewEnv(bench.EnvConfig{
+func graph500Run(s Scale, id, name string, mode bench.Mode, q core.Config, seed uint64) (graph500.Result, sim.Time, error) {
+	env, err := s.env(id, name, bench.EnvConfig{
 		Preset: machine.XeonE5_2660v2, Machine: appMachine(machine.XeonE5_2660v2, prL3Bytes),
 		Mode: mode, Quartz: q,
 	})
@@ -50,19 +49,21 @@ func graph500Run(s Scale, mode bench.Mode, q core.Config, seed uint64) (graph500
 // graph500ValidationJobs decomposes the §7 validation into one job per
 // trial, each running the paired Conf_2/Conf_1 executions with the same
 // seed.
-func graph500ValidationJobs(s Scale, rec *obs.Recorder) JobSet {
-	js := JobSet{ID: "graph500-validate"}
+func graph500ValidationJobs(s Scale) JobSet {
+	const id = "graph500-validate"
+	js := JobSet{ID: id}
 	for trial := 0; trial < s.Trials; trial++ {
+		name := fmt.Sprintf("trial=%d", trial)
 		js.Jobs = append(js.Jobs, Job{
-			Name:   fmt.Sprintf("trial=%d", trial),
+			Name:   name,
 			Params: map[string]string{"trial": strconv.Itoa(trial)},
 			Run: func() (Metrics, error) {
 				seed := uint64(trial + 11)
-				_, physCT, err := graph500Run(s, bench.PhysicalRemote, core.Config{}, seed)
+				_, physCT, err := graph500Run(s, id, name, bench.PhysicalRemote, core.Config{}, seed)
 				if err != nil {
 					return nil, trialErr("graph500 physical", trial, err)
 				}
-				emu, emuCT, err := graph500Run(s, bench.Emulated, quartzConfig(bench.RemoteLatNS(machine.XeonE5_2660v2), rec), seed)
+				emu, emuCT, err := graph500Run(s, id, name, bench.Emulated, quartzConfig(bench.RemoteLatNS(machine.XeonE5_2660v2)), seed)
 				if err != nil {
 					return nil, trialErr("graph500 emulated", trial, err)
 				}
@@ -117,15 +118,17 @@ var asymKernels = []struct {
 
 // asymmetricBandwidthJobs decomposes the asymmetric-throttling study into
 // one job per (throttle setting, kernel).
-func asymmetricBandwidthJobs(s Scale, _ *obs.Recorder) JobSet {
-	js := JobSet{ID: "ext-asym-bw"}
+func asymmetricBandwidthJobs(s Scale) JobSet {
+	const id = "ext-asym-bw"
+	js := JobSet{ID: id}
 	for _, cfgRow := range asymSettings {
 		for _, kern := range asymKernels {
+			name := cfgRow.name + "/" + kern.name
 			js.Jobs = append(js.Jobs, Job{
-				Name:   cfgRow.name + "/" + kern.name,
+				Name:   name,
 				Params: map[string]string{"throttle": cfgRow.name, "kernel": kern.name},
 				Run: func() (Metrics, error) {
-					bw, err := asymMeasure(s, cfgRow.read, cfgRow.write, kern.copy)
+					bw, err := asymMeasure(s, id, name, cfgRow.read, cfgRow.write, kern.copy)
 					if err != nil {
 						return nil, fmt.Errorf("asym-bw %s stream: %w", kern.name, err)
 					}
@@ -155,8 +158,8 @@ func asymmetricBandwidthJobs(s Scale, _ *obs.Recorder) JobSet {
 
 // asymMeasure runs one stream kernel under the given read/write throttle
 // registers and reports its bandwidth.
-func asymMeasure(s Scale, read, write uint16, copyKernel bool) (float64, error) {
-	env, err := bench.NewEnv(bench.EnvConfig{
+func asymMeasure(s Scale, id, name string, read, write uint16, copyKernel bool) (float64, error) {
+	env, err := s.env(id, name, bench.EnvConfig{
 		Preset: machine.XeonE5_2450, Mode: bench.Native,
 		Lookahead: 5 * sim.Microsecond,
 	})

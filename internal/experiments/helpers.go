@@ -6,8 +6,6 @@ import (
 	"github.com/quartz-emu/quartz/internal/bench"
 	"github.com/quartz-emu/quartz/internal/core"
 	"github.com/quartz-emu/quartz/internal/machine"
-	"github.com/quartz-emu/quartz/internal/obs"
-	"github.com/quartz-emu/quartz/internal/obs/vtprof"
 	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/simos"
 )
@@ -15,23 +13,26 @@ import (
 // quartzConfig is the baseline emulator configuration experiments use: the
 // paper's 10 ms maximum epoch with a small minimum epoch, and the library
 // init cost suppressed (experiments time the workload region, and the init
-// cost is measured separately by the overhead experiment), reporting to rec.
-func quartzConfig(nvmNS float64, rec *obs.Recorder) core.Config {
+// cost is measured separately by the overhead experiment).
+func quartzConfig(nvmNS float64) core.Config {
 	return core.Config{
 		NVMLatency: sim.FromNanos(nvmNS),
 		MaxEpoch:   2 * sim.Millisecond,
 		MinEpoch:   10 * sim.Microsecond,
 		InitCycles: 1,
-		Observer:   rec,
 	}
 }
 
-// profiler resolves the vtprof profiler for job jobName of set setID — the
-// "setID/jobName" key matches the runner's job IDs, so -vtprof output files
-// line up with -progress and result-sink job identities. A nil Profiles
-// suite yields a nil (inert) profiler.
-func (s Scale) profiler(setID, jobName string) *vtprof.Profiler {
-	return s.Profiles.Job(setID + "/" + jobName)
+// env builds one simulation of job jobName of set setID; every experiment
+// simulation is built here. It attaches the scale's observers: the job's
+// profiler, keyed like the runner's job ID, and the run's recorder as the
+// emulator's Observer.
+func (s Scale) env(setID, jobName string, cfg bench.EnvConfig) (*bench.Env, error) {
+	if s.Profiles != nil {
+		cfg.Profiler = s.Profiles.Job(setID + "/" + jobName)
+	}
+	cfg.Quartz.Observer = s.Observer
+	return bench.NewEnv(cfg)
 }
 
 // runMemLat builds and runs one MemLat trial in a fresh environment and
@@ -39,8 +40,8 @@ func (s Scale) profiler(setID, jobName string) *vtprof.Profiler {
 // experiment but epoch-size ends it with (*simos.Thread).SettledNow, so the
 // trailing epoch's delay lands inside; epoch-size ends it with the plain
 // Now, as an uninstrumented application measures itself.
-func runMemLat(envCfg bench.EnvConfig, mlCfg bench.MemLatConfig, end func(*simos.Thread) sim.Time) (sim.Time, error) {
-	env, err := bench.NewEnv(envCfg)
+func runMemLat(s Scale, id, name string, envCfg bench.EnvConfig, mlCfg bench.MemLatConfig, end func(*simos.Thread) sim.Time) (sim.Time, error) {
+	env, err := s.env(id, name, envCfg)
 	if err != nil {
 		return 0, err
 	}

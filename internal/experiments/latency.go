@@ -6,7 +6,6 @@ import (
 
 	"github.com/quartz-emu/quartz/internal/bench"
 	"github.com/quartz-emu/quartz/internal/core"
-	"github.com/quartz-emu/quartz/internal/obs"
 	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/simos"
 	"github.com/quartz-emu/quartz/internal/stats"
@@ -18,7 +17,7 @@ var fig11Chains = []int{1, 2, 3, 4, 5, 8}
 // fig11Jobs decomposes Figure 11 into one job per (family, chain count):
 // each runs the paired Conf_2 (physically remote) and Conf_1 (emulated)
 // trials and reports the mean completion times.
-func fig11Jobs(s Scale, rec *obs.Recorder) JobSet {
+func fig11Jobs(s Scale) JobSet {
 	js := JobSet{ID: "fig11"}
 	prs := presetRows()
 	for _, pr := range prs {
@@ -28,7 +27,6 @@ func fig11Jobs(s Scale, rec *obs.Recorder) JobSet {
 				Name:   name,
 				Params: map[string]string{"family": pr.label, "chains": strconv.Itoa(chains)},
 				Run: func() (Metrics, error) {
-					prof := s.profiler(js.ID, name)
 					phys := make([]sim.Time, s.Trials)
 					emu := make([]sim.Time, s.Trials)
 					for trial := range s.Trials {
@@ -36,17 +34,15 @@ func fig11Jobs(s Scale, rec *obs.Recorder) JobSet {
 							Lines: s.Lines / 2, Chains: chains, Iters: s.MemLatIters,
 							Seed: int64(trial*31 + chains),
 						}
-						p, err := runMemLat(bench.EnvConfig{
+						p, err := runMemLat(s, js.ID, name, bench.EnvConfig{
 							Preset: pr.preset, Mode: bench.PhysicalRemote,
-							Profiler: prof,
 						}, mlCfg, (*simos.Thread).SettledNow)
 						if err != nil {
 							return nil, trialErr("fig11 physical", trial, err)
 						}
-						e, err := runMemLat(bench.EnvConfig{
+						e, err := runMemLat(s, js.ID, name, bench.EnvConfig{
 							Preset: pr.preset, Mode: bench.Emulated,
-							Quartz:   quartzConfig(bench.RemoteLatNS(pr.preset), rec),
-							Profiler: prof,
+							Quartz: quartzConfig(bench.RemoteLatNS(pr.preset)),
 						}, mlCfg, (*simos.Thread).SettledNow)
 						if err != nil {
 							return nil, trialErr("fig11 emulated", trial, err)
@@ -90,7 +86,7 @@ var fig12Targets = []float64{200, 300, 400, 500, 600, 700, 800, 900, 1000}
 // fig12Jobs decomposes Figure 12 into one job per (family, target latency):
 // each runs the MemLat trials at that emulated latency and reports the
 // per-iteration latency summary.
-func fig12Jobs(s Scale, rec *obs.Recorder) JobSet {
+func fig12Jobs(s Scale) JobSet {
 	js := JobSet{ID: "fig12"}
 	prs := presetRows()
 	for _, pr := range prs {
@@ -100,13 +96,11 @@ func fig12Jobs(s Scale, rec *obs.Recorder) JobSet {
 				Name:   name,
 				Params: map[string]string{"family": pr.label, "target_ns": fmt.Sprintf("%.0f", target)},
 				Run: func() (Metrics, error) {
-					prof := s.profiler(js.ID, name)
 					lats := make([]sim.Time, s.Trials)
 					for trial := range s.Trials {
-						ct, err := runMemLat(bench.EnvConfig{
+						ct, err := runMemLat(s, js.ID, name, bench.EnvConfig{
 							Preset: pr.preset, Mode: bench.Emulated,
-							Quartz:   quartzConfig(target, rec),
-							Profiler: prof,
+							Quartz: quartzConfig(target),
 						}, bench.MemLatConfig{
 							Lines: s.Lines, Chains: 1, Iters: s.MemLatIters,
 							Seed: int64(trial*13 + int(target)),
@@ -171,7 +165,7 @@ var fig13Threads = []int{2, 4, 8}
 // (physically remote) reference and settings 1..4 the four minimum epochs.
 // Each job runs the Multi-Threaded trials and reports the mean completion
 // time.
-func fig13Jobs(s Scale, rec *obs.Recorder) JobSet {
+func fig13Jobs(s Scale) JobSet {
 	js := JobSet{ID: "fig13"}
 	families := presetRows()[:2] // Sandy Bridge, Ivy Bridge (as in the paper)
 	type setting struct {
@@ -194,7 +188,7 @@ func fig13Jobs(s Scale, rec *obs.Recorder) JobSet {
 					mode, q := bench.PhysicalRemote, core.Config{}
 					if st.emulated {
 						mode = bench.Emulated
-						q = quartzConfig(bench.RemoteLatNS(pr.preset), rec)
+						q = quartzConfig(bench.RemoteLatNS(pr.preset))
 						q.MinEpoch = st.minEpoch
 						q.MaxEpoch = 10 * sim.Millisecond
 					}
@@ -206,13 +200,11 @@ func fig13Jobs(s Scale, rec *obs.Recorder) JobSet {
 							"threads": strconv.Itoa(threads), "setting": st.name,
 						},
 						Run: func() (Metrics, error) {
-							prof := s.profiler(js.ID, name)
 							cts := make([]sim.Time, s.Trials)
 							for trial := range s.Trials {
-								env, err := bench.NewEnv(bench.EnvConfig{
+								env, err := s.env(js.ID, name, bench.EnvConfig{
 									Preset: pr.preset, Mode: mode, Quartz: q,
 									Lookahead: 2 * sim.Microsecond,
-									Profiler:  prof,
 								})
 								if err != nil {
 									return nil, trialErr("fig13", trial, err)

@@ -6,7 +6,6 @@ import (
 	"github.com/quartz-emu/quartz/internal/bench"
 	"github.com/quartz-emu/quartz/internal/core"
 	"github.com/quartz-emu/quartz/internal/machine"
-	"github.com/quartz-emu/quartz/internal/obs"
 	"github.com/quartz-emu/quartz/internal/perf"
 	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/simos"
@@ -26,12 +25,13 @@ var overheadModes = []struct {
 // overheadJobs decomposes the §3.2 overhead accounting into one job per
 // measured execution (the static cycle-cost rows come from constants and
 // need no job).
-func overheadJobs(s Scale, rec *obs.Recorder) JobSet {
-	js := JobSet{ID: "overhead"}
+func overheadJobs(s Scale) JobSet {
+	const id = "overhead"
+	js := JobSet{ID: id}
 	for _, m := range overheadModes {
 		var q core.Config
 		if m.mode == bench.Emulated {
-			q = quartzConfig(800, rec)
+			q = quartzConfig(800)
 			q.InjectionOff = true
 		}
 		js.Jobs = append(js.Jobs, Job{
@@ -40,7 +40,7 @@ func overheadJobs(s Scale, rec *obs.Recorder) JobSet {
 			Run: func() (Metrics, error) {
 				cts := make([]sim.Time, s.Trials)
 				for trial := range s.Trials {
-					ct, err := runMemLat(bench.EnvConfig{
+					ct, err := runMemLat(s, id, m.name, bench.EnvConfig{
 						Preset: machine.XeonE5_2660v2, Mode: m.mode, Quartz: q,
 					}, bench.MemLatConfig{
 						Lines: s.Lines, Chains: 1, Iters: s.MemLatIters, Seed: int64(trial + 9),
@@ -86,18 +86,20 @@ const epochSizeTarget = 500.0
 
 // epochSizeJobs decomposes the footnote 4 study into one job per maximum
 // epoch setting.
-func epochSizeJobs(s Scale, rec *obs.Recorder) JobSet {
-	js := JobSet{ID: "epoch-size"}
+func epochSizeJobs(s Scale) JobSet {
+	const id = "epoch-size"
+	js := JobSet{ID: id}
 	for _, maxEpoch := range epochSizeMaxEpochs {
+		name := "max-epoch=" + maxEpoch.String()
 		js.Jobs = append(js.Jobs, Job{
-			Name:   "max-epoch=" + maxEpoch.String(),
+			Name:   name,
 			Params: map[string]string{"max_epoch": maxEpoch.String()},
 			Run: func() (Metrics, error) {
 				lats := make([]sim.Time, s.Trials)
 				for trial := range s.Trials {
-					q := quartzConfig(epochSizeTarget, rec)
+					q := quartzConfig(epochSizeTarget)
 					q.MaxEpoch = maxEpoch
-					ct, err := runMemLat(bench.EnvConfig{
+					ct, err := runMemLat(s, id, name, bench.EnvConfig{
 						Preset: machine.XeonE5_2660v2, Mode: bench.Emulated, Quartz: q,
 					}, bench.MemLatConfig{
 						Lines: s.Lines, Chains: 1, Iters: s.MemLatIters, Seed: int64(trial + 3),

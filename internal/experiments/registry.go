@@ -3,14 +3,12 @@ package experiments
 import (
 	"fmt"
 	"sort"
-
-	"github.com/quartz-emu/quartz/internal/obs"
 )
 
 // entry couples an experiment's job decomposition with its one-line
 // description for `quartzbench -list`.
 type entry struct {
-	jobs        func(Scale, *obs.Recorder) JobSet
+	jobs        func(Scale) JobSet
 	description string
 }
 
@@ -67,18 +65,14 @@ func Describe(id string) (string, error) {
 }
 
 // Jobs decomposes experiment id at scale s into its independent sweep-point
-// jobs and the deterministic assembler that merges their results. Its
-// emulators observe nothing; ObservedJobs hands them a recorder.
-func Jobs(id string, s Scale) (JobSet, error) { return ObservedJobs(id, s, nil) }
-
-// ObservedJobs is Jobs whose emulators report to rec, the run's recorder:
-// every emulator a job attaches carries it as its core.Config.Observer.
-func ObservedJobs(id string, s Scale, rec *obs.Recorder) (JobSet, error) {
+// jobs and the deterministic assembler that merges their results. Every
+// simulation the jobs build attaches the scale's observers.
+func Jobs(id string, s Scale) (JobSet, error) {
 	e, ok := registry[id]
 	if !ok {
 		return JobSet{}, unknownErr(id)
 	}
-	return e.jobs(s, rec), nil
+	return e.jobs(s), nil
 }
 
 // Run regenerates experiment id at scale s by running its jobs serially in

@@ -5,7 +5,6 @@ import (
 
 	"github.com/quartz-emu/quartz/internal/bench"
 	"github.com/quartz-emu/quartz/internal/machine"
-	"github.com/quartz-emu/quartz/internal/obs"
 	"github.com/quartz-emu/quartz/internal/perf"
 	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/simos"
@@ -31,7 +30,7 @@ func Table1() Table {
 
 // table1Jobs: Table 1 is a static inventory, so the set has no jobs and the
 // assembler renders it directly.
-func table1Jobs(Scale, *obs.Recorder) JobSet {
+func table1Jobs(Scale) JobSet {
 	return JobSet{
 		ID:       "table1",
 		Assemble: func([]Metrics) (Table, error) { return Table1(), nil },
@@ -50,18 +49,20 @@ var table2Modes = []struct {
 // table2Jobs decomposes Table 2 into one job per (family, local/remote)
 // cell; each runs the single-chain MemLat trials (the Intel MLC methodology)
 // and reports the per-iteration latency summary.
-func table2Jobs(s Scale, _ *obs.Recorder) JobSet {
-	js := JobSet{ID: "table2"}
+func table2Jobs(s Scale) JobSet {
+	const id = "table2"
+	js := JobSet{ID: id}
 	prs := presetRows()
 	for _, pr := range prs {
 		for _, m := range table2Modes {
+			name := pr.label + "/" + m.name
 			js.Jobs = append(js.Jobs, Job{
-				Name:   pr.label + "/" + m.name,
+				Name:   name,
 				Params: map[string]string{"family": pr.label, "mode": m.name},
 				Run: func() (Metrics, error) {
 					lats := make([]sim.Time, s.Trials)
 					for trial := range s.Trials {
-						ct, err := runMemLat(
+						ct, err := runMemLat(s, id, name,
 							bench.EnvConfig{Preset: pr.preset, Mode: m.mode},
 							bench.MemLatConfig{Lines: s.Lines, Chains: 1, Iters: s.MemLatIters, Seed: int64(100 + trial)},
 							(*simos.Thread).SettledNow,
@@ -103,16 +104,18 @@ var fig8Registers = []uint16{64, 128, 256, 512, 1024, 1536, 2048, 3072, 4095}
 
 // fig8Jobs decomposes Figure 8 into one job per register setting; each runs
 // the STREAM trials and reports the mean copy bandwidth.
-func fig8Jobs(s Scale, _ *obs.Recorder) JobSet {
-	js := JobSet{ID: "fig8"}
+func fig8Jobs(s Scale) JobSet {
+	const id = "fig8"
+	js := JobSet{ID: id}
 	for _, reg := range fig8Registers {
+		name := "register=" + strconv.Itoa(int(reg))
 		js.Jobs = append(js.Jobs, Job{
-			Name:   "register=" + strconv.Itoa(int(reg)),
+			Name:   name,
 			Params: map[string]string{"register": strconv.Itoa(int(reg))},
 			Run: func() (Metrics, error) {
 				bws := make([]float64, s.Trials)
 				for trial := range s.Trials {
-					env, err := bench.NewEnv(bench.EnvConfig{
+					env, err := s.env(id, name, bench.EnvConfig{
 						Preset: machine.XeonE5_2450, Mode: bench.Native,
 						Lookahead: 5 * sim.Microsecond,
 					})

@@ -7,8 +7,6 @@ import (
 	"github.com/quartz-emu/quartz/internal/apps/kvstore"
 	"github.com/quartz-emu/quartz/internal/bench"
 	"github.com/quartz-emu/quartz/internal/machine"
-	"github.com/quartz-emu/quartz/internal/obs"
-	"github.com/quartz-emu/quartz/internal/obs/vtprof"
 	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/workload"
 )
@@ -37,22 +35,21 @@ func trafficSeed(mixIdx, latIdx, clients int) uint64 {
 // a zipfian-keyed, preloaded KV store served by a bounded pool under the
 // given mix and client count. Epoch tuning matches kvRun (raised minimum
 // epoch per §3.2 so sub-microsecond critical sections amortize). The
-// emulator and the scenario both report to rec.
-func trafficRun(s Scale, mixName string, latNS float64, clients int, seed uint64, prof *vtprof.Profiler, rec *obs.Recorder) (workload.ScenarioResult, error) {
+// emulator and the scenario both report to s.Observer.
+func trafficRun(s Scale, id, name, mixName string, latNS float64, clients int, seed uint64) (workload.ScenarioResult, error) {
 	mix, ok := workload.MixByName(mixName)
 	if !ok {
 		return workload.ScenarioResult{}, fmt.Errorf("experiments: unknown traffic mix %q (known: %v)",
 			mixName, workload.PresetNames())
 	}
-	q := quartzConfig(latNS, rec)
+	q := quartzConfig(latNS)
 	if q.MinEpoch < 50*sim.Microsecond {
 		q.MinEpoch = 50 * sim.Microsecond
 	}
-	env, err := bench.NewEnv(bench.EnvConfig{
+	env, err := s.env(id, name, bench.EnvConfig{
 		Preset: machine.XeonE5_2450, Machine: appMachine(machine.XeonE5_2450, kvL3Bytes),
 		Mode: bench.Emulated, Quartz: q,
 		Lookahead: 2 * sim.Microsecond,
-		Profiler:  prof,
 	})
 	if err != nil {
 		return workload.ScenarioResult{}, err
@@ -89,7 +86,7 @@ func trafficRun(s Scale, mixName string, latNS float64, clients int, seed uint64
 			Mix:         mix,
 			Seed:        seed,
 			CloseEpoch:  e.CloseEpoch,
-			Obs:         rec,
+			Obs:         s.Observer,
 		})
 		if rerr != nil {
 			th.Failf("%v", rerr)
@@ -117,7 +114,7 @@ func trafficMetrics(res workload.ScenarioResult) Metrics {
 // (mix, NVM latency, client count) cell. The assembler rebuilds each
 // (mix, latency) series positionally and runs knee/SLO-breach detection over
 // its client sweep, so the table is byte-identical for any worker count.
-func trafficSweepJobs(s Scale, rec *obs.Recorder) JobSet {
+func trafficSweepJobs(s Scale) JobSet {
 	js := JobSet{ID: "traffic-sweep"}
 	for mi, mixName := range s.TrafficMixes {
 		for li, latNS := range s.TrafficLatsNS {
@@ -131,7 +128,7 @@ func trafficSweepJobs(s Scale, rec *obs.Recorder) JobSet {
 						"clients": strconv.Itoa(clients),
 					},
 					Run: func() (Metrics, error) {
-						res, err := trafficRun(s, mixName, latNS, clients, seed, s.profiler(js.ID, name), rec)
+						res, err := trafficRun(s, js.ID, name, mixName, latNS, clients, seed)
 						if err != nil {
 							return nil, fmt.Errorf("traffic-sweep %s lat=%.0f clients=%d: %w",
 								mixName, latNS, clients, err)
@@ -187,7 +184,7 @@ func trafficSweepJobs(s Scale, rec *obs.Recorder) JobSet {
 // trafficSLOJobs decomposes traffic-slo: one job per mix at the sweep's
 // largest client count and lowest NVM latency, reporting the per-op-kind
 // breakdown (counts and p99) behind the aggregate SLO.
-func trafficSLOJobs(s Scale, rec *obs.Recorder) JobSet {
+func trafficSLOJobs(s Scale) JobSet {
 	js := JobSet{ID: "traffic-slo"}
 	clients := s.TrafficClients[len(s.TrafficClients)-1]
 	latNS := s.TrafficLatsNS[0]
@@ -201,7 +198,7 @@ func trafficSLOJobs(s Scale, rec *obs.Recorder) JobSet {
 				"clients": strconv.Itoa(clients),
 			},
 			Run: func() (Metrics, error) {
-				res, err := trafficRun(s, mixName, latNS, clients, seed, s.profiler(js.ID, name), rec)
+				res, err := trafficRun(s, js.ID, name, mixName, latNS, clients, seed)
 				if err != nil {
 					return nil, fmt.Errorf("traffic-slo %s: %w", mixName, err)
 				}
@@ -247,7 +244,7 @@ func trafficSLOJobs(s Scale, rec *obs.Recorder) JobSet {
 // engine itself: a client count where a linear next-due scan would spend
 // ~owned/2 comparisons per op is served at O(1) per pick by the FIFO ring
 // (see internal/workload/sched.go).
-func trafficMegaJobs(s Scale, rec *obs.Recorder) JobSet {
+func trafficMegaJobs(s Scale) JobSet {
 	js := JobSet{ID: "traffic-mega"}
 	const mixName = "read-mostly"
 	latNS := s.TrafficLatsNS[0]
@@ -267,7 +264,7 @@ func trafficMegaJobs(s Scale, rec *obs.Recorder) JobSet {
 				"clients": strconv.Itoa(clients),
 			},
 			Run: func() (Metrics, error) {
-				res, err := trafficRun(ms, mixName, latNS, clients, seed, s.profiler(js.ID, name), rec)
+				res, err := trafficRun(ms, js.ID, name, mixName, latNS, clients, seed)
 				if err != nil {
 					return nil, fmt.Errorf("traffic-mega clients=%d: %w", clients, err)
 				}

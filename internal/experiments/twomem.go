@@ -5,7 +5,6 @@ import (
 
 	"github.com/quartz-emu/quartz/internal/bench"
 	"github.com/quartz-emu/quartz/internal/machine"
-	"github.com/quartz-emu/quartz/internal/obs"
 	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/stats"
 )
@@ -54,15 +53,17 @@ func fig14Grid(s Scale) (lats []float64, patterns []fig14Pattern, families []pre
 // NVM latency) cell; each runs the MultiLat trials under the two-memory
 // topology and reports the measured and analytically expected completion
 // times.
-func fig14Jobs(s Scale, rec *obs.Recorder) JobSet {
-	js := JobSet{ID: "fig14"}
+func fig14Jobs(s Scale) JobSet {
+	const id = "fig14"
+	js := JobSet{ID: id}
 	lats, patterns, families := fig14Grid(s)
 	for _, pr := range families {
 		for _, cfgRow := range fig14Configs {
 			for _, pat := range patterns {
 				for _, nvmNS := range lats {
+					name := fmt.Sprintf("%s/%s/%s/nvm=%.0f", pr.label, cfgRow.name, pat.name, nvmNS)
 					js.Jobs = append(js.Jobs, Job{
-						Name: fmt.Sprintf("%s/%s/%s/nvm=%.0f", pr.label, cfgRow.name, pat.name, nvmNS),
+						Name: name,
 						Params: map[string]string{
 							"family": pr.label, "config": cfgRow.name,
 							"pattern": pat.name, "nvm_ns": fmt.Sprintf("%.0f", nvmNS),
@@ -71,9 +72,9 @@ func fig14Jobs(s Scale, rec *obs.Recorder) JobSet {
 							cts := make([]sim.Time, s.Trials)
 							exps := make([]sim.Time, s.Trials)
 							for trial := range s.Trials {
-								q := quartzConfig(nvmNS, rec)
+								q := quartzConfig(nvmNS)
 								q.TwoMemory = true
-								env, err := bench.NewEnv(bench.EnvConfig{
+								env, err := s.env(id, name, bench.EnvConfig{
 									Preset: pr.preset, Mode: bench.Emulated, Quartz: q,
 								})
 								if err != nil {

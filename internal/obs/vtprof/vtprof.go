@@ -14,8 +14,8 @@
 // clock at its last charge and assigns the whole interval since then to the
 // charged category. Femtosecond residues below a nanosecond carry over
 // (restFS), so a thread's charged total is exactly
-// floor(lifetime / 1ns) — which makes the profile reconcile exactly with the
-// obs registry's nanosecond counters (see ChargeInjected).
+// floor(lifetime / 1ns). The inject categories trail the obs registry's
+// quartz.delay.injected_ns by at most 1 ns per epoch (see ChargeInjected).
 //
 // A nil *Profiler, nil *ThreadSeries, or nil *Suite is inert: every method
 // is a cheap no-op, so the instrumentation can stay unconditionally wired
@@ -171,12 +171,14 @@ func (s *ThreadSeries) Charge(cat Category, now sim.Time) {
 }
 
 // ChargeInjected attributes an epoch's delay injection, which spans the
-// interval since the last charge: exactly floor(injected/1ns) nanoseconds go
-// to the inject categories — the same per-epoch truncation the obs registry
-// applies to quartz.delay.injected_ns, so profile and registry reconcile
-// exactly — split between InjectWrite and InjectRead by the epoch's
-// writeDelay/totalDelay ratio; the rest of the interval (spin overshoot past
-// the injection target, plus carried residue) goes to SchedWait.
+// interval since the last charge: floor(injected/1ns) nanoseconds go to the
+// inject categories — the same per-epoch truncation the obs registry applies
+// to quartz.delay.injected_ns — split between InjectWrite and InjectRead by
+// the epoch's writeDelay/totalDelay ratio; the rest of the interval (spin
+// overshoot past the injection target, plus carried residue) goes to
+// SchedWait. The spin ends at a whole-cycle TSC target, up to one cycle
+// (under 1 ns) before injected has elapsed; the charge is then clamped to
+// the interval, and the registry exceeds the profile by at most 1 ns.
 func (s *ThreadSeries) ChargeInjected(now sim.Time, injected, writeDelay, totalDelay sim.Time) {
 	d := now - s.last
 	if d < 0 {
@@ -188,7 +190,7 @@ func (s *ThreadSeries) ChargeInjected(now sim.Time, injected, writeDelay, totalD
 	s.restFS -= sim.Time(total) * sim.Nanosecond
 	inj := int64(injected / sim.Nanosecond)
 	if inj > total {
-		inj = total // unreachable: the spin overshoots the target
+		inj = total // the spin ended short of injected, by under one cycle
 	}
 	var w int64
 	if writeDelay > 0 && totalDelay > 0 {

@@ -23,13 +23,14 @@ type ExperimentRun struct {
 	Wall time.Duration
 }
 
-// Suite resolves ids against the experiment registry, handing cfg.Recorder
-// to every emulator the jobs attach, and runs them as one scheduled
-// workload via SuiteSets.
+// Suite resolves ids against the experiment registry, with cfg.Recorder as
+// the scale's Observer, and runs them as one scheduled workload via
+// SuiteSets.
 func Suite(ctx context.Context, ids []string, s experiments.Scale, cfg Config) ([]ExperimentRun, error) {
+	s.Observer = cfg.Recorder
 	sets := make([]experiments.JobSet, 0, len(ids))
 	for _, id := range ids {
-		js, err := experiments.ObservedJobs(id, s, cfg.Recorder)
+		js, err := experiments.Jobs(id, s)
 		if err != nil {
 			return nil, err
 		}

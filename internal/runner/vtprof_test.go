@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/quartz-emu/quartz/internal/experiments"
+	"github.com/quartz-emu/quartz/internal/obs"
 	"github.com/quartz-emu/quartz/internal/obs/vtprof"
 )
 
@@ -127,4 +128,56 @@ func TestVTSuiteJobKeys(t *testing.T) {
 			t.Errorf("job %q profiled %d virtual ns, want > 0", name, total)
 		}
 	}
+}
+
+// TestEveryJobObserved runs every experiment with no observers and again with
+// both the recorder and the profiler attached. The tables must be the same
+// bytes, every runner job must have a nonempty profile, and the profile's
+// inject categories must account for the registry's injected delay: short by
+// at most 1 ns for each closed epoch, since an injection spin can end up to
+// one cycle before its target.
+func TestEveryJobObserved(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment twice")
+	}
+	ids := experiments.All()
+	bare, err := Suite(context.Background(), ids, suiteScale, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := suiteScale
+	s.Profiles = vtprof.NewSuite()
+	rec := obs.New(1)
+	observed, err := Suite(context.Background(), ids, s, Config{Workers: 2, Recorder: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, got := renderAll(t, bare), renderAll(t, observed); want != got {
+		t.Errorf("tables differ with observers attached:\n--- bare ---\n%s\n--- observed ---\n%s", want, got)
+	}
+
+	for _, r := range observed {
+		for _, jr := range r.Jobs {
+			if total := s.Profiles.JobProfile(jr.JobID).TotalNS(); total <= 0 {
+				t.Errorf("job %q profiled %d virtual ns, want > 0", jr.JobID, total)
+			}
+		}
+	}
+
+	reg := rec.Registry()
+	injected := reg.Counter("quartz.delay.injected_ns").Value()
+	epochs := reg.Counter("quartz.epochs.closed").Value()
+	totals := s.Profiles.Merged().Totals()
+	charged := totals[vtprof.InjectRead] + totals[vtprof.InjectWrite]
+	if injected == 0 {
+		t.Fatal("registry injected nothing; emulation inactive?")
+	}
+	if totals[vtprof.InjectWrite] == 0 {
+		t.Error("profile charged no inject_write; fig12-asym's store delay is unobserved")
+	}
+	if short := injected - charged; short < 0 || short > epochs {
+		t.Errorf("registry injected %d ns, profile inject_read+inject_write %d ns: short by %d, want 0..%d (closed epochs)",
+			injected, charged, short, epochs)
+	}
+	t.Logf("registry injected %d ns over %d epochs; profile short by %d ns", injected, epochs, injected-charged)
 }
